@@ -28,6 +28,7 @@ from .diversity import (
 )
 from .fixtures import FixtureStore, FixtureTransport
 from .pipeline import (
+    UNNAMED_PREFIX,
     AnnotationClient,
     AnnotationError,
     CsvTripleSource,
@@ -367,6 +368,9 @@ def cmd_score(args) -> int:
     client = AnnotationClient(endpoint_url=nel_url) if nel_url else None
     nel_warned = False
 
+    # enrichment is a pure function of the id, the triples and the ontology,
+    # so each id is enriched once per run
+    records: dict[str, EntityRecord] = {}
     score_rows: list[list] = []
     count_rows: list[list] = []
     for doc in docs:
@@ -387,29 +391,15 @@ def cmd_score(args) -> int:
                 annotated = []
             mentions = mentions + _type_filtered(annotated, triples, ontology)
         counts = aggregate_mentions(mentions)
-        entities = []
-        for entity_id in sorted(counts):
-            features = FeatureSet()
-            actor_type = "person"
-            if triples is not None and not entity_id.startswith("unnamed:"):
-                features = enrich_entity(entity_id, triples, ontology)
-                actor_type = (
-                    ontology.classify(triples.dialect, triples.types(entity_id))
-                    or "person"
-                )
-            entities.append(
-                EntityRecord(
-                    id=entity_id,
-                    label=entity_id,
-                    actor_type=actor_type,
-                    features=features,
-                )
-            )
+        ids = sorted(counts)
+        for entity_id in ids:
+            if entity_id not in records:
+                records[entity_id] = _entity_record(entity_id, triples, ontology)
         balance = compute_balance(counts)
-        disparity = compute_disparity(entities, metric=metric)
+        disparity = compute_disparity([records[i] for i in ids], metric=metric)
         result = stirling_delta(balance, disparity, params)
         score_rows.append([doc.doc_id, result.variety, f"{result.delta:.12g}"])
-        for entity_id in sorted(counts):
+        for entity_id in ids:
             count_rows.append([doc.doc_id, entity_id, counts[entity_id]])
 
     _write_rows(out / "scores.csv", ["doc_id", "n_entities", "delta"], score_rows)
@@ -418,6 +408,20 @@ def cmd_score(args) -> int:
     )
     print(f"scored {len(docs)} documents into {out}")
     return 0
+
+
+def _entity_record(entity_id, triples, ontology) -> EntityRecord:
+    """One id's record: features and actor type from the triples, if any."""
+    features = FeatureSet()
+    actor_type = "person"
+    if triples is not None and not entity_id.startswith(UNNAMED_PREFIX):
+        features = enrich_entity(entity_id, triples, ontology)
+        actor_type = (
+            ontology.classify(triples.dialect, triples.types(entity_id)) or "person"
+        )
+    return EntityRecord(
+        id=entity_id, label=entity_id, actor_type=actor_type, features=features
+    )
 
 
 def _type_filtered(mentions, triples, ontology):

@@ -4,10 +4,15 @@ The diversity of a set of entities is computed as a sum over ordered pairs
 of entities, weighting the pairwise dissimilarity (disparity) against the
 product of the entities' frequency shares (balance). Variety is the number
 of distinct entities present.
+
+Since (p_i p_j)^beta = p_i^beta p_j^beta, the sum is the quadratic form
+q^T D_alpha q over the distinct feature sets ("points"): entities with equal
+features are merged into one point whose weight q_g sums their p_i^beta.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -80,20 +85,25 @@ class BalanceVector:
 
 
 class DisparityMatrix:
-    """Symmetric pairwise dissimilarities in [0, 1] with zero diagonal."""
+    """Symmetric pairwise dissimilarities in [0, 1] with zero diagonal.
+
+    Each id maps to a point; the values live in a table over the points, so
+    ids sharing a point (equal feature sets) are at distance 0.
+    """
 
     def __init__(self, ids: Sequence[str], values: Mapping[tuple[str, str], float]):
         """Build from values keyed by unordered id pairs (either orientation).
 
         Missing pairs default to 0. Diagonal entries must be absent or 0.
+        Every id gets a point of its own.
         """
         ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity ids in disparity matrix")
-        known = set(ids)
+        point = {entity_id: g for g, entity_id in enumerate(ids)}
         store: dict[frozenset[str], float] = {}
         for (i, j), d in values.items():
-            if i not in known or j not in known:
+            if i not in point or j not in point:
                 raise ValueError(f"pair ({i!r}, {j!r}) references unknown entity id")
             if i == j:
                 if d != 0:
@@ -105,22 +115,41 @@ class DisparityMatrix:
             if key in store and store[key] != d:
                 raise ValueError(f"conflicting values for pair ({i!r}, {j!r})")
             store[key] = d
+        table = [[0.0] * len(ids) for _ in ids]
+        for key, d in store.items():
+            g, h = (point[i] for i in key)
+            table[g][h] = table[h][g] = d
         self._ids = ids
-        self._store = store
+        self._point = point
+        self._table = table
+
+    @classmethod
+    def _from_points(
+        cls, ids: tuple[str, ...], point: dict[str, int], table: list[list[float]]
+    ) -> "DisparityMatrix":
+        """Wrap an id -> point map and a symmetric table over the points."""
+        matrix = cls.__new__(cls)
+        matrix._ids = ids
+        matrix._point = point
+        matrix._table = table
+        return matrix
 
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
     def value(self, i: str, j: str) -> float:
-        if i == j:
+        if i == j or i not in self._point or j not in self._point:
             return 0.0
-        return self._store.get(frozenset((i, j)), 0.0)
+        return self._table[self._point[i]][self._point[j]]
 
     def with_value(self, i: str, j: str, d: float) -> "DisparityMatrix":
         """Return a copy with one off-diagonal pair replaced."""
-        values = {tuple(sorted(k)): v for k, v in self._store.items()}
-        values[(min(i, j), max(i, j))] = d
+        values = {
+            (a, b): self.value(a, b) for a, b in itertools.combinations(self._ids, 2)
+        }
+        values.pop((j, i), None)
+        values[(i, j)] = d
         return DisparityMatrix(self._ids, values)
 
 
@@ -152,10 +181,8 @@ def jaccard_distance(a: FeatureSet, b: FeatureSet) -> float:
     """
     if not a.pairs and not b.pairs:
         return 0.0
-    union = a.pairs | b.pairs
-    if not union:
-        return 0.0
-    return 1.0 - len(a.pairs & b.pairs) / len(union)
+    shared = len(a.pairs & b.pairs)
+    return 1.0 - shared / (len(a.pairs) + len(b.pairs) - shared)
 
 
 DISPARITY_METRICS = {
@@ -179,21 +206,32 @@ def compute_balance(counts: Mapping[str, int]) -> BalanceVector:
 def compute_disparity(
     entities: Sequence[EntityRecord], metric: str = DEFAULT_METRIC
 ) -> DisparityMatrix:
-    """Pairwise dissimilarity matrix over the entities' feature sets."""
+    """Pairwise dissimilarity matrix over the entities' feature sets.
+
+    Entities with equal feature sets share one point, so the metric runs
+    once per pair of distinct feature sets.
+    """
     try:
         distance = DISPARITY_METRICS[metric]
     except KeyError:
         raise ValueError(
             f"unknown disparity metric {metric!r}; known: {sorted(DISPARITY_METRICS)}"
         ) from None
-    ids = [e.id for e in entities]
+    ids = tuple(e.id for e in entities)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate entity ids")
-    values: dict[tuple[str, str], float] = {}
-    for idx, a in enumerate(entities):
-        for b in entities[idx + 1 :]:
-            values[(a.id, b.id)] = distance(a.features, b.features)
-    return DisparityMatrix(ids, values)
+    index: dict[FeatureSet, int] = {}
+    point = {e.id: index.setdefault(e.features, len(index)) for e in entities}
+    features = list(index)
+    table = [[0.0] * len(features) for _ in features]
+    for g, a in enumerate(features):
+        for h in range(g + 1, len(features)):
+            d = distance(a, features[h])
+            if not 0.0 <= d <= 1.0:
+                i, j = (next(k for k, x in point.items() if x == y) for y in (g, h))
+                raise ValueError(f"disparity d({i!r},{j!r}) = {d} outside [0, 1]")
+            table[g][h] = table[h][g] = d
+    return DisparityMatrix._from_points(ids, point, table)
 
 
 def stirling_delta(
@@ -207,11 +245,38 @@ def stirling_delta(
     Pairs with zero disparity contribute 0 for every alpha (this pins the
     0^0 case: identical entities never add diversity). A set of at most one
     entity has diversity 0.
+
+    The sum is computed as 2 * sum over point pairs g < h with d_gh > 0 of
+    d_gh^alpha * Q_g * Q_h, where Q_g sums p_i^beta over the ids of point g.
+    With keep_terms, it is computed pair by pair and every ordered pair's
+    term is kept.
     """
     if set(balance.ids) != set(disparity.ids):
         raise ValueError("balance and disparity cover different entity ids")
+    if keep_terms:
+        return _stirling_delta_terms(balance, disparity, params)
+    table = disparity._table
+    weights = [0.0] * len(table)
+    for i, p_i in balance.shares.items():
+        weights[disparity._point[i]] += p_i**params.beta
+    alpha = params.alpha
+    delta = 0.0
+    for g, row in enumerate(table):
+        row_sum = 0.0
+        for h in range(g + 1, len(row)):
+            d = row[h]
+            if d != 0.0:
+                row_sum += d**alpha * weights[h]
+        delta += weights[g] * row_sum
+    return DiversityResult(delta=2.0 * delta, variety=len(balance), balance=balance)
+
+
+def _stirling_delta_terms(
+    balance: BalanceVector, disparity: DisparityMatrix, params: DiversityParams
+) -> DiversityResult:
+    """The per-pair reference loop of stirling_delta, keeping every term."""
     ids = balance.ids
-    terms: dict[tuple[str, str], float] = {} if keep_terms else None
+    terms: dict[tuple[str, str], float] = {}
     delta = 0.0
     if len(ids) > 1:
         for i in ids:
@@ -225,8 +290,7 @@ def stirling_delta(
                 else:
                     term = d**params.alpha * (p_i * balance.shares[j]) ** params.beta
                 delta += term
-                if terms is not None:
-                    terms[(i, j)] = term
+                terms[(i, j)] = term
     return DiversityResult(
         delta=delta, variety=len(ids), balance=balance, per_pair_terms=terms
     )

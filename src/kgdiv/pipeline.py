@@ -17,6 +17,7 @@ import logging
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
@@ -94,6 +95,12 @@ class MatchRule:
     def is_unnamed(self) -> bool:
         return self.target_entity.startswith(UNNAMED_PREFIX)
 
+    @cached_property
+    def regex(self) -> re.Pattern[str]:
+        """The pattern as a literal surface regex, compiled once per rule."""
+        flags = 0 if self.case_sensitive else re.IGNORECASE
+        return re.compile(re.escape(self.pattern), flags)
+
 
 @dataclass(frozen=True)
 class EntityMention:
@@ -161,7 +168,11 @@ _TYPE_PREDICATES = frozenset(
 
 @dataclass
 class CsvTripleSource:
-    """Triples from a CSV of subject,predicate,object rows."""
+    """Triples from a CSV of subject,predicate,object rows.
+
+    Lookups go through a subject index built on the first lookup, so the
+    rows must not change after that.
+    """
 
     rows: list[tuple[str, str, str]]
     dialect: str = "generic"
@@ -176,12 +187,22 @@ class CsvTripleSource:
                 )
         return cls(rows=rows, dialect=dialect)
 
+    @cached_property
+    def _by_subject(self) -> dict[str, list[tuple[str, str, str]]]:
+        """The rows of each subject, in file order, built on first lookup."""
+        index: dict[str, list[tuple[str, str, str]]] = {}
+        for row in self.rows:
+            index.setdefault(row[0], []).append(row)
+        return index
+
     def predicates(self, resource_id: str) -> list[tuple[str, str]]:
-        return [(p, o) for s, p, o in self.rows if s == resource_id]
+        return [(p, o) for _, p, o in self._by_subject.get(resource_id, ())]
 
     def types(self, resource_id: str) -> list[str]:
         return [
-            o for s, p, o in self.rows if s == resource_id and p in _TYPE_PREDICATES
+            o
+            for _, p, o in self._by_subject.get(resource_id, ())
+            if p in _TYPE_PREDICATES
         ]
 
 
@@ -209,8 +230,7 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
 
 
 def _match_surface(doc: TextDocument, rule: MatchRule) -> Iterable[EntityMention]:
-    flags = 0 if rule.case_sensitive else re.IGNORECASE
-    for match in re.finditer(re.escape(rule.pattern), doc.text, flags):
+    for match in rule.regex.finditer(doc.text):
         yield EntityMention(
             doc_id=doc.doc_id,
             char_start=match.start(),
@@ -378,14 +398,14 @@ def aggregate_mentions(mentions: Iterable[EntityMention]) -> dict[str, int]:
 
 def load_rules(path: str | Path) -> list[MatchRule]:
     """Load match rules from a CSV with columns pattern, case_sensitive,
-    match_layer, target."""
+    match_layer, target. A missing or empty case_sensitive means true."""
     rules = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             rules.append(
                 MatchRule(
                     pattern=row["pattern"],
-                    case_sensitive=_parse_bool(row.get("case_sensitive", "true")),
+                    case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
                     match_layer=(row.get("match_layer") or "surface").strip(),
                     target_entity=(row.get("target") or "").strip(),
                 )
@@ -393,11 +413,13 @@ def load_rules(path: str | Path) -> list[MatchRule]:
     return rules
 
 
-def _parse_bool(raw: str) -> bool:
+def _parse_bool(raw: str | None, default: bool) -> bool:
     value = (raw or "").strip().lower()
+    if not value:
+        return default
     if value in ("1", "true", "yes", "y"):
         return True
-    if value in ("0", "false", "no", "n", ""):
+    if value in ("0", "false", "no", "n"):
         return False
     raise ValueError(f"cannot parse boolean {raw!r}")
 

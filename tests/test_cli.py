@@ -209,6 +209,53 @@ class TestScore:
         # counts 2:1 -> 2 * 1 * (2/3 * 1/3)
         assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
 
+    def test_each_id_enriched_once(self, tmp_path, fixture_dir, monkeypatch):
+        import kgdiv.cli
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in (
+            ("doc1", "N-VA en CD&V"),
+            ("doc2", "N-VA wint"),
+            ("doc3", "N-VA, N-VA en cd&v"),
+        ):
+            (corpus / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        argv = [
+            "score",
+            "--corpus",
+            str(corpus),
+            "--rules",
+            str(fixture_dir / "rules.csv"),
+            "--triples",
+            str(fixture_dir / "triples.csv"),
+        ]
+        assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
+
+        calls: list[str] = []
+        real_enrich = kgdiv.cli.enrich_entity
+
+        def counting_enrich(root_id, triples, ontology):
+            calls.append(root_id)
+            return real_enrich(root_id, triples, ontology)
+
+        monkeypatch.setattr(kgdiv.cli, "enrich_entity", counting_enrich)
+        assert run_cli(*argv, "--out", str(tmp_path / "counted")) == 0
+        res = "http://dbpedia.org/resource/"
+        assert sorted(calls) == [
+            f"{res}Christen-Democratisch_en_Vlaams",
+            f"{res}New_Flemish_Alliance",
+        ]
+        for name in ("scores.csv", "entity_counts.csv"):
+            assert (tmp_path / "counted" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+        lines = (tmp_path / "counted" / "scores.csv").read_text().splitlines()
+        by_doc = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+        # disjoint features: 1:1 -> 0.5, a single actor -> 0, 2:1 -> 4/9
+        assert float(by_doc["doc1"][2]) == pytest.approx(0.5, abs=1e-12)
+        assert float(by_doc["doc2"][2]) == 0.0
+        assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
+
     def test_annotator_mentions_filtered_by_actor_type(self, tmp_path):
         import json
         import threading

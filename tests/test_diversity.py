@@ -278,3 +278,74 @@ def test_disparity_matrix_validation():
         DisparityMatrix(["A"], {("A", "A"): 0.2})
     with pytest.raises(ValueError, match="unknown entity"):
         DisparityMatrix(["A"], {("A", "B"): 0.2})
+
+
+FEATURE_POOL = [
+    ("party", "a"),
+    ("party", "b"),
+    ("ideology", "x"),
+    ("country", "c"),
+    ("country", "d"),
+]
+
+
+@st.composite
+def scored_entities(draw, max_n=10):
+    """Entities over a few feature sets (always including the empty one, so
+    that sets repeat) with random counts, at least one of them positive."""
+    feature_sets = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(FEATURE_POOL), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        )
+    ) + [frozenset()]
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entities = [
+        EntityRecord(
+            f"e{k}", f"e{k}", "person", FeatureSet(draw(st.sampled_from(feature_sets)))
+        )
+        for k in range(n)
+    ]
+    counts = {e.id: draw(st.integers(min_value=0, max_value=5)) for e in entities}
+    counts["e0"] = draw(st.integers(min_value=1, max_value=5))
+    return entities, counts
+
+
+EXPONENTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+def assert_grouped_equals_pair_terms(bv, m, alpha, beta):
+    """The grouped quadratic form against the per-pair reference loop."""
+    params = DiversityParams(alpha, beta)
+    reference = stirling_delta(bv, m, params, keep_terms=True)
+    assert stirling_delta(bv, m, params).delta == pytest.approx(
+        sum(reference.per_pair_terms.values()), abs=1e-12
+    )
+
+
+@given(scored_entities())
+@settings(max_examples=150)
+def test_property_grouped_disparity_is_jaccard(drawn):
+    entities, _ = drawn
+    m = compute_disparity(entities)
+    for a in entities:
+        for b in entities:
+            assert m.value(a.id, b.id) == jaccard_distance(a.features, b.features)
+
+
+@given(scored_entities(), EXPONENTS, EXPONENTS)
+@settings(max_examples=300)
+def test_property_grouped_delta_matches_pair_terms(drawn, alpha, beta):
+    entities, counts = drawn
+    assert_grouped_equals_pair_terms(
+        compute_balance(counts), compute_disparity(entities), alpha, beta
+    )
+
+
+@given(st.randoms(use_true_random=False), EXPONENTS, EXPONENTS)
+@settings(max_examples=150)
+def test_property_zero_disparity_pinned_in_grouped_delta(rng, alpha, beta):
+    # explicit matrices hold zeros between distinct ids, which alpha = 0
+    # would turn into 0^0 = 1 without the pin
+    assert_grouped_equals_pair_terms(*random_instance(rng), alpha, beta)

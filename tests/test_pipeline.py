@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -123,6 +125,43 @@ class TestMatchRules:
         ]
         assert len(match_rules(doc, rules)) == 2
 
+    def test_rules_beyond_re_cache_match_like_finditer(self):
+        # more distinct rules than re's 512-pattern cache, and one pattern
+        # listed with both case flags
+        rng = random.Random(11)
+        rules = [
+            MatchRule(
+                pattern=f"Name{k:03d}",
+                case_sensitive=rng.random() < 0.5,
+                target_entity=f"t{k}",
+            )
+            for k in range(600)
+        ]
+        rules += [
+            MatchRule(pattern="Alpha", case_sensitive=True, target_entity="a-cs"),
+            MatchRule(pattern="Alpha", case_sensitive=False, target_entity="a-ci"),
+        ]
+        words = []
+        for _ in range(400):
+            word = rng.choice(["Alpha", f"Name{rng.randrange(650):03d}", "filler"])
+            words.append(word.upper() if rng.random() < 0.3 else word)
+        doc = TextDocument(doc_id="d", text=" ".join(words) + " AlphaAlpha")
+        expected = sorted(
+            (m.start(), m.end(), rule.target_entity)
+            for rule in rules
+            for m in re.finditer(
+                re.escape(rule.pattern),
+                doc.text,
+                0 if rule.case_sensitive else re.IGNORECASE,
+            )
+        )
+        got = [
+            (m.char_start, m.char_end, m.resolved_id) for m in match_rules(doc, rules)
+        ]
+        assert got == expected
+        assert {"a-cs", "a-ci"} <= {target for _, _, target in got}
+        assert rules[0].regex is rules[0].regex
+
     @given(st.text(min_size=1, max_size=60), st.text(min_size=1, max_size=5))
     @settings(max_examples=150)
     def test_property_spans_within_bounds(self, text, pattern):
@@ -219,6 +258,59 @@ def chain_source(depth: int) -> CsvTripleSource:
         rows.append((f"res{i}", "party", f"res{i + 1}"))
         rows.append((f"res{i + 1}", "type", "organisation"))
     return CsvTripleSource(rows=rows)
+
+
+class TestTripleIndex:
+    ROWS = [
+        ("X", "type", "building"),
+        ("Y", "party", "P"),
+        ("X", "ideology", "I"),
+        ("X", "type", "party"),
+        ("X", "ideology", "I"),
+        ("X", "rdf:type", "person"),
+    ]
+
+    def test_lookups_keep_file_order_and_duplicates(self):
+        triples = CsvTripleSource(rows=list(self.ROWS))
+        assert triples.predicates("X") == [
+            ("type", "building"),
+            ("ideology", "I"),
+            ("type", "party"),
+            ("ideology", "I"),
+            ("rdf:type", "person"),
+        ]
+        assert triples.types("X") == ["building", "party", "person"]
+        # the first actor-type class in file order wins
+        assert builtin_ontology().classify("generic", triples.types("X")) == (
+            "organisation"
+        )
+
+    def test_unknown_id_gives_empty_lists(self):
+        triples = CsvTripleSource(rows=list(self.ROWS))
+        assert triples.predicates("Z") == []
+        assert triples.types("Z") == []
+        assert triples.types("Y") == []
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("ABC"),
+                st.sampled_from(["type", "P31", "party", "ideology"]),
+                st.sampled_from(["person", "party", "o"]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100)
+    def test_property_lookups_equal_a_full_scan(self, rows):
+        triples = CsvTripleSource(rows=rows)
+        for subject in "ABCD":
+            assert triples.predicates(subject) == [
+                (p, o) for s, p, o in rows if s == subject
+            ]
+            assert triples.types(subject) == [
+                o for s, p, o in rows if s == subject and p in ("type", "P31")
+            ]
 
 
 class TestEnrichment:
@@ -361,6 +453,20 @@ def test_load_rules(fixture_dir):
     )
     assert rules[2].match_layer == "lemma"
     assert rules[2].is_unnamed
+
+
+def test_load_rules_empty_case_cell_means_case_sensitive(tmp_path):
+    path = tmp_path / "rules.csv"
+    path.write_text(
+        "pattern,case_sensitive,match_layer,target\n"
+        "N-VA,,surface,x\n"
+        "Groen, ,surface,y\n"
+        "cd&v,false,surface,z\n",
+        encoding="utf-8",
+    )
+    assert [r.case_sensitive for r in load_rules(path)] == [True, True, False]
+    path.write_text("pattern,target\nN-VA,x\n", encoding="utf-8")
+    assert load_rules(path)[0].case_sensitive is True
 
 
 def test_document_validation():
