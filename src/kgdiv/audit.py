@@ -1,20 +1,23 @@
 """Representation-bias audit of politician/party snapshots.
 
 Pipeline: normalize raw affiliations to canonical party acronyms, derive
-each politician's maximal activity period, select those active at each
-audit time point, bracket every party's visibility between a lower bound
-(politicians whose whole relevant career is that single party) and an
-upper bound (politicians ever affiliated with it), and compare the bounds
-against parliamentary seat-share baselines to classify parties as over-,
-under-, or indeterminately represented.
+each politician's maximal activity period, count the whole-career party
+sets of those active at each audit time point, bracket every party's
+visibility between a lower bound (politicians whose whole relevant career
+is that single party) and an upper bound (politicians ever affiliated
+with it), and compare the bounds against parliamentary seat-share
+baselines to classify parties as over-, under-, or indeterminately
+represented. The bounds do not depend on the body, so one pass serves
+every body and only the comparison runs per body.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -182,33 +185,6 @@ class BaselineTable:
 
 
 @dataclass(frozen=True)
-class VisibilityBounds:
-    party: str
-    time_point: date
-    lower_count: int
-    upper_count: int
-    lower_share: float
-    upper_share: float
-    active_total: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lower_count <= self.upper_count <= self.active_total:
-            raise ValueError(
-                f"bounds violated for {self.party!r} at {self.time_point}: "
-                f"{self.lower_count} <= {self.upper_count} <= {self.active_total}"
-            )
-
-
-@dataclass(frozen=True)
-class RepresentationVerdict:
-    party: str
-    time_point: date
-    verdict: str
-    baseline_share: float
-    bounds: VisibilityBounds
-
-
-@dataclass(frozen=True)
 class Finding:
     """A data-quality issue detected in a snapshot."""
 
@@ -232,6 +208,12 @@ class NormalizationResult:
 
 @dataclass(frozen=True)
 class AuditRow:
+    """One party's visibility bracket in one source at one time point.
+
+    run_audit leaves baseline_share and verdict unset; judge fills them in
+    for one parliamentary body.
+    """
+
     source: str
     time_point: date
     party: str
@@ -240,9 +222,9 @@ class AuditRow:
     upper_count: int
     lower_share: float
     upper_share: float
-    baseline_share: float
-    verdict: str
     active_total: int
+    baseline_share: float | None = None
+    verdict: str | None = None
 
 
 @dataclass(frozen=True)
@@ -358,57 +340,27 @@ def activity_period(p: PoliticianRecord, today: date) -> DateInterval | None:
     return DateInterval(start, end)
 
 
-def select_active(
-    politicians: Sequence[PoliticianRecord], time_point: date, today: date
-) -> list[PoliticianRecord]:
-    """Politicians whose activity period contains the time point (inclusive)."""
-    active = []
-    for p in politicians:
-        period = activity_period(p, today)
-        if period is not None and period.contains(time_point):
-            active.append(p)
-    return active
-
-
 def compute_bounds(
-    active: Sequence[PoliticianRecord],
-    time_point: date,
+    career_counts: Mapping[frozenset[str], int],
     parties: Iterable[str] | None = None,
-) -> list[VisibilityBounds]:
-    """Lower/upper visibility counts per relevant party among the active set.
+) -> dict[str, tuple[int, int]]:
+    """(lower, upper) visibility count per relevant party.
 
-    The lower bound counts politicians whose whole-career relevant-party
-    set is exactly {P}; the upper bound counts anyone ever in P. The share
-    denominator is every active politician, including those with multiple
-    or only non-relevant affiliations.
+    `career_counts` counts the active politicians by their whole-career
+    set of relevant parties. The lower bound of P is the count of {P}:
+    politicians whose whole relevant career is P alone. The upper bound of
+    P is the summed count of the sets that contain P: anyone ever in P.
+    Without `parties`, every party in some career set is bounded.
     """
-    active_total = len(active)
-    if active_total == 0:
-        return []
-    career_sets = [p.relevant_parties() for p in active]
     if parties is None:
-        seen: set[str] = set()
-        for s in career_sets:
-            seen.update(s)
-        party_list = sorted(seen)
-    else:
-        party_list = list(parties)
-    bounds = []
-    for party in party_list:
-        lower = sum(1 for s in career_sets if s == {party})
-        upper = sum(1 for s in career_sets if party in s)
-        bounds.append(
-            VisibilityBounds(
-                party=party,
-                time_point=time_point,
-                lower_count=lower,
-                upper_count=upper,
-                lower_share=lower / active_total,
-                upper_share=upper / active_total,
-                active_total=active_total,
-            )
+        parties = sorted(set().union(*career_counts))
+    return {
+        party: (
+            career_counts.get(frozenset((party,)), 0),
+            sum(n for career, n in career_counts.items() if party in career),
         )
-    return bounds
+        for party in parties
+    }
 
 
 def baseline_share(
@@ -440,34 +392,30 @@ def baseline_share(
     return result.seats.get(party, 0) / result.total_seats
 
 
-def classify(bounds: VisibilityBounds, baseline: float) -> RepresentationVerdict:
-    """Over if even the lower bound exceeds the baseline, under if even the
-    upper bound falls short; ties and straddles are indeterminate."""
-    if bounds.lower_share > baseline:
-        verdict = "over"
-    elif bounds.upper_share < baseline:
-        verdict = "under"
-    else:
-        verdict = "indeterminate"
-    return RepresentationVerdict(
-        party=bounds.party,
-        time_point=bounds.time_point,
-        verdict=verdict,
-        baseline_share=baseline,
-        bounds=bounds,
-    )
+def classify(lower_share: float, upper_share: float, baseline: float) -> str:
+    """Over if even the lower share exceeds the baseline, under if even the
+    upper share falls short; ties and straddles are indeterminate."""
+    if lower_share > baseline:
+        return "over"
+    if upper_share < baseline:
+        return "under"
+    return "indeterminate"
 
 
 def run_audit(
     snapshot_rows: Iterable[Mapping[str, str]],
     nmap: NormalizationMap,
-    baselines: BaselineTable,
     schedule: Sequence[date] = DEFAULT_SCHEDULE,
-    policy: str = "most-recent-preceding",
     today: date | None = None,
     career_end_overrides: Mapping[str, date] | None = None,
 ) -> AuditResult:
-    """Full audit over a politicians snapshot, per source and time point.
+    """Visibility bounds over a politicians snapshot, per source and time point.
+
+    One pass per source: normalize once, take each politician's activity
+    period and relevant career set once, then at each time point count
+    the career sets of the active politicians and read every relevant
+    party's bounds from that count. The rows carry no baseline; judge
+    compares them with one body's seat shares.
 
     `today` caps open-ended affiliations; it defaults to the snapshot's
     latest retrieved_at stamp so a cached snapshot always audits the same
@@ -492,22 +440,28 @@ def run_audit(
     for source in sorted(by_source):
         norm = normalize_affiliations(by_source[source], nmap, career_end_overrides)
         unmapped.extend(norm.unmapped)
-        undated = sum(
-            1 for p in norm.politicians if activity_period(p, today) is None
-        )
+        careers = []
+        for p in norm.politicians:
+            period = activity_period(p, today)
+            if period is not None:
+                careers.append((period, p.relevant_parties()))
+        undated = len(norm.politicians) - len(careers)
         for time_point in sorted(schedule):
-            active = select_active(norm.politicians, time_point, today)
-            low_sample = 0 < len(active) < LOW_SAMPLE_THRESHOLD
+            counts = Counter(
+                career for period, career in careers if period.contains(time_point)
+            )
+            active_total = counts.total()
+            low_sample = 0 < active_total < LOW_SAMPLE_THRESHOLD
             coverage.append(
                 CoverageRow(
                     source=source,
                     time_point=time_point,
-                    active_total=len(active),
+                    active_total=active_total,
                     undated_total=undated,
                     low_sample=low_sample,
                 )
             )
-            if not active:
+            if not active_total:
                 logger.warning(
                     "no active politicians for source %s at %s", source, time_point
                 )
@@ -516,29 +470,39 @@ def run_audit(
                 logger.warning(
                     "only %d active politicians for source %s at %s; "
                     "bound shares are hard to interpret",
-                    len(active),
+                    active_total,
                     source,
                     time_point,
                 )
-            for bounds in compute_bounds(active, time_point, parties=relevant):
-                share = baseline_share(baselines, bounds.party, time_point, policy)
-                verdict = classify(bounds, share)
+            for party, (lower, upper) in compute_bounds(counts, relevant).items():
                 audit_rows.append(
                     AuditRow(
                         source=source,
                         time_point=time_point,
-                        party=bounds.party,
-                        alignment=alignment[bounds.party],
-                        lower_count=bounds.lower_count,
-                        upper_count=bounds.upper_count,
-                        lower_share=bounds.lower_share,
-                        upper_share=bounds.upper_share,
-                        baseline_share=share,
-                        verdict=verdict.verdict,
-                        active_total=bounds.active_total,
+                        party=party,
+                        alignment=alignment[party],
+                        lower_count=lower,
+                        upper_count=upper,
+                        lower_share=lower / active_total,
+                        upper_share=upper / active_total,
+                        active_total=active_total,
                     )
                 )
     return AuditResult(rows=audit_rows, coverage=coverage, unmapped=unmapped)
+
+
+def judge(
+    rows: Iterable[AuditRow],
+    baselines: BaselineTable,
+    policy: str = "most-recent-preceding",
+) -> list[AuditRow]:
+    """The rows with one body's seat share and verdict filled in."""
+    judged = []
+    for row in rows:
+        share = baseline_share(baselines, row.party, row.time_point, policy)
+        verdict = classify(row.lower_share, row.upper_share, share)
+        judged.append(replace(row, baseline_share=share, verdict=verdict))
+    return judged
 
 
 def validate_snapshot(
@@ -570,8 +534,13 @@ def validate_snapshot(
 
     deaths: dict[str, date] = {}
     starts: dict[str, list[date]] = {}
+    with_relevant: set[str] = set()
     for row in politician_rows:
         pid = row["politician_id"]
+        if nmap is not None:
+            canonical = nmap.resolve((row.get("party_id") or "").strip())
+            if canonical is not None and nmap.party(canonical).relevance == "relevant":
+                with_relevant.add(pid)
         start = _parse_date(row.get("aff_start"))
         end = _parse_date(row.get("aff_end"))
         if start is not None and end is not None and end < start:
@@ -601,16 +570,14 @@ def validate_snapshot(
             )
 
     if nmap is not None:
-        norm = normalize_affiliations(politician_rows, nmap)
-        for p in norm.politicians:
-            if not p.relevant_parties():
-                findings.append(
-                    Finding(
-                        kind="no-relevant-affiliation",
-                        subject=p.id,
-                        detail="no affiliation with a relevant party",
-                    )
+        for pid in sorted(politician_ids - with_relevant):
+            findings.append(
+                Finding(
+                    kind="no-relevant-affiliation",
+                    subject=pid,
+                    detail="no affiliation with a relevant party",
                 )
+            )
 
     findings.sort(key=lambda f: (f.kind, f.subject))
     return findings

@@ -298,13 +298,10 @@ def fetch_politicians(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-    templates: Mapping[tuple[str, str], QueryTemplate] | None = None,
 ) -> list[dict[str, str]]:
     """Materialize the politicians snapshot, one row per affiliation."""
-    catalog = templates or builtin_templates()
-    table = execute_query(
-        endpoint, catalog[(endpoint.dialect, "politicians")], transport=transport
-    )
+    template = builtin_templates()[(endpoint.dialect, "politicians")]
+    table = execute_query(endpoint, template, transport=transport)
     rows = []
     for binding in table.rows:
         rows.append(
@@ -327,11 +324,10 @@ def fetch_parties(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-    templates: Mapping[tuple[str, str], QueryTemplate] | None = None,
 ) -> list[dict[str, str]]:
     """Materialize the parties snapshot, using the usage-based fallback
     when the direct query comes back empty."""
-    catalog = templates or builtin_templates()
+    catalog = builtin_templates()
     table = execute_query(
         endpoint, catalog[(endpoint.dialect, "parties")], transport=transport
     )
@@ -356,10 +352,9 @@ def fetch_parties(
 def coverage_counts(
     endpoint: EndpointConfig,
     transport: Transport | None = None,
-    templates: Mapping[tuple[str, str], QueryTemplate] | None = None,
 ) -> dict[str, int]:
     """Distinct-member counts of the three parliamentary coverage queries."""
-    catalog = templates or builtin_templates()
+    catalog = builtin_templates()
     counts = {}
     for template_id in COVERAGE_TEMPLATE_IDS:
         table = execute_query(

@@ -170,13 +170,8 @@ def cmd_fetch(args) -> int:
     else:
         retrieved_at = date.today().isoformat()
 
-    templates = None
-    politicians = catalog.fetch_politicians(
-        endpoint, retrieved_at, transport=transport, templates=templates
-    )
-    parties = catalog.fetch_parties(
-        endpoint, retrieved_at, transport=transport, templates=templates
-    )
+    politicians = catalog.fetch_politicians(endpoint, retrieved_at, transport=transport)
+    parties = catalog.fetch_parties(endpoint, retrieved_at, transport=transport)
 
     pol_tmp = out / "politicians.csv.tmp"
     par_tmp = out / "parties.csv.tmp"
@@ -255,55 +250,49 @@ def cmd_audit(args) -> int:
             )
         bodies = [args.body]
 
-    unmapped_written = False
-    for body in bodies:
-        result = audit_mod.run_audit(
-            politician_rows,
-            nmap,
-            baselines[body],
-            schedule=schedule,
-            policy=policy,
-            today=today,
-            career_end_overrides=overrides,
-        )
-        if not unmapped_written:
-            distinct_refs = sorted({u.raw_ref for u in result.unmapped})
-            _write_rows(
-                out / "unmapped_refs.csv",
-                ["source", "politician_id", "raw_ref"],
-                [
-                    [u.source, u.politician_id, u.raw_ref]
-                    for u in sorted(
-                        result.unmapped,
-                        key=lambda u: (u.source, u.politician_id, u.raw_ref),
-                    )
-                ],
+    result = audit_mod.run_audit(
+        politician_rows,
+        nmap,
+        schedule=schedule,
+        today=today,
+        career_end_overrides=overrides,
+    )
+    distinct_refs = sorted({u.raw_ref for u in result.unmapped})
+    _write_rows(
+        out / "unmapped_refs.csv",
+        ["source", "politician_id", "raw_ref"],
+        [
+            [u.source, u.politician_id, u.raw_ref]
+            for u in sorted(
+                result.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
             )
-            unmapped_written = True
-            if len(distinct_refs) > args.max_unmapped:
-                print(
-                    f"error: {len(distinct_refs)} unmapped party refs exceed "
-                    f"--max-unmapped {args.max_unmapped}; see "
-                    f"{out / 'unmapped_refs.csv'}",
-                    file=sys.stderr,
-                )
-                return 1
-        (out / f"audit_{body.lower()}.csv").write_bytes(
-            report.emit_series_csv(result.rows)
+        ],
+    )
+    if len(distinct_refs) > args.max_unmapped:
+        print(
+            f"error: {len(distinct_refs)} unmapped party refs exceed "
+            f"--max-unmapped {args.max_unmapped}; see "
+            f"{out / 'unmapped_refs.csv'}",
+            file=sys.stderr,
         )
+        return 1
+    coverage = [
+        [
+            c.source,
+            c.time_point.isoformat(),
+            c.active_total,
+            c.undated_total,
+            str(c.low_sample).lower(),
+        ]
+        for c in result.coverage
+    ]
+    for body in bodies:
+        rows = audit_mod.judge(result.rows, baselines[body], policy)
+        (out / f"audit_{body.lower()}.csv").write_bytes(report.emit_series_csv(rows))
         _write_rows(
             out / f"coverage_{body.lower()}.csv",
             ["source", "time_point", "active_total", "undated_total", "low_sample"],
-            [
-                [
-                    c.source,
-                    c.time_point.isoformat(),
-                    c.active_total,
-                    c.undated_total,
-                    str(c.low_sample).lower(),
-                ]
-                for c in result.coverage
-            ],
+            coverage,
         )
     print(f"audit written to {out} (bodies: {', '.join(bodies)}; findings: {len(findings)})")
     return 0
@@ -440,42 +429,6 @@ def _type_filtered(mentions, triples, ontology):
 # --- report -----------------------------------------------------------------
 
 
-def _parse_audit_csv(path: Path) -> list[report.AuditRow]:
-    problems = []
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(report.CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(
-                f"audit CSV {path} lacks columns {sorted(missing)}"
-            )
-        for number, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    audit_mod.AuditRow(
-                        source=row["source"],
-                        time_point=date.fromisoformat(row["time_point"]),
-                        party=row["canonical_acronym"],
-                        alignment=row["alignment"],
-                        lower_count=int(row["lower_count"]),
-                        upper_count=int(row["upper_count"]),
-                        lower_share=float(row["lower_share"]),
-                        upper_share=float(row["upper_share"]),
-                        baseline_share=float(row["baseline_share"]),
-                        verdict=row["verdict"],
-                        active_total=int(row["active_total"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"row {number}: {exc}")
-    if problems:
-        raise ValueError(
-            f"malformed audit CSV {path}:\n  " + "\n  ".join(problems)
-        )
-    return rows
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "-", name) or "unnamed"
 
@@ -485,7 +438,7 @@ def cmd_report(args) -> int:
     audit_path = Path(args.audit)
     if not audit_path.exists():
         raise ConfigError(f"audit file {audit_path} does not exist")
-    rows = _parse_audit_csv(audit_path)
+    rows = report.read_series_csv(audit_path)
     sources = sorted({r.source for r in rows})
     if not sources:
         spec = report.FigureSpec(

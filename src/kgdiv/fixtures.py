@@ -15,8 +15,9 @@ Bindings use the SPARQL JSON results encoding. The synthetic form expands
 {n} over 0..count-1, which keeps large recorded row counts out of the
 repository while still exercising paging and parsing.
 
-The same store backs an in-process transport (no sockets) and a local
-HTTP server speaking the SPARQL protocol, both honouring LIMIT/OFFSET.
+The store backs an in-process transport (no sockets) that honours
+LIMIT/OFFSET. The tests serve the same store over HTTP with a local
+server speaking the SPARQL protocol (tests/fixture_server.py).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from .sparql import DIALECTS, QueryTransportError
 
@@ -141,68 +141,3 @@ class FixtureTransport:
 
     def __call__(self, url: str, query: str, accept: str, timeout: float) -> bytes:
         return self.store.respond(_dialect_from_url(url), query)
-
-
-class FixtureServer:
-    """Local HTTP server speaking the SPARQL protocol over the store.
-
-    Endpoint URLs look like http://127.0.0.1:PORT/<dialect>/sparql. Request
-    arrival times are recorded on the store for rate assertions.
-    """
-
-    def __init__(self, store: FixtureStore):
-        self.store = store
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                parsed = urlparse(self.path)
-                query = parse_qs(parsed.query).get("query", [""])[0]
-                self._answer(parsed.path, query)
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length).decode("utf-8")
-                query = parse_qs(body).get("query", [""])[0]
-                self._answer(urlparse(self.path).path, query)
-
-            def _answer(self, path: str, query: str):
-                try:
-                    dialect = _dialect_from_url(path)
-                    payload = outer.store.respond(dialect, query)
-                except (QueryTransportError, FileNotFoundError) as exc:
-                    message = str(exc).encode("utf-8")
-                    self.send_response(400)
-                    self.send_header("Content-Length", str(len(message)))
-                    self.end_headers()
-                    self.wfile.write(message)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", "application/sparql-results+json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._server.server_address
-        return f"http://{host}:{port}"
-
-    def url_for(self, dialect: str) -> str:
-        return f"{self.base_url}/{dialect}/sparql"
-
-    def __enter__(self) -> "FixtureServer":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._server.shutdown()
-        self._server.server_close()

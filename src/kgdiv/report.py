@@ -14,6 +14,7 @@ import io
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 from .audit import ALIGNMENTS, AuditRow, PartyRecord
 
@@ -174,6 +175,42 @@ def emit_series_csv(rows: Sequence[AuditRow]) -> bytes:
             ]
         )
     return buffer.getvalue().encode("utf-8")
+
+
+def read_series_csv(path: str | Path) -> list[AuditRow]:
+    """Audit rows back from a CSV that emit_series_csv wrote.
+
+    Every malformed row is reported in one ValueError, with its line number.
+    """
+    problems = []
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"audit CSV {path} lacks columns {sorted(missing)}")
+        for number, row in enumerate(reader, start=2):
+            try:
+                rows.append(
+                    AuditRow(
+                        source=row["source"],
+                        time_point=date.fromisoformat(row["time_point"]),
+                        party=row["canonical_acronym"],
+                        alignment=row["alignment"],
+                        lower_count=int(row["lower_count"]),
+                        upper_count=int(row["upper_count"]),
+                        lower_share=float(row["lower_share"]),
+                        upper_share=float(row["upper_share"]),
+                        baseline_share=float(row["baseline_share"]),
+                        verdict=row["verdict"],
+                        active_total=int(row["active_total"]),
+                    )
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                problems.append(f"row {number}: {exc}")
+    if problems:
+        raise ValueError(f"malformed audit CSV {path}:\n  " + "\n  ".join(problems))
+    return rows
 
 
 def _fmt(value: float) -> str:

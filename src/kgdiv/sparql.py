@@ -11,7 +11,6 @@ import json
 import re
 import threading
 import time
-import xml.etree.ElementTree as ET
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from urllib.parse import urlencode
@@ -21,13 +20,11 @@ import requests
 DIALECTS = ("en-dbpedia", "nl-dbpedia", "wikidata")
 
 RESULTS_JSON = "application/sparql-results+json"
-RESULTS_XML = "application/sparql-results+xml"
 
 DEFAULT_TIMEOUT = 30.0
 RETRY_BACKOFF_BASE = 0.2
 
 _PLACEHOLDER = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
-_SPARQL_NS = "http://www.w3.org/2005/sparql-results#"
 
 
 class QueryError(RuntimeError):
@@ -169,12 +166,15 @@ class RateLimiter:
         self._next_slot = 0.0
 
     def wait(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            slot = max(now, self._next_slot)
-            self._next_slot = slot + self._interval
-        delay = slot - now
-        if delay > 0:
+        # a sleep may end late, so the next slot counts from the start
+        # actually granted, never from the slot that was waited for
+        while True:
+            with self._lock:
+                now = time.monotonic()
+                if now >= self._next_slot:
+                    self._next_slot = now + self._interval
+                    return
+                delay = self._next_slot - now
             time.sleep(delay)
 
 
@@ -224,7 +224,7 @@ def execute_query(
     while True:
         paged = f"{query}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
-        page = parse_results(body, "sparql-json")
+        page = parse_results(body)
         if variables is None:
             variables = page.variables
         for row in page.rows:
@@ -253,15 +253,6 @@ def _send_with_retry(
     raise last_error  # type: ignore[misc]
 
 
-def parse_results(body: bytes, format: str = "sparql-json") -> ResultTable:
-    """Parse a SPARQL results document, preserving datatypes and language tags."""
-    if format == "sparql-json":
-        return _parse_json(body)
-    if format == "sparql-xml":
-        return _parse_xml(body)
-    raise ValueError(f"unknown result format {format!r}")
-
-
 def _term_from_json(binding: Mapping) -> RdfTerm:
     kind = binding.get("type")
     value = binding.get("value")
@@ -281,7 +272,9 @@ def _term_from_json(binding: Mapping) -> RdfTerm:
     raise MalformedResultError(f"unknown binding kind {kind!r}")
 
 
-def _parse_json(body: bytes) -> ResultTable:
+def parse_results(body: bytes) -> ResultTable:
+    """Parse a SPARQL JSON results document, preserving datatypes and
+    language tags."""
     try:
         doc = json.loads(body)
         variables = tuple(doc["head"]["vars"])
@@ -297,94 +290,3 @@ def _parse_json(body: bytes) -> ResultTable:
         except (AttributeError, TypeError) as exc:
             raise MalformedResultError(f"malformed binding: {exc}") from exc
     return ResultTable(variables=variables, rows=tuple(rows))
-
-
-def _parse_xml(body: bytes) -> ResultTable:
-    try:
-        root = ET.fromstring(body)
-    except ET.ParseError as exc:
-        raise MalformedResultError(f"not well-formed XML: {exc}") from exc
-    ns = {"s": _SPARQL_NS}
-    variables = tuple(
-        el.attrib["name"] for el in root.findall("s:head/s:variable", ns)
-    )
-    rows = []
-    for result in root.findall("s:results/s:result", ns):
-        row = {}
-        for binding in result.findall("s:binding", ns):
-            name = binding.attrib["name"]
-            child = binding[0] if len(binding) else None
-            if child is None:
-                raise MalformedResultError(f"empty binding for {name!r}")
-            tag = child.tag.removeprefix(f"{{{_SPARQL_NS}}}")
-            text = child.text or ""
-            if tag == "uri":
-                row[name] = RdfTerm("iri", text)
-            elif tag == "bnode":
-                row[name] = RdfTerm("blank", text)
-            elif tag == "literal":
-                row[name] = RdfTerm(
-                    "literal",
-                    text,
-                    datatype=child.attrib.get("datatype"),
-                    language_tag=child.attrib.get(
-                        "{http://www.w3.org/XML/1998/namespace}lang"
-                    ),
-                )
-            else:
-                raise MalformedResultError(f"unknown binding kind {tag!r}")
-        rows.append(row)
-    return ResultTable(variables=variables, rows=tuple(rows))
-
-
-def _term_to_json(term: RdfTerm) -> dict:
-    if term.kind == "iri":
-        return {"type": "uri", "value": term.value}
-    if term.kind == "blank":
-        return {"type": "bnode", "value": term.value}
-    out: dict = {"type": "literal", "value": term.value}
-    if term.datatype:
-        out["datatype"] = term.datatype
-    if term.language_tag:
-        out["xml:lang"] = term.language_tag
-    return out
-
-
-def serialize_results(table: ResultTable, format: str = "sparql-json") -> bytes:
-    """Inverse of parse_results, for caching and round-trip checks."""
-    if format == "sparql-json":
-        doc = {
-            "head": {"vars": list(table.variables)},
-            "results": {
-                "bindings": [
-                    {var: _term_to_json(term) for var, term in row.items()}
-                    for row in table.rows
-                ]
-            },
-        }
-        return json.dumps(doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    if format == "sparql-xml":
-        root = ET.Element("sparql", xmlns=_SPARQL_NS)
-        head = ET.SubElement(root, "head")
-        for var in table.variables:
-            ET.SubElement(head, "variable", name=var)
-        results = ET.SubElement(root, "results")
-        for row in table.rows:
-            result = ET.SubElement(results, "result")
-            for var, term in row.items():
-                binding = ET.SubElement(result, "binding", name=var)
-                if term.kind == "iri":
-                    ET.SubElement(binding, "uri").text = term.value
-                elif term.kind == "blank":
-                    ET.SubElement(binding, "bnode").text = term.value
-                else:
-                    attrs = {}
-                    if term.datatype:
-                        attrs["datatype"] = term.datatype
-                    if term.language_tag:
-                        attrs["{http://www.w3.org/XML/1998/namespace}lang"] = (
-                            term.language_tag
-                        )
-                    ET.SubElement(binding, "literal", attrs).text = term.value
-        return ET.tostring(root, encoding="utf-8", xml_declaration=True)
-    raise ValueError(f"unknown result format {format!r}")

@@ -1,0 +1,80 @@
+"""Local HTTP server speaking the SPARQL protocol over a fixture store.
+
+The tests use it to run the HTTP transport, paging and rate limiting
+against real sockets; the CLI reads fixtures in-process through
+kgdiv.fixtures.FixtureTransport.
+"""
+
+from __future__ import annotations
+
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlparse
+
+from kgdiv.fixtures import FixtureStore, _dialect_from_url
+from kgdiv.sparql import QueryTransportError
+
+
+class FixtureServer:
+    """Local HTTP server speaking the SPARQL protocol over the store.
+
+    Endpoint URLs look like http://127.0.0.1:PORT/<dialect>/sparql. Request
+    arrival times are recorded on the store for rate assertions.
+    """
+
+    def __init__(self, store: FixtureStore):
+        self.store = store
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                parsed = urlparse(self.path)
+                query = parse_qs(parsed.query).get("query", [""])[0]
+                self._answer(parsed.path, query)
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", "0"))
+                body = self.rfile.read(length).decode("utf-8")
+                query = parse_qs(body).get("query", [""])[0]
+                self._answer(urlparse(self.path).path, query)
+
+            def _answer(self, path: str, query: str):
+                try:
+                    dialect = _dialect_from_url(path)
+                    payload = outer.store.respond(dialect, query)
+                except (QueryTransportError, FileNotFoundError) as exc:
+                    message = str(exc).encode("utf-8")
+                    self.send_response(400)
+                    self.send_header("Content-Length", str(len(message)))
+                    self.end_headers()
+                    self.wfile.write(message)
+                    return
+                self.send_response(200)
+                self.send_header("Content-Type", "application/sparql-results+json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, daemon=True
+        )
+
+    @property
+    def base_url(self) -> str:
+        host, port = self._server.server_address
+        return f"http://{host}:{port}"
+
+    def url_for(self, dialect: str) -> str:
+        return f"{self.base_url}/{dialect}/sparql"
+
+    def __enter__(self) -> "FixtureServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._server.shutdown()
+        self._server.server_close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -22,11 +23,11 @@ from kgdiv.audit import (
     baseline_share,
     classify,
     compute_bounds,
+    judge,
     load_baselines,
     load_normalization_map,
     normalize_affiliations,
     run_audit,
-    select_active,
     validate_snapshot,
 )
 
@@ -184,6 +185,15 @@ class TestActivityPeriod:
         assert activity_period(p, TODAY) is None
 
 
+def is_active(p, time_point):
+    period = activity_period(p, TODAY)
+    return period is not None and period.contains(time_point)
+
+
+def career_counts(politicians):
+    return Counter(p.relevant_parties() for p in politicians)
+
+
 class TestSelectActive:
     @pytest.mark.parametrize(
         "time_point, expect_active",
@@ -202,14 +212,13 @@ class TestSelectActive:
                 "N-VA", DateInterval(date(1995, 1, 1), date(2010, 12, 31))
             ),
         )
-        active = select_active([p], time_point, TODAY)
-        assert bool(active) == expect_active
+        assert is_active(p, time_point) == expect_active
 
     def test_inclusive_end_boundary(self):
         p = politician(
             "p1", Affiliation("N-VA", DateInterval(date(1995, 1, 1), date(2000, 1, 1)))
         )
-        assert select_active([p], date(2000, 1, 1), TODAY)
+        assert is_active(p, date(2000, 1, 1))
 
 
 class TestComputeBounds:
@@ -222,12 +231,15 @@ class TestComputeBounds:
             politician("p3", Affiliation("A", iv), Affiliation("B", iv)),
             politician("p4", Affiliation("B", iv)),
         ]
-        bounds = {b.party: b for b in compute_bounds(ps, t)}
-        assert (bounds["A"].lower_count, bounds["A"].upper_count) == (2, 3)
-        assert (bounds["B"].lower_count, bounds["B"].upper_count) == (1, 2)
-        assert bounds["A"].active_total == 4
-        assert bounds["A"].lower_share == pytest.approx(0.5)
-        assert bounds["A"].upper_share == pytest.approx(0.75)
+        assert all(is_active(p, t) for p in ps)
+        counts = career_counts(ps)
+        bounds = compute_bounds(counts)
+        assert bounds["A"] == (2, 3)
+        assert bounds["B"] == (1, 2)
+        active_total = counts.total()
+        assert active_total == 4
+        assert bounds["A"][0] / active_total == pytest.approx(0.5)
+        assert bounds["A"][1] / active_total == pytest.approx(0.75)
 
     def test_single_party_careers_collapse_bounds(self):
         t = date(2020, 1, 1)
@@ -236,8 +248,9 @@ class TestComputeBounds:
             politician("p1", Affiliation("A", iv)),
             politician("p2", Affiliation("B", iv)),
         ]
-        for b in compute_bounds(ps, t):
-            assert b.lower_count == b.upper_count
+        assert all(is_active(p, t) for p in ps)
+        for lower, upper in compute_bounds(career_counts(ps)).values():
+            assert lower == upper
 
     def test_non_relevant_only_counts_in_denominator(self):
         t = date(2020, 1, 1)
@@ -246,13 +259,15 @@ class TestComputeBounds:
             politician("p1", Affiliation("A", iv)),
             politician("p2", Affiliation("Local", iv, relevant=False)),
         ]
-        bounds = {b.party: b for b in compute_bounds(ps, t)}
+        assert all(is_active(p, t) for p in ps)
+        counts = career_counts(ps)
+        bounds = compute_bounds(counts)
         assert set(bounds) == {"A"}
-        assert bounds["A"].active_total == 2
-        assert bounds["A"].lower_share == pytest.approx(0.5)
+        assert counts.total() == 2
+        assert bounds["A"][0] / counts.total() == pytest.approx(0.5)
 
     def test_empty_active_set(self):
-        assert compute_bounds([], date(2020, 1, 1)) == []
+        assert compute_bounds(Counter()) == {}
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(11)
@@ -268,21 +283,20 @@ class TestComputeBounds:
                 if not affs:
                     affs = [Affiliation("Local", iv, relevant=False)]
                 ps.append(politician(f"p{k}", *affs))
-            bounds = {
-                b.party: b for b in compute_bounds(ps, t, parties=parties)
-            }
+            assert all(is_active(p, t) for p in ps)
+            bounds = compute_bounds(career_counts(ps), parties=parties)
             counts_per_assignment = list(
                 enumerate_visibility_assignments(ps, parties)
             )
             for party in parties:
                 observed = [c[party] for c in counts_per_assignment]
-                assert bounds[party].lower_count == min(observed)
-                assert bounds[party].upper_count == max(observed)
+                assert bounds[party][0] == min(observed)
+                assert bounds[party][1] == max(observed)
             # each politician feeds at most one lower count, and everyone
             # with a relevant affiliation feeds at least one upper count
-            assert sum(b.lower_count for b in bounds.values()) <= len(ps)
+            assert sum(lower for lower, _ in bounds.values()) <= len(ps)
             with_relevant = sum(1 for p in ps if p.relevant_parties())
-            assert sum(b.upper_count for b in bounds.values()) >= with_relevant
+            assert sum(upper for _, upper in bounds.values()) >= with_relevant
 
 
 class TestBaselineShare:
@@ -337,34 +351,25 @@ class TestClassify:
 
     def test_over(self):
         b = compute_bounds_stub(30, 40)
-        assert classify(b, 0.20).verdict == "over"
+        assert classify(*b, 0.20) == "over"
 
     def test_under(self):
         b = compute_bounds_stub(5, 10)
-        assert classify(b, 0.20).verdict == "under"
+        assert classify(*b, 0.20) == "under"
 
     def test_indeterminate_straddle(self):
         b = compute_bounds_stub(15, 25)
-        assert classify(b, 0.20).verdict == "indeterminate"
+        assert classify(*b, 0.20) == "indeterminate"
 
     @pytest.mark.parametrize("lower,upper", [(20, 30), (10, 20)])
     def test_tie_is_indeterminate(self, lower, upper):
         b = compute_bounds_stub(lower, upper)
-        assert classify(b, 0.20).verdict == "indeterminate"
+        assert classify(*b, 0.20) == "indeterminate"
 
 
 def compute_bounds_stub(lower, upper, total=100):
-    from kgdiv.audit import VisibilityBounds
-
-    return VisibilityBounds(
-        party="P",
-        time_point=date(2020, 1, 1),
-        lower_count=lower,
-        upper_count=upper,
-        lower_share=lower / total,
-        upper_share=upper / total,
-        active_total=total,
-    )
+    """The (lower share, upper share) of one party."""
+    return lower / total, upper / total
 
 
 class TestRunAudit:
@@ -386,10 +391,8 @@ class TestRunAudit:
             snapshot_row("p3", party="A", start="2010-01-01"),
             snapshot_row("p4", party="B", start="2010-01-01"),
         ]
-        result = run_audit(
-            rows, nmap, baselines, schedule=[date(2020, 1, 1)], today=TODAY
-        )
-        verdicts = {r.party: r.verdict for r in result.rows}
+        result = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        verdicts = {r.party: r.verdict for r in judge(result.rows, baselines)}
         assert verdicts == {"A": "over", "B": "under"}
         assert result.coverage[0].active_total == 4
         assert result.coverage[0].low_sample
@@ -400,8 +403,8 @@ class TestRunAudit:
             body="KVV",
             elections={date(2019, 5, 26): ElectionResult({"N-VA": 25}, 150)},
         )
-        result = run_audit([], nmap, baselines, schedule=[date(2020, 1, 1)], today=TODAY)
-        assert result.rows == []
+        result = run_audit([], nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        assert judge(result.rows, baselines) == []
         assert result.coverage == []
 
     def test_deterministic(self):
@@ -415,19 +418,15 @@ class TestRunAudit:
             snapshot_row("p2", party="Volksunie", start="1990-01-01", end="2001-01-01"),
             snapshot_row("p2", party="CD&V", start="2001-01-02"),
         ]
-        first = run_audit(rows, nmap, baselines, schedule=[date(2020, 1, 1)], today=TODAY)
-        second = run_audit(rows, nmap, baselines, schedule=[date(2020, 1, 1)], today=TODAY)
-        assert first.rows == second.rows
+        first = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        second = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        assert judge(first.rows, baselines) == judge(second.rows, baselines)
         assert first.coverage == second.coverage
 
     def test_today_defaults_to_retrieved_at(self):
         nmap = make_map()
-        baselines = BaselineTable(
-            body="KVV",
-            elections={date(2019, 5, 26): ElectionResult({"N-VA": 25}, 150)},
-        )
         rows = [snapshot_row("p1", party="N-VA", start="2021-01-01")]
-        result = run_audit(rows, nmap, baselines, schedule=[date(2022, 1, 1)])
+        result = run_audit(rows, nmap, schedule=[date(2022, 1, 1)])
         # open affiliation capped at the snapshot stamp 2022-05-01, so the
         # politician is active at 2022-01-01 regardless of the wall clock
         assert result.coverage[0].active_total == 1

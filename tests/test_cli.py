@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ def fetch_args(out: Path, fixture: Path, source: str = "en-dbpedia") -> list[str
 
 
 def audit_args(snapshot: Path, out: Path, fixture_dir: Path, body="KVV") -> list[str]:
+    """Audit arguments for one body, or for every baseline body if None."""
     return [
         "audit",
         "--snapshot",
@@ -43,8 +46,7 @@ def audit_args(snapshot: Path, out: Path, fixture_dir: Path, body="KVV") -> list
         str(fixture_dir / "map.csv"),
         "--parties",
         str(fixture_dir / "parties.csv"),
-        "--body",
-        body,
+        *(["--body", body] if body else []),
         "--out",
         str(out),
     ]
@@ -179,6 +181,58 @@ class TestAudit:
         run_cli(*audit_args(GOLDEN / "snapshot_en", tmp_path / "out", fixture_dir))
         for path, digest in digests.items():
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_all_bodies_match_single_body_runs(self, tmp_path, fixture_dir):
+        snapshot = GOLDEN / "snapshot_en"
+        # closest: VP's first election comes after the 1990 time point
+        policy = ("--baseline-policy", "closest")
+        every = tmp_path / "every"
+        assert run_cli(*audit_args(snapshot, every, fixture_dir, body=None), *policy) == 0
+        for body in ("KVV", "VP"):
+            single = tmp_path / body
+            assert run_cli(*audit_args(snapshot, single, fixture_dir, body), *policy) == 0
+            for name in (f"audit_{body.lower()}.csv", f"coverage_{body.lower()}.csv"):
+                assert (every / name).read_bytes() == (single / name).read_bytes()
+        assert (every / "audit_kvv.csv").read_bytes() != (
+            every / "audit_vp.csv"
+        ).read_bytes()
+
+    def test_one_pass_per_source(self, tmp_path, fixture_dir, monkeypatch):
+        import kgdiv.audit
+
+        # the golden snapshot again under a second source, minus one politician
+        with open(GOLDEN / "snapshot_en" / "politicians.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        dropped = rows[0]["politician_id"]
+        rows += [
+            {**row, "source": "wikidata"}
+            for row in rows
+            if row["politician_id"] != dropped
+        ]
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        with open(snapshot / "politicians.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        per_source = {(row["source"], row["politician_id"]) for row in rows}
+
+        calls: Counter[str] = Counter()
+        for name in ("activity_period", "normalize_affiliations"):
+            real = getattr(kgdiv.audit, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(kgdiv.audit, name, counting)
+        schedule = ",".join(str(year) for year in range(1996, 2022, 2))
+        argv = audit_args(snapshot, tmp_path / "out", fixture_dir, body=None)
+        assert run_cli(*argv, "--schedule", schedule) == 0
+        assert calls == {
+            "activity_period": len(per_source),
+            "normalize_affiliations": 2,
+        }
 
 
 class TestScore:

@@ -9,20 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdiv.fixtures import FixtureServer, FixtureStore, FixtureTransport
+import kgdiv.sparql
+from kgdiv.fixtures import FixtureStore, FixtureTransport
 from kgdiv.sparql import (
     EndpointConfig,
     MalformedResultError,
     QueryTemplate,
     QueryTransportError,
+    RateLimiter,
     RdfTerm,
     ResultTable,
     execute_query,
     http_transport,
     parse_results,
-    serialize_results,
 )
 from tests.conftest import make_probe_dataset
+from tests.fixture_server import FixtureServer
 
 PROBE_TEMPLATE = QueryTemplate(
     template_id="probe",
@@ -92,23 +94,6 @@ class TestParseResults:
         with pytest.raises(MalformedResultError, match="unknown binding kind"):
             parse_results(doc)
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown result format"):
-            parse_results(MINIMAL_JSON, format="sparql-csv")
-
-    def test_xml(self):
-        xml = (
-            b'<?xml version="1.0"?>'
-            b'<sparql xmlns="http://www.w3.org/2005/sparql-results#">'
-            b'<head><variable name="s"/></head>'
-            b"<results><result>"
-            b'<binding name="s"><literal xml:lang="nl">Belgi\xc3\xab</literal></binding>'
-            b"</result></results></sparql>"
-        )
-        table = parse_results(xml, format="sparql-xml")
-        assert table.rows[0]["s"] == RdfTerm(
-            "literal", "België", language_tag="nl"
-        )
 
 
 def safe_text(max_size=30):
@@ -152,19 +137,27 @@ def result_tables(draw):
     return ResultTable(variables=tuple(variables), rows=tuple(rows))
 
 
+def to_json(table):
+    """Encode a table in the SPARQL JSON results format."""
+
+    def term(t):
+        kind = {"iri": "uri", "blank": "bnode"}.get(t.kind, t.kind)
+        out = {"type": kind, "value": t.value}
+        if t.datatype:
+            out["datatype"] = t.datatype
+        if t.language_tag:
+            out["xml:lang"] = t.language_tag
+        return out
+
+    bindings = [{var: term(t) for var, t in row.items()} for row in table.rows]
+    doc = {"head": {"vars": list(table.variables)}, "results": {"bindings": bindings}}
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
 @given(result_tables())
 @settings(max_examples=100)
 def test_property_json_round_trip(table):
-    assert parse_results(serialize_results(table, "sparql-json")) == table
-
-
-@given(result_tables())
-@settings(max_examples=100)
-def test_property_xml_round_trip(table):
-    parsed = parse_results(
-        serialize_results(table, "sparql-xml"), format="sparql-xml"
-    )
-    assert parsed == table
+    assert parse_results(to_json(table)) == table
 
 
 class TestQueryTemplate:
@@ -207,6 +200,34 @@ class TestRdfTerm:
     def test_datatype_and_lang_exclusive(self):
         with pytest.raises(ValueError):
             RdfTerm("literal", "x", datatype="d", language_tag="en")
+
+
+class LateClock:
+    """Fake monotonic clock; each sleep ends late by the next overshoot."""
+
+    def __init__(self, overshoots):
+        self.now = 0.0
+        self.overshoots = list(overshoots)
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds + (self.overshoots.pop(0) if self.overshoots else 0.0)
+
+
+def test_rate_limiter_spaces_actual_starts(monkeypatch):
+    # binary fractions keep the fake clock's arithmetic exact
+    clock = LateClock([0.125])
+    monkeypatch.setattr(kgdiv.sparql, "time", clock)
+    limiter = RateLimiter(max_per_second=4.0)
+    starts = []
+    for _ in range(5):
+        limiter.wait()
+        starts.append(clock.monotonic())
+    gaps = [b - a for a, b in zip(starts, starts[1:])]
+    # one late wake-up delays the next start; no start comes early after it
+    assert gaps == [0.375, 0.25, 0.25, 0.25]
 
 
 @pytest.fixture()
