@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -245,13 +246,44 @@ class AuditResult:
     unmapped: list[UnmappedRef]
 
 
-def _parse_date(raw: str | None) -> date | None:
-    if raw is None:
-        return None
-    raw = raw.strip()
+#: xsd:gYear and xsd:gYearMonth values, as DBpedia returns them
+_PARTIAL_DATE = re.compile(r"(\d{4})(?:-(\d{2}))?")
+
+
+def _row_date(
+    row: Mapping[str, str],
+    column: str,
+    latest: bool = False,
+    partial: list[str] | None = None,
+) -> date | None:
+    """The ISO date in a snapshot row's column, or None if it is empty.
+
+    A bare year or year-month is read as its earliest day, or its latest
+    if `latest`, so a partial start never begins late and a partial end or
+    death never comes early; such a reading is also noted in `partial`.
+    """
+    raw = (row.get(column) or "").strip()
     if not raw:
         return None
-    return date.fromisoformat(raw[:10])
+    try:
+        return date.fromisoformat(raw[:10])
+    except ValueError:
+        match = _PARTIAL_DATE.fullmatch(raw)
+        if match is None:
+            raise
+    year = int(match.group(1))
+    if match.group(2) is None:
+        first, last = date(year, 1, 1), date(year, 12, 31)
+    else:
+        first = date(year, int(match.group(2)), 1)
+        if first.month == 12:
+            last = date(year, 12, 31)
+        else:
+            last = first.replace(month=first.month + 1) - timedelta(days=1)
+    day = last if latest else first
+    if partial is not None:
+        partial.append(f"{column} {raw} read as {day}")
+    return day
 
 
 def normalize_affiliations(
@@ -266,6 +298,8 @@ def normalize_affiliations(
     computation skips them. Unresolvable references are dropped from the
     record and reported. Rows whose interval is inverted (end before start)
     keep the affiliation but lose the dates; validate_snapshot reports them.
+    A year or year-month date is read as its earliest day for a start and
+    its latest day for an end or a death.
     """
     overrides = career_end_overrides or {}
     by_id: dict[str, dict] = {}
@@ -278,7 +312,7 @@ def normalize_affiliations(
         if not entry["label"] and row.get("label"):
             entry["label"] = row["label"]
         if entry["death"] is None:
-            entry["death"] = _parse_date(row.get("death_date"))
+            entry["death"] = _row_date(row, "death_date", latest=True)
 
         raw_ref = (row.get("party_id") or "").strip()
         if not raw_ref:
@@ -287,8 +321,8 @@ def normalize_affiliations(
         if canonical is None:
             unmapped.append(UnmappedRef(raw_ref, pid, row.get("source", "")))
             continue
-        start = _parse_date(row.get("aff_start"))
-        end = _parse_date(row.get("aff_end"))
+        start = _row_date(row, "aff_start")
+        end = _row_date(row, "aff_end", latest=True)
         if start is not None and end is not None and end < start:
             start, end = None, None
         interval = DateInterval(start, end) if (start or end) else None
@@ -423,7 +457,7 @@ def run_audit(
     """
     rows = list(snapshot_rows)
     if today is None:
-        stamps = [_parse_date(r.get("retrieved_at")) for r in rows]
+        stamps = [_row_date(r, "retrieved_at") for r in rows]
         stamps = [s for s in stamps if s is not None]
         today = max(stamps) if stamps else date.today()
 
@@ -513,9 +547,10 @@ def validate_snapshot(
     """Flag structural data-quality problems in a snapshot.
 
     Checks: resources appearing both as politician and as party reference,
-    inverted affiliation intervals, deaths predating an affiliation start,
-    and (when a normalization map is supplied) politicians with no relevant
-    affiliation at all.
+    rows with a year or year-month date (one finding per row, naming the
+    day each is read as), inverted affiliation intervals, deaths predating
+    an affiliation start, and (when a normalization map is supplied)
+    politicians with no relevant affiliation at all.
     """
     politician_rows = list(politician_rows)
     findings: list[Finding] = []
@@ -541,8 +576,19 @@ def validate_snapshot(
             canonical = nmap.resolve((row.get("party_id") or "").strip())
             if canonical is not None and nmap.party(canonical).relevance == "relevant":
                 with_relevant.add(pid)
-        start = _parse_date(row.get("aff_start"))
-        end = _parse_date(row.get("aff_end"))
+        partial: list[str] = []
+        start = _row_date(row, "aff_start", partial=partial)
+        end = _row_date(row, "aff_end", latest=True, partial=partial)
+        death = _row_date(row, "death_date", latest=True, partial=partial)
+        if partial:
+            findings.append(
+                Finding(
+                    kind="partial-date",
+                    subject=pid,
+                    detail=f"affiliation {row.get('party_id', '')}: "
+                    + ", ".join(partial),
+                )
+            )
         if start is not None and end is not None and end < start:
             findings.append(
                 Finding(
@@ -554,7 +600,6 @@ def validate_snapshot(
             )
         if start is not None:
             starts.setdefault(pid, []).append(start)
-        death = _parse_date(row.get("death_date"))
         if death is not None:
             deaths.setdefault(pid, death)
     for pid in sorted(deaths):

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-import yaml
-
 from .audit import BASELINE_POLICIES, DEFAULT_SCHEDULE
 from .sparql import DIALECTS, EndpointConfig
 
@@ -123,6 +121,8 @@ _PATH_KEYS = {
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    import yaml  # only --config pays its import
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")

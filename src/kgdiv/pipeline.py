@@ -21,8 +21,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 from .diversity import ACTOR_TYPES, FeatureSet
 
 logger = logging.getLogger(__name__)
@@ -274,6 +272,8 @@ class AnnotationClient:
     timeout: float = 30.0
 
     def fetch(self, text: str) -> bytes:
+        import requests  # only live annotation pays its import
+
         data = {"text": text}
         if self.confidence is not None:
             data["confidence"] = str(self.confidence)

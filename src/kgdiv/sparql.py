@@ -2,7 +2,9 @@
 
 Queries are issued with LIMIT/OFFSET pages until a short page comes back;
 rows are deduplicated afterwards as a second safety net against unstable
-OFFSET paging. Per-endpoint request rates are capped process-wide.
+OFFSET paging, and a full page that adds no new row stops the query with an
+error rather than paging forever. Per-endpoint request rates are capped
+process-wide.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from urllib.parse import urlencode
-
-import requests
 
 DIALECTS = ("en-dbpedia", "nl-dbpedia", "wikidata")
 
@@ -132,6 +132,8 @@ Transport = Callable[[str, str, str, float], bytes]
 def http_transport(url: str, query: str, accept: str, timeout: float) -> bytes:
     """Default SPARQL-protocol transport: GET, falling back to POST for
     long query strings."""
+    import requests  # only live queries pay its import
+
     headers = {"Accept": accept}
     try:
         if len(query) < 1800:
@@ -227,6 +229,7 @@ def execute_query(
         page = parse_results(body)
         if variables is None:
             variables = page.variables
+        before = len(rows)
         for row in page.rows:
             key = _row_key(row)
             if key not in seen:
@@ -234,6 +237,11 @@ def execute_query(
                 rows.append(row)
         if len(page.rows) < endpoint.page_size:
             break
+        if len(rows) == before:
+            raise MalformedResultError(
+                f"endpoint {endpoint.url} returned a full page at offset {offset} "
+                "with no new rows; it may ignore OFFSET"
+            )
         offset += endpoint.page_size
     return ResultTable(variables=variables or (), rows=tuple(rows))
 

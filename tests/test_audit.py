@@ -431,6 +431,15 @@ class TestRunAudit:
         # politician is active at 2022-01-01 regardless of the wall clock
         assert result.coverage[0].active_total == 1
 
+    def test_partial_dates_span_their_whole_period(self):
+        rows = [
+            snapshot_row("p1", party="N-VA", start="1990", end="1990"),
+            snapshot_row("p2", party="CD&V", start="1990-02", end="1990-12"),
+        ]
+        schedule = [date(1990, 1, 1), date(1990, 12, 31), date(1991, 1, 1)]
+        result = run_audit(rows, make_map(), schedule=schedule, today=TODAY)
+        assert [c.active_total for c in result.coverage] == [1, 2, 0]
+
 
 class TestValidateSnapshot:
     def test_type_conflict(self):
@@ -463,6 +472,54 @@ class TestValidateSnapshot:
         rows = [snapshot_row("p1", party="LocalList", start="2010-01-01")]
         findings = validate_snapshot(rows, nmap=make_map())
         assert [f.kind for f in findings] == ["no-relevant-affiliation"]
+
+    def test_partial_date_one_finding_per_row(self):
+        rows = [
+            snapshot_row("p1", party="N-VA", start="1990", end="1995-06"),
+            snapshot_row("p1", party="CD&V", start="1996-01-01", death="2001-04"),
+            snapshot_row("p2", party="N-VA", start="2000-01-01", end="2004-01-01"),
+        ]
+        findings = validate_snapshot(rows)
+        assert [(f.kind, f.subject) for f in findings] == [
+            ("partial-date", "p1"),
+            ("partial-date", "p1"),
+        ]
+        assert findings[0].detail == (
+            "affiliation N-VA: aff_start 1990 read as 1990-01-01, "
+            "aff_end 1995-06 read as 1995-06-30"
+        )
+        assert findings[1].detail == (
+            "affiliation CD&V: death_date 2001-04 read as 2001-04-30"
+        )
+
+
+@st.composite
+def iso_dates_of_any_precision(draw):
+    """(text, first day, last day) for a YYYY, YYYY-MM or YYYY-MM-DD value."""
+    day = draw(st.dates(min_value=date(1000, 1, 1), max_value=date(9998, 12, 31)))
+    precision = draw(st.sampled_from(["year", "month", "day"]))
+    if precision == "year":
+        return f"{day:%Y}", date(day.year, 1, 1), date(day.year, 12, 31)
+    if precision == "month":
+        first = day.replace(day=1)
+        following = (first + timedelta(days=31)).replace(day=1)
+        return f"{day:%Y-%m}", first, following - timedelta(days=1)
+    return day.isoformat(), day, day
+
+
+@given(iso_dates_of_any_precision())
+@settings(max_examples=300)
+def test_property_partial_date_edges(case):
+    text, first, last = case
+    rows = [snapshot_row("p1", party="N-VA", start=text, end=text, death=text)]
+    (p,) = normalize_affiliations(rows, make_map()).politicians
+    interval = p.affiliations[0].interval
+    assert interval.start <= interval.end
+    # the start edge is the period's first day, the end and death its last
+    assert interval.start == first
+    assert interval.end == last == p.death_date
+    findings = validate_snapshot(rows)
+    assert [f.kind for f in findings] == (["partial-date"] if first != last else [])
 
 
 DAY0 = date(1970, 1, 1)

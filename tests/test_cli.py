@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from kgdiv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*argv: str) -> int:
@@ -582,6 +586,46 @@ endpoints:
     )
     assert code == 0
     assert (out / "scores.csv").exists()
+
+
+def test_config_with_invalid_yaml_is_rejected(tmp_path, capsys):
+    config = tmp_path / "kgdiv.yaml"
+    config.write_text("map: [unclosed\n", encoding="utf-8")
+    code = run_cli(
+        "score", "--corpus", str(tmp_path), "--config", str(config), "--out", str(tmp_path)
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "is not valid YAML" in err
+
+
+def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir):
+    """Only live fetch, score --nel-endpoint and --config load these packages."""
+    script = f"""
+import sys
+import kgdiv
+import kgdiv.cli
+assert kgdiv.cli.main(["validate", "--snapshot", {str(GOLDEN / "snapshot_en")!r}]) == 0
+assert kgdiv.cli.main([
+    "score",
+    "--corpus", {str(fixture_dir / "corpus")!r},
+    "--rules", {str(fixture_dir / "rules.csv")!r},
+    "--triples", {str(fixture_dir / "triples.csv")!r},
+    "--out", {str(tmp_path / "score")!r},
+]) == 0
+print(sorted({{"requests", "yaml"}} & set(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_with_missing_file_is_rejected(tmp_path):

@@ -361,6 +361,37 @@ class TestExecuteQuery:
         with pytest.raises(QueryTransportError):
             execute_query(endpoint, PROBE_TEMPLATE)
 
+    def test_full_page_without_new_rows_stops(self):
+        # an endpoint that ignores OFFSET serves the same full page forever
+        page = json.dumps(
+            {
+                "head": {"vars": ["x"]},
+                "results": {
+                    "bindings": [
+                        {"x": {"type": "uri", "value": f"http://probe.test/{n}"}}
+                        for n in range(10)
+                    ]
+                },
+            }
+        ).encode()
+        sent = []
+
+        def ignores_offset(url, query, accept, timeout):
+            sent.append(query)
+            if len(sent) > 5:
+                raise AssertionError("paging did not stop")
+            return page
+
+        endpoint = EndpointConfig(
+            url="fixture:///en-dbpedia/ignores-offset",
+            dialect="en-dbpedia",
+            page_size=10,
+            max_requests_per_second=1000,
+        )
+        with pytest.raises(MalformedResultError, match="no new rows"):
+            execute_query(endpoint, PROBE_TEMPLATE, transport=ignores_offset)
+        assert len(sent) == 2
+
     def test_post_for_long_queries(self, probe_store):
         long_template = QueryTemplate(
             template_id="probe",
