@@ -453,12 +453,17 @@ def run_audit(
 
     `today` caps open-ended affiliations; it defaults to the snapshot's
     latest retrieved_at stamp so a cached snapshot always audits the same
-    way, and falls back to the current date for unstamped rows.
+    way. Rows without any stamp need an explicit `today`.
     """
     rows = list(snapshot_rows)
     if today is None:
         stamps = [_row_date(r, "retrieved_at") for r in rows]
         stamps = [s for s in stamps if s is not None]
+        if rows and not stamps:
+            raise ValueError(
+                "no snapshot row has a retrieved_at stamp; give the date that "
+                "caps open careers with --today"
+            )
         today = max(stamps) if stamps else date.today()
 
     by_source: dict[str, list[Mapping[str, str]]] = {}

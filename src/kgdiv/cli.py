@@ -12,6 +12,7 @@ import csv
 import logging
 import re
 import sys
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .pipeline import (
     load_rules,
     match_rules,
 )
-from .sparql import DIALECTS, EndpointConfig, QueryError
+from .sparql import DIALECTS, QueryError
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--body", default=None, help="audit only this baseline body")
     aud.add_argument("--today", default=None, help="cap open careers at this date")
     aud.add_argument("--max-unmapped", type=int, default=0)
-    aud.add_argument("--config", default=None)
     aud.add_argument("--out", default="out")
     aud.set_defaults(func=cmd_audit)
 
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--triples", default=None, metavar="FILE")
     score.add_argument("--alpha", type=float, default=None)
     score.add_argument("--beta", type=float, default=None)
-    score.add_argument("--metric", default=None)
     score.add_argument("--nel-endpoint", default=None, metavar="URL")
     score.add_argument("--require-nel", action="store_true")
     score.add_argument("--config", default=None)
@@ -127,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_run_config(args.config)
     return RunConfig()
 
@@ -160,10 +159,9 @@ def cmd_fetch(args) -> int:
         store = FixtureStore(args.from_fixture)
         transport = FixtureTransport(store)
         retrieved_at = store.retrieved_at
-        endpoint = EndpointConfig(
+        endpoint = replace(
+            endpoint,
             url=f"fixture:///{args.source}",
-            dialect=args.source,
-            page_size=endpoint.page_size,
             max_requests_per_second=10_000.0,
             retry_limit=0,
         )
@@ -351,7 +349,6 @@ def cmd_score(args) -> int:
         alpha=args.alpha if args.alpha is not None else config.alpha,
         beta=args.beta if args.beta is not None else config.beta,
     )
-    metric = args.metric or config.metric
 
     nel_url = args.nel_endpoint or config.nel_endpoint
     client = AnnotationClient(endpoint_url=nel_url) if nel_url else None
@@ -385,7 +382,7 @@ def cmd_score(args) -> int:
             if entity_id not in records:
                 records[entity_id] = _entity_record(entity_id, triples, ontology)
         balance = compute_balance(counts)
-        disparity = compute_disparity([records[i] for i in ids], metric=metric)
+        disparity = compute_disparity([records[i] for i in ids])
         result = stirling_delta(balance, disparity, params)
         score_rows.append([doc.doc_id, result.variety, f"{result.delta:.12g}"])
         for entity_id in ids:

@@ -1,4 +1,4 @@
-"""Run configuration: endpoints, file paths, schedules, diversity params.
+"""Run configuration for fetch and score: endpoints, file paths, diversity params.
 
 Configuration is one YAML file with explicit paths; endpoint URLs may
 additionally be overridden through KGDIV_ENDPOINT_<DIALECT> environment
@@ -10,11 +10,10 @@ runtime one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
-from .audit import BASELINE_POLICIES, DEFAULT_SCHEDULE
 from .sparql import DIALECTS, EndpointConfig
 
 
@@ -53,23 +52,16 @@ def env_endpoint_url(dialect: str) -> str | None:
 
 @dataclass
 class RunConfig:
+    """The settings `fetch` and `score` read from a config file."""
+
     endpoints: dict[str, EndpointConfig] = field(
         default_factory=lambda: dict(DEFAULT_ENDPOINTS)
     )
-    template_catalog: Path | None = None
-    map_path: Path | None = None
-    parties_path: Path | None = None
-    baseline_path: Path | None = None
-    overrides_path: Path | None = None
     rules_path: Path | None = None
     triples_path: Path | None = None
-    schedule: tuple[date, ...] = DEFAULT_SCHEDULE
-    baseline_policy: str = "most-recent-preceding"
     alpha: float = 1.0
     beta: float = 1.0
-    metric: str = "jaccard"
     nel_endpoint: str | None = None
-    output_dir: Path = Path("out")
 
     def endpoint(self, dialect: str) -> EndpointConfig:
         try:
@@ -77,16 +69,7 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"no endpoint configured for dialect {dialect!r}") from None
         override = env_endpoint_url(dialect)
-        if override:
-            base = EndpointConfig(
-                url=override,
-                dialect=base.dialect,
-                page_size=base.page_size,
-                max_requests_per_second=base.max_requests_per_second,
-                retry_limit=base.retry_limit,
-                timeout=base.timeout,
-            )
-        return base
+        return replace(base, url=override) if override else base
 
 
 def parse_schedule(raw: str) -> tuple[date, ...]:
@@ -109,15 +92,35 @@ def parse_schedule(raw: str) -> tuple[date, ...]:
     return tuple(sorted(points))
 
 
-_PATH_KEYS = {
-    "map": "map_path",
-    "parties": "parties_path",
-    "baselines": "baseline_path",
-    "overrides": "overrides_path",
-    "rules": "rules_path",
-    "triples": "triples_path",
-    "templates": "template_catalog",
+_PATH_KEYS = {"rules": "rules_path", "triples": "triples_path"}
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+_ENDPOINT_KEYS = {
+    "url": _text,
+    "page_size": int,
+    "max_requests_per_second": float,
+    "retry_limit": int,
+    "timeout": float,
 }
+
+_DIVERSITY_KEYS = ("alpha", "beta", "nel_endpoint")
+
+
+def _mapping(raw, what: str, known) -> dict:
+    """`raw` as a mapping whose keys are all in `known`; None reads as empty."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown, key=str)}")
+    return raw
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -127,68 +130,38 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    raw = _mapping(raw, "config", {"endpoints", "diversity", *_PATH_KEYS})
 
     config = RunConfig()
-    known = {"endpoints", "schedule", "baseline_policy", "diversity", "output_dir"} | set(
-        _PATH_KEYS
-    )
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
     for key, attr in _PATH_KEYS.items():
-        if key in raw and raw[key] is not None:
-            file_path = (path.parent / raw[key]).resolve()
-            if not file_path.exists():
-                raise ConfigError(f"configured {key} file {file_path} does not exist")
-            setattr(config, attr, file_path)
+        if raw.get(key) is None:
+            continue
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"configured {key} must be a file path")
+        file_path = path.parent / raw[key]
+        if not file_path.is_file():
+            raise ConfigError(f"configured {key} file {file_path} does not exist")
+        setattr(config, attr, file_path.resolve())
 
-    for dialect, spec in (raw.get("endpoints") or {}).items():
-        if dialect not in DIALECTS:
-            raise ConfigError(f"unknown endpoint dialect {dialect!r}")
-        base = DEFAULT_ENDPOINTS[dialect]
+    for dialect, spec in _mapping(raw.get("endpoints"), "endpoints", DIALECTS).items():
+        spec = _mapping(spec, f"endpoint {dialect}", _ENDPOINT_KEYS)
         try:
-            config.endpoints[dialect] = EndpointConfig(
-                url=spec.get("url", base.url),
-                dialect=dialect,
-                page_size=int(spec.get("page_size", base.page_size)),
-                max_requests_per_second=float(
-                    spec.get("max_requests_per_second", base.max_requests_per_second)
-                ),
-                retry_limit=int(spec.get("retry_limit", base.retry_limit)),
-                timeout=float(spec.get("timeout", base.timeout)),
+            config.endpoints[dialect] = replace(
+                DEFAULT_ENDPOINTS[dialect],
+                **{key: _ENDPOINT_KEYS[key](value) for key, value in spec.items()},
             )
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad endpoint config for {dialect!r}: {exc}") from exc
 
-    if "schedule" in raw and raw["schedule"]:
-        entries = raw["schedule"]
-        if isinstance(entries, str):
-            config.schedule = parse_schedule(entries)
-        else:
-            config.schedule = parse_schedule(",".join(str(e) for e in entries))
-
-    if "baseline_policy" in raw and raw["baseline_policy"]:
-        policy = str(raw["baseline_policy"])
-        if policy not in BASELINE_POLICIES:
-            raise ConfigError(f"unknown baseline policy {policy!r}")
-        config.baseline_policy = policy
-
-    diversity = raw.get("diversity") or {}
+    diversity = _mapping(raw.get("diversity"), "diversity", _DIVERSITY_KEYS)
     try:
         config.alpha = float(diversity.get("alpha", config.alpha))
         config.beta = float(diversity.get("beta", config.beta))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad diversity params: {exc}") from exc
-    config.metric = str(diversity.get("metric", config.metric))
     if diversity.get("nel_endpoint"):
         config.nel_endpoint = str(diversity["nel_endpoint"])
-
-    if "output_dir" in raw and raw["output_dir"]:
-        config.output_dir = Path(raw["output_dir"])
     return config

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 ACTOR_TYPES = ("person", "organisation", "geopolitical-entity")
 
-DEFAULT_METRIC = "jaccard"
-
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -185,11 +183,6 @@ def jaccard_distance(a: FeatureSet, b: FeatureSet) -> float:
     return 1.0 - shared / (len(a.pairs) + len(b.pairs) - shared)
 
 
-DISPARITY_METRICS = {
-    "jaccard": jaccard_distance,
-}
-
-
 def compute_balance(counts: Mapping[str, int]) -> BalanceVector:
     """Normalize occurrence counts into frequency shares."""
     if not counts:
@@ -203,20 +196,12 @@ def compute_balance(counts: Mapping[str, int]) -> BalanceVector:
     return BalanceVector({entity_id: c / total for entity_id, c in counts.items()})
 
 
-def compute_disparity(
-    entities: Sequence[EntityRecord], metric: str = DEFAULT_METRIC
-) -> DisparityMatrix:
-    """Pairwise dissimilarity matrix over the entities' feature sets.
+def compute_disparity(entities: Sequence[EntityRecord]) -> DisparityMatrix:
+    """Pairwise Jaccard distances over the entities' feature sets.
 
-    Entities with equal feature sets share one point, so the metric runs
+    Entities with equal feature sets share one point, so the distance runs
     once per pair of distinct feature sets.
     """
-    try:
-        distance = DISPARITY_METRICS[metric]
-    except KeyError:
-        raise ValueError(
-            f"unknown disparity metric {metric!r}; known: {sorted(DISPARITY_METRICS)}"
-        ) from None
     ids = tuple(e.id for e in entities)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate entity ids")
@@ -226,7 +211,7 @@ def compute_disparity(
     table = [[0.0] * len(features) for _ in features]
     for g, a in enumerate(features):
         for h in range(g + 1, len(features)):
-            d = distance(a, features[h])
+            d = jaccard_distance(a, features[h])
             if not 0.0 <= d <= 1.0:
                 i, j = (next(k for k, x in point.items() if x == y) for y in (g, h))
                 raise ValueError(f"disparity d({i!r},{j!r}) = {d} outside [0, 1]")

@@ -268,19 +268,15 @@ class AnnotationClient:
     """Client for a Spotlight-style entity annotation HTTP endpoint."""
 
     endpoint_url: str
-    confidence: float | None = None
     timeout: float = 30.0
 
     def fetch(self, text: str) -> bytes:
         import requests  # only live annotation pays its import
 
-        data = {"text": text}
-        if self.confidence is not None:
-            data["confidence"] = str(self.confidence)
         try:
             resp = requests.post(
                 self.endpoint_url,
-                data=data,
+                data={"text": text},
                 headers={"Accept": "application/json"},
                 timeout=self.timeout,
             )

@@ -10,7 +10,6 @@ process-wide.
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 from collections.abc import Callable, Mapping
@@ -23,8 +22,6 @@ RESULTS_JSON = "application/sparql-results+json"
 
 DEFAULT_TIMEOUT = 30.0
 RETRY_BACKOFF_BASE = 0.2
-
-_PLACEHOLDER = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 
 
 class QueryError(RuntimeError):
@@ -101,28 +98,10 @@ class QueryTemplate:
     dialect: str
     query_text: str
     result_schema: tuple[str, ...]
-    parameters: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.result_schema:
             raise ValueError("result_schema must declare at least one variable")
-        used = set(_PLACEHOLDER.findall(self.query_text))
-        undeclared = used - set(self.parameters)
-        if undeclared:
-            raise ValueError(
-                f"template {self.template_id!r} uses undeclared placeholders "
-                f"{sorted(undeclared)}"
-            )
-
-    def render(self, params: Mapping[str, str]) -> str:
-        """Substitute {name} placeholders; every declared parameter must bind."""
-        missing = set(self.parameters) - set(params)
-        if missing:
-            raise ValueError(
-                f"unbound parameters {sorted(missing)} for template "
-                f"{self.template_id!r}"
-            )
-        return _PLACEHOLDER.sub(lambda m: str(params[m.group(1)]), self.query_text)
 
 
 #: transport signature: (url, query, accept header, timeout) -> response body
@@ -206,16 +185,14 @@ def _row_key(row: Mapping[str, RdfTerm]) -> tuple:
 def execute_query(
     endpoint: EndpointConfig,
     template: QueryTemplate,
-    params: Mapping[str, str] | None = None,
     transport: Transport | None = None,
 ) -> ResultTable:
-    """Run a templated query with paging, dedup, rate limiting and retries."""
+    """Run a query template with paging, dedup, rate limiting and retries."""
     if template.dialect != endpoint.dialect:
         raise ValueError(
             f"template dialect {template.dialect!r} does not match endpoint "
             f"dialect {endpoint.dialect!r}"
         )
-    query = template.render(params or {})
     send = transport or http_transport
     limiter = _limiter_for(endpoint)
 
@@ -224,7 +201,7 @@ def execute_query(
     seen: set[tuple] = set()
     offset = 0
     while True:
-        paged = f"{query}\nLIMIT {endpoint.page_size} OFFSET {offset}"
+        paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
         page = parse_results(body)
         if variables is None:

@@ -38,6 +38,13 @@ def make_probe_dataset(root: Path, dialect: str, template_id: str, count: int) -
     )
 
 
+def write_config(directory: Path, text: str) -> Path:
+    """Write a kgdiv YAML config into `directory`."""
+    path = directory / "kgdiv.yaml"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 # --- acceptance criterion reporting -------------------------------------
 
 _acceptance_results: list[tuple[int, str, str]] = []

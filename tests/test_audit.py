@@ -423,6 +423,17 @@ class TestRunAudit:
         assert judge(first.rows, baselines) == judge(second.rows, baselines)
         assert first.coverage == second.coverage
 
+    def test_unstamped_rows_need_today(self):
+        rows = [{**snapshot_row("p1", party="N-VA", start="2021-01-01"), "retrieved_at": ""}]
+        with pytest.raises(ValueError, match="--today"):
+            run_audit(rows, make_map(), schedule=[date(2022, 1, 1)])
+        result = run_audit(rows, make_map(), schedule=[date(2022, 1, 1)], today=TODAY)
+        assert result.coverage[0].active_total == 1
+
+    def test_empty_snapshot_needs_no_today(self):
+        result = run_audit([], make_map(), schedule=[date(2020, 1, 1)])
+        assert result.rows == [] and result.coverage == []
+
     def test_today_defaults_to_retrieved_at(self):
         nmap = make_map()
         rows = [snapshot_row("p1", party="N-VA", start="2021-01-01")]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from kgdiv.cli import main
+from tests.conftest import write_config
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -120,6 +121,29 @@ class TestAudit:
         findings = (out / "findings.csv").read_text(encoding="utf-8")
         assert "inverted-interval" in findings
         assert (out / "audit_kvv.csv").exists()
+
+    def test_unstamped_snapshot_needs_today(self, tmp_path, fixture_dir, capsys):
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        with open(GOLDEN / "snapshot_en" / "politicians.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(snapshot / "politicians.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows({**row, "retrieved_at": ""} for row in rows)
+
+        assert run_cli(*audit_args(snapshot, tmp_path / "refused", fixture_dir)) == 1
+        assert "--today" in capsys.readouterr().err
+
+        digests = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            argv = [*audit_args(snapshot, out, fixture_dir), "--today", "2022-05-27"]
+            assert run_cli(*argv) == 0
+            digests.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert digests[0] == digests[1]
+        # the stamp the rows lost, given as --today, audits as the golden run
+        assert digests[0]["audit_kvv.csv"] == (GOLDEN / "audit_en" / "audit_kvv.csv").read_bytes()
 
     def test_missing_baseline_is_config_error(self, tmp_path, fixture_dir):
         code = run_cli(
@@ -554,16 +578,16 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def score_args(out: Path, fixture_dir: Path, *flags: str) -> list[str]:
+    return ["score", "--corpus", str(fixture_dir / "corpus"), *flags, "--out", str(out)]
+
+
 def test_config_file_round_trip(tmp_path, fixture_dir, kg_fixture_dir):
-    config = tmp_path / "kgdiv.yaml"
-    config.write_text(
+    config = write_config(
+        tmp_path,
         f"""
-map: {fixture_dir / 'map.csv'}
-parties: {fixture_dir / 'parties.csv'}
-baselines: {fixture_dir / 'baselines.csv'}
 rules: {fixture_dir / 'rules.csv'}
 triples: {fixture_dir / 'triples.csv'}
-schedule: [2011, 2015, 2020]
 diversity:
   alpha: 1.0
   beta: 1.0
@@ -572,20 +596,160 @@ endpoints:
     url: http://example.invalid/sparql
     page_size: 77
 """,
-        encoding="utf-8",
     )
     out = tmp_path / "score"
-    code = run_cli(
-        "score",
-        "--corpus",
-        str(fixture_dir / "corpus"),
-        "--config",
-        str(config),
-        "--out",
-        str(out),
-    )
-    assert code == 0
+    assert run_cli(*score_args(out, fixture_dir, "--config", str(config))) == 0
     assert (out / "scores.csv").exists()
+    snap = tmp_path / "snap"
+    assert run_cli(*fetch_args(snap, kg_fixture_dir), "--config", str(config)) == 0
+    assert (snap / "politicians.csv").read_bytes() == (
+        GOLDEN / "snapshot_en" / "politicians.csv"
+    ).read_bytes()
+
+
+_REJECTED_CONFIGS = {
+    # keys no command reads: file paths that exist, and valid values
+    "map": ("map: {fixtures}/map.csv\n", "map"),
+    "parties": ("parties: {fixtures}/parties.csv\n", "parties"),
+    "baselines": ("baselines: {fixtures}/baselines.csv\n", "baselines"),
+    "overrides": ("overrides: {fixtures}/map.csv\n", "overrides"),
+    "templates": ("templates: {fixtures}/rules.csv\n", "templates"),
+    "schedule": ("schedule: [2011, 2015]\n", "schedule"),
+    "baseline_policy": ("baseline_policy: closest-in-time\n", "baseline_policy"),
+    "output_dir": ("output_dir: elsewhere\n", "output_dir"),
+    "diversity.metric": ("diversity:\n  metric: jaccard\n", "metric"),
+    # typos and malformed sections
+    "diversity.alpah": ("diversity:\n  alpah: 2\n", "alpah"),
+    "endpoint.pagesize": ("endpoints:\n  en-dbpedia:\n    pagesize: 5\n", "pagesize"),
+    "endpoint.mars": ("endpoints:\n  mars:\n", "mars"),
+    "diversity-scalar": ("diversity: 3\n", "diversity must be a mapping"),
+    "endpoints-list": ("endpoints: [1, 2]\n", "endpoints must be a mapping"),
+    "endpoint-scalar": ("endpoints:\n  wikidata: 5\n", "endpoint wikidata must be a mapping"),
+    "rules-list": ("rules: [a, b]\n", "rules must be a file path"),
+    "endpoint-url-null": ("endpoints:\n  wikidata:\n    url:\n", "expected a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_CONFIGS))
+def test_config_rejects_what_no_command_reads(tmp_path, fixture_dir, capsys, case):
+    text, named = _REJECTED_CONFIGS[case]
+    config = write_config(tmp_path, text.format(fixtures=fixture_dir))
+    code = run_cli(*score_args(tmp_path / "out", fixture_dir, "--config", str(config)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert named in err
+
+
+def test_removed_flags_are_usage_errors(tmp_path, fixture_dir, capsys):
+    config = write_config(tmp_path, "")
+    audit = audit_args(GOLDEN / "snapshot_en", tmp_path / "audit", fixture_dir)
+    assert run_cli(*audit, "--config", str(config)) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert run_cli(*score_args(tmp_path / "score", fixture_dir, "--metric", "jaccard")) == 2
+    assert "unrecognized arguments: --metric" in capsys.readouterr().err
+
+
+def shared_country_triples(directory: Path, fixture_dir: Path) -> Path:
+    """The fixture triples plus a country both parties share, which puts
+    them at Jaccard distance 2/3, so alpha changes their scores too."""
+    triples = directory / "triples.csv"
+    triples.write_text(
+        (fixture_dir / "triples.csv").read_text(encoding="utf-8")
+        + "http://dbpedia.org/resource/New_Flemish_Alliance,country,Belgium\n"
+        + "http://dbpedia.org/resource/Christen-Democratisch_en_Vlaams,country,Belgium\n",
+        encoding="utf-8",
+    )
+    return triples
+
+
+BOTH_FILES = ["--rules", "{rules}", "--triples", "{triples}"]
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, common",
+    [
+        ("rules: {rules}\n", ["--rules", "{rules}"], []),
+        ("triples: {triples}\n", ["--triples", "{triples}"], ["--rules", "{rules}"]),
+        ("diversity:\n  alpha: 0.5\n", ["--alpha", "0.5"], BOTH_FILES),
+        ("diversity:\n  beta: 2\n", ["--beta", "2"], BOTH_FILES),
+    ],
+    ids=["rules", "triples", "alpha", "beta"],
+)
+def test_config_value_scores_as_its_flag(tmp_path, fixture_dir, config_text, flags, common):
+    paths = {
+        "rules": fixture_dir / "rules.csv",
+        "triples": shared_country_triples(tmp_path, fixture_dir),
+    }
+    common = [arg.format(**paths) for arg in common]
+    config = write_config(tmp_path, config_text.format(**paths))
+    scores = {}
+    for run, extra in [
+        ("config", ["--config", str(config)]),
+        ("flag", [arg.format(**paths) for arg in flags]),
+        ("neither", []),
+    ]:
+        out = tmp_path / run
+        assert run_cli(*score_args(out, fixture_dir, *common, *extra)) == 0
+        scores[run] = (out / "scores.csv").read_bytes()
+    assert scores["config"] == scores["flag"]
+    # the setting changes the scores, so the equality above says it was read
+    assert scores["config"] != scores["neither"]
+
+
+def test_flags_win_over_config(tmp_path, fixture_dir):
+    (tmp_path / "no_rules.csv").write_text("pattern,case_sensitive,match_layer,target\n")
+    (tmp_path / "no_triples.csv").write_text("subject,predicate,object\n")
+    config = write_config(
+        tmp_path,
+        "rules: no_rules.csv\ntriples: no_triples.csv\ndiversity:\n  alpha: 0\n  beta: 2\n",
+    )
+    flags = [
+        "--rules", str(fixture_dir / "rules.csv"),
+        "--triples", str(shared_country_triples(tmp_path, fixture_dir)),
+        "--alpha", "0.5",
+        "--beta", "1",
+    ]
+    with_config = [*flags, "--config", str(config)]
+    assert run_cli(*score_args(tmp_path / "both", fixture_dir, *with_config)) == 0
+    assert run_cli(*score_args(tmp_path / "flags", fixture_dir, *flags)) == 0
+    assert (tmp_path / "both" / "scores.csv").read_bytes() == (
+        tmp_path / "flags" / "scores.csv"
+    ).read_bytes()
+
+
+def test_config_nel_endpoint_is_used(tmp_path, fixture_dir, capsys):
+    config = write_config(
+        tmp_path, "diversity:\n  nel_endpoint: http://127.0.0.1:1/rest/annotate\n"
+    )
+    rules = ["--rules", str(fixture_dir / "rules.csv"), "--require-nel"]
+    assert run_cli(*score_args(tmp_path / "plain", fixture_dir, *rules)) == 0
+    code = run_cli(*score_args(tmp_path / "nel", fixture_dir, *rules, "--config", str(config)))
+    assert code == 1
+    assert "127.0.0.1:1/rest/annotate" in capsys.readouterr().err
+
+
+def test_fetch_uses_configured_endpoint_settings(tmp_path, kg_fixture_dir, monkeypatch):
+    import kgdiv.catalog
+
+    seen = []
+    real = kgdiv.catalog.execute_query
+
+    def recording(endpoint, template, transport=None):
+        seen.append(endpoint)
+        return real(endpoint, template, transport=transport)
+
+    monkeypatch.setattr(kgdiv.catalog, "execute_query", recording)
+    config = write_config(
+        tmp_path, "endpoints:\n  en-dbpedia:\n    page_size: 7\n    timeout: 3\n"
+    )
+    out = tmp_path / "snap"
+    assert run_cli(*fetch_args(out, kg_fixture_dir), "--config", str(config)) == 0
+    assert seen and {(e.page_size, e.timeout) for e in seen} == {(7, 3.0)}
+    # paging in 7-row pages gives the same snapshot
+    assert (out / "politicians.csv").read_bytes() == (
+        GOLDEN / "snapshot_en" / "politicians.csv"
+    ).read_bytes()
 
 
 def test_config_with_invalid_yaml_is_rejected(tmp_path, capsys):
@@ -630,7 +794,7 @@ print(sorted({{"requests", "yaml"}} & set(sys.modules)))
 
 def test_config_with_missing_file_is_rejected(tmp_path):
     config = tmp_path / "kgdiv.yaml"
-    config.write_text("map: /does/not/exist.csv\n", encoding="utf-8")
+    config.write_text("rules: /does/not/exist.csv\n", encoding="utf-8")
     code = run_cli(
         "score", "--corpus", str(tmp_path), "--config", str(config), "--out", str(tmp_path)
     )

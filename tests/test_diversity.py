@@ -114,10 +114,6 @@ class TestComputeDisparity:
                 assert m.value(i, j) == m.value(j, i)
                 assert 0.0 <= m.value(i, j) <= 1.0
 
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError, match="unknown disparity metric"):
-            compute_disparity([], metric="euclid")
-
     def test_duplicate_ids_rejected(self):
         e = EntityRecord("x", "X", "person")
         with pytest.raises(ValueError, match="duplicate"):

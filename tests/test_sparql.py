@@ -160,38 +160,6 @@ def test_property_json_round_trip(table):
     assert parse_results(to_json(table)) == table
 
 
-class TestQueryTemplate:
-    def test_render_binds_placeholders(self):
-        t = QueryTemplate(
-            template_id="t",
-            dialect="wikidata",
-            query_text="#template=t\nSELECT ?x WHERE { ?x ?p {target} }",
-            result_schema=("x",),
-            parameters=("target",),
-        )
-        assert "wd:Q31" in t.render({"target": "wd:Q31"})
-
-    def test_unbound_parameter(self):
-        t = QueryTemplate(
-            template_id="t",
-            dialect="wikidata",
-            query_text="#template=t\nSELECT ?x WHERE { ?x ?p {target} }",
-            result_schema=("x",),
-            parameters=("target",),
-        )
-        with pytest.raises(ValueError, match="unbound parameters"):
-            t.render({})
-
-    def test_undeclared_placeholder_rejected(self):
-        with pytest.raises(ValueError, match="undeclared placeholders"):
-            QueryTemplate(
-                template_id="t",
-                dialect="wikidata",
-                query_text="SELECT ?x WHERE { ?x ?p {rogue} }",
-                result_schema=("x",),
-            )
-
-
 class TestRdfTerm:
     def test_datatype_on_iri_rejected(self):
         with pytest.raises(ValueError):
