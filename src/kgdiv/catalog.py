@@ -74,16 +74,11 @@ PREFIX pq: <http://www.wikidata.org/prop/qualifier/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 """
 
-_POLITICIAN_SCHEMA = ("politician", "label", "party", "start", "end", "death", "position")
-_PARTY_SCHEMA = ("party", "label", "country", "alignment")
-
-
-def _tpl(template_id: str, dialect: str, query: str, schema: Sequence[str]) -> QueryTemplate:
+def _tpl(template_id: str, dialect: str, query: str) -> QueryTemplate:
     return QueryTemplate(
         template_id=template_id,
         dialect=dialect,
         query_text=f"#template={template_id}\n{query}",
-        result_schema=tuple(schema),
     )
 
 
@@ -107,7 +102,6 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician dbo:office ?position }
 }
 ORDER BY ?politician ?party""",
-            _POLITICIAN_SCHEMA,
         ),
         _tpl(
             "politicians",
@@ -123,7 +117,6 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician nlprop:functie ?position }
 }
 ORDER BY ?politician ?party""",
-            _POLITICIAN_SCHEMA,
         ),
         _tpl(
             "politicians",
@@ -142,7 +135,6 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician rdfs:label ?label . FILTER (lang(?label) = "nl") }
 }
 ORDER BY ?politician ?party""",
-            _POLITICIAN_SCHEMA,
         ),
         # --- parties -----------------------------------------------------
         _tpl(
@@ -158,7 +150,6 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party dbo:ideology ?alignment }
 }
 ORDER BY ?party""",
-            _PARTY_SCHEMA,
         ),
         _tpl(
             "parties",
@@ -173,7 +164,6 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party nlprop:ideologie ?alignment }
 }
 ORDER BY ?party""",
-            _PARTY_SCHEMA,
         ),
         # The Dutch DBpedia's direct type+country query returns nothing for
         # its party entities, so fall back to entities used as the party
@@ -191,7 +181,6 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party nlprop:ideologie ?alignment }
 }
 ORDER BY ?party""",
-            _PARTY_SCHEMA,
         ),
         _tpl(
             "parties",
@@ -206,7 +195,6 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
 }
 ORDER BY ?party""",
-            _PARTY_SCHEMA,
         ),
         # --- coverage counts ----------------------------------------------
         _tpl(
@@ -218,7 +206,6 @@ SELECT DISTINCT ?member WHERE {
   ?member dct:subject <http://dbpedia.org/resource/Category:Members_of_the_Chamber_of_Representatives_(Belgium)> .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
         _tpl(
             "belgian_chamber_members",
@@ -230,7 +217,6 @@ SELECT DISTINCT ?member WHERE {
   ?held ps:P39 wd:Q15705021 .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
         _tpl(
             "flemish_parliament_members",
@@ -241,7 +227,6 @@ SELECT DISTINCT ?member WHERE {
   ?member dct:subject dbc:Members_of_the_Flemish_Parliament .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
         _tpl(
             "flemish_parliament_members",
@@ -253,7 +238,6 @@ SELECT DISTINCT ?member WHERE {
   ?held ps:P39 wd:Q19945604 .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
         _tpl(
             "us_house_members",
@@ -264,7 +248,6 @@ SELECT DISTINCT ?member WHERE {
   ?member dct:subject dbc:Members_of_the_United_States_House_of_Representatives .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
         _tpl(
             "us_house_members",
@@ -276,7 +259,6 @@ SELECT DISTINCT ?member WHERE {
   ?held ps:P39 wd:Q13218630 .
 }
 ORDER BY ?member""",
-            ("member",),
         ),
     ]
     return {(t.dialect, t.template_id): t for t in templates}
@@ -287,11 +269,9 @@ def _clip_date(value: str) -> str:
     return value[:10] if _DATE10.match(value) else value
 
 
-def _binding_value(row: Mapping, var: str, clip: bool = False) -> str:
-    term = row.get(var)
-    if term is None:
-        return ""
-    return _clip_date(term.value) if clip else term.value
+def _binding_value(row: Mapping[str, str], var: str, clip: bool = False) -> str:
+    value = row.get(var, "")
+    return _clip_date(value) if clip else value
 
 
 def fetch_politicians(
@@ -301,9 +281,8 @@ def fetch_politicians(
 ) -> list[dict[str, str]]:
     """Materialize the politicians snapshot, one row per affiliation."""
     template = builtin_templates()[(endpoint.dialect, "politicians")]
-    table = execute_query(endpoint, template, transport=transport)
     rows = []
-    for binding in table.rows:
+    for binding in execute_query(endpoint, template, transport=transport):
         rows.append(
             {
                 "source": endpoint.dialect,
@@ -328,14 +307,14 @@ def fetch_parties(
     """Materialize the parties snapshot, using the usage-based fallback
     when the direct query comes back empty."""
     catalog = builtin_templates()
-    table = execute_query(
+    bindings = execute_query(
         endpoint, catalog[(endpoint.dialect, "parties")], transport=transport
     )
     fallback = catalog.get((endpoint.dialect, "parties_via_usage"))
-    if not table.rows and fallback is not None:
-        table = execute_query(endpoint, fallback, transport=transport)
+    if not bindings and fallback is not None:
+        bindings = execute_query(endpoint, fallback, transport=transport)
     rows = []
-    for binding in table.rows:
+    for binding in bindings:
         rows.append(
             {
                 "source": endpoint.dialect,
@@ -357,10 +336,11 @@ def coverage_counts(
     catalog = builtin_templates()
     counts = {}
     for template_id in COVERAGE_TEMPLATE_IDS:
-        table = execute_query(
-            endpoint, catalog[(endpoint.dialect, template_id)], transport=transport
+        counts[template_id] = len(
+            execute_query(
+                endpoint, catalog[(endpoint.dialect, template_id)], transport=transport
+            )
         )
-        counts[template_id] = len(table)
     return counts
 
 

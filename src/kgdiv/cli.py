@@ -12,8 +12,10 @@ import csv
 import logging
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -83,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--corpus", required=True, metavar="PATH")
     score.add_argument("--rules", default=None, metavar="FILE")
     score.add_argument("--triples", default=None, metavar="FILE")
-    score.add_argument("--alpha", type=float, default=None)
-    score.add_argument("--beta", type=float, default=None)
+    score.add_argument("--alpha", type=_exponent, default=None)
+    score.add_argument("--beta", type=_exponent, default=None)
     score.add_argument("--nel-endpoint", default=None, metavar="URL")
     score.add_argument("--require-nel", action="store_true")
     score.add_argument("--config", default=None)
@@ -106,6 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=cmd_validate)
 
     return parser
+
+
+def _exponent(raw: str) -> float:
+    """An --alpha/--beta value: a finite, non-negative number."""
+    try:
+        return DiversityParams(alpha=float(raw)).alpha
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a finite, non-negative number"
+        ) from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,6 +147,21 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> None:
+    """Write each named output through a .tmp file and rename them only once
+    all are written, so a failure leaves none of them behind."""
+    tmps = {name: out / f"{name}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(tmps[name])
+        for name, tmp in tmps.items():
+            tmp.replace(out / name)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_file(raw: str | None, what: str) -> Path | None:
@@ -171,17 +198,13 @@ def cmd_fetch(args) -> int:
     politicians = catalog.fetch_politicians(endpoint, retrieved_at, transport=transport)
     parties = catalog.fetch_parties(endpoint, retrieved_at, transport=transport)
 
-    pol_tmp = out / "politicians.csv.tmp"
-    par_tmp = out / "parties.csv.tmp"
-    try:
-        catalog.write_politicians_csv(pol_tmp, politicians)
-        catalog.write_parties_csv(par_tmp, parties)
-        pol_tmp.replace(out / "politicians.csv")
-        par_tmp.replace(out / "parties.csv")
-    except BaseException:
-        pol_tmp.unlink(missing_ok=True)
-        par_tmp.unlink(missing_ok=True)
-        raise
+    _write_all(
+        out,
+        {
+            "politicians.csv": partial(catalog.write_politicians_csv, rows=politicians),
+            "parties.csv": partial(catalog.write_parties_csv, rows=parties),
+        },
+    )
     print(
         f"wrote {len(politicians)} politician rows and {len(parties)} party "
         f"rows to {out}"
@@ -227,19 +250,6 @@ def cmd_audit(args) -> int:
     )
     today = date.fromisoformat(args.today) if args.today else None
 
-    politician_rows = catalog.read_politicians_csv(politicians_path)
-    parties_path = snapshot_dir / "parties.csv"
-    party_rows = (
-        catalog.read_parties_csv(parties_path) if parties_path.exists() else []
-    )
-
-    findings = audit_mod.validate_snapshot(politician_rows, party_rows, nmap)
-    _write_rows(
-        out / "findings.csv",
-        ["kind", "subject", "detail"],
-        [[f.kind, f.subject, f.detail] for f in findings],
-    )
-
     bodies = sorted(baselines)
     if args.body:
         if args.body not in baselines:
@@ -248,6 +258,13 @@ def cmd_audit(args) -> int:
             )
         bodies = [args.body]
 
+    politician_rows = catalog.read_politicians_csv(politicians_path)
+    parties_path = snapshot_dir / "parties.csv"
+    party_rows = (
+        catalog.read_parties_csv(parties_path) if parties_path.exists() else []
+    )
+
+    findings = audit_mod.validate_snapshot(politician_rows, party_rows, nmap)
     result = audit_mod.run_audit(
         politician_rows,
         nmap,
@@ -256,17 +273,21 @@ def cmd_audit(args) -> int:
         career_end_overrides=overrides,
     )
     distinct_refs = sorted({u.raw_ref for u in result.unmapped})
-    _write_rows(
-        out / "unmapped_refs.csv",
-        ["source", "politician_id", "raw_ref"],
-        [
-            [u.source, u.politician_id, u.raw_ref]
-            for u in sorted(
-                result.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
-            )
-        ],
-    )
+    writers = {
+        "unmapped_refs.csv": partial(
+            _write_rows,
+            header=["source", "politician_id", "raw_ref"],
+            rows=[
+                [u.source, u.politician_id, u.raw_ref]
+                for u in sorted(
+                    result.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
+                )
+            ],
+        )
+    }
     if len(distinct_refs) > args.max_unmapped:
+        # the one output of a failed audit: the refs its message points to
+        _write_all(out, writers)
         print(
             f"error: {len(distinct_refs)} unmapped party refs exceed "
             f"--max-unmapped {args.max_unmapped}; see "
@@ -274,6 +295,11 @@ def cmd_audit(args) -> int:
             file=sys.stderr,
         )
         return 1
+    writers["findings.csv"] = partial(
+        _write_rows,
+        header=["kind", "subject", "detail"],
+        rows=[[f.kind, f.subject, f.detail] for f in findings],
+    )
     coverage = [
         [
             c.source,
@@ -284,14 +310,18 @@ def cmd_audit(args) -> int:
         ]
         for c in result.coverage
     ]
+    # every body is judged before any output is written
     for body in bodies:
         rows = audit_mod.judge(result.rows, baselines[body], policy)
-        (out / f"audit_{body.lower()}.csv").write_bytes(report.emit_series_csv(rows))
-        _write_rows(
-            out / f"coverage_{body.lower()}.csv",
-            ["source", "time_point", "active_total", "undated_total", "low_sample"],
-            coverage,
+        writers[f"audit_{body.lower()}.csv"] = partial(
+            Path.write_bytes, data=report.emit_series_csv(rows)
         )
+        writers[f"coverage_{body.lower()}.csv"] = partial(
+            _write_rows,
+            header=["source", "time_point", "active_total", "undated_total", "low_sample"],
+            rows=coverage,
+        )
+    _write_all(out, writers)
     print(f"audit written to {out} (bodies: {', '.join(bodies)}; findings: {len(findings)})")
     return 0
 

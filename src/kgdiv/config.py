@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
+from .diversity import DiversityParams
 from .sparql import DIALECTS, EndpointConfig
 
 
@@ -158,10 +159,13 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     diversity = _mapping(raw.get("diversity"), "diversity", _DIVERSITY_KEYS)
     try:
-        config.alpha = float(diversity.get("alpha", config.alpha))
-        config.beta = float(diversity.get("beta", config.beta))
+        params = DiversityParams(
+            alpha=float(diversity.get("alpha", config.alpha)),
+            beta=float(diversity.get("beta", config.beta)),
+        )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad diversity params: {exc}") from exc
+    config.alpha, config.beta = params.alpha, params.beta
     if diversity.get("nel_endpoint"):
         config.nel_endpoint = str(diversity["nel_endpoint"])
     return config

@@ -13,6 +13,7 @@ features are merged into one point whose weight q_g sums their p_i^beta.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -159,8 +160,9 @@ class DiversityParams:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        # written so that nan fails too
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -34,15 +32,6 @@ from .sparql import DIALECTS, QueryTransportError
 
 TEMPLATE_MARK = re.compile(r"#template=(\S+)")
 PAGE_MARK = re.compile(r"\bLIMIT (\d+) OFFSET (\d+)\s*$")
-
-
-@dataclass
-class RequestRecord:
-    monotonic: float
-    dialect: str
-    template_id: str
-    limit: int
-    offset: int
 
 
 class FixtureStore:
@@ -54,16 +43,14 @@ class FixtureStore:
             raise FileNotFoundError(f"fixture directory {self.root} does not exist")
         self._cache: dict[tuple[str, str], tuple[list[str], list[dict]]] = {}
         self._lock = threading.Lock()
-        self.requests: list[RequestRecord] = []
 
     @property
     def retrieved_at(self) -> str:
+        """The manifest's snapshot stamp, or "" (unstamped) without one."""
         manifest = self.root / "manifest.json"
         if manifest.exists():
-            stamp = json.loads(manifest.read_text()).get("retrieved_at")
-            if stamp:
-                return stamp
-        return "1970-01-01"
+            return json.loads(manifest.read_text()).get("retrieved_at") or ""
+        return ""
 
     def dataset(self, dialect: str, template_id: str) -> tuple[list[str], list[dict]]:
         key = (dialect, template_id)
@@ -107,16 +94,6 @@ class FixtureStore:
             limit, offset = None, 0
         variables, bindings = self.dataset(dialect, template_id)
         sliced = bindings[offset:] if limit is None else bindings[offset : offset + limit]
-        with self._lock:
-            self.requests.append(
-                RequestRecord(
-                    monotonic=time.monotonic(),
-                    dialect=dialect,
-                    template_id=template_id,
-                    limit=limit if limit is not None else -1,
-                    offset=offset,
-                )
-            )
         doc = {
             "head": {"vars": variables},
             "results": {"bindings": sliced},

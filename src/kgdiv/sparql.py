@@ -1,10 +1,11 @@
 """SPARQL endpoint client: templated queries, paging, rate limiting, parsing.
 
-Queries are issued with LIMIT/OFFSET pages until a short page comes back;
-rows are deduplicated afterwards as a second safety net against unstable
-OFFSET paging, and a full page that adds no new row stops the query with an
-error rather than paging forever. Per-endpoint request rates are capped
-process-wide.
+Queries are issued with LIMIT/OFFSET pages until a short page comes back.
+Each JSON binding is parsed once into a hashable tuple of its terms, and
+that tuple is the key that deduplicates rows, a second safety net against
+unstable OFFSET paging. A full page that adds no new row stops the query
+with an error rather than paging forever. Per-endpoint request rates are
+capped process-wide.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
@@ -36,40 +37,11 @@ class MalformedResultError(QueryError):
     """The endpoint's response body is not a valid result document."""
 
 
-@dataclass(frozen=True)
-class RdfTerm:
-    kind: str
-    value: str
-    datatype: str | None = None
-    language_tag: str | None = None
+#: one bound variable: (variable, kind, value, datatype, language tag), where
+#: kind is "uri", "bnode" or "literal" and an absent datatype or tag is ""
+Term = tuple[str, str, str, str, str]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("iri", "literal", "blank"):
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        if self.kind != "literal" and (self.datatype or self.language_tag):
-            raise ValueError("datatype/language tag only allowed on literals")
-        if self.datatype and self.language_tag:
-            raise ValueError("a literal cannot carry both datatype and language tag")
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    variables: tuple[str, ...]
-    rows: tuple[Mapping[str, RdfTerm], ...]
-
-    def __post_init__(self) -> None:
-        declared = set(self.variables)
-        for row in self.rows:
-            extra = set(row) - declared
-            if extra:
-                raise ValueError(f"row binds undeclared variables {sorted(extra)}")
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def values(self, variable: str) -> list[str]:
-        """Convenience accessor: the bound values of one variable, row order."""
-        return [row[variable].value for row in self.rows if variable in row]
+_KINDS = {"uri": "uri", "bnode": "bnode", "literal": "literal", "typed-literal": "literal"}
 
 
 @dataclass(frozen=True)
@@ -97,11 +69,6 @@ class QueryTemplate:
     template_id: str
     dialect: str
     query_text: str
-    result_schema: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.result_schema:
-            raise ValueError("result_schema must declare at least one variable")
 
 
 #: transport signature: (url, query, accept header, timeout) -> response body
@@ -173,21 +140,17 @@ def _limiter_for(endpoint: EndpointConfig) -> RateLimiter:
         return limiter
 
 
-def _row_key(row: Mapping[str, RdfTerm]) -> tuple:
-    return tuple(
-        sorted(
-            (var, term.kind, term.value, term.datatype or "", term.language_tag or "")
-            for var, term in row.items()
-        )
-    )
-
-
 def execute_query(
     endpoint: EndpointConfig,
     template: QueryTemplate,
     transport: Transport | None = None,
-) -> ResultTable:
-    """Run a query template with paging, dedup, rate limiting and retries."""
+) -> list[dict[str, str]]:
+    """Run a query template with paging, dedup, rate limiting and retries.
+
+    Returns one variable -> value mapping per distinct binding, in first-seen
+    order. Bindings that differ only in a datatype or language tag are
+    distinct, so they give two rows with the same values.
+    """
     if template.dialect != endpoint.dialect:
         raise ValueError(
             f"template dialect {template.dialect!r} does not match endpoint "
@@ -196,23 +159,15 @@ def execute_query(
     send = transport or http_transport
     limiter = _limiter_for(endpoint)
 
-    variables: tuple[str, ...] | None = None
-    rows: list[Mapping[str, RdfTerm]] = []
-    seen: set[tuple] = set()
+    rows: dict[tuple[Term, ...], None] = {}
     offset = 0
     while True:
         paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
         page = parse_results(body)
-        if variables is None:
-            variables = page.variables
         before = len(rows)
-        for row in page.rows:
-            key = _row_key(row)
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-        if len(page.rows) < endpoint.page_size:
+        rows.update(dict.fromkeys(page))
+        if len(page) < endpoint.page_size:
             break
         if len(rows) == before:
             raise MalformedResultError(
@@ -220,7 +175,7 @@ def execute_query(
                 "with no new rows; it may ignore OFFSET"
             )
         offset += endpoint.page_size
-    return ResultTable(variables=variables or (), rows=tuple(rows))
+    return [{var: value for var, _, value, _, _ in row} for row in rows]
 
 
 def _send_with_retry(
@@ -238,40 +193,46 @@ def _send_with_retry(
     raise last_error  # type: ignore[misc]
 
 
-def _term_from_json(binding: Mapping) -> RdfTerm:
-    kind = binding.get("type")
-    value = binding.get("value")
-    if value is None:
-        raise MalformedResultError("binding without a value")
-    if kind == "uri":
-        return RdfTerm("iri", value)
-    if kind == "bnode":
-        return RdfTerm("blank", value)
-    if kind in ("literal", "typed-literal"):
-        return RdfTerm(
-            "literal",
-            value,
-            datatype=binding.get("datatype"),
-            language_tag=binding.get("xml:lang"),
-        )
-    raise MalformedResultError(f"unknown binding kind {kind!r}")
-
-
-def parse_results(body: bytes) -> ResultTable:
-    """Parse a SPARQL JSON results document, preserving datatypes and
-    language tags."""
+def parse_results(body: bytes) -> list[tuple[Term, ...]]:
+    """Parse a SPARQL JSON results document into one variable-sorted tuple
+    of terms per binding. Datatypes and language tags are kept, and the
+    tuple is hashable, so it is also the binding's dedup key."""
     try:
         doc = json.loads(body)
-        variables = tuple(doc["head"]["vars"])
+        declared = set(doc["head"]["vars"])
         bindings = doc["results"]["bindings"]
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedResultError(f"not a SPARQL JSON results document: {exc}") from exc
     rows = []
-    for binding in bindings:
-        try:
-            rows.append(
-                {var: _term_from_json(term) for var, term in binding.items()}
-            )
-        except (AttributeError, TypeError) as exc:
-            raise MalformedResultError(f"malformed binding: {exc}") from exc
-    return ResultTable(variables=variables, rows=tuple(rows))
+    try:
+        for binding in bindings:
+            row = []
+            for var, term in binding.items():
+                kind = _KINDS.get(term.get("type"))
+                value = term.get("value")
+                datatype = lang = ""
+                if kind == "literal":
+                    datatype = term.get("datatype") or ""
+                    lang = term.get("xml:lang") or ""
+                    if datatype and lang:
+                        raise MalformedResultError(
+                            f"literal {value!r} carries both a datatype and a language tag"
+                        )
+                    if type(datatype) is not str or type(lang) is not str:
+                        raise MalformedResultError(
+                            f"literal {value!r} with a non-string datatype or language tag"
+                        )
+                elif kind is None:
+                    raise MalformedResultError(f"unknown binding kind {term.get('type')!r}")
+                if type(value) is not str:
+                    raise MalformedResultError(f"binding of {var!r} without a string value")
+                row.append((var, kind, value, datatype, lang))
+            if not declared.issuperset(binding):
+                raise MalformedResultError(
+                    f"binding of undeclared variables {sorted(set(binding) - declared)}"
+                )
+            row.sort()
+            rows.append(tuple(row))
+    except (AttributeError, TypeError) as exc:
+        raise MalformedResultError(f"malformed binding: {exc}") from exc
+    return rows

@@ -1,6 +1,7 @@
-"""Local HTTP server speaking the SPARQL protocol over a fixture store.
+"""Local HTTP server speaking the SPARQL protocol over a fixture store,
+and a store that logs the requests it answers.
 
-The tests use it to run the HTTP transport, paging and rate limiting
+The tests use them to run the HTTP transport, paging and rate limiting
 against real sockets; the CLI reads fixtures in-process through
 kgdiv.fixtures.FixtureTransport.
 """
@@ -8,18 +9,40 @@ kgdiv.fixtures.FixtureTransport.
 from __future__ import annotations
 
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlparse
 
-from kgdiv.fixtures import FixtureStore, _dialect_from_url
+from kgdiv.fixtures import PAGE_MARK, FixtureStore, _dialect_from_url
 from kgdiv.sparql import QueryTransportError
+
+
+class Request(NamedTuple):
+    monotonic: float
+    limit: int  # -1 for an unpaged query
+    offset: int
+
+
+class RecordingStore(FixtureStore):
+    """A fixture store that logs each request's arrival time and page."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.requests: list[Request] = []
+
+    def respond(self, dialect: str, query: str) -> bytes:
+        page = PAGE_MARK.search(query)
+        limit, offset = (int(page.group(1)), int(page.group(2))) if page else (-1, 0)
+        self.requests.append(Request(time.monotonic(), limit, offset))
+        return super().respond(dialect, query)
 
 
 class FixtureServer:
     """Local HTTP server speaking the SPARQL protocol over the store.
 
-    Endpoint URLs look like http://127.0.0.1:PORT/<dialect>/sparql. Request
-    arrival times are recorded on the store for rate assertions.
+    Endpoint URLs look like http://127.0.0.1:PORT/<dialect>/sparql. Serve a
+    RecordingStore to log request arrival times for rate assertions.
     """
 
     def __init__(self, store: FixtureStore):

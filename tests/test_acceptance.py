@@ -55,7 +55,7 @@ from kgdiv.pipeline import (
 from kgdiv.report import PANEL_HEIGHT, share_from_pixel
 from kgdiv.sparql import EndpointConfig, QueryTemplate, execute_query
 from tests.conftest import make_probe_dataset, record_criterion
-from tests.fixture_server import FixtureServer
+from tests.fixture_server import FixtureServer, RecordingStore
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -366,12 +366,11 @@ def test_criterion_7_bias_propagation_inversion():
 
 def test_criterion_8_pagination_and_rate_cap(tmp_path):
     make_probe_dataset(tmp_path, "en-dbpedia", "probe", 250)
-    store = FixtureStore(tmp_path)
+    store = RecordingStore(tmp_path)
     template = QueryTemplate(
         template_id="probe",
         dialect="en-dbpedia",
         query_text="#template=probe\nSELECT ?x WHERE { ?x ?p ?o }\nORDER BY ?x",
-        result_schema=("x",),
     )
     cap = 200.0
     row_sets = {}
@@ -383,15 +382,15 @@ def test_criterion_8_pagination_and_rate_cap(tmp_path):
                 page_size=page_size,
                 max_requests_per_second=cap,
             )
-            table = execute_query(endpoint, template)
-            row_sets[page_size] = frozenset(table.values("x"))
+            rows = execute_query(endpoint, template)
+            row_sets[page_size] = frozenset(row["x"] for row in rows)
     assert row_sets[1] == row_sets[7] == row_sets[100]
     assert len(row_sets[1]) == 250
 
     for page_size in (1, 7, 100):
-        stamps = sorted(
-            r.monotonic for r in store.requests if r.limit == page_size
-        )
+        requests = [r for r in store.requests if r.limit == page_size]
+        assert [r.offset for r in requests] == list(range(0, 251, page_size))
+        stamps = sorted(r.monotonic for r in requests)
         assert len(stamps) == 250 // page_size + 1
         # arrival jitter dominates tiny samples; judge the rate only on runs
         # with enough requests for the average to be meaningful

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -95,11 +96,46 @@ class TestFetch:
             assert (out / "politicians.csv").exists()
             assert (out / "parties.csv").exists()
 
+    def test_fixture_without_manifest_gives_unstamped_rows(
+        self, tmp_path, fixture_dir, kg_fixture_dir, capsys
+    ):
+        fixture = tmp_path / "kg"
+        shutil.copytree(kg_fixture_dir, fixture)
+        (fixture / "manifest.json").unlink()
+        snap = tmp_path / "snap"
+        assert run_cli(*fetch_args(snap, fixture)) == 0
+        for name in ("politicians.csv", "parties.csv"):
+            with open(snap / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            assert {row["retrieved_at"] for row in rows} == {""}
+        # no stamp is made up, so the audit asks for the date to cap careers at
+        capsys.readouterr()
+        assert run_cli(*audit_args(snap, tmp_path / "audit", fixture_dir)) == 1
+        assert "--today" in capsys.readouterr().err
+        argv = [*audit_args(snap, tmp_path / "audit", fixture_dir), "--today", "2022-05-27"]
+        assert run_cli(*argv) == 0
+        assert (tmp_path / "audit" / "audit_kvv.csv").read_bytes() == (
+            GOLDEN / "audit_en" / "audit_kvv.csv"
+        ).read_bytes()
+
     def test_nl_dbpedia_party_workaround_produces_rows(self, tmp_path, kg_fixture_dir):
         out = tmp_path / "nl"
         assert run_cli(*fetch_args(out, kg_fixture_dir, "nl-dbpedia")) == 0
         lines = (out / "parties.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) > 1
+
+
+def unstamped_snapshot(snapshot: Path) -> Path:
+    """The golden snapshot's politicians with their retrieved_at stamps blanked."""
+    snapshot.mkdir()
+    with open(GOLDEN / "snapshot_en" / "politicians.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(snapshot / "politicians.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "retrieved_at": ""} for row in rows)
+    return snapshot
 
 
 class TestAudit:
@@ -123,14 +159,7 @@ class TestAudit:
         assert (out / "audit_kvv.csv").exists()
 
     def test_unstamped_snapshot_needs_today(self, tmp_path, fixture_dir, capsys):
-        snapshot = tmp_path / "snap"
-        snapshot.mkdir()
-        with open(GOLDEN / "snapshot_en" / "politicians.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        with open(snapshot / "politicians.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows({**row, "retrieved_at": ""} for row in rows)
+        snapshot = unstamped_snapshot(tmp_path / "snap")
 
         assert run_cli(*audit_args(snapshot, tmp_path / "refused", fixture_dir)) == 1
         assert "--today" in capsys.readouterr().err
@@ -144,6 +173,43 @@ class TestAudit:
         assert digests[0] == digests[1]
         # the stamp the rows lost, given as --today, audits as the golden run
         assert digests[0]["audit_kvv.csv"] == (GOLDEN / "audit_en" / "audit_kvv.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "case, code, written",
+        [
+            ("unstamped", 1, []),
+            ("preceding-before-first-election", 1, []),
+            ("unknown-body", 2, []),
+            # its message names the file, so the refs to review are written
+            ("unmapped-over-threshold", 1, ["unmapped_refs.csv"]),
+        ],
+        ids=["unstamped", "preceding-before-first-election", "unknown-body", "unmapped-over-threshold"],
+    )
+    def test_failed_audit_writes_no_output(
+        self, tmp_path, fixture_dir, capsys, case, code, written
+    ):
+        snapshot, body = GOLDEN / "snapshot_en", None
+        if case == "unstamped":
+            snapshot = unstamped_snapshot(tmp_path / "snap")
+        elif case == "unknown-body":
+            body = "SENATE"
+        elif case == "unmapped-over-threshold":
+            snapshot = tmp_path / "snap"
+            snapshot.mkdir()
+            (snapshot / "politicians.csv").write_text(
+                "source,politician_id,label,party_id,aff_start,aff_end,death_date,"
+                "position,retrieved_at\n"
+                "test,p1,P One,UnknownParty,2010-01-01,,,,2022-01-01\n",
+                encoding="utf-8",
+            )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept", encoding="utf-8")
+        assert run_cli(*audit_args(snapshot, out, fixture_dir, body=body)) == code
+        if case == "preceding-before-first-election":
+            # VP's first recorded election is 1995; the default schedule starts in 1990
+            assert "precedes the first recorded election" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt", *written]
 
     def test_missing_baseline_is_config_error(self, tmp_path, fixture_dir):
         code = run_cli(
@@ -639,6 +705,30 @@ def test_config_rejects_what_no_command_reads(tmp_path, fixture_dir, capsys, cas
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert named in err
+
+
+_BAD_EXPONENTS = {"nan": ".nan", "inf": ".inf", "-1": "-1"}
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", sorted(_BAD_EXPONENTS))
+def test_bad_exponent_flag_is_usage_error(tmp_path, fixture_dir, capsys, name, value):
+    argv = score_args(tmp_path / "out", fixture_dir, "--rules", str(fixture_dir / "rules.csv"))
+    assert run_cli(*argv, f"--{name}={value}") == 2
+    assert f"argument --{name}: '{value}' is not a finite, non-negative number" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", sorted(_BAD_EXPONENTS))
+def test_bad_exponent_in_config_is_config_error(tmp_path, fixture_dir, capsys, name, value):
+    config = write_config(tmp_path, f"diversity:\n  {name}: {_BAD_EXPONENTS[value]}\n")
+    assert run_cli(*score_args(tmp_path / "out", fixture_dir, "--config", str(config))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad diversity params")
+    assert "finite and non-negative" in err
 
 
 def test_removed_flags_are_usage_errors(tmp_path, fixture_dir, capsys):

@@ -254,10 +254,11 @@ def test_gini_simpson_values():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        DiversityParams(alpha=-0.1)
-    with pytest.raises(ValueError):
-        DiversityParams(beta=-1)
+    for bad in (-0.1, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DiversityParams(alpha=bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DiversityParams(beta=bad)
 
 
 def test_balance_vector_validation():

@@ -17,20 +17,17 @@ from kgdiv.sparql import (
     QueryTemplate,
     QueryTransportError,
     RateLimiter,
-    RdfTerm,
-    ResultTable,
     execute_query,
     http_transport,
     parse_results,
 )
 from tests.conftest import make_probe_dataset
-from tests.fixture_server import FixtureServer
+from tests.fixture_server import FixtureServer, RecordingStore
 
 PROBE_TEMPLATE = QueryTemplate(
     template_id="probe",
     dialect="en-dbpedia",
     query_text="#template=probe\nSELECT ?x WHERE { ?x ?p ?o }\nORDER BY ?x",
-    result_schema=("x",),
 )
 
 MINIMAL_JSON = json.dumps(
@@ -58,23 +55,68 @@ LANG_JSON = json.dumps(
 ).encode()
 
 
+def results_doc(variables, bindings) -> bytes:
+    doc = {"head": {"vars": list(variables)}, "results": {"bindings": list(bindings)}}
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def serving(body: bytes):
+    """A transport that answers every page with the same one-page document."""
+
+    def transport(url, query, accept, timeout):
+        return body
+
+    return transport
+
+
+def query_bindings(variables, bindings):
+    endpoint = EndpointConfig(
+        url="fixture:///en-dbpedia/served",
+        dialect="en-dbpedia",
+        page_size=1000,
+        max_requests_per_second=1e9,
+    )
+    return execute_query(
+        endpoint, PROBE_TEMPLATE, transport=serving(results_doc(variables, bindings))
+    )
+
+
 class TestParseResults:
     def test_minimal_json(self):
-        table = parse_results(MINIMAL_JSON)
-        assert table.variables == ("s",)
-        assert len(table) == 1
-        assert table.rows[0]["s"] == RdfTerm("iri", "http://example.org/a")
+        assert parse_results(MINIMAL_JSON) == [(("s", "uri", "http://example.org/a", "", ""),)]
 
-    def test_empty_document_keeps_variables(self):
-        table = parse_results(EMPTY_JSON)
-        assert table.variables == ("s", "o")
-        assert len(table) == 0
+    def test_empty_document_gives_no_rows(self):
+        assert parse_results(EMPTY_JSON) == []
 
     def test_language_tag(self):
-        table = parse_results(LANG_JSON)
-        term = table.rows[0]["label"]
-        assert term.language_tag == "nl"
-        assert term.datatype is None
+        assert parse_results(LANG_JSON) == [(("label", "literal", "België", "", "nl"),)]
+
+    def test_terms_sorted_by_variable(self):
+        body = results_doc(
+            ["b", "a"],
+            [
+                {
+                    "b": {"type": "bnode", "value": "n1"},
+                    "a": {"type": "literal", "value": "1", "datatype": "xsd:int"},
+                }
+            ],
+        )
+        assert parse_results(body) == [
+            (("a", "literal", "1", "xsd:int", ""), ("b", "bnode", "n1", "", ""))
+        ]
+
+    def test_typed_literal_reads_as_literal(self):
+        plain = {"type": "literal", "value": "1990", "datatype": "xsd:gYear"}
+        typed = {**plain, "type": "typed-literal"}
+        assert parse_results(results_doc(["y"], [{"y": plain}])) == parse_results(
+            results_doc(["y"], [{"y": typed}])
+        )
+
+    def test_datatype_on_iri_ignored(self):
+        term = {"type": "uri", "value": "http://x/a", "datatype": "d", "xml:lang": "en"}
+        assert parse_results(results_doc(["s"], [{"s": term}])) == [
+            (("s", "uri", "http://x/a", "", ""),)
+        ]
 
     def test_malformed_body(self):
         with pytest.raises(MalformedResultError):
@@ -84,16 +126,115 @@ class TestParseResults:
         with pytest.raises(MalformedResultError):
             parse_results(MINIMAL_JSON[: len(MINIMAL_JSON) // 2])
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"results": {"bindings": []}},
+            {"head": {}, "results": {"bindings": []}},
+            {"head": {"vars": ["s"]}},
+            {"head": {"vars": ["s"]}, "results": {}},
+            {"head": {"vars": 3}, "results": {"bindings": []}},
+        ],
+        ids=["no-head", "no-vars", "no-results", "no-bindings", "vars-not-a-list"],
+    )
+    def test_missing_head_vars_or_bindings(self, doc):
+        with pytest.raises(MalformedResultError, match="not a SPARQL JSON results"):
+            parse_results(json.dumps(doc).encode())
+
     def test_unknown_binding_kind(self):
-        doc = json.dumps(
-            {
-                "head": {"vars": ["s"]},
-                "results": {"bindings": [{"s": {"type": "wat", "value": "x"}}]},
-            }
-        ).encode()
+        doc = results_doc(["s"], [{"s": {"type": "wat", "value": "x"}}])
         with pytest.raises(MalformedResultError, match="unknown binding kind"):
             parse_results(doc)
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"type": "uri"},
+            {"type": "literal", "value": None},
+            {"type": "literal", "value": 5},
+            {"type": "uri", "value": ["http://x/a"]},
+        ],
+        ids=["missing", "null", "number", "list"],
+    )
+    def test_binding_without_a_value(self, term):
+        with pytest.raises(MalformedResultError, match="without a string value"):
+            parse_results(results_doc(["s"], [{"s": term}]))
+
+    def test_undeclared_variable(self):
+        doc = results_doc(["s"], [{"s": {"type": "uri", "value": "x"}, "o": {"type": "uri", "value": "y"}}])
+        with pytest.raises(MalformedResultError, match=r"undeclared variables \['o'\]"):
+            parse_results(doc)
+
+    def test_datatype_and_lang_exclusive(self):
+        term = {"type": "literal", "value": "x", "datatype": "d", "xml:lang": "en"}
+        with pytest.raises(MalformedResultError, match="both a datatype and a language tag"):
+            parse_results(results_doc(["s"], [{"s": term}]))
+
+    def test_non_string_datatype_rejected(self):
+        term = {"type": "literal", "value": "x", "datatype": ["d"]}
+        with pytest.raises(MalformedResultError, match="non-string datatype"):
+            parse_results(results_doc(["s"], [{"s": term}]))
+
+    @pytest.mark.parametrize(
+        "bindings",
+        [[5], [{"s": "http://x/a"}], "abc", 7],
+        ids=["binding-not-a-mapping", "term-not-a-mapping", "bindings-a-string", "bindings-a-number"],
+    )
+    def test_malformed_binding(self, bindings):
+        doc = json.dumps({"head": {"vars": ["s"]}, "results": {"bindings": bindings}}).encode()
+        with pytest.raises(MalformedResultError):
+            parse_results(doc)
+
+
+class TestDedup:
+    def test_bindings_differing_only_in_language_are_two_rows(self):
+        rows = query_bindings(
+            ["label"],
+            [
+                {"label": {"type": "literal", "value": "Gent", "xml:lang": "nl"}},
+                {"label": {"type": "literal", "value": "Gent", "xml:lang": "en"}},
+                {"label": {"type": "literal", "value": "Gent", "xml:lang": "nl"}},
+            ],
+        )
+        assert rows == [{"label": "Gent"}, {"label": "Gent"}]
+
+    def test_bindings_differing_only_in_datatype_are_two_rows(self):
+        rows = query_bindings(
+            ["y"],
+            [
+                {"y": {"type": "literal", "value": "1990", "datatype": "xsd:gYear"}},
+                {"y": {"type": "literal", "value": "1990"}},
+            ],
+        )
+        assert rows == [{"y": "1990"}, {"y": "1990"}]
+
+    def test_literal_and_typed_literal_are_one_row(self):
+        rows = query_bindings(
+            ["y"],
+            [
+                {"y": {"type": "literal", "value": "1990", "datatype": "xsd:gYear"}},
+                {"y": {"type": "typed-literal", "value": "1990", "datatype": "xsd:gYear"}},
+            ],
+        )
+        assert rows == [{"y": "1990"}]
+
+    def test_first_seen_order_across_pages(self, tmp_path):
+        bindings = [
+            {"x": {"type": "uri", "value": f"http://probe.test/{name}"}}
+            for name in "cabcbd"
+        ]
+        (tmp_path / "en-dbpedia").mkdir()
+        (tmp_path / "en-dbpedia" / "probe.json").write_text(
+            json.dumps({"variables": ["x"], "bindings": bindings})
+        )
+        endpoint = EndpointConfig(
+            url="fixture:///en-dbpedia/order", dialect="en-dbpedia", page_size=2,
+            max_requests_per_second=1e9,
+        )
+        rows = execute_query(
+            endpoint, PROBE_TEMPLATE, transport=FixtureTransport(FixtureStore(tmp_path))
+        )
+        assert [row["x"][-1] for row in rows] == ["c", "a", "b", "d"]
 
 
 def safe_text(max_size=30):
@@ -104,8 +245,34 @@ def safe_text(max_size=30):
     )
 
 
+LANGUAGES = ["en", "nl", "fr", "de"]
+
+
+def datatypes():
+    return st.sampled_from("abc").map(lambda name: "http://example.org/dt/" + name)
+
+
 @st.composite
-def result_tables(draw):
+def raw_terms(draw):
+    """One term in the SPARQL JSON results encoding."""
+    kind = draw(st.sampled_from(["uri", "bnode", "literal", "typed-literal"]))
+    term = {"type": kind, "value": draw(safe_text())}
+    if kind == "typed-literal":
+        term["datatype"] = draw(datatypes())
+    elif kind == "literal":
+        which = draw(st.sampled_from(["plain", "datatype", "lang"]))
+        if which == "datatype":
+            term["datatype"] = draw(datatypes())
+        elif which == "lang":
+            term["xml:lang"] = draw(st.sampled_from(LANGUAGES))
+    return term
+
+
+@st.composite
+def raw_results(draw):
+    """Variables and bindings drawn from a small pool, so that rows repeat,
+    sometimes with a typed literal re-encoded (literal <-> typed-literal, and
+    perhaps another datatype) or a tagged literal given another tag."""
     variables = draw(
         st.lists(
             st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
@@ -114,60 +281,57 @@ def result_tables(draw):
             unique=True,
         )
     )
-    n_rows = draw(st.integers(min_value=0, max_value=5))
-    rows = []
-    for _ in range(n_rows):
-        row = {}
-        for var in variables:
-            if draw(st.booleans()):
-                continue  # leave some variables unbound
-            kind = draw(st.sampled_from(["iri", "literal", "blank"]))
-            value = draw(safe_text())
-            datatype = language = None
-            if kind == "literal":
-                which = draw(st.sampled_from(["plain", "datatype", "lang"]))
-                if which == "datatype":
-                    datatype = "http://example.org/dt/" + draw(
-                        st.from_regex(r"[a-z]{1,8}", fullmatch=True)
-                    )
-                elif which == "lang":
-                    language = draw(st.sampled_from(["en", "nl", "fr", "de"]))
-            row[var] = RdfTerm(kind, value, datatype=datatype, language_tag=language)
-        rows.append(row)
-    return ResultTable(variables=tuple(variables), rows=tuple(rows))
+    pool = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(variables), raw_terms(), max_size=len(variables)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    bindings = []
+    for index in draw(st.lists(st.integers(0, len(pool) - 1), max_size=12)):
+        binding = {}
+        for var, term in pool[index].items():
+            if "datatype" in term and draw(st.booleans()):
+                flipped = "literal" if term["type"] == "typed-literal" else "typed-literal"
+                term = {**term, "type": flipped, "datatype": draw(datatypes())}
+            elif "xml:lang" in term and draw(st.booleans()):
+                term = {**term, "xml:lang": draw(st.sampled_from(LANGUAGES))}
+            binding[var] = term
+        bindings.append(binding)
+    return variables, bindings
 
 
-def to_json(table):
-    """Encode a table in the SPARQL JSON results format."""
-
-    def term(t):
-        kind = {"iri": "uri", "blank": "bnode"}.get(t.kind, t.kind)
-        out = {"type": kind, "value": t.value}
-        if t.datatype:
-            out["datatype"] = t.datatype
-        if t.language_tag:
-            out["xml:lang"] = t.language_tag
-        return out
-
-    bindings = [{var: term(t) for var, t in row.items()} for row in table.rows]
-    doc = {"head": {"vars": list(table.variables)}, "results": {"bindings": bindings}}
-    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+def term_key(var, term):
+    kind = {"typed-literal": "literal"}.get(term["type"], term["type"])
+    literal = kind == "literal"
+    return (
+        var,
+        kind,
+        term["value"],
+        term.get("datatype", "") if literal else "",
+        term.get("xml:lang", "") if literal else "",
+    )
 
 
-@given(result_tables())
+@given(raw_results())
 @settings(max_examples=100)
-def test_property_json_round_trip(table):
-    assert parse_results(to_json(table)) == table
-
-
-class TestRdfTerm:
-    def test_datatype_on_iri_rejected(self):
-        with pytest.raises(ValueError):
-            RdfTerm("iri", "x", datatype="http://example.org/dt")
-
-    def test_datatype_and_lang_exclusive(self):
-        with pytest.raises(ValueError):
-            RdfTerm("literal", "x", datatype="d", language_tag="en")
+def test_property_json_round_trip(results):
+    variables, bindings = results
+    parsed = parse_results(results_doc(variables, bindings))
+    # parsing gives the values of each binding, in binding order
+    assert [{var: value for var, _, value, _, _ in row} for row in parsed] == [
+        {var: term["value"] for var, term in binding.items()} for binding in bindings
+    ]
+    # dedup gives the distinct term tuples in first-seen order
+    distinct = []
+    for binding in bindings:
+        key = sorted(term_key(var, term) for var, term in binding.items())
+        if key not in distinct:
+            distinct.append(key)
+    assert query_bindings(variables, bindings) == [
+        {var: value for var, _, value, _, _ in key} for key in distinct
+    ]
 
 
 class LateClock:
@@ -201,7 +365,7 @@ def test_rate_limiter_spaces_actual_starts(monkeypatch):
 @pytest.fixture()
 def probe_store(tmp_path):
     make_probe_dataset(tmp_path, "en-dbpedia", "probe", 250)
-    return FixtureStore(tmp_path)
+    return RecordingStore(tmp_path)
 
 
 def endpoint_for(server, dialect="en-dbpedia", **kwargs):
@@ -214,19 +378,19 @@ class TestExecuteQuery:
     def test_paging_over_http(self, probe_store):
         with FixtureServer(probe_store) as server:
             endpoint = endpoint_for(server, page_size=100)
-            table = execute_query(endpoint, PROBE_TEMPLATE)
-        assert len(table) == 250
+            rows = execute_query(endpoint, PROBE_TEMPLATE)
+        assert len(rows) == 250
         # 100 + 100 + 50: the short third page stops the loop
         assert len(probe_store.requests) == 3
         assert [r.offset for r in probe_store.requests] == [0, 100, 200]
 
     def test_page_size_invariance(self, probe_store):
-        tables = {}
+        row_sets = {}
         with FixtureServer(probe_store) as server:
             for size in (1, 7, 100):
                 endpoint = endpoint_for(server, page_size=size)
-                tables[size] = execute_query(endpoint, PROBE_TEMPLATE)
-        row_sets = {size: set(t.values("x")) for size, t in tables.items()}
+                rows = execute_query(endpoint, PROBE_TEMPLATE)
+                row_sets[size] = {row["x"] for row in rows}
         assert row_sets[1] == row_sets[7] == row_sets[100]
         assert len(row_sets[1]) == 250
 
@@ -248,8 +412,8 @@ class TestExecuteQuery:
             url="fixture:///en-dbpedia", dialect="en-dbpedia", page_size=10,
             max_requests_per_second=1000,
         )
-        table = execute_query(endpoint, PROBE_TEMPLATE, transport=transport)
-        assert table.values("x") == ["http://probe.test/a", "http://probe.test/b"]
+        rows = execute_query(endpoint, PROBE_TEMPLATE, transport=transport)
+        assert rows == [{"x": "http://probe.test/a"}, {"x": "http://probe.test/b"}]
 
     def test_dialect_mismatch(self, probe_store):
         endpoint = EndpointConfig(
@@ -272,8 +436,8 @@ class TestExecuteQuery:
             page_size=50,
             max_requests_per_second=40.0,
         )
-        table = execute_query(endpoint, PROBE_TEMPLATE, transport=recording)
-        assert len(table) == 250
+        rows = execute_query(endpoint, PROBE_TEMPLATE, transport=recording)
+        assert len(rows) == 250
         gaps = [b - a for a, b in zip(sent, sent[1:])]
         assert min(gaps) >= (1 / 40.0) - 0.002
 
@@ -367,12 +531,11 @@ class TestExecuteQuery:
             query_text="#template=probe\n# "
             + "x" * 2500
             + "\nSELECT ?x WHERE { ?x ?p ?o }\nORDER BY ?x",
-            result_schema=("x",),
         )
         with FixtureServer(probe_store) as server:
             endpoint = endpoint_for(server, page_size=300)
-            table = execute_query(endpoint, long_template)
-        assert len(table) == 250
+            rows = execute_query(endpoint, long_template)
+        assert len(rows) == 250
 
 
 def test_http_transport_roundtrip(probe_store):
