@@ -346,10 +346,9 @@ def coverage_counts(
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Mapping[str, str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(header), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in header})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row.get(k, "") for k in header] for row in rows)
 
 
 def write_politicians_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> None:

@@ -23,7 +23,6 @@ from . import catalog, report
 from .config import ConfigError, RunConfig, load_run_config, parse_schedule
 from .diversity import (
     DiversityParams,
-    EntityRecord,
     FeatureSet,
     compute_balance,
     compute_disparity,
@@ -76,8 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="preceding",
     )
     aud.add_argument("--body", default=None, help="audit only this baseline body")
-    aud.add_argument("--today", default=None, help="cap open careers at this date")
-    aud.add_argument("--max-unmapped", type=int, default=0)
+    aud.add_argument(
+        "--today", type=_iso_date, default=None, help="cap open careers at this date"
+    )
+    aud.add_argument("--max-unmapped", type=_count, default=0)
     aud.add_argument("--out", default="out")
     aud.set_defaults(func=cmd_audit)
 
@@ -118,6 +119,24 @@ def _exponent(raw: str) -> float:
         raise argparse.ArgumentTypeError(
             f"{raw!r} is not a finite, non-negative number"
         ) from None
+
+
+def _iso_date(raw: str) -> date:
+    """A --today value: an ISO calendar date."""
+    try:
+        return date.fromisoformat(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an ISO date (YYYY-MM-DD)") from None
+
+
+def _count(raw: str) -> int:
+    """A --max-unmapped value: a non-negative integer."""
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{raw!r} is not a non-negative integer")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -248,7 +267,6 @@ def cmd_audit(args) -> int:
     policy = (
         "most-recent-preceding" if args.baseline_policy == "preceding" else "closest-in-time"
     )
-    today = date.fromisoformat(args.today) if args.today else None
 
     bodies = sorted(baselines)
     if args.body:
@@ -269,7 +287,7 @@ def cmd_audit(args) -> int:
         politician_rows,
         nmap,
         schedule=schedule,
-        today=today,
+        today=args.today,
         career_end_overrides=overrides,
     )
     distinct_refs = sorted({u.raw_ref for u in result.unmapped})
@@ -361,15 +379,6 @@ def cmd_score(args) -> int:
 
     rules_path = _require_file(args.rules, "rules") or config.rules_path
     rules = load_rules(rules_path) if rules_path else []
-    lemma_rules = [r for r in rules if r.match_layer == "lemma"]
-    if lemma_rules:
-        # plain-text ingestion carries no lemma layer; lemmatization is the
-        # caller's job in library use
-        logger.warning(
-            "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",
-            len(lemma_rules),
-        )
-        rules = [r for r in rules if r.match_layer == "surface"]
     triples_path = _require_file(args.triples, "triples") or config.triples_path
     triples = (
         CsvTripleSource.from_file(triples_path) if triples_path else None
@@ -386,7 +395,7 @@ def cmd_score(args) -> int:
 
     # enrichment is a pure function of the id, the triples and the ontology,
     # so each id is enriched once per run
-    records: dict[str, EntityRecord] = {}
+    features: dict[str, FeatureSet] = {}
     score_rows: list[list] = []
     count_rows: list[list] = []
     for doc in docs:
@@ -409,10 +418,10 @@ def cmd_score(args) -> int:
         counts = aggregate_mentions(mentions)
         ids = sorted(counts)
         for entity_id in ids:
-            if entity_id not in records:
-                records[entity_id] = _entity_record(entity_id, triples, ontology)
+            if entity_id not in features:
+                features[entity_id] = _features(entity_id, triples, ontology)
         balance = compute_balance(counts)
-        disparity = compute_disparity([records[i] for i in ids])
+        disparity = compute_disparity({i: features[i] for i in ids})
         result = stirling_delta(balance, disparity, params)
         score_rows.append([doc.doc_id, result.variety, f"{result.delta:.12g}"])
         for entity_id in ids:
@@ -426,18 +435,12 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _entity_record(entity_id, triples, ontology) -> EntityRecord:
-    """One id's record: features and actor type from the triples, if any."""
-    features = FeatureSet()
-    actor_type = "person"
-    if triples is not None and not entity_id.startswith(UNNAMED_PREFIX):
-        features = enrich_entity(entity_id, triples, ontology)
-        actor_type = (
-            ontology.classify(triples.dialect, triples.types(entity_id)) or "person"
-        )
-    return EntityRecord(
-        id=entity_id, label=entity_id, actor_type=actor_type, features=features
-    )
+def _features(entity_id, triples, ontology) -> FeatureSet:
+    """One id's features from the triples; none without triples or for an
+    unnamed category."""
+    if triples is None or entity_id.startswith(UNNAMED_PREFIX):
+        return FeatureSet()
+    return enrich_entity(entity_id, triples, ontology)
 
 
 def _type_filtered(mentions, triples, ontology):
@@ -480,13 +483,17 @@ def cmd_report(args) -> int:
         (out / "figure_empty.svg").write_bytes(report.emit_figure_svg(spec))
         print(f"no audit rows; wrote placeholder figure to {out}")
         return 0
-    for source in sources:
-        spec = report.build_figure_spec(
-            rows, source, args.baseline_label, style=args.style
+    # every figure is built before any is written
+    writers = {
+        f"figure_{_safe_name(source)}.svg": partial(
+            Path.write_bytes,
+            data=report.emit_figure_svg(
+                report.build_figure_spec(rows, source, args.baseline_label, style=args.style)
+            ),
         )
-        (out / f"figure_{_safe_name(source)}.svg").write_bytes(
-            report.emit_figure_svg(spec)
-        )
+        for source in sources
+    }
+    _write_all(out, writers)
     print(f"wrote {len(sources)} figure(s) to {out}")
     return 0
 

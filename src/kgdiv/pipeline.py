@@ -1,8 +1,8 @@
 """Actor detection and enrichment: rule matching, annotation, ontology mapping.
 
-Actors are found in text through user-defined pattern rules (surface or
-lemma layer) and through an external annotation endpoint that links spans
-to knowledge-base resources. Linked entities are then enriched into
+Actors are found in text through user-defined surface pattern rules and
+through an external annotation endpoint that links spans to
+knowledge-base resources. Linked entities are then enriched into
 feature pairs by mapping their predicates through a local ontology, with
 linked resources of the recognized actor types expanded one hop deep.
 Errors and biases of linked resources flow into the root's features by
@@ -25,8 +25,6 @@ from .diversity import ACTOR_TYPES, FeatureSet
 
 logger = logging.getLogger(__name__)
 
-MATCH_LAYERS = ("surface", "lemma")
-
 #: target prefix marking an unnamed category instead of a linked resource
 UNNAMED_PREFIX = "unnamed:"
 
@@ -48,50 +46,20 @@ class EnrichmentError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    lemma: str
-    char_start: int
-    char_end: int
-
-
-@dataclass(frozen=True)
 class TextDocument:
     doc_id: str
     text: str
-    tokens: tuple[Token, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.tokens is None:
-            return
-        previous_end = 0
-        for token in self.tokens:
-            if not 0 <= token.char_start < token.char_end <= len(self.text):
-                raise ValueError(
-                    f"token span [{token.char_start}, {token.char_end}) outside "
-                    f"document {self.doc_id!r}"
-                )
-            if token.char_start < previous_end:
-                raise ValueError(f"overlapping tokens in document {self.doc_id!r}")
-            previous_end = token.char_end
 
 
 @dataclass(frozen=True)
 class MatchRule:
     pattern: str
     case_sensitive: bool = True
-    match_layer: str = "surface"
     target_entity: str = ""
 
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ValueError("rule pattern must be nonempty")
-        if self.match_layer not in MATCH_LAYERS:
-            raise ValueError(f"match_layer must be one of {MATCH_LAYERS}")
-
-    @property
-    def is_unnamed(self) -> bool:
-        return self.target_entity.startswith(UNNAMED_PREFIX)
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
@@ -205,24 +173,13 @@ class CsvTripleSource:
 
 
 def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMention]:
-    """All non-overlapping occurrences of each rule, longest match first.
+    """All non-overlapping occurrences of each rule in the raw text.
 
-    Surface rules scan the raw text; lemma rules match whitespace-split
-    pattern parts against consecutive token lemmas and require the document
-    to carry a lemma layer. Matches of different rules may overlap; matches
-    of one rule never do.
+    Matches of different rules may overlap; matches of one rule never do.
     """
     mentions: list[EntityMention] = []
     for rule in rules:
-        if rule.match_layer == "surface":
-            mentions.extend(_match_surface(doc, rule))
-        else:
-            if doc.tokens is None:
-                raise ValueError(
-                    f"lemma rule {rule.pattern!r} needs a lemma layer on "
-                    f"document {doc.doc_id!r}"
-                )
-            mentions.extend(_match_lemma(doc, rule))
+        mentions.extend(_match_surface(doc, rule))
     mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
     return mentions
 
@@ -237,30 +194,6 @@ def _match_surface(doc: TextDocument, rule: MatchRule) -> Iterable[EntityMention
             resolved_id=rule.target_entity or None,
             provenance="rule",
         )
-
-
-def _match_lemma(doc: TextDocument, rule: MatchRule) -> Iterable[EntityMention]:
-    parts = rule.pattern.split()
-    if not rule.case_sensitive:
-        parts = [p.lower() for p in parts]
-    tokens = doc.tokens
-    i = 0
-    while i <= len(tokens) - len(parts):
-        window = tokens[i : i + len(parts)]
-        lemmas = [t.lemma if rule.case_sensitive else t.lemma.lower() for t in window]
-        if lemmas == parts:
-            start, end = window[0].char_start, window[-1].char_end
-            yield EntityMention(
-                doc_id=doc.doc_id,
-                char_start=start,
-                char_end=end,
-                surface=doc.text[start:end],
-                resolved_id=rule.target_entity or None,
-                provenance="rule",
-            )
-            i += len(parts)
-        else:
-            i += 1
 
 
 @dataclass
@@ -394,18 +327,33 @@ def aggregate_mentions(mentions: Iterable[EntityMention]) -> dict[str, int]:
 
 def load_rules(path: str | Path) -> list[MatchRule]:
     """Load match rules from a CSV with columns pattern, case_sensitive,
-    match_layer, target. A missing or empty case_sensitive means true."""
+    match_layer, target. A missing or empty case_sensitive means true, and
+    a missing or empty match_layer means surface.
+
+    Rows with match_layer lemma are skipped with a warning: plain-text
+    ingestion carries no lemma layer.
+    """
     rules = []
+    lemma_rules = 0
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            rules.append(
-                MatchRule(
-                    pattern=row["pattern"],
-                    case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
-                    match_layer=(row.get("match_layer") or "surface").strip(),
-                    target_entity=(row.get("target") or "").strip(),
-                )
+            rule = MatchRule(
+                pattern=row["pattern"],
+                case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
+                target_entity=(row.get("target") or "").strip(),
             )
+            layer = (row.get("match_layer") or "surface").strip()
+            if layer == "lemma":
+                lemma_rules += 1
+            elif layer == "surface":
+                rules.append(rule)
+            else:
+                raise ValueError(f"match_layer must be surface or lemma, got {layer!r}")
+    if lemma_rules:
+        logger.warning(
+            "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",
+            lemma_rules,
+        )
     return rules
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .audit import ALIGNMENTS, AuditRow, PartyRecord
+from .audit import ALIGNMENTS, AuditRow
 
 RENDER_STYLES = ("line", "stacked")
 
@@ -59,13 +59,6 @@ CSV_COLUMNS = (
 
 def alignment_rank(alignment: str) -> int:
     return ALIGNMENTS.index(alignment)
-
-
-def order_parties(parties: Iterable[PartyRecord]) -> list[PartyRecord]:
-    """Stable sort by the nine alignment categories, then acronym."""
-    return sorted(
-        parties, key=lambda p: (alignment_rank(p.alignment), p.canonical_acronym)
-    )
 
 
 @dataclass(frozen=True)
@@ -276,11 +269,6 @@ def figure_y_max(spec: FigureSpec) -> float:
             values.append(hi)
         values.extend(p.baselines.values())
     return max(max(values), 0.01)
-
-
-def share_from_pixel(y_pixel: float, panel_top: float, y_max: float) -> float:
-    """Invert the panel y-transform; the declared axis contract."""
-    return (panel_top + PANEL_HEIGHT - y_pixel) / PANEL_HEIGHT * y_max
 
 
 def emit_figure_svg(spec: FigureSpec) -> bytes:

@@ -11,6 +11,7 @@ capped process-wide.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections.abc import Callable
@@ -58,8 +59,11 @@ class EndpointConfig:
             raise ValueError(f"unknown dialect {self.dialect!r}")
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
-        if self.max_requests_per_second <= 0:
-            raise ValueError("max_requests_per_second must be positive")
+        # written so that nan fails too
+        if not 0 < self.max_requests_per_second < math.inf:
+            raise ValueError("max_requests_per_second must be positive and finite")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
 

@@ -34,12 +34,9 @@ from kgdiv.catalog import coverage_counts
 from kgdiv.cli import main as cli_main
 from kgdiv.diversity import (
     BalanceVector,
-    DisparityMatrix,
     DiversityParams,
-    EntityRecord,
     compute_balance,
     compute_disparity,
-    gini_simpson,
     stirling_delta,
 )
 from kgdiv.fixtures import FixtureStore, FixtureTransport
@@ -52,10 +49,11 @@ from kgdiv.pipeline import (
     enrich_entity,
     match_rules,
 )
-from kgdiv.report import PANEL_HEIGHT, share_from_pixel
+from kgdiv.report import PANEL_HEIGHT
 from kgdiv.sparql import EndpointConfig, QueryTemplate, execute_query
 from tests.conftest import make_probe_dataset, record_criterion
 from tests.fixture_server import FixtureServer, RecordingStore
+from tests.oracles import explicit_matrix, gini_simpson, pair_terms, share_from_pixel
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -73,7 +71,7 @@ def test_criterion_1_stirling_gini_reduction():
         n = rng.randint(1, 8)
         balance = random_balance(rng, n)
         ids = list(balance.ids)
-        disparity = DisparityMatrix(
+        disparity = explicit_matrix(
             ids,
             {
                 (a, b): rng.uniform(1e-6, 1.0)
@@ -98,18 +96,10 @@ def test_criterion_2_stirling_brute_force_oracle():
             (a, b): 0.0 if rng.random() < 0.15 else rng.random()
             for a, b in itertools.combinations(ids, 2)
         }
-        disparity = DisparityMatrix(ids, values)
-        alpha, beta = rng.uniform(0, 3), rng.uniform(0, 3)
-        expected = 0.0
-        for i in ids:
-            for j in ids:
-                if i == j:
-                    continue
-                d = disparity.value(i, j)
-                if d == 0.0:
-                    continue
-                expected += d**alpha * (balance.shares[i] * balance.shares[j]) ** beta
-        got = stirling_delta(balance, disparity, DiversityParams(alpha, beta)).delta
+        disparity = explicit_matrix(ids, values)
+        params = DiversityParams(rng.uniform(0, 3), rng.uniform(0, 3))
+        expected = sum(pair_terms(balance, disparity, params).values())
+        got = stirling_delta(balance, disparity, params).delta
         assert abs(got - expected) <= 1e-12
     record_criterion(2, "stirling equals ordered-pair brute force")
 
@@ -281,18 +271,9 @@ def _score_text(doc, rules, triples):
     mentions = match_rules(doc, rules)
     counts = aggregate_mentions(mentions)
     ontology = builtin_ontology()
-    entities = [
-        EntityRecord(
-            id=entity_id,
-            label=entity_id,
-            actor_type=ontology.classify(triples.dialect, triples.types(entity_id))
-            or "person",
-            features=enrich_entity(entity_id, triples, ontology),
-        )
-        for entity_id in sorted(counts)
-    ]
+    features = {i: enrich_entity(i, triples, ontology) for i in sorted(counts)}
     return stirling_delta(
-        compute_balance(counts), compute_disparity(entities), DiversityParams(1, 1)
+        compute_balance(counts), compute_disparity(features), DiversityParams(1, 1)
     ).delta
 
 

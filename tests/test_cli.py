@@ -211,6 +211,17 @@ class TestAudit:
             assert "precedes the first recorded election" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt", *written]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--today", "2020-13-01"), ("--today", "soon"), ("--max-unmapped", "-1"), ("--max-unmapped", "x")],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, fixture_dir, capsys, flag, value):
+        out = tmp_path / "out"
+        argv = [*audit_args(GOLDEN / "snapshot_en", out, fixture_dir), flag, value]
+        assert run_cli(*argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_baseline_is_config_error(self, tmp_path, fixture_dir):
         code = run_cli(
             "audit",
@@ -583,6 +594,24 @@ class TestReport:
         assert code == 1
         err = capsys.readouterr().err
         assert "row 2" in err
+
+    def test_bad_source_writes_no_figure(self, tmp_path, capsys):
+        # sources draw in sorted order: "a-src" draws, then "b-bad" has a share above 1
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            "a-src,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
+            "b-bad,2020-01-01,A,left,1,2,0.1,1.5,0.1,indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "fig"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept", encoding="utf-8")
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
 class TestValidate:

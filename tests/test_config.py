@@ -51,6 +51,14 @@ def test_endpoint_setting_reaches_endpoint(tmp_path, key, value):
     assert config.endpoint("en-dbpedia") == RunConfig().endpoint("en-dbpedia")
 
 
+@pytest.mark.parametrize("key", ["max_requests_per_second", "timeout"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "0", "-1"])
+def test_endpoint_rate_and_timeout_must_be_positive_and_finite(tmp_path, key, value):
+    path = write_config(tmp_path, f"endpoints:\n  wikidata:\n    {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+        load_run_config(path)
+
+
 def test_env_url_override_keeps_configured_settings(tmp_path, monkeypatch):
     monkeypatch.setenv("KGDIV_ENDPOINT_NL_DBPEDIA", "http://localhost:9/sparql")
     config = load_run_config(

@@ -11,30 +11,18 @@ from hypothesis import strategies as st
 
 from kgdiv.diversity import (
     BalanceVector,
-    DisparityMatrix,
     DiversityParams,
-    EntityRecord,
     FeatureSet,
     compute_balance,
     compute_disparity,
-    gini_simpson,
     jaccard_distance,
     stirling_delta,
 )
+from tests.oracles import disparity_value, explicit_matrix, gini_simpson, pair_terms
 
 
-def brute_force_delta(shares, dmatrix, alpha, beta):
-    """Independent oracle: literal double loop over all ordered pairs."""
-    total = 0.0
-    for i in shares:
-        for j in shares:
-            if i == j:
-                continue
-            d = dmatrix.value(i, j)
-            if d == 0.0:
-                continue
-            total += d**alpha * (shares[i] * shares[j]) ** beta
-    return total
+def features(*pairs):
+    return FeatureSet(frozenset(pairs))
 
 
 def random_instance(rng, max_n=8):
@@ -47,7 +35,7 @@ def random_instance(rng, max_n=8):
     for a, b in itertools.combinations(ids, 2):
         # mix in exact zeros to exercise the zero-disparity convention
         values[(a, b)] = 0.0 if rng.random() < 0.2 else rng.random()
-    return BalanceVector(shares), DisparityMatrix(ids, values)
+    return BalanceVector(shares), explicit_matrix(ids, values)
 
 
 class TestComputeBalance:
@@ -77,12 +65,12 @@ class TestComputeBalance:
 
 class TestJaccard:
     def test_identical_sets(self):
-        f = FeatureSet.of(("a", "1"), ("b", "2"))
+        f = features(("a", "1"), ("b", "2"))
         assert jaccard_distance(f, f) == 0.0
 
     def test_disjoint_nonempty(self):
-        a = FeatureSet.of(("a", "1"))
-        b = FeatureSet.of(("b", "2"))
+        a = features(("a", "1"))
+        b = features(("b", "2"))
         assert jaccard_distance(a, b) == 1.0
 
     def test_partial_overlap(self):
@@ -97,33 +85,30 @@ class TestJaccard:
         assert jaccard_distance(FeatureSet(), FeatureSet()) == 0.0
 
     def test_one_empty(self):
-        assert jaccard_distance(FeatureSet(), FeatureSet.of(("a", "1"))) == 1.0
+        assert jaccard_distance(FeatureSet(), features(("a", "1"))) == 1.0
 
 
 class TestComputeDisparity:
     def test_matrix_invariants(self):
-        entities = [
-            EntityRecord("x", "X", "person", FeatureSet.of(("p", "1"))),
-            EntityRecord("y", "Y", "person", FeatureSet.of(("p", "1"), ("q", "2"))),
-            EntityRecord("z", "Z", "organisation"),
-        ]
-        m = compute_disparity(entities)
+        m = compute_disparity(
+            {
+                "x": features(("p", "1")),
+                "y": features(("p", "1"), ("q", "2")),
+                "z": FeatureSet(),
+            }
+        )
+        assert m.ids == ("x", "y", "z")
         for i in m.ids:
-            assert m.value(i, i) == 0.0
+            assert disparity_value(m, i, i) == 0.0
             for j in m.ids:
-                assert m.value(i, j) == m.value(j, i)
-                assert 0.0 <= m.value(i, j) <= 1.0
-
-    def test_duplicate_ids_rejected(self):
-        e = EntityRecord("x", "X", "person")
-        with pytest.raises(ValueError, match="duplicate"):
-            compute_disparity([e, e])
+                assert disparity_value(m, i, j) == disparity_value(m, j, i)
+                assert 0.0 <= disparity_value(m, i, j) <= 1.0
 
 
 class TestStirlingDelta:
     def test_single_entity_is_zero(self):
         bv = BalanceVector({"A": 1.0})
-        m = DisparityMatrix(["A"], {})
+        m = explicit_matrix(["A"], {})
         for alpha, beta in [(0, 0), (1, 1), (2.5, 0.5)]:
             res = stirling_delta(bv, m, DiversityParams(alpha, beta))
             assert res.delta == 0.0
@@ -131,13 +116,13 @@ class TestStirlingDelta:
 
     def test_two_entities_hand_value(self):
         bv = BalanceVector({"A": 0.5, "B": 0.5})
-        m = DisparityMatrix(["A", "B"], {("A", "B"): 1.0})
+        m = explicit_matrix(["A", "B"], {("A", "B"): 1.0})
         res = stirling_delta(bv, m)
         assert res.delta == pytest.approx(0.5, abs=1e-15)
 
     def test_gini_simpson_reduction_hand_value(self):
         bv = BalanceVector({"A": 0.5, "B": 0.3, "C": 0.2})
-        m = DisparityMatrix(
+        m = explicit_matrix(
             ["A", "B", "C"],
             {("A", "B"): 0.4, ("A", "C"): 0.9, ("B", "C"): 0.1},
         )
@@ -148,43 +133,40 @@ class TestStirlingDelta:
 
     def test_id_set_mismatch(self):
         bv = BalanceVector({"A": 1.0})
-        m = DisparityMatrix(["B"], {})
+        m = explicit_matrix(["B"], {})
         with pytest.raises(ValueError, match="different entity ids"):
             stirling_delta(bv, m)
 
     def test_per_pair_terms(self):
         bv = BalanceVector({"A": 0.5, "B": 0.5})
-        m = DisparityMatrix(["A", "B"], {("A", "B"): 0.8})
-        res = stirling_delta(bv, m, keep_terms=True)
-        assert res.per_pair_terms == {
+        m = explicit_matrix(["A", "B"], {("A", "B"): 0.8})
+        assert pair_terms(bv, m) == {
             ("A", "B"): pytest.approx(0.2),
             ("B", "A"): pytest.approx(0.2),
         }
-        assert stirling_delta(bv, m).per_pair_terms is None
+        assert stirling_delta(bv, m).delta == pytest.approx(0.4)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(7)
         for _ in range(300):
             bv, m = random_instance(rng)
             alpha, beta = rng.uniform(0, 3), rng.uniform(0, 3)
-            expected = brute_force_delta(bv.shares, m, alpha, beta)
+            expected = sum(pair_terms(bv, m, DiversityParams(alpha, beta)).values())
             got = stirling_delta(bv, m, DiversityParams(alpha, beta)).delta
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_disparity(self):
         bv = BalanceVector({"A": 0.5, "B": 0.3, "C": 0.2})
-        m = DisparityMatrix(
-            ["A", "B", "C"],
-            {("A", "B"): 0.3, ("A", "C"): 0.5, ("B", "C"): 0.2},
-        )
-        base = stirling_delta(bv, m).delta
-        bumped = stirling_delta(bv, m.with_value("A", "B", 0.6)).delta
+        values = {("A", "B"): 0.3, ("A", "C"): 0.5, ("B", "C"): 0.2}
+        base = stirling_delta(bv, explicit_matrix(["A", "B", "C"], values)).delta
+        values[("A", "B")] = 0.6
+        bumped = stirling_delta(bv, explicit_matrix(["A", "B", "C"], values)).delta
         assert bumped > base
 
     def test_uniform_balance_maximizes_delta(self):
         # grid search over 3-entity balance vectors with all-ones disparity
         ids = ["A", "B", "C"]
-        m = DisparityMatrix(ids, {("A", "B"): 1.0, ("A", "C"): 1.0, ("B", "C"): 1.0})
+        m = explicit_matrix(ids, {("A", "B"): 1.0, ("A", "C"): 1.0, ("B", "C"): 1.0})
         best, best_shares = -1.0, None
         steps = 20
         for a in range(steps + 1):
@@ -223,7 +205,7 @@ def test_property_gini_reduction(bv):
         (a, b): 0.25 + 0.75 * ((hash((a, b)) % 97) / 97)
         for a, b in itertools.combinations(ids, 2)
     }
-    m = DisparityMatrix(ids, values)
+    m = explicit_matrix(ids, values)
     res = stirling_delta(bv, m, DiversityParams(alpha=0.0, beta=1.0))
     assert res.delta == pytest.approx(gini_simpson(bv), abs=1e-12)
 
@@ -235,13 +217,13 @@ def test_property_permutation_invariance(bv, rng):
     values = {
         (a, b): rng.random() for a, b in itertools.combinations(ids, 2)
     }
-    m = DisparityMatrix(ids, values)
+    m = explicit_matrix(ids, values)
     baseline = stirling_delta(bv, m).delta
 
     shuffled = list(ids)
     rng.shuffle(shuffled)
     bv2 = BalanceVector({i: bv.shares[i] for i in shuffled})
-    m2 = DisparityMatrix(shuffled, values)
+    m2 = explicit_matrix(shuffled, values)
     assert stirling_delta(bv2, m2).delta == pytest.approx(baseline, abs=1e-12)
 
 
@@ -270,11 +252,11 @@ def test_balance_vector_validation():
 
 def test_disparity_matrix_validation():
     with pytest.raises(ValueError, match="outside"):
-        DisparityMatrix(["A", "B"], {("A", "B"): 1.5})
+        explicit_matrix(["A", "B"], {("A", "B"): 1.5})
     with pytest.raises(ValueError, match="diagonal"):
-        DisparityMatrix(["A"], {("A", "A"): 0.2})
+        explicit_matrix(["A"], {("A", "A"): 0.2})
     with pytest.raises(ValueError, match="unknown entity"):
-        DisparityMatrix(["A"], {("A", "B"): 0.2})
+        explicit_matrix(["A"], {("A", "B"): 0.2})
 
 
 FEATURE_POOL = [
@@ -298,13 +280,8 @@ def scored_entities(draw, max_n=10):
         )
     ) + [frozenset()]
     n = draw(st.integers(min_value=1, max_value=max_n))
-    entities = [
-        EntityRecord(
-            f"e{k}", f"e{k}", "person", FeatureSet(draw(st.sampled_from(feature_sets)))
-        )
-        for k in range(n)
-    ]
-    counts = {e.id: draw(st.integers(min_value=0, max_value=5)) for e in entities}
+    entities = {f"e{k}": FeatureSet(draw(st.sampled_from(feature_sets))) for k in range(n)}
+    counts = {i: draw(st.integers(min_value=0, max_value=5)) for i in entities}
     counts["e0"] = draw(st.integers(min_value=1, max_value=5))
     return entities, counts
 
@@ -315,9 +292,8 @@ EXPONENTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 def assert_grouped_equals_pair_terms(bv, m, alpha, beta):
     """The grouped quadratic form against the per-pair reference loop."""
     params = DiversityParams(alpha, beta)
-    reference = stirling_delta(bv, m, params, keep_terms=True)
     assert stirling_delta(bv, m, params).delta == pytest.approx(
-        sum(reference.per_pair_terms.values()), abs=1e-12
+        sum(pair_terms(bv, m, params).values()), abs=1e-12
     )
 
 
@@ -326,9 +302,9 @@ def assert_grouped_equals_pair_terms(bv, m, alpha, beta):
 def test_property_grouped_disparity_is_jaccard(drawn):
     entities, _ = drawn
     m = compute_disparity(entities)
-    for a in entities:
-        for b in entities:
-            assert m.value(a.id, b.id) == jaccard_distance(a.features, b.features)
+    for a, fa in entities.items():
+        for b, fb in entities.items():
+            assert disparity_value(m, a, b) == jaccard_distance(fa, fb)
 
 
 @given(scored_entities(), EXPONENTS, EXPONENTS)

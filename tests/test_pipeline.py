@@ -23,7 +23,6 @@ from kgdiv.pipeline import (
     LocalOntology,
     MatchRule,
     TextDocument,
-    Token,
     aggregate_mentions,
     annotate,
     builtin_ontology,
@@ -36,21 +35,8 @@ from kgdiv.pipeline import (
 NVA_RULE = MatchRule(
     pattern="N-VA",
     case_sensitive=True,
-    match_layer="surface",
     target_entity="http://example.org/party/NVA",
 )
-
-
-def lemma_doc():
-    text = "refugees arrived"
-    return TextDocument(
-        doc_id="d1",
-        text=text,
-        tokens=(
-            Token("refugees", "refugee", 0, 8),
-            Token("arrived", "arrive", 9, 16),
-        ),
-    )
 
 
 class TestMatchRules:
@@ -73,43 +59,6 @@ class TestMatchRules:
         )
         (mention,) = match_rules(doc, [rule])
         assert mention.surface == "n-va"
-
-    def test_lemma_layer_unnamed_target(self):
-        rule = MatchRule(
-            pattern="refugee",
-            case_sensitive=True,
-            match_layer="lemma",
-            target_entity="unnamed:refugee",
-        )
-        (mention,) = match_rules(lemma_doc(), [rule])
-        assert (mention.char_start, mention.char_end) == (0, 8)
-        assert mention.surface == "refugees"
-        assert mention.resolved_id == "unnamed:refugee"
-        assert rule.is_unnamed
-
-    def test_multi_token_lemma_pattern(self):
-        text = "the refugees arrived today"
-        doc = TextDocument(
-            doc_id="d",
-            text=text,
-            tokens=(
-                Token("the", "the", 0, 3),
-                Token("refugees", "refugee", 4, 12),
-                Token("arrived", "arrive", 13, 20),
-                Token("today", "today", 21, 26),
-            ),
-        )
-        rule = MatchRule(
-            pattern="refugee arrive", match_layer="lemma", target_entity="unnamed:x"
-        )
-        (mention,) = match_rules(doc, [rule])
-        assert mention.surface == "refugees arrived"
-
-    def test_lemma_rule_without_layer(self):
-        doc = TextDocument(doc_id="d", text="refugees arrived")
-        rule = MatchRule(pattern="refugee", match_layer="lemma")
-        with pytest.raises(ValueError, match="lemma layer"):
-            match_rules(doc, [rule])
 
     def test_single_rule_matches_never_overlap(self):
         doc = TextDocument(doc_id="d", text="aaaa")
@@ -442,17 +391,31 @@ class TestAggregate:
         assert sum(counts.values()) == len(mentions)
 
 
-def test_load_rules(fixture_dir):
+def test_load_rules(fixture_dir, caplog):
+    # the fixture's third row is a lemma rule, which plain text cannot match
     rules = load_rules(fixture_dir / "rules.csv")
-    assert len(rules) == 3
-    assert rules[0] == MatchRule(
-        pattern="N-VA",
-        case_sensitive=True,
-        match_layer="surface",
-        target_entity="http://dbpedia.org/resource/New_Flemish_Alliance",
+    assert rules == [
+        MatchRule(
+            pattern="N-VA",
+            case_sensitive=True,
+            target_entity="http://dbpedia.org/resource/New_Flemish_Alliance",
+        ),
+        MatchRule(
+            pattern="cd&v",
+            case_sensitive=False,
+            target_entity="http://dbpedia.org/resource/Christen-Democratisch_en_Vlaams",
+        ),
+    ]
+    assert "skipping 1 lemma rule(s)" in caplog.text
+
+
+def test_load_rules_rejects_unknown_match_layer(tmp_path):
+    path = tmp_path / "rules.csv"
+    path.write_text(
+        "pattern,case_sensitive,match_layer,target\nN-VA,,token,x\n", encoding="utf-8"
     )
-    assert rules[2].match_layer == "lemma"
-    assert rules[2].is_unnamed
+    with pytest.raises(ValueError, match="match_layer must be surface or lemma"):
+        load_rules(path)
 
 
 def test_load_rules_empty_case_cell_means_case_sensitive(tmp_path):
@@ -467,17 +430,6 @@ def test_load_rules_empty_case_cell_means_case_sensitive(tmp_path):
     assert [r.case_sensitive for r in load_rules(path)] == [True, True, False]
     path.write_text("pattern,target\nN-VA,x\n", encoding="utf-8")
     assert load_rules(path)[0].case_sensitive is True
-
-
-def test_document_validation():
-    with pytest.raises(ValueError, match="outside"):
-        TextDocument(doc_id="d", text="ab", tokens=(Token("abc", "abc", 0, 3),))
-    with pytest.raises(ValueError, match="overlapping"):
-        TextDocument(
-            doc_id="d",
-            text="abcd",
-            tokens=(Token("ab", "ab", 0, 2), Token("bc", "bc", 1, 3)),
-        )
 
 
 def test_ontology_validation():

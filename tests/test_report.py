@@ -8,7 +8,7 @@ from datetime import date
 
 import pytest
 
-from kgdiv.audit import AuditRow, PartyRecord
+from kgdiv.audit import AuditRow
 from kgdiv.report import (
     FigureSpec,
     PartySeries,
@@ -16,9 +16,8 @@ from kgdiv.report import (
     emit_figure_svg,
     emit_series_csv,
     figure_y_max,
-    order_parties,
-    share_from_pixel,
 )
+from tests.oracles import share_from_pixel
 
 T1 = date(2015, 1, 1)
 T2 = date(2020, 1, 1)
@@ -57,32 +56,29 @@ SAMPLE_ROWS = [
 ]
 
 
+def figure_order(*parties):
+    """The panel order of a figure over one row per (acronym, alignment)."""
+    rows = [audit_row("s", T1, acronym, alignment, 1, 1, 0.1) for acronym, alignment in parties]
+    return [p.acronym for p in build_figure_spec(rows, "s", "KVV").parties]
+
+
 class TestOrderParties:
     def test_alignment_category_order(self):
-        parties = [
-            PartyRecord("X", "right", "relevant"),
-            PartyRecord("Y", "centre", "relevant"),
-            PartyRecord("Z", "extreme-left", "relevant"),
+        assert figure_order(("X", "right"), ("Y", "centre"), ("Z", "extreme-left")) == [
+            "Z",
+            "Y",
+            "X",
         ]
-        assert [p.canonical_acronym for p in order_parties(parties)] == ["Z", "Y", "X"]
 
     def test_alphabetical_within_category(self):
-        parties = [
-            PartyRecord("OpenVLD", "centre", "relevant"),
-            PartyRecord("CD&V", "centre", "relevant"),
-        ]
-        assert [p.canonical_acronym for p in order_parties(parties)] == [
-            "CD&V",
-            "OpenVLD",
-        ]
+        assert figure_order(("OpenVLD", "centre"), ("CD&V", "centre")) == ["CD&V", "OpenVLD"]
 
     def test_unknown_sorts_last(self):
-        parties = [
-            PartyRecord("U", "unknown", "relevant"),
-            PartyRecord("O", "other", "relevant"),
-            PartyRecord("R", "extreme-right", "relevant"),
+        assert figure_order(("U", "unknown"), ("O", "other"), ("R", "extreme-right")) == [
+            "R",
+            "O",
+            "U",
         ]
-        assert [p.canonical_acronym for p in order_parties(parties)] == ["R", "O", "U"]
 
 
 class TestSeriesCsv:
