@@ -464,12 +464,20 @@ def _safe_name(name: str) -> str:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     audit_path = Path(args.audit)
     if not audit_path.exists():
         raise ConfigError(f"audit file {audit_path} does not exist")
     rows = report.read_series_csv(audit_path)
     sources = sorted({r.source for r in rows})
+    figure_sources: dict[str, list[str]] = {}
+    for source in sources:
+        figure_sources.setdefault(f"figure_{_safe_name(source)}.svg", []).append(source)
+    for name, named in figure_sources.items():
+        if len(named) > 1:
+            raise ValueError(
+                f"sources {', '.join(map(repr, named))} map to the same figure file {name}"
+            )
+    out = _out_dir(args)
     if not sources:
         spec = report.FigureSpec(
             title="no data",
@@ -485,13 +493,13 @@ def cmd_report(args) -> int:
         return 0
     # every figure is built before any is written
     writers = {
-        f"figure_{_safe_name(source)}.svg": partial(
+        name: partial(
             Path.write_bytes,
             data=report.emit_figure_svg(
                 report.build_figure_spec(rows, source, args.baseline_label, style=args.style)
             ),
         )
-        for source in sources
+        for name, (source,) in figure_sources.items()
     }
     _write_all(out, writers)
     print(f"wrote {len(sources)} figure(s) to {out}")

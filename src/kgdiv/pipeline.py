@@ -15,7 +15,7 @@ import csv
 import json
 import logging
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -63,9 +63,17 @@ class MatchRule:
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
-        """The pattern as a literal surface regex, compiled once per rule."""
+        """The pattern as a literal surface regex, compiled once per rule.
+
+        `match_rules` builds it only for a case-insensitive rule, and only
+        once the rule's folded pattern occurs in a document's folded text.
+        """
         flags = 0 if self.case_sensitive else re.IGNORECASE
         return re.compile(re.escape(self.pattern), flags)
+
+    @cached_property
+    def _folded(self) -> str:
+        return _fold(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -145,12 +153,10 @@ class CsvTripleSource:
 
     @classmethod
     def from_file(cls, path: str | Path, dialect: str = "generic") -> "CsvTripleSource":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                rows.append(
-                    (row["subject"].strip(), row["predicate"].strip(), row["object"].strip())
-                )
+        rows = [
+            (row["subject"].strip(), row["predicate"].strip(), row["object"].strip())
+            for row in _csv_rows(path, ("subject", "predicate", "object"))
+        ]
         return cls(rows=rows, dialect=dialect)
 
     @cached_property
@@ -176,24 +182,54 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
     """All non-overlapping occurrences of each rule in the raw text.
 
     Matches of different rules may overlap; matches of one rule never do.
+    A case-sensitive rule is found by substring search and builds no
+    regex. A case-insensitive rule builds its `MatchRule.regex` only if
+    its folded pattern occurs in the folded text; that test never drops a
+    match, so the regex decides every case-insensitive span.
     """
+    text = doc.text
+    folded_text: str | None = None
     mentions: list[EntityMention] = []
     for rule in rules:
-        mentions.extend(_match_surface(doc, rule))
+        if rule.case_sensitive:
+            spans = _literal_spans(text, rule.pattern)
+        else:
+            if folded_text is None:
+                folded_text = _fold(text)
+            if rule._folded not in folded_text:
+                continue
+            spans = ((m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text))
+        resolved_id = rule.target_entity or None
+        mentions.extend(
+            EntityMention(
+                doc_id=doc.doc_id,
+                char_start=start,
+                char_end=end,
+                surface=surface,
+                resolved_id=resolved_id,
+                provenance="rule",
+            )
+            for start, end, surface in spans
+        )
     mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
     return mentions
 
 
-def _match_surface(doc: TextDocument, rule: MatchRule) -> Iterable[EntityMention]:
-    for match in rule.regex.finditer(doc.text):
-        yield EntityMention(
-            doc_id=doc.doc_id,
-            char_start=match.start(),
-            char_end=match.end(),
-            surface=match.group(0),
-            resolved_id=rule.target_entity or None,
-            provenance="rule",
-        )
+def _literal_spans(text: str, pattern: str) -> Iterator[tuple[int, int, str]]:
+    """The non-overlapping occurrences of a nonempty literal, left to right,
+    as `re.finditer(re.escape(pattern), text)` finds them."""
+    start = text.find(pattern)
+    while start >= 0:
+        end = start + len(pattern)
+        yield start, end, pattern
+        start = text.find(pattern, end)
+
+
+def _fold(s: str) -> str:
+    """Case-fold `s` one character at a time so that every pair of
+    characters `re.IGNORECASE` equates folds to the same string: casefold
+    alone keeps dotless ı apart from i, and İ as i plus a combining dot."""
+    return s.casefold().replace("\u0307", "").replace("\u0131", "i")
 
 
 @dataclass
@@ -335,26 +371,35 @@ def load_rules(path: str | Path) -> list[MatchRule]:
     """
     rules = []
     lemma_rules = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rule = MatchRule(
-                pattern=row["pattern"],
-                case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
-                target_entity=(row.get("target") or "").strip(),
-            )
-            layer = (row.get("match_layer") or "surface").strip()
-            if layer == "lemma":
-                lemma_rules += 1
-            elif layer == "surface":
-                rules.append(rule)
-            else:
-                raise ValueError(f"match_layer must be surface or lemma, got {layer!r}")
+    for row in _csv_rows(path, ("pattern",)):
+        rule = MatchRule(
+            pattern=row["pattern"],
+            case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
+            target_entity=(row.get("target") or "").strip(),
+        )
+        layer = (row.get("match_layer") or "surface").strip()
+        if layer == "lemma":
+            lemma_rules += 1
+        elif layer == "surface":
+            rules.append(rule)
+        else:
+            raise ValueError(f"match_layer must be surface or lemma, got {layer!r}")
     if lemma_rules:
         logger.warning(
             "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",
             lemma_rules,
         )
     return rules
+
+
+def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """The rows of a CSV file whose header names every one of `columns`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(columns) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
+        yield from reader
 
 
 def _parse_bool(raw: str | None, default: bool) -> bool:

@@ -534,6 +534,34 @@ class TestScore:
         assert float(by_doc["doc1"][2]) == pytest.approx(0.5, abs=1e-12)
         assert float(by_doc["doc3"][2]) == pytest.approx(1 - (4 / 9 + 1 / 9), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "flag, header, missing",
+        [
+            ("--rules", "case_sensitive,match_layer,target\n", "['pattern']"),
+            ("--triples", "subject,object\n", "['predicate']"),
+        ],
+        ids=["rules", "triples"],
+    )
+    def test_input_without_expected_column_fails_cleanly(
+        self, tmp_path, fixture_dir, capsys, flag, header, missing
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header, encoding="utf-8")
+        argv = [
+            "score",
+            "--corpus",
+            str(fixture_dir / "corpus"),
+            "--rules",
+            str(fixture_dir / "rules.csv"),
+            "--triples",
+            str(fixture_dir / "triples.csv"),
+            "--out",
+            str(tmp_path / "score"),
+        ]
+        argv[argv.index(flag) + 1] = str(bad)
+        assert run_cli(*argv) == 1
+        assert f"{bad} lacks expected columns {missing}" in capsys.readouterr().err
+
 
 class TestReport:
     def test_matches_golden_svg(self, tmp_path):
@@ -612,6 +640,29 @@ class TestReport:
         assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
         assert "outside [0, 1]" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+
+    def test_colliding_figure_names_write_nothing(self, tmp_path, capsys):
+        # "a b" and "a-b" both map to figure_a-b.svg
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            "a b,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
+            "a-b,2020-01-01,B,right,1,2,0.1,0.2,0.1,indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "fig"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept", encoding="utf-8")
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "'a b'" in err and "'a-b'" in err and "figure_a-b.svg" in err
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+        assert run_cli(
+            "report", "--audit", str(audit_csv), "--out", str(tmp_path / "new")
+        ) == 1
+        assert not (tmp_path / "new").exists()
 
 
 class TestValidate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _sre
 import json
 import random
 import re
@@ -31,6 +32,12 @@ from kgdiv.pipeline import (
     match_rules,
     parse_annotation_response,
 )
+from kgdiv.pipeline import _fold
+
+try:
+    from re._casefix import _EXTRA_CASES
+except ImportError:  # Python 3.10 keeps the table in sre_compile
+    from sre_compile import _ignorecase_fixes as _EXTRA_CASES
 
 NVA_RULE = MatchRule(
     pattern="N-VA",
@@ -131,6 +138,87 @@ class TestMatchRules:
         strict = {(m.char_start, m.char_end) for m in match_rules(doc, [sensitive])}
         loose = {(m.char_start, m.char_end) for m in match_rules(doc, [insensitive])}
         assert strict <= loose
+
+    # case pairs that re.IGNORECASE equates although lower() or casefold()
+    # tell them apart: long s, Kelvin sign, dotted and dotless i, sharp s,
+    # final sigma, micro sign, and a combining dot above
+    CASE_ALPHABET = "sſSkK\u212aİıIißẞσςΣµμ\u0307 "
+
+    @given(
+        st.text(alphabet=CASE_ALPHABET, max_size=30),
+        st.lists(
+            st.tuples(st.text(alphabet=CASE_ALPHABET, min_size=1, max_size=4), st.booleans()),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=400)
+    def test_property_equals_per_rule_finditer(self, text, specs):
+        rules = [
+            MatchRule(pattern=pattern, case_sensitive=sensitive, target_entity=f"t{k}")
+            for k, (pattern, sensitive) in enumerate(specs)
+        ]
+        expected = sorted(
+            (
+                (m.start(), m.end(), m.group(0), rule.target_entity)
+                for rule in rules
+                for m in re.finditer(
+                    re.escape(rule.pattern),
+                    text,
+                    0 if rule.case_sensitive else re.IGNORECASE,
+                )
+            ),
+            key=lambda span: (span[0], span[1], span[3]),
+        )
+        got = [
+            (m.char_start, m.char_end, m.surface, m.resolved_id)
+            for m in match_rules(TextDocument(doc_id="d", text=text), rules)
+        ]
+        assert got == expected
+
+    def test_regex_built_only_for_insensitive_rules_that_can_match(self):
+        doc = TextDocument(doc_id="d", text="De N-VA en Groen")
+        sensitive_hit = MatchRule(pattern="N-VA", target_entity="u:nva")
+        sensitive_miss = MatchRule(pattern="Vooruit", target_entity="u:v")
+        insensitive_miss = MatchRule(
+            pattern="vlaams belang", case_sensitive=False, target_entity="u:vb"
+        )
+        insensitive_hit = MatchRule(pattern="GROEN", case_sensitive=False, target_entity="u:g")
+        rules = [sensitive_hit, sensitive_miss, insensitive_miss, insensitive_hit]
+        assert len(match_rules(doc, rules)) == 2
+        for rule in (sensitive_hit, sensitive_miss, insensitive_miss):
+            assert "regex" not in rule.__dict__
+        assert "regex" in insensitive_hit.__dict__
+
+
+def _ignorecase_pairs() -> list[tuple[str, str]]:
+    """Every ordered pair of distinct code points that re.IGNORECASE
+    equates: those sharing a lowercase form, joined by re's table of extra
+    cases (such as i and dotless ı)."""
+    groups: dict[int, set[int]] = {}
+    for code in range(0x110000):
+        lower = _sre.unicode_tolower(code)
+        if lower != code:
+            groups.setdefault(lower, {lower}).add(code)
+    for lower in _EXTRA_CASES:
+        groups.setdefault(lower, {lower})
+    pairs = []
+    for lower, group in groups.items():
+        equal = set(group)
+        for extra in _EXTRA_CASES.get(lower, ()):
+            equal |= groups.get(extra, {extra})
+        pairs += [(chr(a), chr(b)) for a in group for b in equal if a != b]
+    return pairs
+
+
+def test_fold_keeps_every_ignorecase_pair():
+    # the prefilter may drop a case-insensitive rule only if no span can
+    # match, so fold(a) must occur in fold(b) whenever re equates a and b
+    pairs = _ignorecase_pairs()
+    assert len(pairs) > 2000
+    for a, b in pairs:
+        assert re.fullmatch(re.escape(a), b, re.IGNORECASE), (a, b)
+        assert _fold(a) in _fold(b), (a, b)
 
 
 class TestAnnotation:
