@@ -13,7 +13,6 @@ every body and only the comparison runs per body.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from collections import Counter
@@ -21,6 +20,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
+
+from .catalog import csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -201,10 +202,23 @@ class UnmappedRef:
     source: str
 
 
+#: One parsed snapshot row: (source, politician_id, label, party, relevant,
+#: start, end, death). party is the canonical acronym, or None for a row
+#: with no party reference or one the map cannot resolve; an inverted
+#: interval has lost its start and end.
+SnapshotRow = tuple[str, str, str, str | None, bool, date | None, date | None, date | None]
+
+
 @dataclass
-class NormalizationResult:
-    politicians: list[PoliticianRecord]
+class Snapshot:
+    """A politicians snapshot read once by read_snapshot: one SnapshotRow
+    per row, the refs the map cannot resolve, the sorted findings, and the
+    latest retrieved_at stamp (None when no row has one)."""
+
+    rows: list[SnapshotRow]
     unmapped: list[UnmappedRef]
+    findings: list[Finding]
+    retrieved_at: date | None
 
 
 @dataclass(frozen=True)
@@ -243,24 +257,22 @@ class CoverageRow:
 class AuditResult:
     rows: list[AuditRow]
     coverage: list[CoverageRow]
-    unmapped: list[UnmappedRef]
 
 
 #: xsd:gYear and xsd:gYearMonth values, as DBpedia returns them
 _PARTIAL_DATE = re.compile(r"(\d{4})(?:-(\d{2}))?")
 
+#: columns whose year or year-month value is read as its latest day, so a
+#: partial end or death never comes early; a partial start or stamp is read
+#: as its earliest day, so it never begins late
+_LATEST_DAY_COLUMNS = frozenset(("aff_end", "death_date"))
 
-def _row_date(
-    row: Mapping[str, str],
-    column: str,
-    latest: bool = False,
-    partial: list[str] | None = None,
-) -> date | None:
+
+def _row_date(row: Mapping[str, str], column: str, partial: list[str]) -> date | None:
     """The ISO date in a snapshot row's column, or None if it is empty.
 
-    A bare year or year-month is read as its earliest day, or its latest
-    if `latest`, so a partial start never begins late and a partial end or
-    death never comes early; such a reading is also noted in `partial`.
+    A bare year or year-month is read as its earliest or latest day, by
+    column, and the reading is noted in `partial`.
     """
     raw = (row.get(column) or "").strip()
     if not raw:
@@ -270,7 +282,7 @@ def _row_date(
     except ValueError:
         match = _PARTIAL_DATE.fullmatch(raw)
         if match is None:
-            raise
+            raise ValueError(f"{column} {raw!r} is not an ISO date") from None
     year = int(match.group(1))
     if match.group(2) is None:
         first, last = date(year, 1, 1), date(year, 12, 31)
@@ -280,69 +292,140 @@ def _row_date(
             last = date(year, 12, 31)
         else:
             last = first.replace(month=first.month + 1) - timedelta(days=1)
-    day = last if latest else first
-    if partial is not None:
-        partial.append(f"{column} {raw} read as {day}")
+    day = last if column in _LATEST_DAY_COLUMNS else first
+    partial.append(f"{column} {raw} read as {day}")
     return day
 
 
-def normalize_affiliations(
-    rows: Iterable[Mapping[str, str]],
-    nmap: NormalizationMap,
-    career_end_overrides: Mapping[str, date] | None = None,
-) -> NormalizationResult:
-    """Collapse raw snapshot rows into one PoliticianRecord per politician.
+def read_snapshot(
+    politician_rows: Iterable[Mapping[str, str]],
+    party_rows: Iterable[Mapping[str, str]] = (),
+    nmap: NormalizationMap | None = None,
+) -> Snapshot:
+    """Parse each politicians row once and flag data-quality problems.
 
-    Party references are resolved through the alias map; affiliations to
-    not-relevant or foreign parties are retained but flagged so the bounds
-    computation skips them. Unresolvable references are dropped from the
-    record and reported. Rows whose interval is inverted (end before start)
-    keep the affiliation but lose the dates; validate_snapshot reports them.
-    A year or year-month date is read as its earliest day for a start and
-    its latest day for an end or a death.
+    Every date column is read once and every party reference resolved
+    once (given a map; without one no row has a party). The findings are
+    resources appearing both as politician and as party reference, rows
+    with a year or year-month date (one finding per row, naming the day
+    each is read as), inverted affiliation intervals, deaths predating an
+    affiliation start, and (given a map) politicians with no relevant
+    affiliation at all.
+    """
+    rows: list[SnapshotRow] = []
+    unmapped: list[UnmappedRef] = []
+    findings: list[Finding] = []
+    retrieved_at = None
+    politician_ids: set[str] = set()
+    party_refs = {r["party_id"] for r in party_rows if r.get("party_id")}
+    deaths: dict[str, date] = {}
+    starts: dict[str, list[date]] = {}
+    with_relevant: set[str] = set()
+    for row in politician_rows:
+        source = row.get("source", "")
+        pid = row["politician_id"]
+        ref = row.get("party_id") or ""
+        politician_ids.add(pid)
+        if ref:
+            party_refs.add(ref)
+
+        partial: list[str] = []
+        start = _row_date(row, "aff_start", partial)
+        end = _row_date(row, "aff_end", partial)
+        death = _row_date(row, "death_date", partial)
+        # a partial stamp is no finding
+        stamp = _row_date(row, "retrieved_at", [])
+        if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
+            retrieved_at = stamp
+        if partial:
+            findings.append(
+                Finding("partial-date", pid, f"affiliation {ref}: " + ", ".join(partial))
+            )
+        if start is not None:
+            starts.setdefault(pid, []).append(start)
+            if end is not None and end < start:
+                findings.append(
+                    Finding(
+                        "inverted-interval",
+                        pid,
+                        f"affiliation {ref} has end {end} before start {start}",
+                    )
+                )
+                start = end = None
+        if death is not None:
+            deaths.setdefault(pid, death)
+
+        party, relevant = None, False
+        raw_ref = ref.strip()
+        if raw_ref and nmap is not None:
+            party = nmap.resolve(raw_ref)
+            if party is None:
+                unmapped.append(UnmappedRef(raw_ref, pid, source))
+            elif nmap.party(party).relevance == "relevant":
+                relevant = True
+                with_relevant.add(pid)
+        rows.append((source, pid, row.get("label") or "", party, relevant, start, end, death))
+
+    for conflicted in sorted(politician_ids & party_refs):
+        findings.append(
+            Finding(
+                "type-conflict",
+                conflicted,
+                "appears both as a politician and as a party reference",
+            )
+        )
+    for pid in sorted(deaths):
+        late_starts = [s for s in starts.get(pid, []) if s > deaths[pid]]
+        if late_starts:
+            findings.append(
+                Finding(
+                    "death-before-start",
+                    pid,
+                    f"death {deaths[pid]} precedes affiliation start {min(late_starts)}",
+                )
+            )
+    if nmap is not None:
+        for pid in sorted(politician_ids - with_relevant):
+            findings.append(
+                Finding("no-relevant-affiliation", pid, "no affiliation with a relevant party")
+            )
+    findings.sort(key=lambda f: (f.kind, f.subject))
+    return Snapshot(rows, unmapped, findings, retrieved_at)
+
+
+def normalize_affiliations(
+    rows: Iterable[SnapshotRow],
+    career_end_overrides: Mapping[str, date] | None = None,
+) -> list[PoliticianRecord]:
+    """Collapse one source's parsed rows into one PoliticianRecord per
+    politician, in politician order.
+
+    A politician's label and death are its first non-empty ones. Rows
+    without a canonical party add no affiliation; affiliations to
+    not-relevant or foreign parties are kept but flagged, so the bounds
+    computation skips them.
     """
     overrides = career_end_overrides or {}
     by_id: dict[str, dict] = {}
-    unmapped: list[UnmappedRef] = []
-    for row in rows:
-        pid = row["politician_id"]
-        entry = by_id.setdefault(
-            pid, {"label": "", "death": None, "affs": [], "source": row.get("source", "")}
-        )
-        if not entry["label"] and row.get("label"):
-            entry["label"] = row["label"]
+    for _, pid, label, party, relevant, start, end, death in rows:
+        entry = by_id.setdefault(pid, {"label": "", "death": None, "affs": []})
+        if not entry["label"]:
+            entry["label"] = label
         if entry["death"] is None:
-            entry["death"] = _row_date(row, "death_date", latest=True)
-
-        raw_ref = (row.get("party_id") or "").strip()
-        if not raw_ref:
-            continue
-        canonical = nmap.resolve(raw_ref)
-        if canonical is None:
-            unmapped.append(UnmappedRef(raw_ref, pid, row.get("source", "")))
-            continue
-        start = _row_date(row, "aff_start")
-        end = _row_date(row, "aff_end", latest=True)
-        if start is not None and end is not None and end < start:
-            start, end = None, None
-        interval = DateInterval(start, end) if (start or end) else None
-        relevant = nmap.party(canonical).relevance == "relevant"
-        entry["affs"].append(Affiliation(canonical, interval, relevant))
-
-    politicians = []
-    for pid in sorted(by_id):
-        entry = by_id[pid]
-        deduped = list(dict.fromkeys(entry["affs"]))
-        politicians.append(
-            PoliticianRecord(
-                id=pid,
-                label=entry["label"],
-                affiliations=tuple(deduped),
-                death_date=entry["death"],
-                career_end_override=overrides.get(pid),
-            )
+            entry["death"] = death
+        if party is not None:
+            interval = DateInterval(start, end) if (start or end) else None
+            entry["affs"].append(Affiliation(party, interval, relevant))
+    return [
+        PoliticianRecord(
+            id=pid,
+            label=entry["label"],
+            affiliations=tuple(dict.fromkeys(entry["affs"])),
+            death_date=entry["death"],
+            career_end_override=overrides.get(pid),
         )
-    return NormalizationResult(politicians=politicians, unmapped=unmapped)
+        for pid, entry in sorted(by_id.items())
+    ]
 
 
 def activity_period(p: PoliticianRecord, today: date) -> DateInterval | None:
@@ -437,7 +520,7 @@ def classify(lower_share: float, upper_share: float, baseline: float) -> str:
 
 
 def run_audit(
-    snapshot_rows: Iterable[Mapping[str, str]],
+    snapshot: Snapshot,
     nmap: NormalizationMap,
     schedule: Sequence[date] = DEFAULT_SCHEDULE,
     today: date | None = None,
@@ -445,46 +528,42 @@ def run_audit(
 ) -> AuditResult:
     """Visibility bounds over a politicians snapshot, per source and time point.
 
-    One pass per source: normalize once, take each politician's activity
-    period and relevant career set once, then at each time point count
-    the career sets of the active politicians and read every relevant
-    party's bounds from that count. The rows carry no baseline; judge
-    compares them with one body's seat shares.
+    `snapshot` is read_snapshot's result under the same map. One pass per
+    source: normalize once, take each politician's activity period and
+    relevant career set once, then at each time point count the career
+    sets of the active politicians and read every relevant party's bounds
+    from that count. The rows carry no baseline; judge compares them with
+    one body's seat shares.
 
     `today` caps open-ended affiliations; it defaults to the snapshot's
     latest retrieved_at stamp so a cached snapshot always audits the same
     way. Rows without any stamp need an explicit `today`.
     """
-    rows = list(snapshot_rows)
     if today is None:
-        stamps = [_row_date(r, "retrieved_at") for r in rows]
-        stamps = [s for s in stamps if s is not None]
-        if rows and not stamps:
+        if snapshot.rows and snapshot.retrieved_at is None:
             raise ValueError(
                 "no snapshot row has a retrieved_at stamp; give the date that "
                 "caps open careers with --today"
             )
-        today = max(stamps) if stamps else date.today()
+        today = snapshot.retrieved_at or date.today()
 
-    by_source: dict[str, list[Mapping[str, str]]] = {}
-    for row in rows:
-        by_source.setdefault(row.get("source", ""), []).append(row)
+    by_source: dict[str, list[SnapshotRow]] = {}
+    for row in snapshot.rows:
+        by_source.setdefault(row[0], []).append(row)
 
     relevant = nmap.relevant_parties()
     alignment = {p: nmap.party(p).alignment for p in relevant}
     audit_rows: list[AuditRow] = []
     coverage: list[CoverageRow] = []
-    unmapped: list[UnmappedRef] = []
 
     for source in sorted(by_source):
-        norm = normalize_affiliations(by_source[source], nmap, career_end_overrides)
-        unmapped.extend(norm.unmapped)
+        politicians = normalize_affiliations(by_source[source], career_end_overrides)
         careers = []
-        for p in norm.politicians:
+        for p in politicians:
             period = activity_period(p, today)
             if period is not None:
                 careers.append((period, p.relevant_parties()))
-        undated = len(norm.politicians) - len(careers)
+        undated = len(politicians) - len(careers)
         for time_point in sorted(schedule):
             counts = Counter(
                 career for period, career in careers if period.contains(time_point)
@@ -527,7 +606,7 @@ def run_audit(
                         active_total=active_total,
                     )
                 )
-    return AuditResult(rows=audit_rows, coverage=coverage, unmapped=unmapped)
+    return AuditResult(rows=audit_rows, coverage=coverage)
 
 
 def judge(
@@ -544,95 +623,6 @@ def judge(
     return judged
 
 
-def validate_snapshot(
-    politician_rows: Iterable[Mapping[str, str]],
-    party_rows: Iterable[Mapping[str, str]] = (),
-    nmap: NormalizationMap | None = None,
-) -> list[Finding]:
-    """Flag structural data-quality problems in a snapshot.
-
-    Checks: resources appearing both as politician and as party reference,
-    rows with a year or year-month date (one finding per row, naming the
-    day each is read as), inverted affiliation intervals, deaths predating
-    an affiliation start, and (when a normalization map is supplied)
-    politicians with no relevant affiliation at all.
-    """
-    politician_rows = list(politician_rows)
-    findings: list[Finding] = []
-
-    politician_ids = {r["politician_id"] for r in politician_rows}
-    party_refs = {r["party_id"] for r in politician_rows if r.get("party_id")}
-    party_refs.update(r["party_id"] for r in party_rows if r.get("party_id"))
-    for conflicted in sorted(politician_ids & party_refs):
-        findings.append(
-            Finding(
-                kind="type-conflict",
-                subject=conflicted,
-                detail="appears both as a politician and as a party reference",
-            )
-        )
-
-    deaths: dict[str, date] = {}
-    starts: dict[str, list[date]] = {}
-    with_relevant: set[str] = set()
-    for row in politician_rows:
-        pid = row["politician_id"]
-        if nmap is not None:
-            canonical = nmap.resolve((row.get("party_id") or "").strip())
-            if canonical is not None and nmap.party(canonical).relevance == "relevant":
-                with_relevant.add(pid)
-        partial: list[str] = []
-        start = _row_date(row, "aff_start", partial=partial)
-        end = _row_date(row, "aff_end", latest=True, partial=partial)
-        death = _row_date(row, "death_date", latest=True, partial=partial)
-        if partial:
-            findings.append(
-                Finding(
-                    kind="partial-date",
-                    subject=pid,
-                    detail=f"affiliation {row.get('party_id', '')}: "
-                    + ", ".join(partial),
-                )
-            )
-        if start is not None and end is not None and end < start:
-            findings.append(
-                Finding(
-                    kind="inverted-interval",
-                    subject=pid,
-                    detail=f"affiliation {row.get('party_id', '')} has end {end} "
-                    f"before start {start}",
-                )
-            )
-        if start is not None:
-            starts.setdefault(pid, []).append(start)
-        if death is not None:
-            deaths.setdefault(pid, death)
-    for pid in sorted(deaths):
-        late_starts = [s for s in starts.get(pid, []) if s > deaths[pid]]
-        if late_starts:
-            findings.append(
-                Finding(
-                    kind="death-before-start",
-                    subject=pid,
-                    detail=f"death {deaths[pid]} precedes affiliation start "
-                    f"{min(late_starts)}",
-                )
-            )
-
-    if nmap is not None:
-        for pid in sorted(politician_ids - with_relevant):
-            findings.append(
-                Finding(
-                    kind="no-relevant-affiliation",
-                    subject=pid,
-                    detail="no affiliation with a relevant party",
-                )
-            )
-
-    findings.sort(key=lambda f: (f.kind, f.subject))
-    return findings
-
-
 def load_normalization_map(
     alias_path: str | Path, parties_path: str | Path
 ) -> NormalizationMap:
@@ -642,18 +632,17 @@ def load_normalization_map(
     parties CSV: canonical_acronym,alignment,relevance
     """
     parties: dict[str, PartyRecord] = {}
-    with open(parties_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            acronym = row["canonical_acronym"].strip()
-            parties[acronym] = PartyRecord(
-                canonical_acronym=acronym,
-                alignment=row["alignment"].strip(),
-                relevance=row["relevance"].strip(),
-            )
-    aliases: dict[str, str] = {}
-    with open(alias_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            aliases[row["alias"].strip()] = row["canonical_acronym"].strip()
+    for row in csv_rows(parties_path, ("canonical_acronym", "alignment", "relevance")):
+        acronym = row["canonical_acronym"].strip()
+        parties[acronym] = PartyRecord(
+            canonical_acronym=acronym,
+            alignment=row["alignment"].strip(),
+            relevance=row["relevance"].strip(),
+        )
+    aliases = {
+        row["alias"].strip(): row["canonical_acronym"].strip()
+        for row in csv_rows(alias_path, ("alias", "canonical_acronym"))
+    }
     return NormalizationMap(alias_to_canonical=aliases, canonical_to_party=parties)
 
 
@@ -663,21 +652,21 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
     CSV: body,election_date,canonical_acronym,seats,total_seats
     """
     per_body: dict[str, dict[date, dict]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            body = row["body"].strip()
-            election = date.fromisoformat(row["election_date"].strip())
-            entry = per_body.setdefault(body, {}).setdefault(
-                election, {"seats": {}, "total": None}
+    columns = ("body", "election_date", "canonical_acronym", "seats", "total_seats")
+    for row in csv_rows(path, columns):
+        body = row["body"].strip()
+        election = date.fromisoformat(row["election_date"].strip())
+        entry = per_body.setdefault(body, {}).setdefault(
+            election, {"seats": {}, "total": None}
+        )
+        entry["seats"][row["canonical_acronym"].strip()] = int(row["seats"])
+        total = int(row["total_seats"])
+        if entry["total"] is not None and entry["total"] != total:
+            raise ValueError(
+                f"inconsistent total_seats for {body} {election}: "
+                f"{entry['total']} vs {total}"
             )
-            entry["seats"][row["canonical_acronym"].strip()] = int(row["seats"])
-            total = int(row["total_seats"])
-            if entry["total"] is not None and entry["total"] != total:
-                raise ValueError(
-                    f"inconsistent total_seats for {body} {election}: "
-                    f"{entry['total']} vs {total}"
-                )
-            entry["total"] = total
+        entry["total"] = total
     tables = {}
     for body, elections in per_body.items():
         tables[body] = BaselineTable(
@@ -692,10 +681,7 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
 
 def load_career_end_overrides(path: str | Path) -> dict[str, date]:
     """Load curated career-end dates (CSV: politician_id,career_end)."""
-    overrides = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            overrides[row["politician_id"].strip()] = date.fromisoformat(
-                row["career_end"].strip()
-            )
-    return overrides
+    return {
+        row["politician_id"].strip(): date.fromisoformat(row["career_end"].strip())
+        for row in csv_rows(path, ("politician_id", "career_end"))
+    }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 from .sparql import EndpointConfig, QueryTemplate, Transport, execute_query
@@ -359,18 +359,32 @@ def write_parties_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> No
     _write_csv(Path(path), PARTIES_CSV_HEADER, rows)
 
 
-def _read_csv(path: Path, header: Sequence[str]) -> list[dict[str, str]]:
+def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """The rows of a CSV file whose header names every one of `columns`.
+
+    A row with more or fewer fields than the header is an error; blank
+    lines are skipped.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(header) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
-        return [dict(row) for row in reader]
+        for fields in reader:
+            if len(fields) != len(header):
+                if not fields:
+                    continue
+                raise ValueError(
+                    f"{path} line {reader.line_num}: {len(fields)} fields "
+                    f"where the header has {len(header)}"
+                )
+            yield dict(zip(header, fields))
 
 
 def read_politicians_csv(path: str | Path) -> list[dict[str, str]]:
-    return _read_csv(Path(path), POLITICIANS_CSV_HEADER)
+    return list(csv_rows(path, POLITICIANS_CSV_HEADER))
 
 
 def read_parties_csv(path: str | Path) -> list[dict[str, str]]:
-    return _read_csv(Path(path), PARTIES_CSV_HEADER)
+    return list(csv_rows(path, PARTIES_CSV_HEADER))

@@ -241,12 +241,22 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def cmd_audit(args) -> int:
-    out = _out_dir(args)
-    snapshot_dir = Path(args.snapshot)
+def _read_snapshot(raw: str, nmap: audit_mod.NormalizationMap | None) -> audit_mod.Snapshot:
+    """A snapshot directory's rows, read once; its parties.csv is optional."""
+    snapshot_dir = Path(raw)
     politicians_path = snapshot_dir / "politicians.csv"
     if not politicians_path.exists():
         raise ConfigError(f"snapshot {snapshot_dir} has no politicians.csv")
+    parties_path = snapshot_dir / "parties.csv"
+    return audit_mod.read_snapshot(
+        catalog.read_politicians_csv(politicians_path),
+        catalog.read_parties_csv(parties_path) if parties_path.exists() else [],
+        nmap,
+    )
+
+
+def cmd_audit(args) -> int:
+    out = _out_dir(args)
     for name, raw in (
         ("baseline", args.baseline),
         ("map", args.map_file),
@@ -276,21 +286,15 @@ def cmd_audit(args) -> int:
             )
         bodies = [args.body]
 
-    politician_rows = catalog.read_politicians_csv(politicians_path)
-    parties_path = snapshot_dir / "parties.csv"
-    party_rows = (
-        catalog.read_parties_csv(parties_path) if parties_path.exists() else []
-    )
-
-    findings = audit_mod.validate_snapshot(politician_rows, party_rows, nmap)
+    snapshot = _read_snapshot(args.snapshot, nmap)
     result = audit_mod.run_audit(
-        politician_rows,
+        snapshot,
         nmap,
         schedule=schedule,
         today=args.today,
         career_end_overrides=overrides,
     )
-    distinct_refs = sorted({u.raw_ref for u in result.unmapped})
+    distinct_refs = sorted({u.raw_ref for u in snapshot.unmapped})
     writers = {
         "unmapped_refs.csv": partial(
             _write_rows,
@@ -298,7 +302,7 @@ def cmd_audit(args) -> int:
             rows=[
                 [u.source, u.politician_id, u.raw_ref]
                 for u in sorted(
-                    result.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
+                    snapshot.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
                 )
             ],
         )
@@ -316,7 +320,7 @@ def cmd_audit(args) -> int:
     writers["findings.csv"] = partial(
         _write_rows,
         header=["kind", "subject", "detail"],
-        rows=[[f.kind, f.subject, f.detail] for f in findings],
+        rows=[[f.kind, f.subject, f.detail] for f in snapshot.findings],
     )
     coverage = [
         [
@@ -340,7 +344,7 @@ def cmd_audit(args) -> int:
             rows=coverage,
         )
     _write_all(out, writers)
-    print(f"audit written to {out} (bodies: {', '.join(bodies)}; findings: {len(findings)})")
+    print(f"audit written to {out} (bodies: {', '.join(bodies)}; findings: {len(snapshot.findings)})")
     return 0
 
 
@@ -358,14 +362,10 @@ def _load_corpus(path: Path) -> list[TextDocument]:
             raise ConfigError(f"corpus directory {path} has no .txt files")
         return docs
     if path.suffix.lower() == ".csv":
-        docs = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if not reader.fieldnames or {"doc_id", "text"} - set(reader.fieldnames):
-                raise ConfigError(f"corpus CSV {path} needs doc_id and text columns")
-            for row in reader:
-                docs.append(TextDocument(doc_id=row["doc_id"], text=row["text"]))
-        return docs
+        return [
+            TextDocument(doc_id=row["doc_id"], text=row["text"])
+            for row in catalog.csv_rows(path, ("doc_id", "text"))
+        ]
     raise ConfigError(f"corpus {path} is neither a directory nor a CSV file")
 
 
@@ -510,21 +510,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    snapshot_dir = Path(args.snapshot)
-    politicians_path = snapshot_dir / "politicians.csv"
-    if not politicians_path.exists():
-        raise ConfigError(f"snapshot {snapshot_dir} has no politicians.csv")
-    politician_rows = catalog.read_politicians_csv(politicians_path)
-    parties_path = snapshot_dir / "parties.csv"
-    party_rows = (
-        catalog.read_parties_csv(parties_path) if parties_path.exists() else []
-    )
     nmap = None
     if args.map_file and args.parties:
         nmap = audit_mod.load_normalization_map(
             _require_file(args.map_file, "map"), _require_file(args.parties, "parties")
         )
-    findings = audit_mod.validate_snapshot(politician_rows, party_rows, nmap)
+    findings = _read_snapshot(args.snapshot, nmap).findings
     for finding in findings:
         print(f"{finding.kind}: {finding.subject} ({finding.detail})")
     if not findings:

@@ -11,7 +11,6 @@ design; the dotted feature-name prefix records the path they came in by.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
@@ -21,6 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
+from .catalog import csv_rows
 from .diversity import ACTOR_TYPES, FeatureSet
 
 logger = logging.getLogger(__name__)
@@ -155,7 +155,7 @@ class CsvTripleSource:
     def from_file(cls, path: str | Path, dialect: str = "generic") -> "CsvTripleSource":
         rows = [
             (row["subject"].strip(), row["predicate"].strip(), row["object"].strip())
-            for row in _csv_rows(path, ("subject", "predicate", "object"))
+            for row in csv_rows(path, ("subject", "predicate", "object"))
         ]
         return cls(rows=rows, dialect=dialect)
 
@@ -371,7 +371,7 @@ def load_rules(path: str | Path) -> list[MatchRule]:
     """
     rules = []
     lemma_rules = 0
-    for row in _csv_rows(path, ("pattern",)):
+    for row in csv_rows(path, ("pattern",)):
         rule = MatchRule(
             pattern=row["pattern"],
             case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
@@ -390,16 +390,6 @@ def load_rules(path: str | Path) -> list[MatchRule]:
             lemma_rules,
         )
     return rules
-
-
-def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """The rows of a CSV file whose header names every one of `columns`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
-        yield from reader
 
 
 def _parse_bool(raw: str | None, default: bool) -> bool:

@@ -28,6 +28,7 @@ from kgdiv.audit import (
     classify,
     compute_bounds,
     judge,
+    read_snapshot,
     run_audit,
 )
 from kgdiv.catalog import coverage_counts
@@ -156,7 +157,7 @@ def test_criterion_4_flemish_over_representation():
                 "retrieved_at": "2022-05-27",
             }
         )
-    result = run_audit(rows, nmap, schedule=[date(2020, 1, 1)])
+    result = run_audit(read_snapshot(rows, nmap=nmap), nmap, schedule=[date(2020, 1, 1)])
     nva = next(r for r in judge(result.rows, baselines) if r.party == "N-VA")
     assert nva.verdict == "over"
     assert nva.lower_share == pytest.approx(15 / 21)

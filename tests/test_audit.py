@@ -27,8 +27,8 @@ from kgdiv.audit import (
     load_baselines,
     load_normalization_map,
     normalize_affiliations,
+    read_snapshot,
     run_audit,
-    validate_snapshot,
 )
 
 TODAY = date(2022, 5, 1)
@@ -65,6 +65,20 @@ def snapshot_row(pid, party="", start="", end="", death="", label="", source="te
         "position": "",
         "retrieved_at": "2022-05-01",
     }
+
+
+def normalize(rows):
+    """The records and unmapped refs of one source's rows, read once."""
+    snapshot = read_snapshot(rows, nmap=make_map())
+    return normalize_affiliations(snapshot.rows), snapshot.unmapped
+
+
+def audit(rows, nmap, schedule, today=None):
+    return run_audit(read_snapshot(rows, nmap=nmap), nmap, schedule=schedule, today=today)
+
+
+def findings_of(rows, nmap=None):
+    return read_snapshot(rows, nmap=nmap).findings
 
 
 def politician(pid, *affs, death=None, override=None):
@@ -104,16 +118,14 @@ class TestNormalize:
             snapshot_row("p1", party="Volksunie", start="1980-01-01", end="2001-09-30"),
             snapshot_row("p1", party="http://example.org/party/NVA", start="2001-10-01"),
         ]
-        result = normalize_affiliations(rows, make_map())
-        (p,) = result.politicians
+        (p,), unmapped = normalize(rows)
         assert {a.party for a in p.affiliations} == {"N-VA"}
         assert len(p.affiliations) == 2  # distinct intervals survive the merge
-        assert result.unmapped == []
+        assert unmapped == []
 
     def test_not_relevant_flagged_but_retained(self):
         rows = [snapshot_row("p1", party="LocalList", start="2000-01-01")]
-        result = normalize_affiliations(rows, make_map())
-        (p,) = result.politicians
+        (p,), _ = normalize(rows)
         assert len(p.affiliations) == 1
         assert not p.affiliations[0].relevant
         assert p.relevant_parties() == frozenset()
@@ -123,20 +135,19 @@ class TestNormalize:
             snapshot_row("p1", party="N-VA", start="2004-01-01", end="2010-01-01"),
             snapshot_row("p1", party="N-VA", start="2004-01-01", end="2010-01-01"),
         ]
-        result = normalize_affiliations(rows, make_map())
-        assert len(result.politicians[0].affiliations) == 1
+        (p,), _ = normalize(rows)
+        assert len(p.affiliations) == 1
 
     def test_unmapped_ref_reported(self):
         rows = [snapshot_row("p1", party="MysteryParty")]
-        result = normalize_affiliations(rows, make_map())
-        assert len(result.unmapped) == 1
-        assert result.unmapped[0].raw_ref == "MysteryParty"
-        assert result.politicians[0].affiliations == ()
+        (p,), unmapped = normalize(rows)
+        assert len(unmapped) == 1
+        assert unmapped[0].raw_ref == "MysteryParty"
+        assert p.affiliations == ()
 
     def test_inverted_interval_loses_dates(self):
         rows = [snapshot_row("p1", party="N-VA", start="2005-01-01", end="2001-01-01")]
-        result = normalize_affiliations(rows, make_map())
-        (p,) = result.politicians
+        (p,), _ = normalize(rows)
         assert p.affiliations[0].interval is None
 
 
@@ -391,7 +402,7 @@ class TestRunAudit:
             snapshot_row("p3", party="A", start="2010-01-01"),
             snapshot_row("p4", party="B", start="2010-01-01"),
         ]
-        result = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        result = audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
         verdicts = {r.party: r.verdict for r in judge(result.rows, baselines)}
         assert verdicts == {"A": "over", "B": "under"}
         assert result.coverage[0].active_total == 4
@@ -403,7 +414,7 @@ class TestRunAudit:
             body="KVV",
             elections={date(2019, 5, 26): ElectionResult({"N-VA": 25}, 150)},
         )
-        result = run_audit([], nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        result = audit([], nmap, schedule=[date(2020, 1, 1)], today=TODAY)
         assert judge(result.rows, baselines) == []
         assert result.coverage == []
 
@@ -418,26 +429,26 @@ class TestRunAudit:
             snapshot_row("p2", party="Volksunie", start="1990-01-01", end="2001-01-01"),
             snapshot_row("p2", party="CD&V", start="2001-01-02"),
         ]
-        first = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
-        second = run_audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        first = audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
+        second = audit(rows, nmap, schedule=[date(2020, 1, 1)], today=TODAY)
         assert judge(first.rows, baselines) == judge(second.rows, baselines)
         assert first.coverage == second.coverage
 
     def test_unstamped_rows_need_today(self):
         rows = [{**snapshot_row("p1", party="N-VA", start="2021-01-01"), "retrieved_at": ""}]
         with pytest.raises(ValueError, match="--today"):
-            run_audit(rows, make_map(), schedule=[date(2022, 1, 1)])
-        result = run_audit(rows, make_map(), schedule=[date(2022, 1, 1)], today=TODAY)
+            audit(rows, make_map(), schedule=[date(2022, 1, 1)])
+        result = audit(rows, make_map(), schedule=[date(2022, 1, 1)], today=TODAY)
         assert result.coverage[0].active_total == 1
 
     def test_empty_snapshot_needs_no_today(self):
-        result = run_audit([], make_map(), schedule=[date(2020, 1, 1)])
+        result = audit([], make_map(), schedule=[date(2020, 1, 1)])
         assert result.rows == [] and result.coverage == []
 
     def test_today_defaults_to_retrieved_at(self):
         nmap = make_map()
         rows = [snapshot_row("p1", party="N-VA", start="2021-01-01")]
-        result = run_audit(rows, nmap, schedule=[date(2022, 1, 1)])
+        result = audit(rows, nmap, schedule=[date(2022, 1, 1)])
         # open affiliation capped at the snapshot stamp 2022-05-01, so the
         # politician is active at 2022-01-01 regardless of the wall clock
         assert result.coverage[0].active_total == 1
@@ -448,8 +459,75 @@ class TestRunAudit:
             snapshot_row("p2", party="CD&V", start="1990-02", end="1990-12"),
         ]
         schedule = [date(1990, 1, 1), date(1990, 12, 31), date(1991, 1, 1)]
-        result = run_audit(rows, make_map(), schedule=schedule, today=TODAY)
+        result = audit(rows, make_map(), schedule=schedule, today=TODAY)
         assert [c.active_total for c in result.coverage] == [1, 2, 0]
+
+
+def test_two_sources_keep_their_own_deaths():
+    """A record takes the first death of its own source; death-before-start
+    takes each politician's first death across sources and every start,
+    an inverted row's too."""
+    rows = [
+        snapshot_row("p1", party="N-VA", start="1990-01-01", death="2000-06-30", source="en-dbpedia"),
+        snapshot_row("p1", party="sp.a", start="2005-01-01", source="wikidata"),
+        snapshot_row(
+            "p1", party="CD&V", start="2003-01-01", end="2004-12-31", death="2011-12-31",
+            source="wikidata",
+        ),
+        snapshot_row("p1", party="Volksunie", start="2011", death="1999", source="wikidata"),
+        snapshot_row(
+            "p2", party="VB", start="2005-01-01", end="2001-01-01", death="2002-01-01",
+            source="en-dbpedia",
+        ),
+    ]
+    nmap = make_map()
+    snapshot = read_snapshot(rows, nmap=nmap)
+    assert [(f.kind, f.subject, f.detail) for f in snapshot.findings] == [
+        ("death-before-start", "p1", "death 2000-06-30 precedes affiliation start 2003-01-01"),
+        ("death-before-start", "p2", "death 2002-01-01 precedes affiliation start 2005-01-01"),
+        ("inverted-interval", "p2", "affiliation VB has end 2001-01-01 before start 2005-01-01"),
+        (
+            "partial-date",
+            "p1",
+            "affiliation Volksunie: aff_start 2011 read as 2011-01-01, "
+            "death_date 1999 read as 1999-12-31",
+        ),
+    ]
+    records = {
+        source: normalize_affiliations(r for r in snapshot.rows if r[0] == source)
+        for source in ("en-dbpedia", "wikidata")
+    }
+    assert records == {
+        "en-dbpedia": [
+            politician(
+                "p1",
+                Affiliation("N-VA", DateInterval(date(1990, 1, 1), None)),
+                death=date(2000, 6, 30),
+            ),
+            politician("p2", Affiliation("VB", None), death=date(2002, 1, 1)),
+        ],
+        "wikidata": [
+            politician(
+                "p1",
+                Affiliation("Vooruit", DateInterval(date(2005, 1, 1), None)),
+                Affiliation("CD&V", DateInterval(date(2003, 1, 1), date(2004, 12, 31))),
+                Affiliation("N-VA", DateInterval(date(2011, 1, 1), None)),
+                death=date(2011, 12, 31),
+            ),
+        ],
+    }
+    schedule = [date(2000, 1, 1), date(2004, 1, 1), date(2010, 1, 1), date(2012, 1, 1)]
+    result = run_audit(snapshot, nmap, schedule=schedule)
+    assert [(c.source, c.active_total, c.undated_total) for c in result.coverage] == [
+        ("en-dbpedia", 1, 1),
+        ("en-dbpedia", 0, 1),
+        ("en-dbpedia", 0, 1),
+        ("en-dbpedia", 0, 1),
+        ("wikidata", 0, 0),
+        ("wikidata", 1, 0),
+        ("wikidata", 1, 0),
+        ("wikidata", 0, 0),
+    ]
 
 
 class TestValidateSnapshot:
@@ -458,12 +536,12 @@ class TestValidateSnapshot:
             snapshot_row("p1", party="X"),
             snapshot_row("X", party="N-VA"),
         ]
-        findings = validate_snapshot(rows)
+        findings = findings_of(rows)
         assert any(f.kind == "type-conflict" and f.subject == "X" for f in findings)
 
     def test_inverted_interval(self):
         rows = [snapshot_row("p1", party="N-VA", start="2005-01-01", end="2001-01-01")]
-        findings = validate_snapshot(rows)
+        findings = findings_of(rows)
         assert [f.kind for f in findings] == ["inverted-interval"]
 
     def test_death_before_start(self):
@@ -472,16 +550,16 @@ class TestValidateSnapshot:
                 "p1", party="N-VA", start="2010-01-01", death="2005-06-01"
             )
         ]
-        findings = validate_snapshot(rows)
+        findings = findings_of(rows)
         assert [f.kind for f in findings] == ["death-before-start"]
 
     def test_clean_snapshot(self):
         rows = [snapshot_row("p1", party="N-VA", start="2010-01-01", end="2014-01-01")]
-        assert validate_snapshot(rows) == []
+        assert findings_of(rows) == []
 
     def test_no_relevant_affiliation(self):
         rows = [snapshot_row("p1", party="LocalList", start="2010-01-01")]
-        findings = validate_snapshot(rows, nmap=make_map())
+        findings = findings_of(rows, nmap=make_map())
         assert [f.kind for f in findings] == ["no-relevant-affiliation"]
 
     def test_partial_date_one_finding_per_row(self):
@@ -490,7 +568,7 @@ class TestValidateSnapshot:
             snapshot_row("p1", party="CD&V", start="1996-01-01", death="2001-04"),
             snapshot_row("p2", party="N-VA", start="2000-01-01", end="2004-01-01"),
         ]
-        findings = validate_snapshot(rows)
+        findings = findings_of(rows)
         assert [(f.kind, f.subject) for f in findings] == [
             ("partial-date", "p1"),
             ("partial-date", "p1"),
@@ -523,14 +601,13 @@ def iso_dates_of_any_precision(draw):
 def test_property_partial_date_edges(case):
     text, first, last = case
     rows = [snapshot_row("p1", party="N-VA", start=text, end=text, death=text)]
-    (p,) = normalize_affiliations(rows, make_map()).politicians
+    (p,), _ = normalize(rows)
     interval = p.affiliations[0].interval
     assert interval.start <= interval.end
     # the start edge is the period's first day, the end and death its last
     assert interval.start == first
     assert interval.end == last == p.death_date
-    findings = validate_snapshot(rows)
-    assert [f.kind for f in findings] == (["partial-date"] if first != last else [])
+    assert [f.kind for f in findings_of(rows)] == (["partial-date"] if first != last else [])
 
 
 DAY0 = date(1970, 1, 1)

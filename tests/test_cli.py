@@ -340,6 +340,26 @@ class TestAudit:
         }
 
 
+    def test_each_date_read_once(self, tmp_path, fixture_dir, monkeypatch):
+        import kgdiv.audit
+
+        snapshot = GOLDEN / "snapshot_en"
+        with open(snapshot / "politicians.csv", newline="") as fh:
+            rows = len(list(csv.DictReader(fh)))
+        calls = 0
+        real = kgdiv.audit._row_date
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kgdiv.audit, "_row_date", counting)
+        assert run_cli(*audit_args(snapshot, tmp_path / "out", fixture_dir)) == 0
+        # aff_start, aff_end, death_date and retrieved_at, once each
+        assert calls == 4 * rows
+
+
 class TestScore:
     def test_hand_computed_deltas(self, tmp_path, fixture_dir):
         out = tmp_path / "score"
@@ -563,6 +583,60 @@ class TestScore:
         assert f"{bad} lacks expected columns {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, target, text",
+    [
+        ("audit", "--map", "alias,canonical\nVolksunie,N-VA\n"),
+        ("audit", "--baseline", "body,election_date,canonical_acronym,seats\nKVV,2019-05-26,N-VA,25\n"),
+        ("audit", "--overrides", "politician_id\np1\n"),
+        ("score", "--triples", "subject,predicate,object\ns,p\n"),
+        ("score", "--triples", "subject,predicate,object\ns,p,o,extra\n"),
+        ("score", "--corpus", "doc_id,text\nd1\n"),
+        # a snapshot file gets its row appended
+        ("audit", "parties.csv", "en-dbpedia,x\n"),
+        ("validate", "politicians.csv", "en-dbpedia\n"),
+        ("audit", "politicians.csv", "en-dbpedia\n"),
+    ],
+    ids=[
+        "map-without-column",
+        "baseline-without-column",
+        "overrides-without-column",
+        "short-triples-row",
+        "long-triples-row",
+        "short-corpus-row",
+        "short-parties-row",
+        "validate-short-politicians-row",
+        "audit-short-politicians-row",
+    ],
+)
+def test_malformed_input_csv_fails_cleanly(tmp_path, fixture_dir, capsys, command, target, text):
+    """A CSV that lacks a column or has a row of the wrong width exits 1
+    with a message naming the file, and leaves --out empty."""
+    snapshot = tmp_path / "snap"
+    shutil.copytree(GOLDEN / "snapshot_en", snapshot)
+    if target.endswith(".csv"):
+        bad = snapshot / target
+        text = bad.read_text(encoding="utf-8") + text
+    else:
+        bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "audit":
+        argv = audit_args(snapshot, out, fixture_dir)
+    elif command == "score":
+        argv = score_args(out, fixture_dir, "--rules", str(fixture_dir / "rules.csv"))
+    else:
+        argv = ["validate", "--snapshot", str(snapshot)]
+    if target in argv:
+        argv[argv.index(target) + 1] = str(bad)
+    elif target.startswith("--"):
+        argv += [target, str(bad)]
+    assert run_cli(*argv) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 class TestReport:
     def test_matches_golden_svg(self, tmp_path):
         out = tmp_path / "fig"
@@ -691,6 +765,19 @@ class TestValidate:
         code = run_cli("validate", "--snapshot", str(snapshot))
         assert code == 0
         assert "no findings" in capsys.readouterr().out
+
+
+    def test_malformed_stamp_fails(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        (snapshot / "politicians.csv").write_text(
+            "source,politician_id,label,party_id,aff_start,aff_end,death_date,"
+            "position,retrieved_at\n"
+            "test,p1,P One,N-VA,2010-01-01,2014-01-01,,,2022-13-01\n",
+            encoding="utf-8",
+        )
+        assert run_cli("validate", "--snapshot", str(snapshot)) == 1
+        assert "retrieved_at '2022-13-01' is not an ISO date" in capsys.readouterr().err
 
 
 class TestDeterminism:
