@@ -1,94 +1,43 @@
 """Actor diversity over linked-data entities and knowledge-source
-representation audits."""
+representation audits.
 
-from .audit import (
-    ALIGNMENTS,
-    DEFAULT_SCHEDULE,
-    BaselineTable,
-    DateInterval,
-    NormalizationMap,
-    PartyRecord,
-    PoliticianRecord,
-    activity_period,
-    baseline_share,
-    classify,
-    compute_bounds,
-    judge,
-    normalize_affiliations,
-    read_snapshot,
-    run_audit,
-)
-from .diversity import (
-    ACTOR_TYPES,
-    BalanceVector,
-    DisparityMatrix,
-    DiversityParams,
-    DiversityResult,
-    FeatureSet,
-    compute_balance,
-    compute_disparity,
-    stirling_delta,
-)
-from .pipeline import (
-    AnnotationClient,
-    EntityMention,
-    LocalOntology,
-    MatchRule,
-    TextDocument,
-    aggregate_mentions,
-    annotate,
-    enrich_entity,
-    match_rules,
-)
-from .report import FigureSpec, emit_figure_svg, emit_series_csv
-from .sparql import (
-    EndpointConfig,
-    QueryTemplate,
-    execute_query,
-    parse_results,
-)
+Public names load lazily: `from kgdiv import X` imports X's submodule on
+first use, so importing the package costs no submodule import.
+"""
+
+import importlib
+
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "audit": (
+        "ALIGNMENTS DEFAULT_SCHEDULE BaselineTable DateInterval NormalizationMap "
+        "PartyRecord PoliticianRecord activity_period baseline_share classify "
+        "compute_bounds judge normalize_affiliations read_snapshot run_audit"
+    ),
+    "diversity": (
+        "ACTOR_TYPES BalanceVector DisparityMatrix DiversityParams DiversityResult "
+        "FeatureSet compute_balance compute_disparity stirling_delta"
+    ),
+    "pipeline": (
+        "AnnotationClient EntityMention LocalOntology MatchRule TextDocument "
+        "aggregate_mentions annotate enrich_entity match_rules"
+    ),
+    "report": "FigureSpec emit_figure_svg emit_series_csv",
+    "sparql": "EndpointConfig QueryTemplate execute_query parse_results",
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTOR_TYPES",
-    "ALIGNMENTS",
-    "DEFAULT_SCHEDULE",
-    "AnnotationClient",
-    "BalanceVector",
-    "BaselineTable",
-    "DateInterval",
-    "DisparityMatrix",
-    "DiversityParams",
-    "DiversityResult",
-    "EndpointConfig",
-    "EntityMention",
-    "FeatureSet",
-    "FigureSpec",
-    "LocalOntology",
-    "MatchRule",
-    "NormalizationMap",
-    "PartyRecord",
-    "PoliticianRecord",
-    "QueryTemplate",
-    "TextDocument",
-    "activity_period",
-    "aggregate_mentions",
-    "annotate",
-    "baseline_share",
-    "classify",
-    "compute_balance",
-    "compute_bounds",
-    "compute_disparity",
-    "emit_figure_svg",
-    "emit_series_csv",
-    "enrich_entity",
-    "execute_query",
-    "judge",
-    "match_rules",
-    "normalize_affiliations",
-    "parse_results",
-    "read_snapshot",
-    "run_audit",
-    "stirling_delta",
-]
+# constants, then classes, then functions
+__all__ = sorted(_MODULE_OF, key=lambda name: (not name.isupper(), name[0].islower(), name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import re
 from collections.abc import Iterator, Mapping, Sequence
+from operator import itemgetter
 from pathlib import Path
 
 from .sparql import EndpointConfig, QueryTemplate, Transport, execute_query
@@ -359,18 +360,17 @@ def write_parties_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> No
     _write_csv(Path(path), PARTIES_CSV_HEADER, rows)
 
 
-def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """The rows of a CSV file whose header names every one of `columns`.
-
-    A row with more or fewer fields than the header is an error; blank
-    lines are skipped.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
+def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[list[str]]:
+    """The header, then each row, of a CSV file whose header names every
+    one of `columns`. A leading byte-order mark is dropped, blank lines are
+    skipped and a row of another width than the header is an error."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
+        yield header
         for fields in reader:
             if len(fields) != len(header):
                 if not fields:
@@ -379,7 +379,24 @@ def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str
                     f"{path} line {reader.line_num}: {len(fields)} fields "
                     f"where the header has {len(header)}"
                 )
-            yield dict(zip(header, fields))
+            yield fields
+
+
+def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """Each row, keyed by the header, of a CSV file whose header names
+    every one of `columns` (checked as in `_checked_rows`)."""
+    rows = _checked_rows(path, columns)
+    header = next(rows)
+    for fields in rows:
+        yield dict(zip(header, fields))
+
+
+def csv_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """Each row's fields of two or more `columns`, in that order, picked by
+    header position with no dict per row (checked as in `_checked_rows`)."""
+    rows = _checked_rows(path, columns)
+    position = {name: i for i, name in enumerate(next(rows))}
+    return map(itemgetter(*(position[name] for name in columns)), rows)
 
 
 def read_politicians_csv(path: str | Path) -> list[dict[str, str]]:

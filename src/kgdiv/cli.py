@@ -17,9 +17,8 @@ from dataclasses import replace
 from datetime import date
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import audit as audit_mod
-from . import catalog, report
 from .config import ConfigError, RunConfig, load_run_config, parse_schedule
 from .diversity import (
     DiversityParams,
@@ -28,21 +27,14 @@ from .diversity import (
     compute_disparity,
     stirling_delta,
 )
-from .fixtures import FixtureStore, FixtureTransport
-from .pipeline import (
-    UNNAMED_PREFIX,
-    AnnotationClient,
-    AnnotationError,
-    CsvTripleSource,
-    TextDocument,
-    aggregate_mentions,
-    annotate,
-    builtin_ontology,
-    enrich_entity,
-    load_rules,
-    match_rules,
-)
 from .sparql import DIALECTS, QueryError
+
+if TYPE_CHECKING:
+    from .audit import NormalizationMap, Snapshot
+    from .pipeline import TextDocument
+
+# Each command imports the modules it runs, so `import kgdiv.cli` loads
+# only config, diversity and sparql.
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="render audit output as SVG figures")
     rep.add_argument("--audit", required=True, metavar="FILE")
-    rep.add_argument("--style", choices=report.RENDER_STYLES, default="line")
+    # report.RENDER_STYLES, spelled out so that parsing imports no report code
+    rep.add_argument("--style", choices=("line", "stacked"), default="line")
     rep.add_argument("--baseline-label", default="baseline")
     rep.add_argument("--out", default="out")
     rep.set_defaults(func=cmd_report)
@@ -151,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QueryError, AnnotationError, OSError, ValueError) as exc:
+    except (QueryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -196,12 +189,16 @@ def _require_file(raw: str | None, what: str) -> Path | None:
 
 
 def cmd_fetch(args) -> int:
+    from . import catalog
+
     config = _load_config(args)
     out = _out_dir(args)
     endpoint = config.endpoint(args.source)
 
     transport = None
     if args.from_fixture:
+        from .fixtures import FixtureStore, FixtureTransport
+
         store = FixtureStore(args.from_fixture)
         transport = FixtureTransport(store)
         retrieved_at = store.retrieved_at
@@ -241,14 +238,16 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _read_snapshot(raw: str, nmap: audit_mod.NormalizationMap | None) -> audit_mod.Snapshot:
+def _read_snapshot(raw: str, nmap: NormalizationMap | None) -> Snapshot:
     """A snapshot directory's rows, read once; its parties.csv is optional."""
+    from . import audit, catalog
+
     snapshot_dir = Path(raw)
     politicians_path = snapshot_dir / "politicians.csv"
     if not politicians_path.exists():
         raise ConfigError(f"snapshot {snapshot_dir} has no politicians.csv")
     parties_path = snapshot_dir / "parties.csv"
-    return audit_mod.read_snapshot(
+    return audit.read_snapshot(
         catalog.read_politicians_csv(politicians_path),
         catalog.read_parties_csv(parties_path) if parties_path.exists() else [],
         nmap,
@@ -256,6 +255,8 @@ def _read_snapshot(raw: str, nmap: audit_mod.NormalizationMap | None) -> audit_m
 
 
 def cmd_audit(args) -> int:
+    from . import audit, report
+
     out = _out_dir(args)
     for name, raw in (
         ("baseline", args.baseline),
@@ -264,15 +265,15 @@ def cmd_audit(args) -> int:
     ):
         _require_file(raw, name)
 
-    nmap = audit_mod.load_normalization_map(args.map_file, args.parties)
-    baselines = audit_mod.load_baselines(args.baseline)
+    nmap = audit.load_normalization_map(args.map_file, args.parties)
+    baselines = audit.load_baselines(args.baseline)
     overrides = (
-        audit_mod.load_career_end_overrides(args.overrides)
+        audit.load_career_end_overrides(args.overrides)
         if _require_file(args.overrides, "overrides")
         else None
     )
     schedule = (
-        parse_schedule(args.schedule) if args.schedule else audit_mod.DEFAULT_SCHEDULE
+        parse_schedule(args.schedule) if args.schedule else audit.DEFAULT_SCHEDULE
     )
     policy = (
         "most-recent-preceding" if args.baseline_policy == "preceding" else "closest-in-time"
@@ -287,7 +288,7 @@ def cmd_audit(args) -> int:
         bodies = [args.body]
 
     snapshot = _read_snapshot(args.snapshot, nmap)
-    result = audit_mod.run_audit(
+    result = audit.run_audit(
         snapshot,
         nmap,
         schedule=schedule,
@@ -334,7 +335,7 @@ def cmd_audit(args) -> int:
     ]
     # every body is judged before any output is written
     for body in bodies:
-        rows = audit_mod.judge(result.rows, baselines[body], policy)
+        rows = audit.judge(result.rows, baselines[body], policy)
         writers[f"audit_{body.lower()}.csv"] = partial(
             Path.write_bytes, data=report.emit_series_csv(rows)
         )
@@ -352,6 +353,11 @@ def cmd_audit(args) -> int:
 
 
 def _load_corpus(path: Path) -> list[TextDocument]:
+    """The corpus documents, from a directory of .txt files or a CSV with
+    doc_id and text columns; an empty corpus is a configuration error."""
+    from .catalog import csv_rows
+    from .pipeline import TextDocument
+
     if path.is_dir():
         docs = []
         for file in sorted(path.glob("*.txt")):
@@ -361,15 +367,36 @@ def _load_corpus(path: Path) -> list[TextDocument]:
         if not docs:
             raise ConfigError(f"corpus directory {path} has no .txt files")
         return docs
-    if path.suffix.lower() == ".csv":
-        return [
-            TextDocument(doc_id=row["doc_id"], text=row["text"])
-            for row in catalog.csv_rows(path, ("doc_id", "text"))
-        ]
-    raise ConfigError(f"corpus {path} is neither a directory nor a CSV file")
+    if path.suffix.lower() != ".csv":
+        raise ConfigError(f"corpus {path} is neither a directory nor a CSV file")
+    docs = [
+        TextDocument(doc_id=row["doc_id"], text=row["text"])
+        for row in csv_rows(path, ("doc_id", "text"))
+    ]
+    if not docs:
+        raise ConfigError(f"corpus CSV {path} has no documents")
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise ValueError(f"corpus CSV {path} repeats doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+    return docs
 
 
 def cmd_score(args) -> int:
+    from .pipeline import (
+        UNNAMED_PREFIX,
+        AnnotationClient,
+        AnnotationError,
+        CsvTripleSource,
+        aggregate_mentions,
+        annotate,
+        builtin_ontology,
+        enrich_entity,
+        load_rules,
+        match_rules,
+    )
+
     config = _load_config(args)
     out = _out_dir(args)
     corpus_path = Path(args.corpus)
@@ -405,7 +432,8 @@ def cmd_score(args) -> int:
                 annotated = annotate(doc, client)
             except AnnotationError as exc:
                 if args.require_nel:
-                    raise
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
                 if not nel_warned:
                     logger.warning(
                         "annotation endpoint unavailable (%s); continuing with "
@@ -419,7 +447,12 @@ def cmd_score(args) -> int:
         ids = sorted(counts)
         for entity_id in ids:
             if entity_id not in features:
-                features[entity_id] = _features(entity_id, triples, ontology)
+                # no features without triples or for an unnamed category
+                features[entity_id] = (
+                    FeatureSet()
+                    if triples is None or entity_id.startswith(UNNAMED_PREFIX)
+                    else enrich_entity(entity_id, triples, ontology)
+                )
         balance = compute_balance(counts)
         disparity = compute_disparity({i: features[i] for i in ids})
         result = stirling_delta(balance, disparity, params)
@@ -433,14 +466,6 @@ def cmd_score(args) -> int:
     )
     print(f"scored {len(docs)} documents into {out}")
     return 0
-
-
-def _features(entity_id, triples, ontology) -> FeatureSet:
-    """One id's features from the triples; none without triples or for an
-    unnamed category."""
-    if triples is None or entity_id.startswith(UNNAMED_PREFIX):
-        return FeatureSet()
-    return enrich_entity(entity_id, triples, ontology)
 
 
 def _type_filtered(mentions, triples, ontology):
@@ -464,6 +489,8 @@ def _safe_name(name: str) -> str:
 
 
 def cmd_report(args) -> int:
+    from . import report
+
     audit_path = Path(args.audit)
     if not audit_path.exists():
         raise ConfigError(f"audit file {audit_path} does not exist")
@@ -510,9 +537,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import audit
+
     nmap = None
     if args.map_file and args.parties:
-        nmap = audit_mod.load_normalization_map(
+        nmap = audit.load_normalization_map(
             _require_file(args.map_file, "map"), _require_file(args.parties, "parties")
         )
     findings = _read_snapshot(args.snapshot, nmap).findings

@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
-from .catalog import csv_rows
+from .catalog import csv_columns, csv_rows
 from .diversity import ACTOR_TYPES, FeatureSet
 
 logger = logging.getLogger(__name__)
@@ -154,8 +154,10 @@ class CsvTripleSource:
     @classmethod
     def from_file(cls, path: str | Path, dialect: str = "generic") -> "CsvTripleSource":
         rows = [
-            (row["subject"].strip(), row["predicate"].strip(), row["object"].strip())
-            for row in csv_rows(path, ("subject", "predicate", "object"))
+            (subject.strip(), predicate.strip(), obj.strip())
+            for subject, predicate, obj in csv_columns(
+                path, ("subject", "predicate", "object")
+            )
         ]
         return cls(rows=rows, dialect=dialect)
 
@@ -183,8 +185,9 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
 
     Matches of different rules may overlap; matches of one rule never do.
     A case-sensitive rule is found by substring search and builds no
-    regex. A case-insensitive rule builds its `MatchRule.regex` only if
-    its folded pattern occurs in the folded text; that test never drops a
+    regex; one whose pattern is absent costs one `in` test and nothing
+    else. A case-insensitive rule builds its `MatchRule.regex` only if its
+    folded pattern occurs in the folded text; that test never drops a
     match, so the regex decides every case-insensitive span.
     """
     text = doc.text
@@ -192,6 +195,8 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
     mentions: list[EntityMention] = []
     for rule in rules:
         if rule.case_sensitive:
+            if rule.pattern not in text:
+                continue
             spans = _literal_spans(text, rule.pattern)
         else:
             if folded_text is None:

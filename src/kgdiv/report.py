@@ -171,13 +171,14 @@ def emit_series_csv(rows: Sequence[AuditRow]) -> bytes:
 
 
 def read_series_csv(path: str | Path) -> list[AuditRow]:
-    """Audit rows back from a CSV that emit_series_csv wrote.
+    """Audit rows back from a CSV that emit_series_csv wrote, or a copy
+    re-saved with a leading byte-order mark.
 
     Every malformed row is reported in one ValueError, with its line number.
     """
     problems = []
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:

@@ -389,7 +389,7 @@ class TestScore:
         assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
 
     def test_each_id_enriched_once(self, tmp_path, fixture_dir, monkeypatch):
-        import kgdiv.cli
+        import kgdiv.pipeline
 
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -411,13 +411,14 @@ class TestScore:
         assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
 
         calls: list[str] = []
-        real_enrich = kgdiv.cli.enrich_entity
+        real_enrich = kgdiv.pipeline.enrich_entity
 
         def counting_enrich(root_id, triples, ontology):
             calls.append(root_id)
             return real_enrich(root_id, triples, ontology)
 
-        monkeypatch.setattr(kgdiv.cli, "enrich_entity", counting_enrich)
+        # cmd_score imports enrich_entity from kgdiv.pipeline on each run
+        monkeypatch.setattr(kgdiv.pipeline, "enrich_entity", counting_enrich)
         assert run_cli(*argv, "--out", str(tmp_path / "counted")) == 0
         res = "http://dbpedia.org/resource/"
         assert sorted(calls) == [
@@ -582,6 +583,54 @@ class TestScore:
         assert run_cli(*argv) == 1
         assert f"{bad} lacks expected columns {missing}" in capsys.readouterr().err
 
+    def test_bom_prefixed_csv_inputs_load(self, tmp_path, fixture_dir):
+        """Spreadsheet exports start with a UTF-8 byte-order mark; the rules,
+        triples and corpus CSVs score as their BOM-free copies do."""
+        corpus_rows = [
+            [path.stem, path.read_text(encoding="utf-8")]
+            for path in sorted((fixture_dir / "corpus").glob("*.txt"))
+        ]
+        runs = {}
+        for encoding in ("utf-8", "utf-8-sig"):
+            inputs = tmp_path / encoding
+            inputs.mkdir()
+            with open(inputs / "corpus.csv", "w", newline="", encoding=encoding) as fh:
+                csv.writer(fh).writerows([["doc_id", "text"], *corpus_rows])
+            for name in ("rules.csv", "triples.csv"):
+                text = (fixture_dir / name).read_text(encoding="utf-8")
+                (inputs / name).write_text(text, encoding=encoding)
+            assert (inputs / "rules.csv").read_bytes().startswith(b"\xef\xbb\xbf") == (
+                encoding == "utf-8-sig"
+            )
+            out = inputs / "out"
+            argv = ["score", "--corpus", str(inputs / "corpus.csv")]
+            argv += ["--rules", str(inputs / "rules.csv"), "--triples", str(inputs / "triples.csv")]
+            assert run_cli(*argv, "--out", str(out)) == 0
+            runs[encoding] = [(out / n).read_bytes() for n in ("scores.csv", "entity_counts.csv")]
+        assert runs["utf-8-sig"] == runs["utf-8"]
+        assert b"doc1,2," in runs["utf-8"][0]
+
+    def test_csv_corpus_without_rows_is_config_error(self, tmp_path, fixture_dir, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,text\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("score", "--corpus", str(corpus), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: corpus CSV {corpus} has no documents\n"
+        assert list(out.iterdir()) == []
+
+    def test_csv_corpus_repeating_a_doc_id_fails(self, tmp_path, fixture_dir, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,text\nd1,N-VA\nd2,CD&V\nd1,Groen\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            "score", "--corpus", str(corpus), "--rules", str(fixture_dir / "rules.csv"),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: corpus CSV {corpus} repeats doc_id 'd1'\n"
+        assert list(out.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "command, target, text",
@@ -638,6 +687,15 @@ def test_malformed_input_csv_fails_cleanly(tmp_path, fixture_dir, capsys, comman
 
 
 class TestReport:
+    def test_style_choices_are_the_render_styles(self):
+        # the parser spells the styles out so that it need not import report
+        from kgdiv.cli import build_parser
+        from kgdiv.report import RENDER_STYLES
+
+        report_parser = build_parser()._subparsers._group_actions[0].choices["report"]
+        (style,) = [a for a in report_parser._actions if a.dest == "style"]
+        assert tuple(style.choices) == RENDER_STYLES
+
     def test_matches_golden_svg(self, tmp_path):
         out = tmp_path / "fig"
         code = run_cli(
@@ -649,6 +707,16 @@ class TestReport:
             "--out",
             str(out),
         )
+        assert code == 0
+        assert (out / "figure_en-dbpedia.svg").read_bytes() == (
+            GOLDEN / "fig_en" / "figure_en-dbpedia.svg"
+        ).read_bytes()
+
+    def test_bom_prefixed_audit_csv_matches_golden_svg(self, tmp_path):
+        audit_csv = tmp_path / "audit_kvv.csv"
+        audit_csv.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "audit_en" / "audit_kvv.csv").read_bytes())
+        out = tmp_path / "fig"
+        code = run_cli("report", "--audit", str(audit_csv), "--baseline-label", "KVV", "--out", str(out))
         assert code == 0
         assert (out / "figure_en-dbpedia.svg").read_bytes() == (
             GOLDEN / "fig_en" / "figure_en-dbpedia.svg"
@@ -1021,32 +1089,66 @@ def test_config_with_invalid_yaml_is_rejected(tmp_path, capsys):
     assert "is not valid YAML" in err
 
 
-def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir):
-    """Only live fetch, score --nel-endpoint and --config load these packages."""
-    script = f"""
+def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir, kg_fixture_dir):
+    """Each command, run alone in a fresh interpreter, loads only the kgdiv
+    modules it runs; only live fetch, score --nel-endpoint and --config
+    load requests or yaml."""
+    nmap = ["--map", str(fixture_dir / "map.csv"), "--parties", str(fixture_dir / "parties.csv")]
+    snapshot = str(GOLDEN / "snapshot_en")
+    cases = {
+        "score": (
+            [
+                "score",
+                "--corpus", str(fixture_dir / "corpus"),
+                "--rules", str(fixture_dir / "rules.csv"),
+                "--triples", str(fixture_dir / "triples.csv"),
+                "--out", str(tmp_path / "score"),
+            ],
+            {"kgdiv.audit", "kgdiv.report", "kgdiv.fixtures"},
+        ),
+        "fetch": (
+            fetch_args(tmp_path / "snap", kg_fixture_dir),
+            {"kgdiv.pipeline", "kgdiv.audit", "kgdiv.report"},
+        ),
+        "validate": (
+            ["validate", "--snapshot", snapshot, *nmap],
+            {"kgdiv.pipeline", "kgdiv.fixtures"},
+        ),
+        "audit": (
+            [
+                "audit", "--snapshot", snapshot,
+                "--baseline", str(fixture_dir / "baselines.csv"), *nmap,
+                "--body", "KVV", "--out", str(tmp_path / "audit"),
+            ],
+            {"kgdiv.pipeline", "kgdiv.fixtures"},
+        ),
+        "report": (
+            ["report", "--audit", str(GOLDEN / "audit_en" / "audit_kvv.csv"), "--out", str(tmp_path / "fig")],
+            {"kgdiv.pipeline", "kgdiv.fixtures"},
+        ),
+    }
+    script = """
 import sys
-import kgdiv
 import kgdiv.cli
-assert kgdiv.cli.main(["validate", "--snapshot", {str(GOLDEN / "snapshot_en")!r}]) == 0
-assert kgdiv.cli.main([
-    "score",
-    "--corpus", {str(fixture_dir / "corpus")!r},
-    "--rules", {str(fixture_dir / "rules.csv")!r},
-    "--triples", {str(fixture_dir / "triples.csv")!r},
-    "--out", {str(tmp_path / "score")!r},
-]) == 0
-print(sorted({{"requests", "yaml"}} & set(sys.modules)))
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "kgdiv"))
+code = kgdiv.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "requests", "yaml")))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    for command, (argv, unused) in cases.items():
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, (command, done.stderr)
+        at_import = done.stdout.splitlines()[0].split()
+        code, *loaded = done.stdout.splitlines()[-1].split()
+        assert at_import == ["kgdiv", "kgdiv.cli", "kgdiv.config", "kgdiv.diversity", "kgdiv.sparql"]
+        assert code == "0", (command, done.stderr)
+        assert set(loaded) & (unused | {"requests", "yaml"}) == set(), command
 
 
 def test_config_with_missing_file_is_rejected(tmp_path):
