@@ -360,17 +360,18 @@ def write_parties_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> No
     _write_csv(Path(path), PARTIES_CSV_HEADER, rows)
 
 
-def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[list[str]]:
+def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """The header, then each row, of a CSV file whose header names every
-    one of `columns`. A leading byte-order mark is dropped, blank lines are
-    skipped and a row of another width than the header is an error."""
+    one of `columns`, each with the line it ends on. A leading byte-order
+    mark is dropped, blank lines are skipped and a row of another width
+    than the header is an error."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
-        yield header
+        yield reader.line_num, header
         for fields in reader:
             if len(fields) != len(header):
                 if not fields:
@@ -379,24 +380,33 @@ def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[list[str
                     f"{path} line {reader.line_num}: {len(fields)} fields "
                     f"where the header has {len(header)}"
                 )
-            yield fields
+            yield reader.line_num, fields
+
+
+def numbered_csv_rows(
+    path: str | Path, columns: Sequence[str]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """Each row, keyed by the header, of a CSV file whose header names
+    every one of `columns` (checked as in `_checked_rows`), with the line
+    it ends on, so that a caller can say where a bad value is."""
+    rows = _checked_rows(path, columns)
+    _, header = next(rows)
+    for line, fields in rows:
+        yield line, dict(zip(header, fields))
 
 
 def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Each row, keyed by the header, of a CSV file whose header names
-    every one of `columns` (checked as in `_checked_rows`)."""
-    rows = _checked_rows(path, columns)
-    header = next(rows)
-    for fields in rows:
-        yield dict(zip(header, fields))
+    """Each row of `numbered_csv_rows`, without its line."""
+    return (row for _, row in numbered_csv_rows(path, columns))
 
 
 def csv_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
     """Each row's fields of two or more `columns`, in that order, picked by
     header position with no dict per row (checked as in `_checked_rows`)."""
     rows = _checked_rows(path, columns)
-    position = {name: i for i, name in enumerate(next(rows))}
-    return map(itemgetter(*(position[name] for name in columns)), rows)
+    position = {name: i for i, name in enumerate(next(rows)[1])}
+    pick = itemgetter(*(position[name] for name in columns))
+    return map(pick, map(itemgetter(1), rows))
 
 
 def read_politicians_csv(path: str | Path) -> list[dict[str, str]]:

@@ -86,18 +86,6 @@ class DiversityResult:
     balance: BalanceVector
 
 
-def jaccard_distance(a: FeatureSet, b: FeatureSet) -> float:
-    """Jaccard complement over feature pairs.
-
-    Two empty sets are indistinguishable (0); an empty set against a
-    nonempty one is maximally distant (1).
-    """
-    if not a.pairs and not b.pairs:
-        return 0.0
-    shared = len(a.pairs & b.pairs)
-    return 1.0 - shared / (len(a.pairs) + len(b.pairs) - shared)
-
-
 def compute_balance(counts: Mapping[str, int]) -> BalanceVector:
     """Normalize occurrence counts into frequency shares."""
     if not counts:
@@ -115,15 +103,28 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
     """Pairwise Jaccard distances over each id's feature set.
 
     Ids with equal feature sets share one point, so the distance runs once
-    per pair of distinct feature sets.
+    per pair of distinct feature sets: 1 - |a & b| / |a | b| over the
+    feature pairs, with |a & b| counted as the set bits of the two points'
+    masks (one bit per distinct pair). Points are distinct sets, so at
+    most one is empty, and an empty set is at distance 1 from every other.
     """
     index: dict[FeatureSet, int] = {}
     point = {i: index.setdefault(f, len(index)) for i, f in features.items()}
-    points = list(index)
-    table = [[0.0] * len(points) for _ in points]
-    for g, a in enumerate(points):
-        for h in range(g + 1, len(points)):
-            table[g][h] = table[h][g] = jaccard_distance(a, points[h])
+    bit: dict[tuple[str, str], int] = {}
+    masks = []
+    for f in index:
+        mask = 0
+        for pair in f.pairs:
+            mask |= 1 << bit.setdefault(pair, len(bit))
+        masks.append(mask)
+    sizes = [len(f.pairs) for f in index]
+    n = len(masks)
+    table = [[0.0] * n for _ in range(n)]
+    for g in range(n):
+        mask_g, size_g, row_g = masks[g], sizes[g], table[g]
+        for h in range(g + 1, n):
+            shared = (mask_g & masks[h]).bit_count()
+            row_g[h] = table[h][g] = 1.0 - shared / (size_g + sizes[h] - shared)
     return DisparityMatrix(tuple(features), point, table)
 
 

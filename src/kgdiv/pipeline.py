@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
-from .catalog import csv_columns, csv_rows
+from .catalog import csv_columns, numbered_csv_rows
 from .diversity import ACTOR_TYPES, FeatureSet
 
 logger = logging.getLogger(__name__)
@@ -74,6 +74,10 @@ class MatchRule:
     @cached_property
     def _folded(self) -> str:
         return _fold(self.pattern)
+
+    @cached_property
+    def _folds_in_place(self) -> bool:
+        return _folds_in_place(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -188,10 +192,15 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
     regex; one whose pattern is absent costs one `in` test and nothing
     else. A case-insensitive rule builds its `MatchRule.regex` only if its
     folded pattern occurs in the folded text; that test never drops a
-    match, so the regex decides every case-insensitive span.
+    match, so the regex decides every case-insensitive span. Where every
+    character of the text and of the pattern folds to exactly one
+    character, folded positions are text positions, so the regex is only
+    tried at each occurrence of the folded pattern; otherwise it scans
+    the whole text.
     """
     text = doc.text
     folded_text: str | None = None
+    text_folds_in_place = False
     mentions: list[EntityMention] = []
     for rule in rules:
         if rule.case_sensitive:
@@ -201,9 +210,16 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
         else:
             if folded_text is None:
                 folded_text = _fold(text)
-            if rule._folded not in folded_text:
+                text_folds_in_place = _folds_in_place(text)
+            first = folded_text.find(rule._folded)
+            if first < 0:
                 continue
-            spans = ((m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text))
+            if text_folds_in_place and rule._folds_in_place:
+                spans = _anchored_spans(text, folded_text, rule, first)
+            else:
+                spans = (
+                    (m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text)
+                )
         resolved_id = rule.target_entity or None
         mentions.extend(
             EntityMention(
@@ -230,11 +246,43 @@ def _literal_spans(text: str, pattern: str) -> Iterator[tuple[int, int, str]]:
         start = text.find(pattern, end)
 
 
+def _anchored_spans(
+    text: str, folded_text: str, rule: MatchRule, first: int
+) -> Iterator[tuple[int, int, str]]:
+    """The spans of `rule.regex.finditer(text)`, found by trying the regex
+    only where the folded pattern occurs in `folded_text`, from `first` on.
+
+    Both the text and the pattern must fold in place: then every span the
+    regex matches folds to the folded pattern at the same position, so no
+    span is skipped. A failed check moves on by one character, a match to
+    its end, as `finditer` does.
+    """
+    regex = rule.regex
+    folded = rule._folded
+    pos = first
+    while pos >= 0:
+        m = regex.match(text, pos)
+        if m is None:
+            pos = folded_text.find(folded, pos + 1)
+        else:
+            end = m.end()
+            yield pos, end, m.group(0)
+            pos = folded_text.find(folded, end)
+
+
 def _fold(s: str) -> str:
     """Case-fold `s` one character at a time so that every pair of
     characters `re.IGNORECASE` equates folds to the same string: casefold
     alone keeps dotless ı apart from i, and İ as i plus a combining dot."""
     return s.casefold().replace("\u0307", "").replace("\u0131", "i")
+
+
+def _folds_in_place(s: str) -> bool:
+    """Whether every character of `s` folds to exactly one character, so
+    that each position of `_fold(s)` is the same position of `s`. Equal
+    lengths are not enough: ß, a, a combining dot and k fold to 'ssak',
+    which puts the a one place late."""
+    return all(len(_fold(c)) == 1 for c in set(s))
 
 
 @dataclass
@@ -369,26 +417,30 @@ def aggregate_mentions(mentions: Iterable[EntityMention]) -> dict[str, int]:
 def load_rules(path: str | Path) -> list[MatchRule]:
     """Load match rules from a CSV with columns pattern, case_sensitive,
     match_layer, target. A missing or empty case_sensitive means true, and
-    a missing or empty match_layer means surface.
+    a missing or empty match_layer means surface. A bad value is an error
+    that names the file and the line of its row.
 
     Rows with match_layer lemma are skipped with a warning: plain-text
     ingestion carries no lemma layer.
     """
     rules = []
     lemma_rules = 0
-    for row in csv_rows(path, ("pattern",)):
-        rule = MatchRule(
-            pattern=row["pattern"],
-            case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
-            target_entity=(row.get("target") or "").strip(),
-        )
-        layer = (row.get("match_layer") or "surface").strip()
+    for line, row in numbered_csv_rows(path, ("pattern",)):
+        try:
+            rule = MatchRule(
+                pattern=row["pattern"],
+                case_sensitive=_parse_bool(row.get("case_sensitive"), default=True),
+                target_entity=(row.get("target") or "").strip(),
+            )
+            layer = (row.get("match_layer") or "surface").strip()
+            if layer not in ("surface", "lemma"):
+                raise ValueError(f"match_layer must be surface or lemma, got {layer!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from exc
         if layer == "lemma":
             lemma_rules += 1
-        elif layer == "surface":
-            rules.append(rule)
         else:
-            raise ValueError(f"match_layer must be surface or lemma, got {layer!r}")
+            rules.append(rule)
     if lemma_rules:
         logger.warning(
             "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",

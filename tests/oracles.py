@@ -1,16 +1,29 @@
 """Reference computations that tests compare the package against.
 
-They are written for plainness, not speed: the Gini–Simpson index, the
-ordered-pair loop of Stirling's Δ, a disparity matrix from explicit pair
-values, and the inverse of a figure panel's y-transform.
+They are written for plainness, not speed: the Jaccard distance of two
+feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
+Δ, a disparity matrix from explicit pair values, and the inverse of a
+figure panel's y-transform.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams
+from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
 from kgdiv.report import PANEL_HEIGHT
+
+
+def jaccard_distance(a: FeatureSet, b: FeatureSet) -> float:
+    """Jaccard complement over feature pairs.
+
+    Two empty sets are indistinguishable (0); an empty set against a
+    nonempty one is maximally distant (1).
+    """
+    if not a.pairs and not b.pairs:
+        return 0.0
+    shared = len(a.pairs & b.pairs)
+    return 1.0 - shared / (len(a.pairs) + len(b.pairs) - shared)
 
 
 def gini_simpson(balance: BalanceVector) -> float:

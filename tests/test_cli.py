@@ -583,6 +583,28 @@ class TestScore:
         assert run_cli(*argv) == 1
         assert f"{bad} lacks expected columns {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",true,surface,y", "rule pattern must be nonempty"),
+            ("Groen,maybe,surface,y", "cannot parse boolean 'maybe'"),
+            ("Groen,true,token,y", "match_layer must be surface or lemma, got 'token'"),
+        ],
+        ids=["empty-pattern", "case-sensitive", "match-layer"],
+    )
+    def test_bad_rule_row_names_file_and_line(
+        self, tmp_path, fixture_dir, capsys, row, message
+    ):
+        # the blank third line is skipped but still counted
+        bad = tmp_path / "rules.csv"
+        bad.write_text(
+            f"pattern,case_sensitive,match_layer,target\nN-VA,true,surface,x\n\n{row}\n",
+            encoding="utf-8",
+        )
+        argv = score_args(tmp_path / "score", fixture_dir, "--rules", str(bad))
+        assert run_cli(*argv) == 1
+        assert f"error: {bad} line 4: {message}" in capsys.readouterr().err
+
     def test_bom_prefixed_csv_inputs_load(self, tmp_path, fixture_dir):
         """Spreadsheet exports start with a UTF-8 byte-order mark; the rules,
         triples and corpus CSVs score as their BOM-free copies do."""

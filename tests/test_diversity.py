@@ -15,10 +15,15 @@ from kgdiv.diversity import (
     FeatureSet,
     compute_balance,
     compute_disparity,
-    jaccard_distance,
     stirling_delta,
 )
-from tests.oracles import disparity_value, explicit_matrix, gini_simpson, pair_terms
+from tests.oracles import (
+    disparity_value,
+    explicit_matrix,
+    gini_simpson,
+    jaccard_distance,
+    pair_terms,
+)
 
 
 def features(*pairs):
@@ -301,6 +306,27 @@ def assert_grouped_equals_pair_terms(bv, m, alpha, beta):
 @settings(max_examples=150)
 def test_property_grouped_disparity_is_jaccard(drawn):
     entities, _ = drawn
+    m = compute_disparity(entities)
+    for a, fa in entities.items():
+        for b, fb in entities.items():
+            assert disparity_value(m, a, b) == jaccard_distance(fa, fb)
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=199), max_size=40),
+        max_size=8,
+    )
+)
+@settings(max_examples=150)
+def test_property_disparity_over_masks_wider_than_a_word(drawn):
+    # the first entity alone has 70 distinct feature pairs, so the masks
+    # run past 64 bits; the last has none
+    sets = [frozenset(range(70)), *drawn, frozenset()]
+    entities = {
+        f"e{k}": FeatureSet(frozenset(("f", str(v)) for v in values))
+        for k, values in enumerate(sets)
+    }
     m = compute_disparity(entities)
     for a, fa in entities.items():
         for b, fb in entities.items():

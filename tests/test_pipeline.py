@@ -10,7 +10,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdiv.diversity import FeatureSet
@@ -32,7 +32,7 @@ from kgdiv.pipeline import (
     match_rules,
     parse_annotation_response,
 )
-from kgdiv.pipeline import _fold
+from kgdiv.pipeline import _fold, _folds_in_place
 
 try:
     from re._casefix import _EXTRA_CASES
@@ -169,6 +169,48 @@ class TestMatchRules:
                 )
             ),
             key=lambda span: (span[0], span[1], span[3]),
+        )
+        got = [
+            (m.char_start, m.char_end, m.surface, m.resolved_id)
+            for m in match_rules(TextDocument(doc_id="d", text=text), rules)
+        ]
+        assert got == expected
+
+    def test_insensitive_match_behind_a_multi_character_fold(self):
+        # ß, a, a combining dot and k fold to 'ssak', as long as the text,
+        # but the folded a sits one place after the text's a
+        text = "\u00dfa\u0307k"
+        assert len(_fold(text)) == len(text) and not _folds_in_place(text)
+        rule = MatchRule(pattern="a", case_sensitive=False, target_entity="u:a")
+        got = [(m.char_start, m.char_end) for m in match_rules(TextDocument("d", text), [rule])]
+        assert got == [m.span() for m in re.finditer("a", text, re.IGNORECASE)] == [(1, 2)]
+
+    # characters that each fold to exactly one character, in case groups
+    # that re.IGNORECASE equates: long s, Kelvin sign, dotted and dotless
+    # i, final sigma and micro sign
+    IN_PLACE_ALPHABET = "sſSkK\u212aıIiİσςΣµμaA "
+
+    @given(
+        st.text(alphabet=IN_PLACE_ALPHABET, max_size=30),
+        st.lists(
+            st.text(alphabet=IN_PLACE_ALPHABET, min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(text="sſSs K\u212akK", patterns=["ss", "Kk"])
+    @settings(max_examples=400)
+    def test_property_anchored_check_equals_finditer(self, text, patterns):
+        # every example folds in place, so every rule takes the anchored path
+        assert _folds_in_place(text + "".join(patterns))
+        rules = [
+            MatchRule(pattern=pattern, case_sensitive=False, target_entity=f"t{k}")
+            for k, pattern in enumerate(patterns)
+        ]
+        expected = sorted(
+            (m.start(), m.end(), m.group(0), rule.target_entity)
+            for rule in rules
+            for m in re.finditer(re.escape(rule.pattern), text, re.IGNORECASE)
         )
         got = [
             (m.char_start, m.char_end, m.surface, m.resolved_id)
