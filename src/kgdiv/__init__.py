@@ -10,9 +10,8 @@ import importlib
 #: submodule -> the public names it defines
 _EXPORTS = {
     "audit": (
-        "ALIGNMENTS DEFAULT_SCHEDULE BaselineTable DateInterval NormalizationMap "
-        "PartyRecord PoliticianRecord activity_period baseline_share classify "
-        "compute_bounds judge normalize_affiliations read_snapshot run_audit"
+        "ALIGNMENTS DEFAULT_SCHEDULE BaselineTable NormalizationMap PartyRecord "
+        "baseline_share classify compute_bounds judge read_snapshot run_audit"
     ),
     "diversity": (
         "ACTOR_TYPES BalanceVector DisparityMatrix DiversityParams DiversityResult "

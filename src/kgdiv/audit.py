@@ -16,12 +16,12 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
-from .catalog import csv_rows
+from .catalog import csv_rows, numbered_csv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -56,60 +56,6 @@ DEFAULT_SCHEDULE = (
 LOW_SAMPLE_THRESHOLD = 20
 
 BASELINE_POLICIES = ("most-recent-preceding", "closest-in-time")
-
-
-@dataclass(frozen=True)
-class DateInterval:
-    """Closed interval with optional open ends; None means unbounded."""
-
-    start: date | None = None
-    end: date | None = None
-
-    def __post_init__(self) -> None:
-        if self.start is not None and self.end is not None and self.start > self.end:
-            raise ValueError(f"interval start {self.start} after end {self.end}")
-
-    def contains(self, day: date) -> bool:
-        if self.start is not None and day < self.start:
-            return False
-        if self.end is not None and day > self.end:
-            return False
-        return True
-
-    @property
-    def dated(self) -> bool:
-        return self.start is not None or self.end is not None
-
-
-@dataclass(frozen=True)
-class Affiliation:
-    party: str
-    interval: DateInterval | None = None
-    relevant: bool = True
-
-
-@dataclass(frozen=True)
-class PoliticianRecord:
-    id: str
-    label: str
-    affiliations: tuple[Affiliation, ...] = ()
-    death_date: date | None = None
-    career_end_override: date | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.career_end_override is not None
-            and self.death_date is not None
-            and self.career_end_override > self.death_date
-        ):
-            raise ValueError(
-                f"career end override {self.career_end_override} after death "
-                f"{self.death_date} for {self.id!r}"
-            )
-
-    def relevant_parties(self) -> frozenset[str]:
-        """The whole-career set of relevant party acronyms."""
-        return frozenset(a.party for a in self.affiliations if a.relevant)
 
 
 @dataclass(frozen=True)
@@ -268,13 +214,13 @@ _PARTIAL_DATE = re.compile(r"(\d{4})(?:-(\d{2}))?")
 _LATEST_DAY_COLUMNS = frozenset(("aff_end", "death_date"))
 
 
-def _row_date(row: Mapping[str, str], column: str, partial: list[str]) -> date | None:
-    """The ISO date in a snapshot row's column, or None if it is empty.
+def _row_date(raw: str, column: str, partial: list[str]) -> date | None:
+    """The ISO date in a snapshot row's column value, or None if it is empty.
 
     A bare year or year-month is read as its earliest or latest day, by
     column, and the reading is noted in `partial`.
     """
-    raw = (row.get(column) or "").strip()
+    raw = raw.strip()
     if not raw:
         return None
     try:
@@ -298,12 +244,14 @@ def _row_date(row: Mapping[str, str], column: str, partial: list[str]) -> date |
 
 
 def read_snapshot(
-    politician_rows: Iterable[Mapping[str, str]],
+    politician_rows: Iterable[Sequence[str]],
     party_rows: Iterable[Mapping[str, str]] = (),
     nmap: NormalizationMap | None = None,
 ) -> Snapshot:
     """Parse each politicians row once and flag data-quality problems.
 
+    A politicians row holds the fields of catalog.POLITICIANS_CSV_HEADER,
+    in that order, as fetch_politicians and read_politicians_csv give it.
     Every date column is read once and every party reference resolved
     once (given a map; without one no row has a party). The findings are
     resources appearing both as politician and as party reference, rows
@@ -321,20 +269,17 @@ def read_snapshot(
     deaths: dict[str, date] = {}
     starts: dict[str, list[date]] = {}
     with_relevant: set[str] = set()
-    for row in politician_rows:
-        source = row.get("source", "")
-        pid = row["politician_id"]
-        ref = row.get("party_id") or ""
+    for source, pid, label, ref, raw_start, raw_end, raw_death, _, raw_stamp in politician_rows:
         politician_ids.add(pid)
         if ref:
             party_refs.add(ref)
 
         partial: list[str] = []
-        start = _row_date(row, "aff_start", partial)
-        end = _row_date(row, "aff_end", partial)
-        death = _row_date(row, "death_date", partial)
+        start = _row_date(raw_start, "aff_start", partial)
+        end = _row_date(raw_end, "aff_end", partial)
+        death = _row_date(raw_death, "death_date", partial)
         # a partial stamp is no finding
-        stamp = _row_date(row, "retrieved_at", [])
+        stamp = _row_date(raw_stamp, "retrieved_at", [])
         if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
             retrieved_at = stamp
         if partial:
@@ -364,7 +309,7 @@ def read_snapshot(
             elif nmap.party(party).relevance == "relevant":
                 relevant = True
                 with_relevant.add(pid)
-        rows.append((source, pid, row.get("label") or "", party, relevant, start, end, death))
+        rows.append((source, pid, label, party, relevant, start, end, death))
 
     for conflicted in sorted(politician_ids & party_refs):
         findings.append(
@@ -393,68 +338,48 @@ def read_snapshot(
     return Snapshot(rows, unmapped, findings, retrieved_at)
 
 
-def normalize_affiliations(
-    rows: Iterable[SnapshotRow],
-    career_end_overrides: Mapping[str, date] | None = None,
-) -> list[PoliticianRecord]:
-    """Collapse one source's parsed rows into one PoliticianRecord per
-    politician, in politician order.
+def _careers(
+    rows: Iterable[SnapshotRow], today: date, overrides: Mapping[str, date]
+) -> tuple[list[tuple[date, date, frozenset[str]]], int]:
+    """The (first, last, relevant parties) career of each dated politician
+    in one source's rows, and how many politicians are undated.
 
-    A politician's label and death are its first non-empty ones. Rows
-    without a canonical party add no affiliation; affiliations to
-    not-relevant or foreign parties are kept but flagged, so the bounds
-    computation skips them.
+    A politician's death is its first non-empty one, and a row without a
+    canonical party adds nothing to its career. The career is the hull of
+    its dated (start, end) pairs, with an open end read as the cap: the
+    earliest of today, the death and the career-end override. A hull with
+    no start begins at date.min. A politician with no dated pair, or whose
+    hull starts after its end, is undated.
     """
-    overrides = career_end_overrides or {}
-    by_id: dict[str, dict] = {}
-    for _, pid, label, party, relevant, start, end, death in rows:
-        entry = by_id.setdefault(pid, {"label": "", "death": None, "affs": []})
-        if not entry["label"]:
-            entry["label"] = label
-        if entry["death"] is None:
-            entry["death"] = death
+    deaths: dict[str, date | None] = {}
+    pairs: dict[str, list[tuple[date | None, date | None]]] = {}
+    parties: dict[str, set[str]] = {}
+    for _, pid, _, party, relevant, start, end, death in rows:
+        if deaths.get(pid) is None:
+            deaths[pid] = death
         if party is not None:
-            interval = DateInterval(start, end) if (start or end) else None
-            entry["affs"].append(Affiliation(party, interval, relevant))
-    return [
-        PoliticianRecord(
-            id=pid,
-            label=entry["label"],
-            affiliations=tuple(dict.fromkeys(entry["affs"])),
-            death_date=entry["death"],
-            career_end_override=overrides.get(pid),
+            if start is not None or end is not None:
+                pairs.setdefault(pid, []).append((start, end))
+            if relevant:
+                parties.setdefault(pid, set()).add(party)
+
+    late = min(
+        (pid for pid, day in overrides.items() if deaths.get(pid) and day > deaths[pid]),
+        default=None,
+    )
+    if late is not None:
+        raise ValueError(
+            f"career end override {overrides[late]} after death {deaths[late]} for {late!r}"
         )
-        for pid, entry in sorted(by_id.items())
-    ]
 
-
-def activity_period(p: PoliticianRecord, today: date) -> DateInterval | None:
-    """Convex hull of the politician's dated affiliations.
-
-    An affiliation without an end date is capped by the earliest applicable
-    of: today, the death date, and the curated career-end override. Records
-    with no dated affiliation at all return None (no activity evidence) and
-    are excluded from active-at-T selection.
-    """
-    dated = [a.interval for a in p.affiliations if a.interval is not None and a.interval.dated]
-    if not dated:
-        return None
-    caps = [today]
-    if p.death_date is not None:
-        caps.append(p.death_date)
-    if p.career_end_override is not None:
-        caps.append(p.career_end_override)
-    cap = min(caps)
-
-    starts = [iv.start for iv in dated if iv.start is not None]
-    effective_ends = [iv.end if iv.end is not None else cap for iv in dated]
-    start = min(starts) if starts else None
-    end = max(effective_ends)
-    if start is not None and start > end:
-        # all evidence lies beyond the activity cap (e.g. affiliation
-        # starting after the recorded death); treat as no usable evidence
-        return None
-    return DateInterval(start, end)
+    careers = []
+    for pid, dated in pairs.items():
+        cap = min(today, deaths[pid] or today, overrides.get(pid, today))
+        first = min((start for start, _ in dated if start is not None), default=date.min)
+        last = max(cap if end is None else end for _, end in dated)
+        if first <= last:
+            careers.append((first, last, frozenset(parties.get(pid, ()))))
+    return careers, len(deaths) - len(careers)
 
 
 def compute_bounds(
@@ -529,11 +454,10 @@ def run_audit(
     """Visibility bounds over a politicians snapshot, per source and time point.
 
     `snapshot` is read_snapshot's result under the same map. One pass per
-    source: normalize once, take each politician's activity period and
-    relevant career set once, then at each time point count the career
-    sets of the active politicians and read every relevant party's bounds
-    from that count. The rows carry no baseline; judge compares them with
-    one body's seat shares.
+    source: build each politician's career from the rows once, then at
+    each time point count the relevant party sets of the active careers
+    and read every relevant party's bounds from that count. The rows carry
+    no baseline; judge compares them with one body's seat shares.
 
     `today` caps open-ended affiliations; it defaults to the snapshot's
     latest retrieved_at stamp so a cached snapshot always audits the same
@@ -557,16 +481,10 @@ def run_audit(
     coverage: list[CoverageRow] = []
 
     for source in sorted(by_source):
-        politicians = normalize_affiliations(by_source[source], career_end_overrides)
-        careers = []
-        for p in politicians:
-            period = activity_period(p, today)
-            if period is not None:
-                careers.append((period, p.relevant_parties()))
-        undated = len(politicians) - len(careers)
+        careers, undated = _careers(by_source[source], today, career_end_overrides or {})
         for time_point in sorted(schedule):
             counts = Counter(
-                career for period, career in careers if period.contains(time_point)
+                parties for first, last, parties in careers if first <= time_point <= last
             )
             active_total = counts.total()
             low_sample = 0 < active_total < LOW_SAMPLE_THRESHOLD
@@ -646,6 +564,17 @@ def load_normalization_map(
     return NormalizationMap(alias_to_canonical=aliases, canonical_to_party=parties)
 
 
+def _cell(
+    path: str | Path, line: int, column: str, raw: str, parse: Callable[[str], object], what: str
+):
+    """parse(raw), or a ValueError naming the file, the line, the column,
+    the value and `what` it should be."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{path} line {line}: {column} {raw!r} is not {what}") from None
+
+
 def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
     """Load seat baselines, one table per parliamentary body.
 
@@ -653,17 +582,22 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
     """
     per_body: dict[str, dict[date, dict]] = {}
     columns = ("body", "election_date", "canonical_acronym", "seats", "total_seats")
-    for row in csv_rows(path, columns):
+    for line, row in numbered_csv_rows(path, columns):
         body = row["body"].strip()
-        election = date.fromisoformat(row["election_date"].strip())
+        election = _cell(
+            path, line, "election_date", row["election_date"].strip(), date.fromisoformat,
+            "an ISO date",
+        )
         entry = per_body.setdefault(body, {}).setdefault(
             election, {"seats": {}, "total": None}
         )
-        entry["seats"][row["canonical_acronym"].strip()] = int(row["seats"])
-        total = int(row["total_seats"])
+        entry["seats"][row["canonical_acronym"].strip()] = _cell(
+            path, line, "seats", row["seats"], int, "an integer"
+        )
+        total = _cell(path, line, "total_seats", row["total_seats"], int, "an integer")
         if entry["total"] is not None and entry["total"] != total:
             raise ValueError(
-                f"inconsistent total_seats for {body} {election}: "
+                f"{path} line {line}: inconsistent total_seats for {body} {election}: "
                 f"{entry['total']} vs {total}"
             )
         entry["total"] = total
@@ -682,6 +616,9 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
 def load_career_end_overrides(path: str | Path) -> dict[str, date]:
     """Load curated career-end dates (CSV: politician_id,career_end)."""
     return {
-        row["politician_id"].strip(): date.fromisoformat(row["career_end"].strip())
-        for row in csv_rows(path, ("politician_id", "career_end"))
+        row["politician_id"].strip(): _cell(
+            path, line, "career_end", row["career_end"].strip(), date.fromisoformat,
+            "an ISO date",
+        )
+        for line, row in numbered_csv_rows(path, ("politician_id", "career_end"))
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import re
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from operator import itemgetter
 from pathlib import Path
 
@@ -267,35 +267,32 @@ ORDER BY ?member""",
 
 def _clip_date(value: str) -> str:
     """Reduce datetime literals to their ISO date part."""
-    return value[:10] if _DATE10.match(value) else value
-
-
-def _binding_value(row: Mapping[str, str], var: str, clip: bool = False) -> str:
-    value = row.get(var, "")
-    return _clip_date(value) if clip else value
+    return value[:10] if len(value) > 10 and _DATE10.match(value) else value
 
 
 def fetch_politicians(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-) -> list[dict[str, str]]:
-    """Materialize the politicians snapshot, one row per affiliation."""
+) -> list[tuple[str, ...]]:
+    """Materialize the politicians snapshot, one tuple per affiliation, in
+    POLITICIANS_CSV_HEADER order."""
     template = builtin_templates()[(endpoint.dialect, "politicians")]
     rows = []
     for binding in execute_query(endpoint, template, transport=transport):
+        get = binding.get
         rows.append(
-            {
-                "source": endpoint.dialect,
-                "politician_id": _binding_value(binding, "politician"),
-                "label": _binding_value(binding, "label"),
-                "party_id": _binding_value(binding, "party"),
-                "aff_start": _binding_value(binding, "start", clip=True),
-                "aff_end": _binding_value(binding, "end", clip=True),
-                "death_date": _binding_value(binding, "death", clip=True),
-                "position": _binding_value(binding, "position"),
-                "retrieved_at": retrieved_at,
-            }
+            (
+                endpoint.dialect,
+                get("politician", ""),
+                get("label", ""),
+                get("party", ""),
+                _clip_date(get("start", "")),
+                _clip_date(get("end", "")),
+                _clip_date(get("death", "")),
+                get("position", ""),
+                retrieved_at,
+            )
         )
     return rows
 
@@ -319,10 +316,10 @@ def fetch_parties(
         rows.append(
             {
                 "source": endpoint.dialect,
-                "party_id": _binding_value(binding, "party"),
-                "label": _binding_value(binding, "label"),
-                "country": _binding_value(binding, "country"),
-                "raw_alignment": _binding_value(binding, "alignment"),
+                "party_id": binding.get("party", ""),
+                "label": binding.get("label", ""),
+                "country": binding.get("country", ""),
+                "raw_alignment": binding.get("alignment", ""),
                 "retrieved_at": retrieved_at,
             }
         )
@@ -345,19 +342,24 @@ def coverage_counts(
     return counts
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Mapping[str, str]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([row.get(k, "") for k in header] for row in rows)
+        writer.writerows(rows)
 
 
-def write_politicians_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> None:
+def write_politicians_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write fetch_politicians' tuples as they are."""
     _write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
 
 
-def write_parties_csv(path: str | Path, rows: Sequence[Mapping[str, str]]) -> None:
-    _write_csv(Path(path), PARTIES_CSV_HEADER, rows)
+def write_parties_csv(path: str | Path, rows: Iterable[Mapping[str, str]]) -> None:
+    _write_csv(
+        Path(path),
+        PARTIES_CSV_HEADER,
+        ([row.get(k, "") for k in PARTIES_CSV_HEADER] for row in rows),
+    )
 
 
 def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -409,8 +411,9 @@ def csv_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str,
     return map(pick, map(itemgetter(1), rows))
 
 
-def read_politicians_csv(path: str | Path) -> list[dict[str, str]]:
-    return list(csv_rows(path, POLITICIANS_CSV_HEADER))
+def read_politicians_csv(path: str | Path) -> list[tuple[str, ...]]:
+    """A politicians snapshot's rows as fetch_politicians gives them."""
+    return list(csv_columns(path, POLITICIANS_CSV_HEADER))
 
 
 def read_parties_csv(path: str | Path) -> list[dict[str, str]]:

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 runtime or data failure, 2 usage or
 configuration error. Commands never mutate their inputs and rerunning
-with identical inputs rewrites byte-identical outputs.
+with identical inputs rewrites byte-identical outputs. A command runs
+with the cyclic garbage collector off.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import re
 import sys
@@ -136,6 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command's objects live until it returns, so the cyclic collector
+    # would only rescan them; a caller that had it on gets it back
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -147,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     except (QueryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _load_config(args) -> RunConfig:

@@ -2,14 +2,29 @@
 
 They are written for plainness, not speed: the Jaccard distance of two
 feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
-Δ, a disparity matrix from explicit pair values, and the inverse of a
-figure panel's y-transform.
+Δ, a disparity matrix from explicit pair values, the inverse of a figure
+panel's y-transform, and the audit's record layer: politician records
+with their affiliations, each one's activity period as a date interval,
+and the per-time-point count of the active politicians' careers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from datetime import date
 
+from kgdiv.audit import (
+    LOW_SAMPLE_THRESHOLD,
+    AuditResult,
+    AuditRow,
+    CoverageRow,
+    NormalizationMap,
+    Snapshot,
+    SnapshotRow,
+    compute_bounds,
+)
 from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
 from kgdiv.report import PANEL_HEIGHT
 
@@ -75,3 +90,172 @@ def explicit_matrix(
 def share_from_pixel(y_pixel: float, panel_top: float, y_max: float) -> float:
     """Invert the panel y-transform; the declared axis contract."""
     return (panel_top + PANEL_HEIGHT - y_pixel) / PANEL_HEIGHT * y_max
+
+
+@dataclass(frozen=True)
+class DateInterval:
+    """Closed interval with optional open ends; None means unbounded."""
+
+    start: date | None = None
+    end: date | None = None
+
+    def __post_init__(self) -> None:
+        if self.start is not None and self.end is not None and self.start > self.end:
+            raise ValueError(f"interval start {self.start} after end {self.end}")
+
+    def contains(self, day: date) -> bool:
+        if self.start is not None and day < self.start:
+            return False
+        if self.end is not None and day > self.end:
+            return False
+        return True
+
+    @property
+    def dated(self) -> bool:
+        return self.start is not None or self.end is not None
+
+
+@dataclass(frozen=True)
+class Affiliation:
+    party: str
+    interval: DateInterval | None = None
+    relevant: bool = True
+
+
+@dataclass(frozen=True)
+class PoliticianRecord:
+    id: str
+    label: str
+    affiliations: tuple[Affiliation, ...] = ()
+    death_date: date | None = None
+    career_end_override: date | None = None
+
+    def __post_init__(self) -> None:
+        if (
+            self.career_end_override is not None
+            and self.death_date is not None
+            and self.career_end_override > self.death_date
+        ):
+            raise ValueError(
+                f"career end override {self.career_end_override} after death "
+                f"{self.death_date} for {self.id!r}"
+            )
+
+    def relevant_parties(self) -> frozenset[str]:
+        """The whole-career set of relevant party acronyms."""
+        return frozenset(a.party for a in self.affiliations if a.relevant)
+
+
+def normalize_affiliations(
+    rows: Iterable[SnapshotRow],
+    career_end_overrides: Mapping[str, date] | None = None,
+) -> list[PoliticianRecord]:
+    """Collapse one source's parsed rows into one PoliticianRecord per
+    politician, in politician order.
+
+    A politician's label and death are its first non-empty ones. Rows
+    without a canonical party add no affiliation; affiliations to
+    not-relevant or foreign parties are kept but flagged, so the bounds
+    computation skips them.
+    """
+    overrides = career_end_overrides or {}
+    by_id: dict[str, dict] = {}
+    for _, pid, label, party, relevant, start, end, death in rows:
+        entry = by_id.setdefault(pid, {"label": "", "death": None, "affs": []})
+        if not entry["label"]:
+            entry["label"] = label
+        if entry["death"] is None:
+            entry["death"] = death
+        if party is not None:
+            interval = DateInterval(start, end) if (start or end) else None
+            entry["affs"].append(Affiliation(party, interval, relevant))
+    return [
+        PoliticianRecord(
+            id=pid,
+            label=entry["label"],
+            affiliations=tuple(dict.fromkeys(entry["affs"])),
+            death_date=entry["death"],
+            career_end_override=overrides.get(pid),
+        )
+        for pid, entry in sorted(by_id.items())
+    ]
+
+
+def activity_period(p: PoliticianRecord, today: date) -> DateInterval | None:
+    """Convex hull of the politician's dated affiliations.
+
+    An affiliation without an end date is capped by the earliest applicable
+    of: today, the death date, and the curated career-end override. Records
+    with no dated affiliation at all return None (no activity evidence) and
+    are excluded from active-at-T selection.
+    """
+    dated = [a.interval for a in p.affiliations if a.interval is not None and a.interval.dated]
+    if not dated:
+        return None
+    caps = [today]
+    if p.death_date is not None:
+        caps.append(p.death_date)
+    if p.career_end_override is not None:
+        caps.append(p.career_end_override)
+    cap = min(caps)
+
+    starts = [iv.start for iv in dated if iv.start is not None]
+    effective_ends = [iv.end if iv.end is not None else cap for iv in dated]
+    start = min(starts) if starts else None
+    end = max(effective_ends)
+    if start is not None and start > end:
+        # all evidence lies beyond the activity cap (e.g. affiliation
+        # starting after the recorded death); treat as no usable evidence
+        return None
+    return DateInterval(start, end)
+
+
+def audit_by_records(
+    snapshot: Snapshot,
+    nmap: NormalizationMap,
+    schedule: Sequence[date],
+    today: date,
+    career_end_overrides: Mapping[str, date] | None = None,
+) -> AuditResult:
+    """run_audit through the record layer: per source, one record per
+    politician and one activity period per record, then per time point a
+    count of the active records' relevant party sets."""
+    relevant = nmap.relevant_parties()
+    rows, coverage = [], []
+    for source in sorted({row[0] for row in snapshot.rows}):
+        politicians = normalize_affiliations(
+            [row for row in snapshot.rows if row[0] == source], career_end_overrides
+        )
+        periods = [(activity_period(p, today), p.relevant_parties()) for p in politicians]
+        dated = [(period, parties) for period, parties in periods if period is not None]
+        for time_point in sorted(schedule):
+            counts = Counter(
+                parties for period, parties in dated if period.contains(time_point)
+            )
+            total = sum(counts.values())
+            coverage.append(
+                CoverageRow(
+                    source=source,
+                    time_point=time_point,
+                    active_total=total,
+                    undated_total=len(politicians) - len(dated),
+                    low_sample=0 < total < LOW_SAMPLE_THRESHOLD,
+                )
+            )
+            if not total:
+                continue
+            for party, (lower, upper) in compute_bounds(counts, relevant).items():
+                rows.append(
+                    AuditRow(
+                        source=source,
+                        time_point=time_point,
+                        party=party,
+                        alignment=nmap.party(party).alignment,
+                        lower_count=lower,
+                        upper_count=upper,
+                        lower_share=lower / total,
+                        upper_share=upper / total,
+                        active_total=total,
+                    )
+                )
+    return AuditResult(rows=rows, coverage=coverage)

@@ -17,14 +17,10 @@ from datetime import date, timedelta
 import pytest
 
 from kgdiv.audit import (
-    Affiliation,
     BaselineTable,
-    DateInterval,
     ElectionResult,
     NormalizationMap,
     PartyRecord,
-    PoliticianRecord,
-    activity_period,
     classify,
     compute_bounds,
     judge,
@@ -54,7 +50,16 @@ from kgdiv.report import PANEL_HEIGHT
 from kgdiv.sparql import EndpointConfig, QueryTemplate, execute_query
 from tests.conftest import make_probe_dataset, record_criterion
 from tests.fixture_server import FixtureServer, RecordingStore
-from tests.oracles import explicit_matrix, gini_simpson, pair_terms, share_from_pixel
+from tests.oracles import (
+    Affiliation,
+    DateInterval,
+    PoliticianRecord,
+    activity_period,
+    explicit_matrix,
+    gini_simpson,
+    pair_terms,
+    share_from_pixel,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -145,17 +150,17 @@ def test_criterion_4_flemish_over_representation():
     for k in range(21):
         party = "N-VA" if k < 15 else ("CD&V" if k < 18 else "Vooruit")
         rows.append(
-            {
-                "source": "en-dbpedia",
-                "politician_id": f"flemish{k:02d}",
-                "label": f"Flemish politician {k}",
-                "party_id": party,
-                "aff_start": "2014-06-01",
-                "aff_end": "",
-                "death_date": "",
-                "position": "",
-                "retrieved_at": "2022-05-27",
-            }
+            (
+                "en-dbpedia",
+                f"flemish{k:02d}",
+                f"Flemish politician {k}",
+                party,
+                "2014-06-01",
+                "",
+                "",
+                "",
+                "2022-05-27",
+            )
         )
     result = run_audit(read_snapshot(rows, nmap=nmap), nmap, schedule=[date(2020, 1, 1)])
     nva = next(r for r in judge(result.rows, baselines) if r.party == "N-VA")

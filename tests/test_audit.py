@@ -8,27 +8,30 @@ from collections import Counter
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdiv.audit import (
-    Affiliation,
     BaselineTable,
-    DateInterval,
     ElectionResult,
     NormalizationMap,
     PartyRecord,
-    PoliticianRecord,
-    activity_period,
     baseline_share,
     classify,
     compute_bounds,
     judge,
     load_baselines,
     load_normalization_map,
-    normalize_affiliations,
     read_snapshot,
     run_audit,
+)
+from tests.oracles import (
+    Affiliation,
+    DateInterval,
+    PoliticianRecord,
+    activity_period,
+    audit_by_records,
+    normalize_affiliations,
 )
 
 TODAY = date(2022, 5, 1)
@@ -53,18 +56,11 @@ def make_map(**relevance_overrides):
     return NormalizationMap(alias_to_canonical=aliases, canonical_to_party=parties)
 
 
-def snapshot_row(pid, party="", start="", end="", death="", label="", source="test"):
-    return {
-        "source": source,
-        "politician_id": pid,
-        "label": label or pid,
-        "party_id": party,
-        "aff_start": start,
-        "aff_end": end,
-        "death_date": death,
-        "position": "",
-        "retrieved_at": "2022-05-01",
-    }
+def snapshot_row(
+    pid, party="", start="", end="", death="", label="", source="test", stamp="2022-05-01"
+):
+    """A politicians row as read_politicians_csv gives it."""
+    return (source, pid, label or pid, party, start, end, death, "", stamp)
 
 
 def normalize(rows):
@@ -435,7 +431,7 @@ class TestRunAudit:
         assert first.coverage == second.coverage
 
     def test_unstamped_rows_need_today(self):
-        rows = [{**snapshot_row("p1", party="N-VA", start="2021-01-01"), "retrieved_at": ""}]
+        rows = [snapshot_row("p1", party="N-VA", start="2021-01-01", stamp="")]
         with pytest.raises(ValueError, match="--today"):
             audit(rows, make_map(), schedule=[date(2022, 1, 1)])
         result = audit(rows, make_map(), schedule=[date(2022, 1, 1)], today=TODAY)
@@ -712,3 +708,116 @@ def test_loaders(tmp_path):
     assert set(tables) == {"VP", "KVV"}
     assert tables["VP"].elections[date(2019, 5, 26)].seats["N-VA"] == 35
     assert tables["VP"].elections[date(2019, 5, 26)].total_seats == 124
+
+
+SOURCES = ("en-dbpedia", "nl-dbpedia", "wikidata")
+#: mapped, aliased, not-relevant, foreign, unmapped and missing references
+REFS = ("N-VA", "Volksunie", "CD&V", "VB", "sp.a", "LocalList", "UF", "Mystery", "")
+
+
+@st.composite
+def date_texts(draw):
+    """An empty cell or a YYYY, YYYY-MM or YYYY-MM-DD value."""
+    day = draw(st.dates(min_value=date(1985, 1, 1), max_value=date(2024, 12, 31)))
+    return draw(st.sampled_from(["", f"{day:%Y}", f"{day:%Y-%m}", day.isoformat()]))
+
+
+@st.composite
+def audit_cases(draw):
+    """Rows of up to three sources, with partial, inverted and missing
+    dates and deaths; overrides no later than any death; a schedule; and
+    an explicit today or none."""
+    pids = [f"p{k}" for k in range(6)]
+    rows = draw(
+        st.lists(
+            st.builds(
+                snapshot_row,
+                st.sampled_from(pids),
+                party=st.sampled_from(REFS),
+                start=date_texts(),
+                end=date_texts(),
+                death=st.one_of(st.just(""), date_texts()),
+                source=st.sampled_from(SOURCES),
+                stamp=st.sampled_from(["2022-05-01", "2021-11-30", ""]),
+            ),
+            max_size=30,
+        )
+    )
+    overrides = draw(
+        st.dictionaries(
+            st.sampled_from(pids),
+            st.dates(min_value=date(1985, 1, 1), max_value=date(2024, 12, 31)),
+            max_size=3,
+        )
+    )
+    schedule = draw(
+        st.lists(
+            st.dates(min_value=date(1984, 1, 1), max_value=date(2025, 12, 31)),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    today = draw(st.one_of(st.none(), st.dates(date(2000, 1, 1), date(2025, 12, 31))))
+    return rows, overrides, schedule, today
+
+
+@given(audit_cases())
+@example(
+    (
+        [
+            # a relevant and a not-relevant party; an override caps the career
+            snapshot_row("p0", party="N-VA", start="2000-01-01", source="wikidata"),
+            snapshot_row("p0", party="LocalList", start="2001", source="wikidata"),
+            # an end-only pair, an open start, and two deaths of which the first counts
+            snapshot_row("p1", party="CD&V", end="2010-06", source="en-dbpedia"),
+            snapshot_row("p1", party="VB", start="2005-01-01", death="2012", source="en-dbpedia"),
+            snapshot_row("p1", party="Mystery", death="2015-01-01", source="en-dbpedia"),
+            # an inverted pair and an unstamped row without a party
+            snapshot_row("p2", party="UF", start="2004-01-01", end="2003-01-01", source="nl-dbpedia"),
+            snapshot_row("p2", start="1999", source="nl-dbpedia", stamp=""),
+        ],
+        {"p0": date(2010, 1, 1)},
+        [date(2006, 1, 1), date(2011, 1, 1), date(2013, 1, 1)],
+        None,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_property_run_audit_equals_record_oracle(case):
+    rows, overrides, schedule, today = case
+    nmap = make_map()
+    snapshot = read_snapshot(rows, nmap=nmap)
+    # an override may not pass any death of its politician
+    for _, pid, _, _, _, _, _, death in snapshot.rows:
+        if death is not None and pid in overrides:
+            overrides[pid] = min(overrides[pid], death)
+    if today is None and snapshot.rows and snapshot.retrieved_at is None:
+        with pytest.raises(ValueError, match="--today"):
+            run_audit(snapshot, nmap, schedule=schedule, career_end_overrides=overrides)
+        return
+    result = run_audit(
+        snapshot, nmap, schedule=schedule, today=today, career_end_overrides=overrides
+    )
+    expected = audit_by_records(
+        snapshot, nmap, schedule, today or snapshot.retrieved_at or date.today(), overrides
+    )
+    assert result == expected
+
+
+def test_override_after_death_names_the_first_politician():
+    """Both a record and run_audit reject an override past the death; the
+    audit names the first such politician of the first source."""
+    rows = [
+        snapshot_row("p2", party="N-VA", start="2000-01-01", death="2010-01-01", source="b"),
+        snapshot_row("p1", party="N-VA", start="2000-01-01", death="2010-01-01", source="b"),
+        snapshot_row("p3", party="N-VA", start="2000-01-01", death="2011", source="a"),
+        snapshot_row("p3", party="N-VA", start="2000-01-01", death="2012-01-01", source="b"),
+    ]
+    nmap = make_map()
+    snapshot = read_snapshot(rows, nmap=nmap)
+    overrides = {pid: date(2011, 1, 1) for pid in ("p1", "p2", "p3")}
+    message = "career end override 2011-01-01 after death 2010-01-01 for 'p1'"
+    with pytest.raises(ValueError, match=message):
+        run_audit(snapshot, nmap, schedule=[TODAY], career_end_overrides=overrides)
+    with pytest.raises(ValueError, match=message):
+        audit_by_records(snapshot, nmap, [TODAY], TODAY, overrides)

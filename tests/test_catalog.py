@@ -34,6 +34,12 @@ def transport(kg_fixture_dir):
     return FixtureTransport(FixtureStore(kg_fixture_dir))
 
 
+def politician_dicts(dialect, transport):
+    """fetch_politicians' rows, each keyed by the snapshot header."""
+    rows = fetch_politicians(endpoint(dialect), "2022-05-27", transport)
+    return [dict(zip(POLITICIANS_CSV_HEADER, row, strict=True)) for row in rows]
+
+
 def test_builtin_templates_cover_all_dialects():
     catalog = builtin_templates()
     for dialect in DIALECTS:
@@ -48,7 +54,7 @@ def test_builtin_templates_cover_all_dialects():
 
 class TestFetchPoliticians:
     def test_one_row_per_affiliation(self, transport):
-        rows = fetch_politicians(endpoint("en-dbpedia"), "2022-05-27", transport)
+        rows = politician_dicts("en-dbpedia", transport)
         by_pol = {}
         for row in rows:
             by_pol.setdefault(row["politician_id"], []).append(row)
@@ -60,7 +66,7 @@ class TestFetchPoliticians:
         }
 
     def test_missing_fields_become_empty(self, transport):
-        rows = fetch_politicians(endpoint("en-dbpedia"), "2022-05-27", transport)
+        rows = politician_dicts("en-dbpedia", transport)
         undated = [
             r
             for r in rows
@@ -71,21 +77,21 @@ class TestFetchPoliticians:
         assert undated[0]["death_date"] == ""
 
     def test_wikidata_datetimes_clipped_to_dates(self, transport):
-        rows = fetch_politicians(endpoint("wikidata"), "2022-05-27", transport)
+        rows = politician_dicts("wikidata", transport)
         dated = [r for r in rows if r["aff_start"]]
         assert dated
         for row in dated:
             assert len(row["aff_start"]) == 10
 
     def test_wikidata_positions_populated(self, transport):
-        rows = fetch_politicians(endpoint("wikidata"), "2022-05-27", transport)
+        rows = politician_dicts("wikidata", transport)
         assert all(r["position"].startswith("http://www.wikidata.org/") for r in rows)
 
     def test_columns_identical_across_dialects(self, transport):
         for dialect in DIALECTS:
             rows = fetch_politicians(endpoint(dialect), "2022-05-27", transport)
-            for row in rows:
-                assert tuple(row) == POLITICIANS_CSV_HEADER
+            assert {len(row) for row in rows} == {len(POLITICIANS_CSV_HEADER)}
+            for row in politician_dicts(dialect, transport):
                 assert row["source"] == dialect
                 assert row["retrieved_at"] == "2022-05-27"
 

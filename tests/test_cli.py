@@ -320,24 +320,21 @@ class TestAudit:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-        per_source = {(row["source"], row["politician_id"]) for row in rows}
+        per_source = Counter(row["source"] for row in rows)
 
-        calls: Counter[str] = Counter()
-        for name in ("activity_period", "normalize_affiliations"):
-            real = getattr(kgdiv.audit, name)
+        # the careers of one source are built from all of its rows in one call
+        calls = []
+        real = kgdiv.audit._careers
 
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def counting(source_rows, *args):
+            calls.append((source_rows[0][0], len(source_rows)))
+            return real(source_rows, *args)
 
-            monkeypatch.setattr(kgdiv.audit, name, counting)
+        monkeypatch.setattr(kgdiv.audit, "_careers", counting)
         schedule = ",".join(str(year) for year in range(1996, 2022, 2))
         argv = audit_args(snapshot, tmp_path / "out", fixture_dir, body=None)
         assert run_cli(*argv, "--schedule", schedule) == 0
-        assert calls == {
-            "activity_period": len(per_source),
-            "normalize_affiliations": 2,
-        }
+        assert calls == sorted(per_source.items())
 
 
     def test_each_date_read_once(self, tmp_path, fixture_dir, monkeypatch):
@@ -358,6 +355,63 @@ class TestAudit:
         assert run_cli(*audit_args(snapshot, tmp_path / "out", fixture_dir)) == 0
         # aff_start, aff_end, death_date and retrieved_at, once each
         assert calls == 4 * rows
+
+    def test_override_after_death_fails_and_writes_nothing(
+        self, tmp_path, fixture_dir, capsys
+    ):
+        overrides = tmp_path / "overrides.csv"
+        overrides.write_text(
+            "politician_id,career_end\nhttp://dbpedia.org/resource/Carla_Maes,2017-01-01\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = [
+            *audit_args(GOLDEN / "snapshot_en", out, fixture_dir),
+            "--overrides",
+            str(overrides),
+        ]
+        assert run_cli(*argv) == 1
+        assert (
+            "error: career end override 2017-01-01 after death 2016-03-02 for "
+            "'http://dbpedia.org/resource/Carla_Maes'\n"
+        ) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, rows, message",
+        [
+            ("--baseline", "KVV,2019-05-26,N-VA,25,150\nKVV,2019-05-26,CD&V,x,150\n",
+             "line 3: seats 'x' is not an integer"),
+            ("--baseline", "KVV,2019-05-26,N-VA,25,15O\n",
+             "line 2: total_seats '15O' is not an integer"),
+            ("--baseline", "KVV,2019-5-26,N-VA,25,150\n",
+             "line 2: election_date '2019-5-26' is not an ISO date"),
+            ("--baseline", "KVV,2019-05-26,N-VA,25,150\nKVV,2019-05-26,CD&V,12,124\n",
+             "line 3: inconsistent total_seats for KVV 2019-05-26: 150 vs 124"),
+            ("--overrides", "p1,2019-12-01\np2,2019-13-01\n",
+             "line 3: career_end '2019-13-01' is not an ISO date"),
+        ],
+        ids=["seats", "total-seats", "election-date", "inconsistent-total", "career-end"],
+    )
+    def test_bad_baseline_or_override_cell_names_file_and_line(
+        self, tmp_path, fixture_dir, capsys, flag, rows, message
+    ):
+        if flag == "--baseline":
+            bad = tmp_path / "baselines.csv"
+            header = "body,election_date,canonical_acronym,seats,total_seats\n"
+        else:
+            bad = tmp_path / "overrides.csv"
+            header = "politician_id,career_end\n"
+        bad.write_text(header + rows, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = audit_args(GOLDEN / "snapshot_en", out, fixture_dir)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert run_cli(*argv) == 1
+        assert f"error: {bad} {message}\n" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestScore:
@@ -1180,3 +1234,38 @@ def test_config_with_missing_file_is_rejected(tmp_path):
         "score", "--corpus", str(tmp_path), "--config", str(config), "--out", str(tmp_path)
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("caller_collects", [True, False], ids=["caller-gc-on", "caller-gc-off"])
+@pytest.mark.parametrize(
+    "outcome, code", [("return", 0), ("error", 1), ("config-error", 2)],
+    ids=["return", "error", "config-error"],
+)
+def test_command_runs_with_cyclic_gc_off(monkeypatch, outcome, code, caller_collects):
+    """The collector is off while a command runs, and afterwards it is as
+    the caller left it, however the command ends."""
+    import gc
+
+    import kgdiv.cli
+    from kgdiv.config import ConfigError
+
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        if outcome == "error":
+            raise ValueError("bad row")
+        if outcome == "config-error":
+            raise ConfigError("bad key")
+        return 0
+
+    monkeypatch.setattr(kgdiv.cli, "cmd_validate", command)
+    collecting = gc.isenabled()
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        assert run_cli("validate", "--snapshot", "unused") == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert during == [False]
+    assert after is caller_collects
