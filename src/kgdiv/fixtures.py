@@ -13,11 +13,16 @@ an optional manifest with the snapshot stamp:
 
 Bindings use the SPARQL JSON results encoding. The synthetic form expands
 {n} over 0..count-1, which keeps large recorded row counts out of the
-repository while still exercising paging and parsing.
+repository while still exercising paging and parsing. A file that does
+not have this shape is rejected with a ValueError that names it.
 
-The store backs an in-process transport (no sockets) that honours
-LIMIT/OFFSET. The tests serve the same store over HTTP with a local
-server speaking the SPARQL protocol (tests/fixture_server.py).
+The store answers each LIMIT/OFFSET page with the decoded results
+document, and the in-process transport (no sockets) hands that document
+straight to sparql.parse_results: nothing is encoded only to be decoded
+again. Its bindings are the store's cached objects, which the parser only
+reads. The tests serve the same store over HTTP with a local server
+speaking the SPARQL protocol (tests/fixture_server.py), which encodes each
+document for the wire.
 """
 
 from __future__ import annotations
@@ -47,10 +52,18 @@ class FixtureStore:
     @property
     def retrieved_at(self) -> str:
         """The manifest's snapshot stamp, or "" (unstamped) without one."""
-        manifest = self.root / "manifest.json"
-        if manifest.exists():
-            return json.loads(manifest.read_text()).get("retrieved_at") or ""
-        return ""
+        path = self.root / "manifest.json"
+        if not path.exists():
+            return ""
+        manifest = _read_json(path)
+        if not isinstance(manifest, dict):
+            raise ValueError(f"fixture manifest {path} is not a JSON object")
+        stamp = manifest.get("retrieved_at")
+        if stamp is not None and not isinstance(stamp, str):
+            raise ValueError(
+                f"fixture manifest {path}: retrieved_at {stamp!r} is not a string"
+            )
+        return stamp or ""
 
     def dataset(self, dialect: str, template_id: str) -> tuple[list[str], list[dict]]:
         key = (dialect, template_id)
@@ -60,11 +73,26 @@ class FixtureStore:
         path = self.root / dialect / f"{template_id}.json"
         if not path.exists():
             raise FileNotFoundError(f"no fixture dataset {dialect}/{template_id}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        variables = list(doc["variables"])
+        doc = _read_json(path)
+        variables = doc.get("variables") if isinstance(doc, dict) else None
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError(
+                f"fixture dataset {path} is not an object with a list of string variables"
+            )
         if "synthetic" in doc:
             spec = doc["synthetic"]
-            proto = spec["binding"]
+            if not isinstance(spec, dict):
+                raise ValueError(f"fixture dataset {path}: synthetic is not an object")
+            count, proto = spec.get("count"), spec.get("binding")
+            if type(count) is not int or count < 0:
+                raise ValueError(
+                    f"fixture dataset {path}: synthetic count {count!r} is not a "
+                    "non-negative integer"
+                )
+            if not isinstance(proto, dict) or not all(isinstance(t, dict) for t in proto.values()):
+                raise ValueError(
+                    f"fixture dataset {path}: synthetic binding is not an object of term objects"
+                )
             bindings = [
                 {
                     var: {
@@ -73,16 +101,18 @@ class FixtureStore:
                     }
                     for var, term in proto.items()
                 }
-                for n in range(int(spec["count"]))
+                for n in range(count)
             ]
         else:
-            bindings = list(doc["bindings"])
+            bindings = doc.get("bindings")
+            if not isinstance(bindings, list):
+                raise ValueError(f"fixture dataset {path} has no list of bindings")
         with self._lock:
             self._cache[key] = (variables, bindings)
         return variables, bindings
 
-    def respond(self, dialect: str, query: str) -> bytes:
-        """Answer one paged SPARQL query with a JSON results document."""
+    def respond(self, dialect: str, query: str) -> dict:
+        """Answer one paged SPARQL query with a decoded JSON results document."""
         mark = TEMPLATE_MARK.search(query)
         if not mark:
             raise QueryTransportError("fixture backend needs a #template= marker")
@@ -94,11 +124,17 @@ class FixtureStore:
             limit, offset = None, 0
         variables, bindings = self.dataset(dialect, template_id)
         sliced = bindings[offset:] if limit is None else bindings[offset : offset + limit]
-        doc = {
+        return {
             "head": {"vars": variables},
             "results": {"bindings": sliced},
         }
-        return json.dumps(doc).encode("utf-8")
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"fixture file {path} is not JSON: {exc}") from None
 
 
 def _dialect_from_url(url: str) -> str:
@@ -116,5 +152,5 @@ class FixtureTransport:
     def __init__(self, store: FixtureStore):
         self.store = store
 
-    def __call__(self, url: str, query: str, accept: str, timeout: float) -> bytes:
+    def __call__(self, url: str, query: str, accept: str, timeout: float) -> dict:
         return self.store.respond(_dialect_from_url(url), query)

@@ -14,7 +14,7 @@ import json
 import math
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
@@ -75,8 +75,9 @@ class QueryTemplate:
     query_text: str
 
 
-#: transport signature: (url, query, accept header, timeout) -> response body
-Transport = Callable[[str, str, str, float], bytes]
+#: transport signature: (url, query, accept header, timeout) -> response body,
+#: as bytes or as an in-process store's decoded results document
+Transport = Callable[[str, str, str, float], bytes | Mapping]
 
 
 def http_transport(url: str, query: str, accept: str, timeout: float) -> bytes:
@@ -184,7 +185,7 @@ def execute_query(
 
 def _send_with_retry(
     send: Transport, endpoint: EndpointConfig, query: str, limiter: RateLimiter
-) -> bytes:
+) -> bytes | Mapping:
     last_error: QueryTransportError | None = None
     for attempt in range(endpoint.retry_limit + 1):
         limiter.wait()
@@ -197,12 +198,12 @@ def _send_with_retry(
     raise last_error  # type: ignore[misc]
 
 
-def parse_results(body: bytes) -> list[tuple[Term, ...]]:
-    """Parse a SPARQL JSON results document into one variable-sorted tuple
-    of terms per binding. Datatypes and language tags are kept, and the
-    tuple is hashable, so it is also the binding's dedup key."""
+def parse_results(body: bytes | Mapping) -> list[tuple[Term, ...]]:
+    """Parse a SPARQL JSON results document, as bytes or decoded (and then
+    only read), into one variable-sorted tuple of terms per binding. Datatypes
+    and language tags are kept; the hashable tuple is the binding's dedup key."""
     try:
-        doc = json.loads(body)
+        doc = body if isinstance(body, Mapping) else json.loads(body)
         declared = set(doc["head"]["vars"])
         bindings = doc["results"]["bindings"]
     except (ValueError, KeyError, TypeError) as exc:

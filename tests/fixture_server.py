@@ -2,12 +2,14 @@
 and a store that logs the requests it answers.
 
 The tests use them to run the HTTP transport, paging and rate limiting
-against real sockets; the CLI reads fixtures in-process through
-kgdiv.fixtures.FixtureTransport.
+against real sockets. The server encodes each results document the store
+answers with as JSON for the wire; the CLI reads fixtures in-process
+through kgdiv.fixtures.FixtureTransport, which skips that encoding.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -31,7 +33,7 @@ class RecordingStore(FixtureStore):
         super().__init__(root)
         self.requests: list[Request] = []
 
-    def respond(self, dialect: str, query: str) -> bytes:
+    def respond(self, dialect: str, query: str) -> dict:
         page = PAGE_MARK.search(query)
         limit, offset = (int(page.group(1)), int(page.group(2))) if page else (-1, 0)
         self.requests.append(Request(time.monotonic(), limit, offset))
@@ -64,14 +66,15 @@ class FixtureServer:
             def _answer(self, path: str, query: str):
                 try:
                     dialect = _dialect_from_url(path)
-                    payload = outer.store.respond(dialect, query)
-                except (QueryTransportError, FileNotFoundError) as exc:
+                    doc = outer.store.respond(dialect, query)
+                except (QueryTransportError, OSError, ValueError) as exc:
                     message = str(exc).encode("utf-8")
                     self.send_response(400)
                     self.send_header("Content-Length", str(len(message)))
                     self.end_headers()
                     self.wfile.write(message)
                     return
+                payload = json.dumps(doc).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/sparql-results+json")
                 self.send_header("Content-Length", str(len(payload)))

@@ -119,6 +119,61 @@ class TestFetch:
             GOLDEN / "audit_en" / "audit_kvv.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("manifest.json", "[1]"),
+            ("manifest.json", '{"retrieved_at": 5}'),
+            ("manifest.json", "{"),
+            ("en-dbpedia/politicians.json", '{"bindings": []}'),
+            ("en-dbpedia/politicians.json", "[]"),
+            ("en-dbpedia/politicians.json", '{"variables": [1], "bindings": []}'),
+            ("en-dbpedia/politicians.json", '{"variables": ["politician"]}'),
+            (
+                "en-dbpedia/politicians.json",
+                '{"variables": ["politician"], "synthetic": {"count": 2, '
+                '"binding": {"politician": "http://x/p{n}"}}}',
+            ),
+            (
+                "en-dbpedia/politicians.json",
+                '{"variables": ["politician"], "synthetic": {"count": "x", '
+                '"binding": {"politician": {"type": "uri", "value": "http://x/p{n}"}}}}',
+            ),
+            (
+                "en-dbpedia/politicians.json",
+                '{"variables": ["politician"], "synthetic": {"count": -1, '
+                '"binding": {"politician": {"type": "uri", "value": "http://x/p{n}"}}}}',
+            ),
+            ("en-dbpedia/parties.json", '{"variables": ["party"], "synthetic": []}'),
+        ],
+        ids=[
+            "manifest-a-list",
+            "manifest-stamp-a-number",
+            "manifest-not-json",
+            "dataset-without-variables",
+            "dataset-a-list",
+            "variables-not-strings",
+            "dataset-without-bindings",
+            "synthetic-term-a-string",
+            "synthetic-count-a-string",
+            "synthetic-count-negative",
+            "synthetic-not-an-object",
+        ],
+    )
+    def test_malformed_fixture_is_a_clean_error(
+        self, tmp_path, kg_fixture_dir, capsys, name, text
+    ):
+        fixture = tmp_path / "kg"
+        shutil.copytree(kg_fixture_dir, fixture)
+        (fixture / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "snap"
+        assert run_cli(*fetch_args(out, fixture)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(fixture / name) in err
+        assert "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_nl_dbpedia_party_workaround_produces_rows(self, tmp_path, kg_fixture_dir):
         out = tmp_path / "nl"
         assert run_cli(*fetch_args(out, kg_fixture_dir, "nl-dbpedia")) == 0

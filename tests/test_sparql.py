@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from kgdiv.sparql import (
     http_transport,
     parse_results,
 )
-from tests.conftest import make_probe_dataset
+from tests.conftest import FIXTURES, make_probe_dataset
 from tests.fixture_server import FixtureServer, RecordingStore
 
 PROBE_TEMPLATE = QueryTemplate(
@@ -547,3 +549,115 @@ def test_http_transport_roundtrip(probe_store):
             10.0,
         )
     assert len(parse_results(body)) == 5
+
+
+# --- the in-process fixture path against the HTTP one ------------------------
+#
+# FixtureTransport hands the store's decoded results documents to
+# parse_results, while FixtureServer encodes them for the wire and
+# http_transport returns bytes. Both must give the same rows and errors.
+
+BUNDLED = sorted((FIXTURES / "kg").glob("*/*.json"))
+
+
+def fixture_template(dialect: str, template_id: str) -> QueryTemplate:
+    return QueryTemplate(
+        template_id=template_id,
+        dialect=dialect,
+        query_text=f"#template={template_id}\nSELECT * WHERE {{ ?s ?p ?o }}",
+    )
+
+
+def both_paths(store: FixtureStore, dialect: str, template_id: str, page_size: int = 1000):
+    """execute_query over the in-process transport and over HTTP, each as
+    ("rows", rows) or ("error", message)."""
+    template = fixture_template(dialect, template_id)
+
+    def run(endpoint, transport=None):
+        try:
+            return "rows", execute_query(endpoint, template, transport=transport)
+        except MalformedResultError as exc:
+            return "error", str(exc)
+
+    in_process = run(
+        EndpointConfig(
+            url=f"fixture:///{dialect}/in-process",
+            dialect=dialect,
+            page_size=page_size,
+            max_requests_per_second=1e9,
+        ),
+        FixtureTransport(store),
+    )
+    with FixtureServer(store) as server:
+        over_http = run(
+            endpoint_for(
+                server, dialect, page_size=page_size, max_requests_per_second=1e9
+            )
+        )
+    return in_process, over_http
+
+
+@pytest.mark.parametrize(
+    "path", BUNDLED, ids=[f"{p.parent.name}/{p.stem}" for p in BUNDLED]
+)
+def test_in_process_and_http_rows_agree_on_bundled_fixtures(path: Path):
+    in_process, over_http = both_paths(
+        FixtureStore(FIXTURES / "kg"), path.parent.name, path.stem
+    )
+    assert in_process[0] == "rows"
+    assert in_process == over_http
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        (
+            {"s": {"type": "literal", "value": "x", "datatype": "d", "xml:lang": "en"}},
+            "both a datatype and a language tag",
+        ),
+        ({"s": {"type": "literal", "value": 5}}, "without a string value"),
+        ({"s": {"type": "wat", "value": "x"}}, "unknown binding kind"),
+        (
+            {"s": {"type": "uri", "value": "x"}, "o": {"type": "uri", "value": "y"}},
+            "undeclared variables",
+        ),
+    ],
+    ids=["datatype-and-lang", "non-string-value", "unknown-kind", "undeclared-variable"],
+)
+def test_in_process_and_http_errors_agree(tmp_path, binding, message):
+    (tmp_path / "en-dbpedia").mkdir()
+    (tmp_path / "en-dbpedia" / "probe.json").write_text(
+        json.dumps({"variables": ["s"], "bindings": [binding]})
+    )
+    in_process, over_http = both_paths(FixtureStore(tmp_path), "en-dbpedia", "probe")
+    assert in_process[0] == "error"
+    assert message in in_process[1]
+    assert in_process == over_http
+
+
+@given(raw_results())
+@settings(max_examples=100)
+def test_property_decoded_document_parses_like_its_bytes(results):
+    variables, bindings = results
+    body = results_doc(variables, bindings)
+    doc = json.loads(body)
+    before = copy.deepcopy(doc)
+    assert parse_results(body) == parse_results(doc)
+    assert doc == before
+
+
+def test_store_cache_survives_repeated_fetches():
+    store = FixtureStore(FIXTURES / "kg")
+    transport = FixtureTransport(store)
+    endpoint = EndpointConfig(
+        url="fixture:///en-dbpedia/twice",
+        dialect="en-dbpedia",
+        page_size=4,
+        max_requests_per_second=1e9,
+    )
+    template = fixture_template("en-dbpedia", "politicians")
+    first = execute_query(endpoint, template, transport=transport)
+    cached = copy.deepcopy(store.dataset("en-dbpedia", "politicians"))
+    second = execute_query(endpoint, template, transport=transport)
+    assert first and first == second
+    assert store.dataset("en-dbpedia", "politicians") == cached
