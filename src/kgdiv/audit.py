@@ -13,7 +13,6 @@ every body and only the comparison runs per body.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -21,21 +20,8 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
-from .catalog import csv_rows, numbered_csv_rows
-
-logger = logging.getLogger(__name__)
-
-ALIGNMENTS = (
-    "extreme-left",
-    "left",
-    "centre-left",
-    "centre",
-    "centre-right",
-    "right",
-    "extreme-right",
-    "other",
-    "unknown",
-)
+from . import ConfigError, warn
+from .csvformat import ALIGNMENTS, AuditRow, csv_rows, numbered_csv_rows
 
 RELEVANCE_CLASSES = ("relevant", "not-relevant", "foreign")
 
@@ -56,6 +42,26 @@ DEFAULT_SCHEDULE = (
 LOW_SAMPLE_THRESHOLD = 20
 
 BASELINE_POLICIES = ("most-recent-preceding", "closest-in-time")
+
+
+def parse_schedule(raw: str) -> tuple[date, ...]:
+    """Parse a comma-separated schedule of years or ISO dates (1 January
+    is assumed for bare years); entries naming the same day are one point."""
+    points = set()
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            if len(item) == 4:
+                points.add(date(int(item), 1, 1))
+            else:
+                points.add(date.fromisoformat(item))
+        except ValueError as exc:
+            raise ConfigError(f"bad schedule entry {item!r}: {exc}") from exc
+    if not points:
+        raise ConfigError("schedule is empty")
+    return tuple(sorted(points))
 
 
 @dataclass(frozen=True)
@@ -165,27 +171,6 @@ class Snapshot:
     unmapped: list[UnmappedRef]
     findings: list[Finding]
     retrieved_at: date | None
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    """One party's visibility bracket in one source at one time point.
-
-    run_audit leaves baseline_share and verdict unset; judge fills them in
-    for one parliamentary body.
-    """
-
-    source: str
-    time_point: date
-    party: str
-    alignment: str
-    lower_count: int
-    upper_count: int
-    lower_share: float
-    upper_share: float
-    active_total: int
-    baseline_share: float | None = None
-    verdict: str | None = None
 
 
 @dataclass(frozen=True)
@@ -498,12 +483,11 @@ def run_audit(
                 )
             )
             if not active_total:
-                logger.warning(
-                    "no active politicians for source %s at %s", source, time_point
-                )
+                warn(__name__, "no active politicians for source %s at %s", source, time_point)
                 continue
             if low_sample:
-                logger.warning(
+                warn(
+                    __name__,
                     "only %d active politicians for source %s at %s; "
                     "bound shares are hard to interpret",
                     active_total,

@@ -8,40 +8,19 @@ party entities are not reachable through a direct type+country query.
 Each template starts with a #template= comment (a plain SPARQL comment)
 so offline fixture backends can dispatch on it.
 
-Snapshot CSVs share one column set across dialects, padding unknown
-fields with empty strings, so downstream auditing is dialect-agnostic.
+The snapshot CSV formats, and their readers, live in csvformat.
 """
 
 from __future__ import annotations
 
-import csv
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from operator import itemgetter
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
+from .csvformat import PARTIES_CSV_HEADER, POLITICIANS_CSV_HEADER, write_csv
+# callers still read snapshots through catalog
+from .csvformat import read_parties_csv, read_politicians_csv  # noqa: F401
 from .sparql import EndpointConfig, QueryTemplate, Transport, execute_query
-
-POLITICIANS_CSV_HEADER = (
-    "source",
-    "politician_id",
-    "label",
-    "party_id",
-    "aff_start",
-    "aff_end",
-    "death_date",
-    "position",
-    "retrieved_at",
-)
-
-PARTIES_CSV_HEADER = (
-    "source",
-    "party_id",
-    "label",
-    "country",
-    "raw_alignment",
-    "retrieved_at",
-)
 
 COVERAGE_TEMPLATE_IDS = (
     "belgian_chamber_members",
@@ -342,79 +321,14 @@ def coverage_counts(
     return counts
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_politicians_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
     """Write fetch_politicians' tuples as they are."""
-    _write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
+    write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
 
 
 def write_parties_csv(path: str | Path, rows: Iterable[Mapping[str, str]]) -> None:
-    _write_csv(
+    write_csv(
         Path(path),
         PARTIES_CSV_HEADER,
         ([row.get(k, "") for k in PARTIES_CSV_HEADER] for row in rows),
     )
-
-
-def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """The header, then each row, of a CSV file whose header names every
-    one of `columns`, each with the line it ends on. A leading byte-order
-    mark is dropped, blank lines are skipped and a row of another width
-    than the header is an error."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = set(columns) - set(header)
-        if missing:
-            raise ValueError(f"{path} lacks expected columns {sorted(missing)}")
-        yield reader.line_num, header
-        for fields in reader:
-            if len(fields) != len(header):
-                if not fields:
-                    continue
-                raise ValueError(
-                    f"{path} line {reader.line_num}: {len(fields)} fields "
-                    f"where the header has {len(header)}"
-                )
-            yield reader.line_num, fields
-
-
-def numbered_csv_rows(
-    path: str | Path, columns: Sequence[str]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Each row, keyed by the header, of a CSV file whose header names
-    every one of `columns` (checked as in `_checked_rows`), with the line
-    it ends on, so that a caller can say where a bad value is."""
-    rows = _checked_rows(path, columns)
-    _, header = next(rows)
-    for line, fields in rows:
-        yield line, dict(zip(header, fields))
-
-
-def csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Each row of `numbered_csv_rows`, without its line."""
-    return (row for _, row in numbered_csv_rows(path, columns))
-
-
-def csv_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Each row's fields of two or more `columns`, in that order, picked by
-    header position with no dict per row (checked as in `_checked_rows`)."""
-    rows = _checked_rows(path, columns)
-    position = {name: i for i, name in enumerate(next(rows)[1])}
-    pick = itemgetter(*(position[name] for name in columns))
-    return map(pick, map(itemgetter(1), rows))
-
-
-def read_politicians_csv(path: str | Path) -> list[tuple[str, ...]]:
-    """A politicians snapshot's rows as fetch_politicians gives them."""
-    return list(csv_columns(path, POLITICIANS_CSV_HEADER))
-
-
-def read_parties_csv(path: str | Path) -> list[dict[str, str]]:
-    return list(csv_rows(path, PARTIES_CSV_HEADER))

@@ -9,9 +9,7 @@ with the cyclic garbage collector off.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import logging
 import re
 import sys
 from collections.abc import Callable
@@ -21,24 +19,15 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, RunConfig, load_run_config, parse_schedule
-from .diversity import (
-    DiversityParams,
-    FeatureSet,
-    compute_balance,
-    compute_disparity,
-    stirling_delta,
-)
-from .sparql import DIALECTS, QueryError
+from . import ConfigError, QueryError, warn
 
 if TYPE_CHECKING:
     from .audit import NormalizationMap, Snapshot
+    from .config import RunConfig
     from .pipeline import TextDocument
 
-# Each command imports the modules it runs, so `import kgdiv.cli` loads
-# only config, diversity and sparql.
-
-logger = logging.getLogger(__name__)
+# Each command imports the modules it runs, so `import kgdiv.cli` loads no
+# other kgdiv module.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fetch = sub.add_parser("fetch", help="materialize snapshot CSVs from a source")
-    fetch.add_argument("--source", required=True, choices=DIALECTS)
+    # sparql.DIALECTS, spelled out so that parsing imports no sparql code
+    fetch.add_argument(
+        "--source", required=True, choices=("en-dbpedia", "nl-dbpedia", "wikidata")
+    )
     fetch.add_argument("--from-fixture", metavar="DIR", default=None)
     fetch.add_argument("--config", default=None)
     fetch.add_argument("--out", default="out")
@@ -108,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exponent(raw: str) -> float:
     """An --alpha/--beta value: a finite, non-negative number."""
+    from .diversity import DiversityParams
+
     try:
         return DiversityParams(alpha=float(raw)).alpha
     except ValueError:
@@ -135,7 +129,6 @@ def _count(raw: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     # a command's objects live until it returns, so the cyclic collector
@@ -159,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_config(args) -> RunConfig:
+    from .config import RunConfig, load_run_config
+
     if args.config:
         return load_run_config(args.config)
     return RunConfig()
@@ -240,16 +235,9 @@ def cmd_fetch(args) -> int:
 # --- audit ------------------------------------------------------------------
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _read_snapshot(raw: str, nmap: NormalizationMap | None) -> Snapshot:
     """A snapshot directory's rows, read once; its parties.csv is optional."""
-    from . import audit, catalog
+    from . import audit, csvformat
 
     snapshot_dir = Path(raw)
     politicians_path = snapshot_dir / "politicians.csv"
@@ -257,14 +245,14 @@ def _read_snapshot(raw: str, nmap: NormalizationMap | None) -> Snapshot:
         raise ConfigError(f"snapshot {snapshot_dir} has no politicians.csv")
     parties_path = snapshot_dir / "parties.csv"
     return audit.read_snapshot(
-        catalog.read_politicians_csv(politicians_path),
-        catalog.read_parties_csv(parties_path) if parties_path.exists() else [],
+        csvformat.read_politicians_csv(politicians_path),
+        csvformat.read_parties_csv(parties_path) if parties_path.exists() else [],
         nmap,
     )
 
 
 def cmd_audit(args) -> int:
-    from . import audit, report
+    from . import audit, csvformat
 
     out = _out_dir(args)
     for name, raw in (
@@ -282,7 +270,7 @@ def cmd_audit(args) -> int:
         else None
     )
     schedule = (
-        parse_schedule(args.schedule) if args.schedule else audit.DEFAULT_SCHEDULE
+        audit.parse_schedule(args.schedule) if args.schedule else audit.DEFAULT_SCHEDULE
     )
     policy = (
         "most-recent-preceding" if args.baseline_policy == "preceding" else "closest-in-time"
@@ -307,7 +295,7 @@ def cmd_audit(args) -> int:
     distinct_refs = sorted({u.raw_ref for u in snapshot.unmapped})
     writers = {
         "unmapped_refs.csv": partial(
-            _write_rows,
+            csvformat.write_csv,
             header=["source", "politician_id", "raw_ref"],
             rows=[
                 [u.source, u.politician_id, u.raw_ref]
@@ -328,7 +316,7 @@ def cmd_audit(args) -> int:
         )
         return 1
     writers["findings.csv"] = partial(
-        _write_rows,
+        csvformat.write_csv,
         header=["kind", "subject", "detail"],
         rows=[[f.kind, f.subject, f.detail] for f in snapshot.findings],
     )
@@ -346,10 +334,10 @@ def cmd_audit(args) -> int:
     for body in bodies:
         rows = audit.judge(result.rows, baselines[body], policy)
         writers[f"audit_{body.lower()}.csv"] = partial(
-            Path.write_bytes, data=report.emit_series_csv(rows)
+            Path.write_bytes, data=csvformat.emit_series_csv(rows)
         )
         writers[f"coverage_{body.lower()}.csv"] = partial(
-            _write_rows,
+            csvformat.write_csv,
             header=["source", "time_point", "active_total", "undated_total", "low_sample"],
             rows=coverage,
         )
@@ -364,15 +352,17 @@ def cmd_audit(args) -> int:
 def _load_corpus(path: Path) -> list[TextDocument]:
     """The corpus documents, from a directory of .txt files or a CSV with
     doc_id and text columns; an empty corpus is a configuration error."""
-    from .catalog import csv_rows
+    from .csvformat import csv_rows
     from .pipeline import TextDocument
 
     if path.is_dir():
         docs = []
         for file in sorted(path.glob("*.txt")):
-            docs.append(
-                TextDocument(doc_id=file.stem, text=file.read_text(encoding="utf-8"))
-            )
+            try:
+                text = file.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{file} is not UTF-8 text: {exc}") from None
+            docs.append(TextDocument(doc_id=file.stem, text=text))
         if not docs:
             raise ConfigError(f"corpus directory {path} has no .txt files")
         return docs
@@ -393,6 +383,14 @@ def _load_corpus(path: Path) -> list[TextDocument]:
 
 
 def cmd_score(args) -> int:
+    from .csvformat import write_csv
+    from .diversity import (
+        DiversityParams,
+        FeatureSet,
+        compute_balance,
+        compute_disparity,
+        stirling_delta,
+    )
     from .pipeline import (
         UNNAMED_PREFIX,
         AnnotationClient,
@@ -444,7 +442,8 @@ def cmd_score(args) -> int:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1
                 if not nel_warned:
-                    logger.warning(
+                    warn(
+                        __name__,
                         "annotation endpoint unavailable (%s); continuing with "
                         "rule matches only",
                         exc,
@@ -469,8 +468,8 @@ def cmd_score(args) -> int:
         for entity_id in ids:
             count_rows.append([doc.doc_id, entity_id, counts[entity_id]])
 
-    _write_rows(out / "scores.csv", ["doc_id", "n_entities", "delta"], score_rows)
-    _write_rows(
+    write_csv(out / "scores.csv", ["doc_id", "n_entities", "delta"], score_rows)
+    write_csv(
         out / "entity_counts.csv", ["doc_id", "entity_id", "count"], count_rows
     )
     print(f"scored {len(docs)} documents into {out}")
@@ -499,11 +498,12 @@ def _safe_name(name: str) -> str:
 
 def cmd_report(args) -> int:
     from . import report
+    from .csvformat import read_series_csv
 
     audit_path = Path(args.audit)
     if not audit_path.exists():
         raise ConfigError(f"audit file {audit_path} does not exist")
-    rows = report.read_series_csv(audit_path)
+    rows = read_series_csv(audit_path)
     sources = sorted({r.source for r in rows})
     figure_sources: dict[str, list[str]] = {}
     for source in sources:
@@ -547,6 +547,7 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     from . import audit
+    from .csvformat import write_csv
 
     nmap = None
     if args.map_file and args.parties:
@@ -560,7 +561,7 @@ def cmd_validate(args) -> int:
         print("no findings")
     if args.out:
         out = _out_dir(args)
-        _write_rows(
+        write_csv(
             out / "findings.csv",
             ["kind", "subject", "detail"],
             [[f.kind, f.subject, f.detail] for f in findings],

@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from datetime import date
 from pathlib import Path
 
-from .diversity import DiversityParams
+from . import ConfigError
 from .sparql import DIALECTS, EndpointConfig
-
-
-class ConfigError(Exception):
-    """Unusable configuration: unknown keys, missing files, bad values."""
-
 
 DEFAULT_ENDPOINTS: dict[str, EndpointConfig] = {
     "en-dbpedia": EndpointConfig(
@@ -73,26 +67,6 @@ class RunConfig:
         return replace(base, url=override) if override else base
 
 
-def parse_schedule(raw: str) -> tuple[date, ...]:
-    """Parse a comma-separated schedule of years or ISO dates (1 January
-    is assumed for bare years)."""
-    points = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            if len(item) == 4:
-                points.append(date(int(item), 1, 1))
-            else:
-                points.append(date.fromisoformat(item))
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule entry {item!r}: {exc}") from exc
-    if not points:
-        raise ConfigError("schedule is empty")
-    return tuple(sorted(points))
-
-
 _PATH_KEYS = {"rules": "rules_path", "triples": "triples_path"}
 
 def _text(value) -> str:
@@ -126,6 +100,8 @@ def _mapping(raw, what: str, known) -> dict:
 
 def load_run_config(path: str | Path) -> RunConfig:
     import yaml  # only --config pays its import
+
+    from .diversity import DiversityParams
 
     path = Path(path)
     if not path.exists():

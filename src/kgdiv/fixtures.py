@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from datetime import date
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -51,7 +52,7 @@ class FixtureStore:
 
     @property
     def retrieved_at(self) -> str:
-        """The manifest's snapshot stamp, or "" (unstamped) without one."""
+        """The manifest's YYYY-MM-DD snapshot stamp, or "" (unstamped) without one."""
         path = self.root / "manifest.json"
         if not path.exists():
             return ""
@@ -59,11 +60,14 @@ class FixtureStore:
         if not isinstance(manifest, dict):
             raise ValueError(f"fixture manifest {path} is not a JSON object")
         stamp = manifest.get("retrieved_at")
-        if stamp is not None and not isinstance(stamp, str):
-            raise ValueError(
-                f"fixture manifest {path}: retrieved_at {stamp!r} is not a string"
-            )
-        return stamp or ""
+        try:
+            if stamp is None or stamp == "" or date.fromisoformat(stamp).isoformat() == stamp:
+                return stamp or ""
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(
+            f"fixture manifest {path}: retrieved_at {stamp!r} is not a YYYY-MM-DD date"
+        )
 
     def dataset(self, dialect: str, template_id: str) -> tuple[list[str], list[dict]]:
         key = (dialect, template_id)

@@ -12,7 +12,6 @@ design; the dotted feature-name prefix records the path they came in by.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -20,10 +19,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
-from .catalog import csv_columns, numbered_csv_rows
+from . import warn
+from .csvformat import csv_columns, numbered_csv_rows
 from .diversity import ACTOR_TYPES, FeatureSet
-
-logger = logging.getLogger(__name__)
 
 #: target prefix marking an unnamed category instead of a linked resource
 UNNAMED_PREFIX = "unnamed:"
@@ -388,7 +386,8 @@ def enrich_entity(
                 continue
             linked_pairs = triples.predicates(obj)
         except Exception as exc:
-            logger.warning(
+            warn(
+                __name__,
                 "enrichment of %r: linked resource %r failed (%s); keeping "
                 "partial features",
                 root_id,
@@ -442,7 +441,8 @@ def load_rules(path: str | Path) -> list[MatchRule]:
         else:
             rules.append(rule)
     if lemma_rules:
-        logger.warning(
+        warn(
+            __name__,
             "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",
             lemma_rules,
         )

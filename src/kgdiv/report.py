@@ -1,4 +1,4 @@
-"""Audit output rendering: ordered series CSV and time-series SVG figures.
+"""Audit output rendering: time-series SVG figures of the audit rows.
 
 Figures are small multiples, one panel per party in alignment order. The
 bold band spans the party's lower and upper visibility shares; the thin
@@ -9,14 +9,12 @@ geometry, fixed number formatting, no timestamps.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
-from .audit import ALIGNMENTS, AuditRow
+# callers still import emit_series_csv from report
+from .csvformat import AuditRow, alignment_rank, emit_series_csv  # noqa: F401
 
 RENDER_STYLES = ("line", "stacked")
 
@@ -41,24 +39,6 @@ _ALIGNMENT_COLOURS = {
     "other": "#8c96c6",
     "unknown": "#999999",
 }
-
-CSV_COLUMNS = (
-    "source",
-    "time_point",
-    "canonical_acronym",
-    "alignment",
-    "lower_count",
-    "upper_count",
-    "lower_share",
-    "upper_share",
-    "baseline_share",
-    "verdict",
-    "active_total",
-)
-
-
-def alignment_rank(alignment: str) -> int:
-    return ALIGNMENTS.index(alignment)
 
 
 @dataclass(frozen=True)
@@ -135,76 +115,6 @@ def build_figure_spec(
         active_counts=active_counts,
         style=style,
     )
-
-
-def emit_series_csv(rows: Sequence[AuditRow]) -> bytes:
-    """Audit rows as CSV bytes, in figure order (party, then time)."""
-    ordered = sorted(
-        rows,
-        key=lambda r: (
-            r.source,
-            alignment_rank(r.alignment),
-            r.party,
-            r.time_point,
-        ),
-    )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in ordered:
-        writer.writerow(
-            [
-                r.source,
-                r.time_point.isoformat(),
-                r.party,
-                r.alignment,
-                r.lower_count,
-                r.upper_count,
-                f"{r.lower_share:.6f}",
-                f"{r.upper_share:.6f}",
-                f"{r.baseline_share:.6f}",
-                r.verdict,
-                r.active_total,
-            ]
-        )
-    return buffer.getvalue().encode("utf-8")
-
-
-def read_series_csv(path: str | Path) -> list[AuditRow]:
-    """Audit rows back from a CSV that emit_series_csv wrote, or a copy
-    re-saved with a leading byte-order mark.
-
-    Every malformed row is reported in one ValueError, with its line number.
-    """
-    problems = []
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"audit CSV {path} lacks columns {sorted(missing)}")
-        for number, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    AuditRow(
-                        source=row["source"],
-                        time_point=date.fromisoformat(row["time_point"]),
-                        party=row["canonical_acronym"],
-                        alignment=row["alignment"],
-                        lower_count=int(row["lower_count"]),
-                        upper_count=int(row["upper_count"]),
-                        lower_share=float(row["lower_share"]),
-                        upper_share=float(row["upper_share"]),
-                        baseline_share=float(row["baseline_share"]),
-                        verdict=row["verdict"],
-                        active_total=int(row["active_total"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"row {number}: {exc}")
-    if problems:
-        raise ValueError(f"malformed audit CSV {path}:\n  " + "\n  ".join(problems))
-    return rows
 
 
 def _fmt(value: float) -> str:

@@ -18,16 +18,14 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
+from . import QueryError
+
 DIALECTS = ("en-dbpedia", "nl-dbpedia", "wikidata")
 
 RESULTS_JSON = "application/sparql-results+json"
 
 DEFAULT_TIMEOUT = 30.0
 RETRY_BACKOFF_BASE = 0.2
-
-
-class QueryError(RuntimeError):
-    """Base class for query execution failures."""
 
 
 class QueryTransportError(QueryError):

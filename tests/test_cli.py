@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from kgdiv.cli import main
+from kgdiv.csvformat import POLITICIANS_CSV_HEADER
 from tests.conftest import write_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +126,7 @@ class TestFetch:
             ("manifest.json", "[1]"),
             ("manifest.json", '{"retrieved_at": 5}'),
             ("manifest.json", "{"),
+            ("manifest.json", '{"retrieved_at": "2022-13-01"}'),
             ("en-dbpedia/politicians.json", '{"bindings": []}'),
             ("en-dbpedia/politicians.json", "[]"),
             ("en-dbpedia/politicians.json", '{"variables": [1], "bindings": []}'),
@@ -150,6 +152,7 @@ class TestFetch:
             "manifest-a-list",
             "manifest-stamp-a-number",
             "manifest-not-json",
+            "manifest-stamp-not-a-date",
             "dataset-without-variables",
             "dataset-a-list",
             "variables-not-strings",
@@ -173,6 +176,15 @@ class TestFetch:
         assert str(fixture / name) in err
         assert "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_source_choices_are_the_dialects(self):
+        # the parser spells the dialects out so that it need not import sparql
+        from kgdiv.cli import build_parser
+        from kgdiv.sparql import DIALECTS
+
+        fetch_parser = build_parser()._subparsers._group_actions[0].choices["fetch"]
+        (source,) = [a for a in fetch_parser._actions if a.dest == "source"]
+        assert tuple(source.choices) == DIALECTS
 
     def test_nl_dbpedia_party_workaround_produces_rows(self, tmp_path, kg_fixture_dir):
         out = tmp_path / "nl"
@@ -341,6 +353,21 @@ class TestAudit:
         run_cli(*audit_args(GOLDEN / "snapshot_en", tmp_path / "out", fixture_dir))
         for path, digest in digests.items():
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_schedule_entries_naming_one_day_are_one_time_point(
+        self, tmp_path, fixture_dir, caplog
+    ):
+        outputs, warnings = {}, {}
+        for schedule in ("2011", "2011,2011-01-01"):
+            caplog.clear()
+            out = tmp_path / schedule.replace(",", "_")
+            argv = audit_args(GOLDEN / "snapshot_en", out, fixture_dir, body=None)
+            assert run_cli(*argv, "--schedule", schedule) == 0
+            outputs[schedule] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            warnings[schedule] = [r.getMessage() for r in caplog.records]
+        assert outputs["2011,2011-01-01"] == outputs["2011"]
+        assert warnings["2011,2011-01-01"] == warnings["2011"]
+        assert len(warnings["2011"]) == 1
 
     def test_all_bodies_match_single_body_runs(self, tmp_path, fixture_dir):
         snapshot = GOLDEN / "snapshot_en"
@@ -817,6 +844,36 @@ def test_malformed_input_csv_fails_cleanly(tmp_path, fixture_dir, capsys, comman
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("reader", ["rules", "snapshot", "audit-csv", "corpus-txt"])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, fixture_dir, capsys, reader):
+    """A Latin-1 input file exits 1 with an error that names it."""
+    out = tmp_path / "out"
+    if reader == "rules":
+        bad = tmp_path / "rules.csv"
+        bad.write_bytes("pattern,target\nJos\u00e9,http://x/jose\n".encode("latin-1"))
+        argv = score_args(out, fixture_dir, "--rules", str(bad))
+    elif reader == "snapshot":
+        shutil.copytree(GOLDEN / "snapshot_en", tmp_path / "snap")
+        bad = tmp_path / "snap" / "politicians.csv"
+        bad.write_bytes(bad.read_text(encoding="utf-8").replace("An Peeters", "Ann\u00e9e").encode("latin-1"))
+        argv = ["validate", "--snapshot", str(bad.parent)]
+    elif reader == "audit-csv":
+        bad = tmp_path / "audit_kvv.csv"
+        text = (GOLDEN / "audit_en" / "audit_kvv.csv").read_text(encoding="utf-8")
+        bad.write_bytes(text.replace("en-dbpedia", "en-dbp\u00e9dia").encode("latin-1"))
+        argv = ["report", "--audit", str(bad), "--out", str(out)]
+    else:
+        bad = tmp_path / "corpus" / "doc.txt"
+        bad.parent.mkdir()
+        bad.write_bytes("Caf\u00e9 N-VA".encode("latin-1"))
+        argv = ["score", "--corpus", str(bad.parent), "--out", str(out)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 class TestReport:
     def test_style_choices_are_the_render_styles(self):
         # the parser spells the styles out so that it need not import report
@@ -1221,41 +1278,62 @@ def test_config_with_invalid_yaml_is_rejected(tmp_path, capsys):
 
 
 def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir, kg_fixture_dir):
-    """Each command, run alone in a fresh interpreter, loads only the kgdiv
-    modules it runs; only live fetch, score --nel-endpoint and --config
-    load requests or yaml."""
+    """Each command, run alone in a fresh interpreter without warnings,
+    loads only the kgdiv modules it runs, and neither logging, requests nor
+    yaml; only live fetch, score --nel-endpoint and --config load requests
+    or yaml, and only a warning loads logging."""
     nmap = ["--map", str(fixture_dir / "map.csv"), "--parties", str(fixture_dir / "parties.csv")]
-    snapshot = str(GOLDEN / "snapshot_en")
+    # 20 politicians active in 2011 are enough for the audit not to warn
+    busy = tmp_path / "busy"
+    busy.mkdir()
+    (busy / "politicians.csv").write_text(
+        ",".join(POLITICIANS_CSV_HEADER) + "\n" + "".join(
+            f"en-dbpedia,http://x/p{i},P{i},http://dbpedia.org/resource/Volksunie,"
+            "2000-01-01,,,,2022-05-27\n"
+            for i in range(20)
+        ),
+        encoding="utf-8",
+    )
+    # the fixture rules without their lemma rule, which warns
+    rules = tmp_path / "rules.csv"
+    rules.write_text(
+        "".join(
+            line
+            for line in (fixture_dir / "rules.csv").read_text(encoding="utf-8").splitlines(True)
+            if ",lemma," not in line
+        ),
+        encoding="utf-8",
+    )
     cases = {
         "score": (
             [
                 "score",
                 "--corpus", str(fixture_dir / "corpus"),
-                "--rules", str(fixture_dir / "rules.csv"),
+                "--rules", str(rules),
                 "--triples", str(fixture_dir / "triples.csv"),
                 "--out", str(tmp_path / "score"),
             ],
-            {"kgdiv.audit", "kgdiv.report", "kgdiv.fixtures"},
+            "config csvformat diversity pipeline sparql",
         ),
         "fetch": (
             fetch_args(tmp_path / "snap", kg_fixture_dir),
-            {"kgdiv.pipeline", "kgdiv.audit", "kgdiv.report"},
+            "catalog config csvformat fixtures sparql",
         ),
         "validate": (
-            ["validate", "--snapshot", snapshot, *nmap],
-            {"kgdiv.pipeline", "kgdiv.fixtures"},
+            ["validate", "--snapshot", str(GOLDEN / "snapshot_en"), *nmap],
+            "audit csvformat",
         ),
         "audit": (
             [
-                "audit", "--snapshot", snapshot,
+                "audit", "--snapshot", str(busy),
                 "--baseline", str(fixture_dir / "baselines.csv"), *nmap,
-                "--body", "KVV", "--out", str(tmp_path / "audit"),
+                "--schedule", "2011", "--out", str(tmp_path / "audit"),
             ],
-            {"kgdiv.pipeline", "kgdiv.fixtures"},
+            "audit csvformat",
         ),
         "report": (
             ["report", "--audit", str(GOLDEN / "audit_en" / "audit_kvv.csv"), "--out", str(tmp_path / "fig")],
-            {"kgdiv.pipeline", "kgdiv.fixtures"},
+            "csvformat report",
         ),
     }
     script = """
@@ -1263,10 +1341,10 @@ import sys
 import kgdiv.cli
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "kgdiv"))
 code = kgdiv.cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "requests", "yaml")))
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "logging", "requests", "yaml")))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    for command, (argv, unused) in cases.items():
+    for command, (argv, runs) in cases.items():
         done = subprocess.run(
             [sys.executable, "-c", script, *argv],
             env=env,
@@ -1275,11 +1353,34 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "requ
             timeout=120,
         )
         assert done.returncode == 0, (command, done.stderr)
+        assert done.stderr == "", command
         at_import = done.stdout.splitlines()[0].split()
         code, *loaded = done.stdout.splitlines()[-1].split()
-        assert at_import == ["kgdiv", "kgdiv.cli", "kgdiv.config", "kgdiv.diversity", "kgdiv.sparql"]
-        assert code == "0", (command, done.stderr)
-        assert set(loaded) & (unused | {"requests", "yaml"}) == set(), command
+        assert at_import == ["kgdiv", "kgdiv.cli"]
+        assert code == "0", command
+        assert loaded == sorted(["kgdiv", "kgdiv.cli", *(f"kgdiv.{m}" for m in runs.split())]), command
+
+
+def test_warnings_keep_their_stderr_format_in_a_fresh_interpreter(tmp_path, fixture_dir):
+    """logging loads only when a warning fires; the warning lines stay
+    `WARNING <message>` on stderr."""
+    done = subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from kgdiv.cli import main; sys.exit(main())",
+            *audit_args(GOLDEN / "snapshot_en", tmp_path / "audit", fixture_dir),
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == b"".join(
+        b"WARNING only %d active politicians for source en-dbpedia at %d-01-01; "
+        b"bound shares are hard to interpret\n" % (count, year)
+        for count, year in (
+            (3, 1990), (6, 1996), (7, 2000), (8, 2005), (8, 2011), (7, 2015), (7, 2020)
+        )
+    )
 
 
 def test_config_with_missing_file_is_rejected(tmp_path):
