@@ -440,7 +440,7 @@ def run_audit(
 
     `snapshot` is read_snapshot's result under the same map. One pass per
     source: build each politician's career from the rows once, then at
-    each time point count the relevant party sets of the active careers
+    each distinct time point count the relevant party sets of the active careers
     and read every relevant party's bounds from that count. The rows carry
     no baseline; judge compares them with one body's seat shares.
 
@@ -467,7 +467,7 @@ def run_audit(
 
     for source in sorted(by_source):
         careers, undated = _careers(by_source[source], today, career_end_overrides or {})
-        for time_point in sorted(schedule):
+        for time_point in sorted(set(schedule)):
             counts = Counter(
                 parties for first, last, parties in careers if first <= time_point <= last
             )

@@ -23,7 +23,6 @@ from . import ConfigError, QueryError, warn
 
 if TYPE_CHECKING:
     from .audit import NormalizationMap, Snapshot
-    from .config import RunConfig
     from .pipeline import TextDocument
 
 # Each command imports the modules it runs, so `import kgdiv.cli` loads no
@@ -46,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--from-fixture", metavar="DIR", default=None)
     fetch.add_argument("--config", default=None)
     fetch.add_argument("--out", default="out")
-    fetch.set_defaults(func=cmd_fetch)
+    # set only by a config file's endpoints
+    fetch.set_defaults(func=cmd_fetch, endpoints=None)
 
     aud = sub.add_parser("audit", help="run the representation audit on a snapshot")
     aud.add_argument("--snapshot", required=True, metavar="DIR")
@@ -136,6 +136,15 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if getattr(args, "config", None):
+            from .config import load_run_config
+
+            # a config value is the default of the option it names: it fills
+            # each one the command line left unset (None, or --nel-endpoint '')
+            options = vars(args)
+            for dest, value in load_run_config(args.config).items():
+                if dest in options and options[dest] in (None, ""):
+                    options[dest] = value
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -149,14 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-def _load_config(args) -> RunConfig:
-    from .config import RunConfig, load_run_config
-
-    if args.config:
-        return load_run_config(args.config)
-    return RunConfig()
 
 
 def _out_dir(args) -> Path:
@@ -180,7 +181,7 @@ def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> None:
         raise
 
 
-def _require_file(raw: str | None, what: str) -> Path | None:
+def _require_file(raw: str | Path | None, what: str) -> Path | None:
     if raw is None:
         return None
     path = Path(raw)
@@ -193,11 +194,10 @@ def _require_file(raw: str | None, what: str) -> Path | None:
 
 
 def cmd_fetch(args) -> int:
-    from . import catalog
+    from . import catalog, config
 
-    config = _load_config(args)
     out = _out_dir(args)
-    endpoint = config.endpoint(args.source)
+    endpoint = config.endpoint(args.source, args.endpoints)
 
     transport = None
     if args.from_fixture:
@@ -404,27 +404,25 @@ def cmd_score(args) -> int:
         match_rules,
     )
 
-    config = _load_config(args)
     out = _out_dir(args)
     corpus_path = Path(args.corpus)
     if not corpus_path.exists():
         raise ConfigError(f"corpus {corpus_path} does not exist")
     docs = _load_corpus(corpus_path)
 
-    rules_path = _require_file(args.rules, "rules") or config.rules_path
+    rules_path = _require_file(args.rules, "rules")
     rules = load_rules(rules_path) if rules_path else []
-    triples_path = _require_file(args.triples, "triples") or config.triples_path
+    triples_path = _require_file(args.triples, "triples")
     triples = (
         CsvTripleSource.from_file(triples_path) if triples_path else None
     )
     ontology = builtin_ontology()
     params = DiversityParams(
-        alpha=args.alpha if args.alpha is not None else config.alpha,
-        beta=args.beta if args.beta is not None else config.beta,
+        alpha=1.0 if args.alpha is None else args.alpha,
+        beta=1.0 if args.beta is None else args.beta,
     )
 
-    nel_url = args.nel_endpoint or config.nel_endpoint
-    client = AnnotationClient(endpoint_url=nel_url) if nel_url else None
+    client = AnnotationClient(endpoint_url=args.nel_endpoint) if args.nel_endpoint else None
     nel_warned = False
 
     # enrichment is a pure function of the id, the triples and the ontology,
@@ -549,8 +547,11 @@ def cmd_validate(args) -> int:
     from . import audit
     from .csvformat import write_csv
 
+    if bool(args.map_file) != bool(args.parties):
+        given, missing = ("--map", "--parties") if args.map_file else ("--parties", "--map")
+        raise ConfigError(f"{given} needs {missing}")
     nmap = None
-    if args.map_file and args.parties:
+    if args.map_file:
         nmap = audit.load_normalization_map(
             _require_file(args.map_file, "map"), _require_file(args.parties, "parties")
         )

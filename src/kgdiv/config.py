@@ -1,16 +1,18 @@
-"""Run configuration for fetch and score: endpoints, file paths, diversity params.
+"""The config file of fetch and score: endpoints, file paths, diversity params.
 
-Configuration is one YAML file with explicit paths; endpoint URLs may
-additionally be overridden through KGDIV_ENDPOINT_<DIALECT> environment
-variables (dialect uppercased, dashes as underscores). Referenced files
-must exist at load time; a missing file is a configuration error, not a
-runtime one.
+A config file is one YAML file with explicit paths; each value it sets is
+the default of the option it names, so flags win. KGDIV_ENDPOINT_<DIALECT>
+environment variables (dialect uppercased, dashes as underscores) win over
+a configured endpoint url. Referenced files must exist at load time; a
+missing file, an unknown key or a value of the wrong type is a
+configuration error, not a runtime one.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import replace
 from pathlib import Path
 
 from . import ConfigError
@@ -41,33 +43,19 @@ DEFAULT_ENDPOINTS: dict[str, EndpointConfig] = {
 }
 
 
-def env_endpoint_url(dialect: str) -> str | None:
-    return os.environ.get("KGDIV_ENDPOINT_" + dialect.upper().replace("-", "_"))
+def endpoint(dialect: str, configured: Mapping[str, EndpointConfig] | None) -> EndpointConfig:
+    """The endpoint `fetch` queries: the configured one for `dialect`, else
+    its default, with KGDIV_ENDPOINT_<DIALECT> winning over the url."""
+    try:
+        base = (configured or {}).get(dialect) or DEFAULT_ENDPOINTS[dialect]
+    except KeyError:
+        raise ConfigError(f"no endpoint configured for dialect {dialect!r}") from None
+    override = os.environ.get("KGDIV_ENDPOINT_" + dialect.upper().replace("-", "_"))
+    return replace(base, url=override) if override else base
 
 
-@dataclass
-class RunConfig:
-    """The settings `fetch` and `score` read from a config file."""
+_PATH_KEYS = ("rules", "triples")
 
-    endpoints: dict[str, EndpointConfig] = field(
-        default_factory=lambda: dict(DEFAULT_ENDPOINTS)
-    )
-    rules_path: Path | None = None
-    triples_path: Path | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
-    nel_endpoint: str | None = None
-
-    def endpoint(self, dialect: str) -> EndpointConfig:
-        try:
-            base = self.endpoints[dialect]
-        except KeyError:
-            raise ConfigError(f"no endpoint configured for dialect {dialect!r}") from None
-        override = env_endpoint_url(dialect)
-        return replace(base, url=override) if override else base
-
-
-_PATH_KEYS = {"rules": "rules_path", "triples": "triples_path"}
 
 def _text(value) -> str:
     if not isinstance(value, str):
@@ -75,15 +63,34 @@ def _text(value) -> str:
     return value
 
 
+def _url(value) -> str | None:
+    """A URL, or None for none."""
+    return None if value is None else _text(value)
+
+
+# a number of the wrong type is rejected, not cast: a cast would read 7.9
+# as 7 and true as 1; a string is parsed, as PyYAML reads 1e3 as one
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
 _ENDPOINT_KEYS = {
     "url": _text,
-    "page_size": int,
-    "max_requests_per_second": float,
-    "retry_limit": int,
-    "timeout": float,
+    "page_size": _integer,
+    "max_requests_per_second": _number,
+    "retry_limit": _integer,
+    "timeout": _number,
 }
 
-_DIVERSITY_KEYS = ("alpha", "beta", "nel_endpoint")
+_DIVERSITY_KEYS = {"alpha": _number, "beta": _number, "nel_endpoint": _url}
 
 
 def _mapping(raw, what: str, known) -> dict:
@@ -98,7 +105,22 @@ def _mapping(raw, what: str, known) -> dict:
     return raw
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def _converted(raw: dict, converters: dict, what: str) -> dict:
+    """Each value of `raw` through its key's converter; a failure names the key."""
+    converted = {}
+    for key, value in raw.items():
+        try:
+            converted[key] = converters[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what}: {key}: {exc}") from exc
+    return converted
+
+
+def load_run_config(path: str | Path) -> dict:
+    """The settings a config file sets, and only those, keyed by the dest of
+    the option each is the default for: `rules` and `triples` (resolved
+    paths), `alpha`, `beta` and `nel_endpoint`; plus `endpoints`, which maps
+    a dialect to its EndpointConfig."""
     import yaml  # only --config pays its import
 
     from .diversity import DiversityParams
@@ -112,8 +134,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     raw = _mapping(raw, "config", {"endpoints", "diversity", *_PATH_KEYS})
 
-    config = RunConfig()
-    for key, attr in _PATH_KEYS.items():
+    settings: dict = {}
+    for key in _PATH_KEYS:
         if raw.get(key) is None:
             continue
         if not isinstance(raw[key], str):
@@ -121,27 +143,28 @@ def load_run_config(path: str | Path) -> RunConfig:
         file_path = path.parent / raw[key]
         if not file_path.is_file():
             raise ConfigError(f"configured {key} file {file_path} does not exist")
-        setattr(config, attr, file_path.resolve())
+        settings[key] = file_path.resolve()
 
+    endpoints = {}
     for dialect, spec in _mapping(raw.get("endpoints"), "endpoints", DIALECTS).items():
+        what = f"bad endpoint config for {dialect!r}"
         spec = _mapping(spec, f"endpoint {dialect}", _ENDPOINT_KEYS)
+        spec = _converted(spec, _ENDPOINT_KEYS, what)
         try:
-            config.endpoints[dialect] = replace(
-                DEFAULT_ENDPOINTS[dialect],
-                **{key: _ENDPOINT_KEYS[key](value) for key, value in spec.items()},
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad endpoint config for {dialect!r}: {exc}") from exc
+            endpoints[dialect] = replace(DEFAULT_ENDPOINTS[dialect], **spec)
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+    if endpoints:
+        settings["endpoints"] = endpoints
 
     diversity = _mapping(raw.get("diversity"), "diversity", _DIVERSITY_KEYS)
+    diversity = _converted(diversity, _DIVERSITY_KEYS, "bad diversity params")
+    nel_endpoint = diversity.pop("nel_endpoint", None)
     try:
-        params = DiversityParams(
-            alpha=float(diversity.get("alpha", config.alpha)),
-            beta=float(diversity.get("beta", config.beta)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        DiversityParams(**diversity)
+    except ValueError as exc:
         raise ConfigError(f"bad diversity params: {exc}") from exc
-    config.alpha, config.beta = params.alpha, params.beta
-    if diversity.get("nel_endpoint"):
-        config.nel_endpoint = str(diversity["nel_endpoint"])
-    return config
+    settings.update(diversity)
+    if nel_endpoint:
+        settings["nel_endpoint"] = nel_endpoint
+    return settings

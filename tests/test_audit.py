@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import Counter
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from kgdiv.audit import (
     read_snapshot,
     run_audit,
 )
+from kgdiv.csvformat import read_parties_csv, read_politicians_csv
 from tests.oracles import (
     Affiliation,
     DateInterval,
@@ -524,6 +526,19 @@ def test_two_sources_keep_their_own_deaths():
         ("wikidata", 1, 0),
         ("wikidata", 0, 0),
     ]
+
+
+def test_a_repeated_schedule_day_is_one_time_point(fixture_dir):
+    nmap = load_normalization_map(fixture_dir / "map.csv", fixture_dir / "parties.csv")
+    golden = Path(__file__).parent / "golden" / "snapshot_en"
+    snapshot = read_snapshot(
+        read_politicians_csv(golden / "politicians.csv"),
+        read_parties_csv(golden / "parties.csv"),
+        nmap,
+    )
+    once = run_audit(snapshot, nmap, schedule=(date(2011, 1, 1),))
+    assert (len(once.rows), len(once.coverage)) == (7, 1)
+    assert run_audit(snapshot, nmap, schedule=(date(2011, 1, 1),) * 2) == once
 
 
 class TestValidateSnapshot:

@@ -1035,6 +1035,15 @@ class TestValidate:
         assert run_cli("validate", "--snapshot", str(snapshot)) == 1
         assert "retrieved_at '2022-13-01' is not an ISO date" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given, missing", [("--map", "--parties"), ("--parties", "--map")])
+    def test_map_without_parties_is_config_error(self, tmp_path, capsys, given, missing):
+        code = run_cli(
+            "validate", "--snapshot", str(GOLDEN / "snapshot_en"),
+            given, str(tmp_path / "nonexistent.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {given} needs {missing}\n"
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path, fixture_dir, kg_fixture_dir):
@@ -1116,6 +1125,11 @@ _REJECTED_CONFIGS = {
     "endpoint-scalar": ("endpoints:\n  wikidata: 5\n", "endpoint wikidata must be a mapping"),
     "rules-list": ("rules: [a, b]\n", "rules must be a file path"),
     "endpoint-url-null": ("endpoints:\n  wikidata:\n    url:\n", "expected a string"),
+    # values of the wrong type, which a cast would read as something else
+    "endpoint.page_size-float": ("endpoints:\n  wikidata:\n    page_size: 7.9\n", "page_size"),
+    "endpoint.retry_limit-bool": ("endpoints:\n  wikidata:\n    retry_limit: true\n", "retry_limit"),
+    "diversity.alpha-bool": ("diversity:\n  alpha: true\n", "alpha: expected a number"),
+    "diversity.nel_endpoint-list": ("diversity:\n  nel_endpoint: [a, b]\n", "nel_endpoint"),
 }
 
 
@@ -1242,6 +1256,16 @@ def test_config_nel_endpoint_is_used(tmp_path, fixture_dir, capsys):
     assert "127.0.0.1:1/rest/annotate" in capsys.readouterr().err
 
 
+def test_empty_nel_endpoint_flag_defers_to_config(tmp_path, fixture_dir, capsys):
+    config = write_config(
+        tmp_path, "diversity:\n  nel_endpoint: http://127.0.0.1:1/rest/annotate\n"
+    )
+    rules = ["--rules", str(fixture_dir / "rules.csv"), "--require-nel"]
+    with_config = [*rules, "--nel-endpoint", "", "--config", str(config)]
+    assert run_cli(*score_args(tmp_path / "nel", fixture_dir, *with_config)) == 1
+    assert "127.0.0.1:1/rest/annotate" in capsys.readouterr().err
+
+
 def test_fetch_uses_configured_endpoint_settings(tmp_path, kg_fixture_dir, monkeypatch):
     import kgdiv.catalog
 
@@ -1304,16 +1328,17 @@ def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir
         ),
         encoding="utf-8",
     )
+    config = write_config(tmp_path, f"rules: {rules}\ntriples: {fixture_dir / 'triples.csv'}\n")
+    score = ["score", "--corpus", str(fixture_dir / "corpus"), "--out", str(tmp_path / "score")]
     cases = {
         "score": (
-            [
-                "score",
-                "--corpus", str(fixture_dir / "corpus"),
-                "--rules", str(rules),
-                "--triples", str(fixture_dir / "triples.csv"),
-                "--out", str(tmp_path / "score"),
-            ],
-            "config csvformat diversity pipeline sparql",
+            [*score, "--rules", str(rules), "--triples", str(fixture_dir / "triples.csv")],
+            "csvformat diversity pipeline",
+        ),
+        # the config file's settings are what yaml, config and sparql load for
+        "score --config": (
+            [*score, "--config", str(config)],
+            "config csvformat diversity pipeline sparql yaml",
         ),
         "fetch": (
             fetch_args(tmp_path / "snap", kg_fixture_dir),
@@ -1358,7 +1383,10 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "logg
         code, *loaded = done.stdout.splitlines()[-1].split()
         assert at_import == ["kgdiv", "kgdiv.cli"]
         assert code == "0", command
-        assert loaded == sorted(["kgdiv", "kgdiv.cli", *(f"kgdiv.{m}" for m in runs.split())]), command
+        expected = {"kgdiv", "kgdiv.cli", *(f"kgdiv.{m}" for m in runs.split() if m != "yaml")}
+        assert {m for m in loaded if m.startswith("kgdiv")} == expected, command
+        others = {m.split(".")[0] for m in loaded if not m.startswith("kgdiv")}
+        assert others == ({"yaml"} if "yaml" in runs.split() else set()), command
 
 
 def test_warnings_keep_their_stderr_format_in_a_fresh_interpreter(tmp_path, fixture_dir):

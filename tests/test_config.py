@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,22 +10,28 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdiv.config import ConfigError, RunConfig, load_run_config
+from kgdiv.config import DEFAULT_ENDPOINTS, ConfigError, endpoint, load_run_config
 from kgdiv.sparql import DIALECTS
 from tests.conftest import write_config
 
 ENDPOINT_KEYS = ("url", "page_size", "max_requests_per_second", "retry_limit", "timeout")
 
 
-def test_run_config_holds_only_what_commands_read():
-    assert [f.name for f in fields(RunConfig)] == [
-        "endpoints",
-        "rules_path",
-        "triples_path",
-        "alpha",
-        "beta",
-        "nel_endpoint",
-    ]
+#: every key load_run_config can return: the option dests it fills, and endpoints
+SETTINGS = {"endpoints", "rules", "triples", "alpha", "beta", "nel_endpoint"}
+
+
+def test_a_file_setting_every_key_gives_only_what_commands_read(tmp_path):
+    (tmp_path / "rules.csv").write_text("pattern\n", encoding="utf-8")
+    config = load_run_config(
+        write_config(
+            tmp_path,
+            "endpoints:\n  wikidata:\n    page_size: 7\n"
+            "rules: rules.csv\ntriples: rules.csv\n"
+            "diversity:\n  alpha: 0.5\n  beta: 2\n  nel_endpoint: http://localhost:9/\n",
+        )
+    )
+    assert set(config) == SETTINGS
 
 
 @pytest.mark.parametrize(
@@ -44,11 +49,11 @@ def test_endpoint_setting_reaches_endpoint(tmp_path, key, value):
     config = load_run_config(
         write_config(tmp_path, f"endpoints:\n  wikidata:\n    {key}: {value}\n")
     )
-    endpoint = config.endpoint("wikidata")
-    assert getattr(endpoint, key) == value
-    assert endpoint.dialect == "wikidata"
+    configured = endpoint("wikidata", config["endpoints"])
+    assert getattr(configured, key) == value
+    assert configured.dialect == "wikidata"
     # the other dialects keep their defaults
-    assert config.endpoint("en-dbpedia") == RunConfig().endpoint("en-dbpedia")
+    assert endpoint("en-dbpedia", config["endpoints"]) == DEFAULT_ENDPOINTS["en-dbpedia"]
 
 
 @pytest.mark.parametrize("key", ["max_requests_per_second", "timeout"])
@@ -64,9 +69,9 @@ def test_env_url_override_keeps_configured_settings(tmp_path, monkeypatch):
     config = load_run_config(
         write_config(tmp_path, "endpoints:\n  nl-dbpedia:\n    page_size: 77\n    timeout: 4\n")
     )
-    endpoint = config.endpoint("nl-dbpedia")
-    assert endpoint.url == "http://localhost:9/sparql"
-    assert (endpoint.page_size, endpoint.timeout) == (77, 4.0)
+    configured = endpoint("nl-dbpedia", config["endpoints"])
+    assert configured.url == "http://localhost:9/sparql"
+    assert (configured.page_size, configured.timeout) == (77, 4.0)
 
 
 def test_paths_resolve_against_the_config_directory(tmp_path, fixture_dir):
@@ -74,12 +79,14 @@ def test_paths_resolve_against_the_config_directory(tmp_path, fixture_dir):
     config = load_run_config(
         write_config(tmp_path, f"rules: rules.csv\ntriples: {fixture_dir / 'triples.csv'}\n")
     )
-    assert config.rules_path == (tmp_path / "rules.csv").resolve()
-    assert config.triples_path == (fixture_dir / "triples.csv").resolve()
+    assert config == {
+        "rules": (tmp_path / "rules.csv").resolve(),
+        "triples": (fixture_dir / "triples.csv").resolve(),
+    }
 
 
-def test_empty_file_gives_defaults(tmp_path):
-    assert load_run_config(write_config(tmp_path, "")) == RunConfig()
+def test_empty_file_sets_nothing(tmp_path):
+    assert load_run_config(write_config(tmp_path, "")) == {}
 
 
 # --- any mapping either loads or is a ConfigError ----------------------------
@@ -121,5 +128,5 @@ def test_property_any_mapping_loads_or_is_a_config_error(raw):
             config = load_run_config(path)
         except ConfigError:
             return
-    assert isinstance(config, RunConfig)
+    assert set(config) <= SETTINGS
     assert set(raw) <= {"endpoints", "diversity", "rules", "triples"}

@@ -1,4 +1,4 @@
-"""The README's Python examples run as written."""
+"""The README's examples run as written."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import shutil
 from pathlib import Path
 
 from kgdiv.cli import main
+from kgdiv.config import load_run_config
 
 ROOT = Path(__file__).parent.parent
 
@@ -47,3 +48,20 @@ def test_python_blocks_run_after_the_demo_fetch(tmp_path, monkeypatch, capsys):
         exec(compile(body, "README.md", "exec"), {})
     # the diversity example prints Δ and the variety
     assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "2"
+
+
+def test_yaml_block_sets_every_accepted_key(tmp_path):
+    """The README's config example loads, with the two files it names,
+    and sets every key a config file can set."""
+    (yaml_block,) = [
+        body
+        for info, body in code_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+        if info == "yaml"
+    ]
+    (tmp_path / "rules.csv").write_text("pattern\n", encoding="utf-8")
+    (tmp_path / "triples.csv").write_text("subject,predicate,object\n", encoding="utf-8")
+    config = tmp_path / "kgdiv.yaml"
+    config.write_text(yaml_block, encoding="utf-8")
+    settings = load_run_config(config)
+    assert set(settings) == {"endpoints", "rules", "triples", "alpha", "beta", "nel_endpoint"}
+    assert set(settings["endpoints"]) == {"en-dbpedia"}
