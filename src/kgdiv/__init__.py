@@ -3,8 +3,9 @@ representation audits.
 
 Public names load lazily: `from kgdiv import X` imports X's submodule on
 first use, so importing the package costs no submodule import. The two
-errors the CLI catches and the warning helper live here, so that the CLI
-and the audit load neither config, sparql nor logging to use them.
+errors the CLI catches, the warning helper and the SPARQL dialects live
+here, so that the CLI and the audit load neither config, sparql nor
+logging to use them.
 """
 
 import importlib
@@ -34,6 +35,10 @@ __version__ = "0.1.0"
 
 # constants, then classes, then functions
 __all__ = sorted(_MODULE_OF, key=lambda name: (not name.isupper(), name[0].islower(), name))
+
+
+#: the SPARQL dialects `fetch` queries; each has a default endpoint
+DIALECTS = ("en-dbpedia", "nl-dbpedia", "wikidata")
 
 
 class ConfigError(Exception):

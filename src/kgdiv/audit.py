@@ -14,9 +14,8 @@ every body and only the comparison runs per body.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -64,13 +63,11 @@ def parse_schedule(raw: str) -> tuple[date, ...]:
     return tuple(sorted(points))
 
 
-@dataclass(frozen=True)
-class PartyRecord:
-    canonical_acronym: str
-    alignment: str
-    relevance: str
+class PartyRecord(namedtuple("PartyRecord", "canonical_acronym alignment relevance")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.alignment not in ALIGNMENTS:
             raise ValueError(
                 f"alignment {self.alignment!r} not one of {ALIGNMENTS}"
@@ -79,21 +76,24 @@ class PartyRecord:
             raise ValueError(
                 f"relevance {self.relevance!r} not one of {RELEVANCE_CLASSES}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class NormalizationMap:
+class NormalizationMap(
+    namedtuple("NormalizationMap", "alias_to_canonical canonical_to_party")
+):
     """Curated mapping of raw party references to canonical party records."""
 
-    alias_to_canonical: Mapping[str, str]
-    canonical_to_party: Mapping[str, PartyRecord]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for alias, canonical in self.alias_to_canonical.items():
             if canonical not in self.canonical_to_party:
                 raise ValueError(
                     f"alias {alias!r} maps to unknown canonical party {canonical!r}"
                 )
+        return self
 
     def resolve(self, raw_ref: str) -> str | None:
         if raw_ref in self.alias_to_canonical:
@@ -113,12 +113,13 @@ class NormalizationMap:
         )
 
 
-@dataclass(frozen=True)
-class ElectionResult:
-    seats: Mapping[str, int]
-    total_seats: int
+class ElectionResult(namedtuple("ElectionResult", "seats total_seats")):
+    """The seats of each party, by canonical acronym, in one election."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.total_seats <= 0:
             raise ValueError("total_seats must be positive")
         for party, n in self.seats.items():
@@ -126,32 +127,25 @@ class ElectionResult:
                 raise ValueError(f"negative seats for {party!r}")
         if sum(self.seats.values()) > self.total_seats:
             raise ValueError("party seats exceed total seats")
+        return self
 
 
-@dataclass(frozen=True)
-class BaselineTable:
-    body: str
-    elections: Mapping[date, ElectionResult]
+class BaselineTable(namedtuple("BaselineTable", "body elections")):
+    """One body's ElectionResult per election date."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.elections:
             raise ValueError("baseline table has no elections")
+        return self
 
 
-@dataclass(frozen=True)
-class Finding:
-    """A data-quality issue detected in a snapshot."""
+#: A data-quality issue detected in a snapshot.
+Finding = namedtuple("Finding", "kind subject detail")
 
-    kind: str
-    subject: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class UnmappedRef:
-    raw_ref: str
-    politician_id: str
-    source: str
+UnmappedRef = namedtuple("UnmappedRef", "raw_ref politician_id source")
 
 
 #: One parsed snapshot row: (source, politician_id, label, party, relevant,
@@ -160,34 +154,17 @@ class UnmappedRef:
 #: interval has lost its start and end.
 SnapshotRow = tuple[str, str, str, str | None, bool, date | None, date | None, date | None]
 
+#: A politicians snapshot read once by read_snapshot: one SnapshotRow per
+#: row, the refs the map cannot resolve, the sorted findings, and the
+#: latest retrieved_at stamp (None when no row has one).
+Snapshot = namedtuple("Snapshot", "rows unmapped findings retrieved_at")
 
-@dataclass
-class Snapshot:
-    """A politicians snapshot read once by read_snapshot: one SnapshotRow
-    per row, the refs the map cannot resolve, the sorted findings, and the
-    latest retrieved_at stamp (None when no row has one)."""
+#: Per-source, per-time-point actor accounting.
+CoverageRow = namedtuple(
+    "CoverageRow", "source time_point active_total undated_total low_sample"
+)
 
-    rows: list[SnapshotRow]
-    unmapped: list[UnmappedRef]
-    findings: list[Finding]
-    retrieved_at: date | None
-
-
-@dataclass(frozen=True)
-class CoverageRow:
-    """Per-source, per-time-point actor accounting."""
-
-    source: str
-    time_point: date
-    active_total: int
-    undated_total: int
-    low_sample: bool
-
-
-@dataclass
-class AuditResult:
-    rows: list[AuditRow]
-    coverage: list[CoverageRow]
+AuditResult = namedtuple("AuditResult", "rows coverage")
 
 
 #: xsd:gYear and xsd:gYearMonth values, as DBpedia returns them
@@ -521,7 +498,7 @@ def judge(
     for row in rows:
         share = baseline_share(baselines, row.party, row.time_point, policy)
         verdict = classify(row.lower_share, row.upper_share, share)
-        judged.append(replace(row, baseline_share=share, verdict=verdict))
+        judged.append(row._replace(baseline_share=share, verdict=verdict))
     return judged
 
 

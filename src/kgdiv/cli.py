@@ -13,17 +13,11 @@ import gc
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from . import ConfigError, QueryError, warn
-
-if TYPE_CHECKING:
-    from .audit import NormalizationMap, Snapshot
-    from .pipeline import TextDocument
+from . import DIALECTS, ConfigError, QueryError, warn
 
 # Each command imports the modules it runs, so `import kgdiv.cli` loads no
 # other kgdiv module.
@@ -38,10 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fetch = sub.add_parser("fetch", help="materialize snapshot CSVs from a source")
-    # sparql.DIALECTS, spelled out so that parsing imports no sparql code
-    fetch.add_argument(
-        "--source", required=True, choices=("en-dbpedia", "nl-dbpedia", "wikidata")
-    )
+    fetch.add_argument("--source", required=True, choices=DIALECTS)
     fetch.add_argument("--from-fixture", metavar="DIR", default=None)
     fetch.add_argument("--config", default=None)
     fetch.add_argument("--out", default="out")
@@ -194,7 +185,7 @@ def _require_file(raw: str | Path | None, what: str) -> Path | None:
 
 
 def cmd_fetch(args) -> int:
-    from . import catalog, config
+    from . import catalog, config, sparql
 
     out = _out_dir(args)
     endpoint = config.endpoint(args.source, args.endpoints)
@@ -206,11 +197,14 @@ def cmd_fetch(args) -> int:
         store = FixtureStore(args.from_fixture)
         transport = FixtureTransport(store)
         retrieved_at = store.retrieved_at
-        endpoint = replace(
-            endpoint,
-            url=f"fixture:///{args.source}",
-            max_requests_per_second=10_000.0,
-            retry_limit=0,
+        # rebuilt through the constructor, which checks every field
+        endpoint = sparql.EndpointConfig(
+            **{
+                **endpoint._asdict(),
+                "url": f"fixture:///{args.source}",
+                "max_requests_per_second": 10_000.0,
+                "retry_limit": 0,
+            }
         )
     else:
         retrieved_at = date.today().isoformat()
@@ -235,8 +229,9 @@ def cmd_fetch(args) -> int:
 # --- audit ------------------------------------------------------------------
 
 
-def _read_snapshot(raw: str, nmap: NormalizationMap | None) -> Snapshot:
-    """A snapshot directory's rows, read once; its parties.csv is optional."""
+def _read_snapshot(raw: str, nmap):
+    """A snapshot directory's audit.Snapshot under the audit.NormalizationMap
+    `nmap` (or None), its rows read once; its parties.csv is optional."""
     from . import audit, csvformat
 
     snapshot_dir = Path(raw)
@@ -349,9 +344,10 @@ def cmd_audit(args) -> int:
 # --- score ------------------------------------------------------------------
 
 
-def _load_corpus(path: Path) -> list[TextDocument]:
-    """The corpus documents, from a directory of .txt files or a CSV with
-    doc_id and text columns; an empty corpus is a configuration error."""
+def _load_corpus(path: Path) -> list:
+    """The corpus's pipeline.TextDocuments, from a directory of .txt files
+    or a CSV with doc_id and text columns; an empty corpus is a
+    configuration error."""
     from .csvformat import csv_rows
     from .pipeline import TextDocument
 

@@ -1,57 +1,41 @@
 """The config file of fetch and score: endpoints, file paths, diversity params.
 
 A config file is one YAML file with explicit paths; each value it sets is
-the default of the option it names, so flags win. KGDIV_ENDPOINT_<DIALECT>
-environment variables (dialect uppercased, dashes as underscores) win over
-a configured endpoint url. Referenced files must exist at load time; a
-missing file, an unknown key or a value of the wrong type is a
-configuration error, not a runtime one.
+the default of the option it names, so flags win. A null value reads as
+unset, like an absent key. KGDIV_ENDPOINT_<DIALECT> environment variables
+(dialect uppercased, dashes as underscores) win over a configured endpoint
+url. Referenced files must exist at load time; a missing file, an unknown
+key or a value of the wrong type is a configuration error, not a runtime
+one.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from dataclasses import replace
 from pathlib import Path
 
-from . import ConfigError
-from .sparql import DIALECTS, EndpointConfig
+from . import DIALECTS, ConfigError
+from .sparql import EndpointConfig
 
+#: one per dialect; EndpointConfig rejects a dialect not in DIALECTS
 DEFAULT_ENDPOINTS: dict[str, EndpointConfig] = {
-    "en-dbpedia": EndpointConfig(
-        url="https://dbpedia.org/sparql",
-        dialect="en-dbpedia",
-        page_size=1000,
-        max_requests_per_second=2.0,
-        retry_limit=2,
-    ),
-    "nl-dbpedia": EndpointConfig(
-        url="https://nl.dbpedia.org/sparql",
-        dialect="nl-dbpedia",
-        page_size=1000,
-        max_requests_per_second=2.0,
-        retry_limit=2,
-    ),
-    "wikidata": EndpointConfig(
-        url="https://query.wikidata.org/sparql",
-        dialect="wikidata",
-        page_size=500,
-        max_requests_per_second=1.0,
-        retry_limit=2,
-    ),
+    dialect: EndpointConfig(f"https://{host}/sparql", dialect, page_size, rate, retry_limit=2)
+    for dialect, host, page_size, rate in (
+        ("en-dbpedia", "dbpedia.org", 1000, 2.0),
+        ("nl-dbpedia", "nl.dbpedia.org", 1000, 2.0),
+        ("wikidata", "query.wikidata.org", 500, 1.0),
+    )
 }
 
 
 def endpoint(dialect: str, configured: Mapping[str, EndpointConfig] | None) -> EndpointConfig:
     """The endpoint `fetch` queries: the configured one for `dialect`, else
     its default, with KGDIV_ENDPOINT_<DIALECT> winning over the url."""
-    try:
-        base = (configured or {}).get(dialect) or DEFAULT_ENDPOINTS[dialect]
-    except KeyError:
-        raise ConfigError(f"no endpoint configured for dialect {dialect!r}") from None
+    base = (configured or {}).get(dialect) or DEFAULT_ENDPOINTS[dialect]
     override = os.environ.get("KGDIV_ENDPOINT_" + dialect.upper().replace("-", "_"))
-    return replace(base, url=override) if override else base
+    # rebuilt through the constructor, which checks every field
+    return EndpointConfig(**{**base._asdict(), "url": override}) if override else base
 
 
 _PATH_KEYS = ("rules", "triples")
@@ -61,11 +45,6 @@ def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
-
-
-def _url(value) -> str | None:
-    """A URL, or None for none."""
-    return None if value is None else _text(value)
 
 
 # a number of the wrong type is rejected, not cast: a cast would read 7.9
@@ -90,7 +69,7 @@ _ENDPOINT_KEYS = {
     "timeout": _number,
 }
 
-_DIVERSITY_KEYS = {"alpha": _number, "beta": _number, "nel_endpoint": _url}
+_DIVERSITY_KEYS = {"alpha": _number, "beta": _number, "nel_endpoint": _text}
 
 
 def _mapping(raw, what: str, known) -> dict:
@@ -106,9 +85,12 @@ def _mapping(raw, what: str, known) -> dict:
 
 
 def _converted(raw: dict, converters: dict, what: str) -> dict:
-    """Each value of `raw` through its key's converter; a failure names the key."""
+    """Each value of `raw` but a null one through its key's converter; a
+    failure names the key."""
     converted = {}
     for key, value in raw.items():
+        if value is None:
+            continue
         try:
             converted[key] = converters[key](value)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -151,7 +133,7 @@ def load_run_config(path: str | Path) -> dict:
         spec = _mapping(spec, f"endpoint {dialect}", _ENDPOINT_KEYS)
         spec = _converted(spec, _ENDPOINT_KEYS, what)
         try:
-            endpoints[dialect] = replace(DEFAULT_ENDPOINTS[dialect], **spec)
+            endpoints[dialect] = EndpointConfig(**{**DEFAULT_ENDPOINTS[dialect]._asdict(), **spec})
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
     if endpoints:

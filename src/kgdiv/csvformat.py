@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
 from pathlib import Path
@@ -63,25 +63,15 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    """One party's visibility bracket in one source at one time point.
-
-    run_audit leaves baseline_share and verdict unset; judge fills them in
-    for one parliamentary body.
-    """
-
-    source: str
-    time_point: date
-    party: str
-    alignment: str
-    lower_count: int
-    upper_count: int
-    lower_share: float
-    upper_share: float
-    active_total: int
-    baseline_share: float | None = None
-    verdict: str | None = None
+#: One party's visibility bracket in one source at one time point.
+#: run_audit leaves baseline_share and verdict unset; judge fills them in
+#: for one parliamentary body.
+AuditRow = namedtuple(
+    "AuditRow",
+    "source time_point party alignment lower_count upper_count lower_share "
+    "upper_share active_total baseline_share verdict",
+    defaults=(None, None),
+)
 
 
 def alignment_rank(alignment: str) -> int:

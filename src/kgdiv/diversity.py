@@ -13,30 +13,25 @@ features are merged into one point whose weight q_g sums their p_i^beta.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 ACTOR_TYPES = ("person", "organisation", "geopolitical-entity")
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """A set of (feature_name, feature_value) pairs describing one entity.
-
-    Multiple values per feature name are allowed; exact duplicates are not
-    (the frozenset collapses them).
-    """
-
-    pairs: frozenset[tuple[str, str]] = frozenset()
+#: A set of (feature_name, feature_value) pairs describing one entity.
+#: Multiple values per feature name are allowed; exact duplicates are not
+#: (the frozenset collapses them).
+FeatureSet = namedtuple("FeatureSet", "pairs", defaults=(frozenset(),))
 
 
-@dataclass(frozen=True)
-class BalanceVector:
+class BalanceVector(namedtuple("BalanceVector", "shares")):
     """Frequency shares p_i per entity id; shares sum to 1 unless empty."""
 
-    shares: Mapping[str, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for entity_id, p in self.shares.items():
             if p < 0:
                 raise ValueError(f"negative share for {entity_id!r}: {p}")
@@ -44,46 +39,33 @@ class BalanceVector:
             total = sum(self.shares.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"shares sum to {total}, expected 1")
+        return self
 
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(self.shares)
 
-    def __len__(self) -> int:
-        return len(self.shares)
+
+#: Symmetric pairwise dissimilarities in [0, 1] with zero diagonal. Each id
+#: maps to a point; the values live in a table over the points, so ids
+#: sharing a point (equal feature sets) are at distance 0.
+DisparityMatrix = namedtuple("DisparityMatrix", "ids point table")
 
 
-@dataclass(frozen=True)
-class DisparityMatrix:
-    """Symmetric pairwise dissimilarities in [0, 1] with zero diagonal.
-
-    Each id maps to a point; the values live in a table over the points, so
-    ids sharing a point (equal feature sets) are at distance 0.
-    """
-
-    ids: tuple[str, ...]
-    point: Mapping[str, int]
-    table: list[list[float]]
-
-
-@dataclass(frozen=True)
-class DiversityParams:
+class DiversityParams(namedtuple("DiversityParams", "alpha beta", defaults=(1.0, 1.0))):
     """Exponents weighting disparity (alpha) and balance (beta)."""
 
-    alpha: float = 1.0
-    beta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written so that nan fails too
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ValueError("alpha and beta must be finite and non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class DiversityResult:
-    delta: float
-    variety: int
-    balance: BalanceVector
+DiversityResult = namedtuple("DiversityResult", "delta variety balance")
 
 
 def compute_balance(counts: Mapping[str, int]) -> BalanceVector:
@@ -157,4 +139,4 @@ def stirling_delta(
             if d != 0.0:
                 row_sum += d**alpha * weights[h]
         delta += weights[g] * row_sum
-    return DiversityResult(delta=2.0 * delta, variety=len(balance), balance=balance)
+    return DiversityResult(delta=2.0 * delta, variety=len(balance.shares), balance=balance)

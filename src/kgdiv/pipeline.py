@@ -11,13 +11,11 @@ design; the dotted feature-name prefix records the path they came in by.
 
 from __future__ import annotations
 
-import json
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from pathlib import Path
-from typing import Protocol
 
 from . import warn
 from .csvformat import csv_columns, numbered_csv_rows
@@ -43,21 +41,19 @@ class EnrichmentError(RuntimeError):
     """The root resource's triples could not be retrieved."""
 
 
-@dataclass(frozen=True)
-class TextDocument:
-    doc_id: str
-    text: str
+TextDocument = namedtuple("TextDocument", "doc_id text")
 
 
-@dataclass(frozen=True)
-class MatchRule:
-    pattern: str
-    case_sensitive: bool = True
-    target_entity: str = ""
+class MatchRule(
+    namedtuple("MatchRule", "pattern case_sensitive target_entity", defaults=(True, ""))
+):
+    # no __slots__: the cached properties keep their values in a __dict__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.pattern:
             raise ValueError("rule pattern must be nonempty")
+        return self
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
@@ -78,28 +74,27 @@ class MatchRule:
         return _folds_in_place(self.pattern)
 
 
-@dataclass(frozen=True)
-class EntityMention:
-    doc_id: str
-    char_start: int
-    char_end: int
-    surface: str
-    resolved_id: str | None
-    provenance: str
+class EntityMention(
+    namedtuple(
+        "EntityMention", "doc_id char_start char_end surface resolved_id provenance"
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.char_start >= self.char_end:
             raise ValueError("mention span must be non-empty")
+        return self
 
 
-@dataclass(frozen=True)
-class LocalOntology:
+class LocalOntology(namedtuple("LocalOntology", "property_map actor_type_classes")):
     """Maps source predicates to feature names and classes to actor types."""
 
-    property_map: Mapping[tuple[str, str], str]
-    actor_type_classes: Mapping[tuple[str, str], str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for key, name in self.property_map.items():
             if not name:
                 raise ValueError(f"empty feature name for predicate {key}")
@@ -108,6 +103,7 @@ class LocalOntology:
                 raise ValueError(
                     f"class {key} mapped to unknown actor type {actor_type!r}"
                 )
+        return self
 
     def feature_name(self, dialect: str, predicate: str) -> str | None:
         return self.property_map.get((dialect, predicate))
@@ -120,8 +116,9 @@ class LocalOntology:
         return None
 
 
-class TripleSource(Protocol):
-    """Provider of (predicate, object) pairs and type classes per resource."""
+class TripleSource:
+    """Provider of (predicate, object) pairs and type classes per resource:
+    any object with these members serves, without subclassing."""
 
     dialect: str
 
@@ -142,7 +139,6 @@ _TYPE_PREDICATES = frozenset(
 )
 
 
-@dataclass
 class CsvTripleSource:
     """Triples from a CSV of subject,predicate,object rows.
 
@@ -150,8 +146,9 @@ class CsvTripleSource:
     rows must not change after that.
     """
 
-    rows: list[tuple[str, str, str]]
-    dialect: str = "generic"
+    def __init__(self, rows: list[tuple[str, str, str]], dialect: str = "generic"):
+        self.rows = rows
+        self.dialect = dialect
 
     @classmethod
     def from_file(cls, path: str | Path, dialect: str = "generic") -> "CsvTripleSource":
@@ -283,12 +280,12 @@ def _folds_in_place(s: str) -> bool:
     return all(len(_fold(c)) == 1 for c in set(s))
 
 
-@dataclass
 class AnnotationClient:
     """Client for a Spotlight-style entity annotation HTTP endpoint."""
 
-    endpoint_url: str
-    timeout: float = 30.0
+    def __init__(self, endpoint_url: str, timeout: float = 30.0):
+        self.endpoint_url = endpoint_url
+        self.timeout = timeout
 
     def fetch(self, text: str) -> bytes:
         import requests  # only live annotation pays its import
@@ -313,6 +310,8 @@ class AnnotationClient:
 
 def parse_annotation_response(doc: TextDocument, body: bytes) -> list[EntityMention]:
     """Parse a Spotlight-style JSON annotation document into mentions."""
+    import json  # only annotation pays its import
+
     try:
         payload = json.loads(body)
     except ValueError as exc:

@@ -9,8 +9,8 @@ geometry, fixed number formatting, no timestamps.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from datetime import date
 
 # callers still import emit_series_csv from report
@@ -41,25 +41,25 @@ _ALIGNMENT_COLOURS = {
 }
 
 
-@dataclass(frozen=True)
-class PartySeries:
-    acronym: str
-    alignment: str
-    bounds: Mapping[date, tuple[float, float]]
-    baselines: Mapping[date, float]
+#: One party's panel: `bounds` maps each time point to the (lower, upper)
+#: visibility shares, `baselines` to the seat share.
+PartySeries = namedtuple("PartySeries", "acronym alignment bounds baselines")
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    title: str
-    source_label: str
-    baseline_label: str
-    time_points: tuple[date, ...]
-    parties: tuple[PartySeries, ...]
-    active_counts: Mapping[date, int]
-    style: str = "line"
+class FigureSpec(
+    namedtuple(
+        "FigureSpec",
+        "title source_label baseline_label time_points parties active_counts style",
+        defaults=("line",),
+    )
+):
+    """One figure: its sorted time points, its PartySeries in alignment
+    order, and the active politicians at each time point."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.style not in RENDER_STYLES:
             raise ValueError(f"style must be one of {RENDER_STYLES}")
         if list(self.time_points) != sorted(self.time_points):
@@ -76,6 +76,7 @@ class FigureSpec:
             for share in p.baselines.values():
                 if not 0 <= share <= 1:
                     raise ValueError(f"baseline for {p.acronym!r} outside [0, 1]")
+        return self
 
 
 def build_figure_spec(

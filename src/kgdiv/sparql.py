@@ -14,13 +14,11 @@ import json
 import math
 import threading
 import time
+from collections import namedtuple
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from . import QueryError
-
-DIALECTS = ("en-dbpedia", "nl-dbpedia", "wikidata")
+from . import DIALECTS, QueryError
 
 RESULTS_JSON = "application/sparql-results+json"
 
@@ -43,16 +41,20 @@ Term = tuple[str, str, str, str, str]
 _KINDS = {"uri": "uri", "bnode": "bnode", "literal": "literal", "typed-literal": "literal"}
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
-    url: str
-    dialect: str
-    page_size: int = 1000
-    max_requests_per_second: float = 2.0
-    retry_limit: int = 2
-    timeout: float = DEFAULT_TIMEOUT
+class EndpointConfig(
+    namedtuple(
+        "EndpointConfig",
+        "url dialect page_size max_requests_per_second retry_limit timeout",
+        defaults=(1000, 2.0, 2, DEFAULT_TIMEOUT),
+    )
+):
+    """A checked endpoint: rebuild one through the constructor, as
+    `_replace` skips the checks."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dialect not in DIALECTS:
             raise ValueError(f"unknown dialect {self.dialect!r}")
         if self.page_size < 1:
@@ -64,13 +66,10 @@ class EndpointConfig:
             raise ValueError("timeout must be positive and finite")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
-    template_id: str
-    dialect: str
-    query_text: str
+QueryTemplate = namedtuple("QueryTemplate", "template_id dialect query_text")
 
 
 #: transport signature: (url, query, accept header, timeout) -> response body,

@@ -80,6 +80,20 @@ class TestFetch:
         )
         assert code == 2
 
+    def test_fixture_endpoint_is_rebuilt_checked(
+        self, tmp_path, kg_fixture_dir, monkeypatch, capsys
+    ):
+        """--from-fixture rebuilds the endpoint through the constructor, so a
+        record that skipped its checks through `_replace` is rejected."""
+        from kgdiv import config
+
+        unchecked = config.DEFAULT_ENDPOINTS["en-dbpedia"]._replace(page_size=0)
+        monkeypatch.setitem(config.DEFAULT_ENDPOINTS, "en-dbpedia", unchecked)
+        out = tmp_path / "snap"
+        assert run_cli(*fetch_args(out, kg_fixture_dir)) == 1
+        assert "page_size must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_unreachable_endpoint_leaves_no_partials(self, tmp_path, monkeypatch):
         monkeypatch.setenv(
             "KGDIV_ENDPOINT_EN_DBPEDIA", "http://127.0.0.1:1/en-dbpedia/sparql"
@@ -178,7 +192,7 @@ class TestFetch:
         assert not out.exists() or not list(out.iterdir())
 
     def test_source_choices_are_the_dialects(self):
-        # the parser spells the dialects out so that it need not import sparql
+        # kgdiv.DIALECTS, which sparql binds too, so parsing imports no sparql code
         from kgdiv.cli import build_parser
         from kgdiv.sparql import DIALECTS
 
@@ -1124,7 +1138,6 @@ _REJECTED_CONFIGS = {
     "endpoints-list": ("endpoints: [1, 2]\n", "endpoints must be a mapping"),
     "endpoint-scalar": ("endpoints:\n  wikidata: 5\n", "endpoint wikidata must be a mapping"),
     "rules-list": ("rules: [a, b]\n", "rules must be a file path"),
-    "endpoint-url-null": ("endpoints:\n  wikidata:\n    url:\n", "expected a string"),
     # values of the wrong type, which a cast would read as something else
     "endpoint.page_size-float": ("endpoints:\n  wikidata:\n    page_size: 7.9\n", "page_size"),
     "endpoint.retry_limit-bool": ("endpoints:\n  wikidata:\n    retry_limit: true\n", "retry_limit"),
@@ -1142,6 +1155,27 @@ def test_config_rejects_what_no_command_reads(tmp_path, fixture_dir, capsys, cas
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert named in err
+
+
+def test_config_null_values_read_as_unset(tmp_path, fixture_dir, kg_fixture_dir):
+    """A null alpha or endpoint url leaves the default, as if the key were absent."""
+    config = write_config(
+        tmp_path, "diversity:\n  alpha:\nendpoints:\n  en-dbpedia:\n    url:\n"
+    )
+    files = [
+        "--rules", str(fixture_dir / "rules.csv"), "--triples", str(fixture_dir / "triples.csv")
+    ]
+    assert run_cli(*score_args(tmp_path / "plain", fixture_dir, *files)) == 0
+    null = score_args(tmp_path / "null", fixture_dir, *files, "--config", str(config))
+    assert run_cli(*null) == 0
+    assert (tmp_path / "null" / "scores.csv").read_bytes() == (
+        tmp_path / "plain" / "scores.csv"
+    ).read_bytes()
+    snap = tmp_path / "snap"
+    assert run_cli(*fetch_args(snap, kg_fixture_dir), "--config", str(config)) == 0
+    assert (snap / "politicians.csv").read_bytes() == (
+        GOLDEN / "snapshot_en" / "politicians.csv"
+    ).read_bytes()
 
 
 _BAD_EXPONENTS = {"nan": ".nan", "inf": ".inf", "-1": "-1"}
@@ -1303,9 +1337,11 @@ def test_config_with_invalid_yaml_is_rejected(tmp_path, capsys):
 
 def test_offline_commands_import_neither_requests_nor_yaml(tmp_path, fixture_dir, kg_fixture_dir):
     """Each command, run alone in a fresh interpreter without warnings,
-    loads only the kgdiv modules it runs, and neither logging, requests nor
-    yaml; only live fetch, score --nel-endpoint and --config load requests
-    or yaml, and only a warning loads logging."""
+    loads only the kgdiv modules it runs, and neither logging, requests,
+    yaml, dataclasses nor inspect; only live fetch, score --nel-endpoint and
+    --config load requests or yaml, and only a warning loads logging. Run
+    without site hooks (-S), which may import typing first, no offline
+    command loads typing either."""
     nmap = ["--map", str(fixture_dir / "map.csv"), "--parties", str(fixture_dir / "parties.csv")]
     # 20 politicians active in 2011 are enough for the audit not to warn
     busy = tmp_path / "busy"
@@ -1366,27 +1402,35 @@ import sys
 import kgdiv.cli
 print(*sorted(m for m in sys.modules if m.split(".")[0] == "kgdiv"))
 code = kgdiv.cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("kgdiv", "logging", "requests", "yaml")))
+watched = ("kgdiv", "logging", "requests", "yaml", "dataclasses", "inspect", "typing")
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in watched))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for command, (argv, runs) in cases.items():
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, (command, done.stderr)
-        assert done.stderr == "", command
-        at_import = done.stdout.splitlines()[0].split()
-        code, *loaded = done.stdout.splitlines()[-1].split()
-        assert at_import == ["kgdiv", "kgdiv.cli"]
-        assert code == "0", command
-        expected = {"kgdiv", "kgdiv.cli", *(f"kgdiv.{m}" for m in runs.split() if m != "yaml")}
-        assert {m for m in loaded if m.startswith("kgdiv")} == expected, command
-        others = {m.split(".")[0] for m in loaded if not m.startswith("kgdiv")}
-        assert others == ({"yaml"} if "yaml" in runs.split() else set()), command
+        # yaml lives in site-packages, so --config runs only with site hooks
+        for flags in ([], ["-S"]) if "yaml" not in runs.split() else ([],):
+            done = subprocess.run(
+                [sys.executable, *flags, "-c", script, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            case = (command, *flags)
+            assert done.returncode == 0, (case, done.stderr)
+            assert done.stderr == "", case
+            at_import = done.stdout.splitlines()[0].split()
+            code, *loaded = done.stdout.splitlines()[-1].split()
+            assert at_import == ["kgdiv", "kgdiv.cli"]
+            assert code == "0", case
+            expected = {"kgdiv", "kgdiv.cli"} | {
+                f"kgdiv.{m}" for m in runs.split() if m != "yaml"
+            }
+            assert {m for m in loaded if m.startswith("kgdiv")} == expected, case
+            others = {m.split(".")[0] for m in loaded if not m.startswith("kgdiv")}
+            if not flags:
+                others.discard("typing")
+            assert others == ({"yaml"} if "yaml" in runs.split() else set()), case
 
 
 def test_warnings_keep_their_stderr_format_in_a_fresh_interpreter(tmp_path, fixture_dir):

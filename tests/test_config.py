@@ -10,8 +10,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgdiv import DIALECTS
 from kgdiv.config import DEFAULT_ENDPOINTS, ConfigError, endpoint, load_run_config
-from kgdiv.sparql import DIALECTS
+from kgdiv.sparql import EndpointConfig
 from tests.conftest import write_config
 
 ENDPOINT_KEYS = ("url", "page_size", "max_requests_per_second", "retry_limit", "timeout")
@@ -62,6 +63,62 @@ def test_endpoint_rate_and_timeout_must_be_positive_and_finite(tmp_path, key, va
     path = write_config(tmp_path, f"endpoints:\n  wikidata:\n    {key}: {value}\n")
     with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("page_size", "0", "page_size must be >= 1"),
+        ("retry_limit", "-1", "retry_limit must be >= 0"),
+    ],
+)
+def test_endpoint_page_size_and_retry_limit_are_checked(tmp_path, key, value, message):
+    path = write_config(tmp_path, f"endpoints:\n  wikidata:\n    {key}: {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(path)
+
+
+_UNSET = {}
+_DEFAULT_WIKIDATA = {"endpoints": {"wikidata": DEFAULT_ENDPOINTS["wikidata"]}}
+
+#: key -> (a config setting it to null, what the file then sets)
+_NULLS = {
+    "rules": ("rules:\n", _UNSET),
+    "triples": ("triples:\n", _UNSET),
+    "endpoints": ("endpoints:\n", _UNSET),
+    "diversity": ("diversity:\n", _UNSET),
+    **{
+        f"diversity.{key}": (f"diversity:\n  {key}:\n", _UNSET)
+        for key in ("alpha", "beta", "nel_endpoint")
+    },
+    "endpoints.wikidata": ("endpoints:\n  wikidata:\n", _DEFAULT_WIKIDATA),
+    **{
+        f"endpoints.wikidata.{key}": (
+            f"endpoints:\n  wikidata:\n    {key}:\n", _DEFAULT_WIKIDATA
+        )
+        for key in ENDPOINT_KEYS
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(_NULLS))
+def test_null_value_reads_as_unset(tmp_path, key):
+    text, sets = _NULLS[key]
+    assert load_run_config(write_config(tmp_path, text)) == sets
+
+
+def test_every_dialect_has_one_default_endpoint():
+    assert set(DEFAULT_ENDPOINTS) == set(DIALECTS)
+    assert all(config.dialect == dialect for dialect, config in DEFAULT_ENDPOINTS.items())
+
+
+def test_env_url_override_rebuilds_a_checked_endpoint(monkeypatch):
+    """The override goes through the constructor, so a record that skipped
+    its checks through `_replace` is rejected."""
+    monkeypatch.setenv("KGDIV_ENDPOINT_WIKIDATA", "http://localhost:9/sparql")
+    unchecked = DEFAULT_ENDPOINTS["wikidata"]._replace(page_size=0)
+    with pytest.raises(ValueError, match="page_size must be >= 1"):
+        endpoint("wikidata", {"wikidata": unchecked})
 
 
 def test_env_url_override_keeps_configured_settings(tmp_path, monkeypatch):
@@ -130,3 +187,36 @@ def test_property_any_mapping_loads_or_is_a_config_error(raw):
             return
     assert set(config) <= SETTINGS
     assert set(raw) <= {"endpoints", "diversity", "rules", "triples"}
+
+
+# --- a config file builds the same endpoint as the constructor -----------------
+
+_endpoint_values = {
+    "url": st.none() | st.text(max_size=8),
+    "page_size": st.none() | st.integers(-2, 2_000),
+    "retry_limit": st.none() | st.integers(-2, 5),
+    "max_requests_per_second": st.none() | st.integers(-1, 3) | st.floats(allow_nan=True),
+    "timeout": st.none() | st.integers(-1, 3) | st.floats(allow_nan=True),
+}
+
+
+@given(st.fixed_dictionaries({}, optional=_endpoint_values))
+@settings(max_examples=300, deadline=None)
+def test_property_config_endpoint_equals_the_constructor_or_is_a_config_error(spec):
+    """Values of the types a config file accepts as they are: the endpoint
+    it loads equals the constructor's on the default with those values set
+    (a null one left out), and what the constructor rejects is a ConfigError."""
+    values = DEFAULT_ENDPOINTS["wikidata"]._asdict()
+    values.update((key, value) for key, value in spec.items() if value is not None)
+    try:
+        direct = EndpointConfig(**values)
+    except ValueError:
+        direct = None
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_config(Path(directory), yaml.safe_dump({"endpoints": {"wikidata": spec}}))
+        try:
+            loaded = load_run_config(path)["endpoints"]["wikidata"]
+        except ConfigError:
+            assert direct is None
+            return
+    assert loaded == direct
