@@ -20,7 +20,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from . import ConfigError, warn
-from .csvformat import ALIGNMENTS, AuditRow, csv_rows, numbered_csv_rows
+from .csvformat import ALIGNMENTS, AuditRow, csv_rows, iso_date, numbered_csv_rows
 
 RELEVANCE_CLASSES = ("relevant", "not-relevant", "foreign")
 
@@ -55,7 +55,7 @@ def parse_schedule(raw: str) -> tuple[date, ...]:
             if len(item) == 4:
                 points.add(date(int(item), 1, 1))
             else:
-                points.add(date.fromisoformat(item))
+                points.add(iso_date(item))
         except ValueError as exc:
             raise ConfigError(f"bad schedule entry {item!r}: {exc}") from exc
     if not points:
@@ -186,7 +186,7 @@ def _row_date(raw: str, column: str, partial: list[str]) -> date | None:
     if not raw:
         return None
     try:
-        return date.fromisoformat(raw[:10])
+        return iso_date(raw[:10])
     except ValueError:
         match = _PARTIAL_DATE.fullmatch(raw)
         if match is None:
@@ -546,7 +546,7 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
     for line, row in numbered_csv_rows(path, columns):
         body = row["body"].strip()
         election = _cell(
-            path, line, "election_date", row["election_date"].strip(), date.fromisoformat,
+            path, line, "election_date", row["election_date"].strip(), iso_date,
             "an ISO date",
         )
         entry = per_body.setdefault(body, {}).setdefault(
@@ -578,7 +578,7 @@ def load_career_end_overrides(path: str | Path) -> dict[str, date]:
     """Load curated career-end dates (CSV: politician_id,career_end)."""
     return {
         row["politician_id"].strip(): _cell(
-            path, line, "career_end", row["career_end"].strip(), date.fromisoformat,
+            path, line, "career_end", row["career_end"].strip(), iso_date,
             "an ISO date",
         )
         for line, row in numbered_csv_rows(path, ("politician_id", "career_end"))

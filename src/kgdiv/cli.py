@@ -103,8 +103,10 @@ def _exponent(raw: str) -> float:
 
 def _iso_date(raw: str) -> date:
     """A --today value: an ISO calendar date."""
+    from .csvformat import iso_date
+
     try:
-        return date.fromisoformat(raw)
+        return iso_date(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{raw!r} is not an ISO date (YYYY-MM-DD)") from None
 

@@ -179,6 +179,15 @@ def emit_series_csv(rows: Sequence[AuditRow]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def iso_date(raw: str) -> date:
+    """A YYYY-MM-DD date, read alike on every Python: from 3.11 on,
+    `date.fromisoformat` also reads week dates and the basic format, and
+    the dashes at 4 and 7 of a 10-character value leave only YYYY-MM-DD."""
+    if len(raw) != 10 or raw[4] != "-" or raw[7] != "-":
+        raise ValueError(f"{raw!r} is not a YYYY-MM-DD date")
+    return date.fromisoformat(raw)
+
+
 def read_series_csv(path: str | Path) -> list[AuditRow]:
     """Audit rows back from a CSV that emit_series_csv wrote (checked as in
     `_checked_rows`). Every malformed row is reported in one ValueError,
@@ -190,7 +199,7 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
             rows.append(
                 AuditRow(
                     source=row["source"],
-                    time_point=date.fromisoformat(row["time_point"]),
+                    time_point=iso_date(row["time_point"]),
                     party=row["canonical_acronym"],
                     alignment=row["alignment"],
                     lower_count=int(row["lower_count"]),

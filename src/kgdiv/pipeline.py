@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import warn
@@ -47,7 +49,7 @@ TextDocument = namedtuple("TextDocument", "doc_id text")
 class MatchRule(
     namedtuple("MatchRule", "pattern case_sensitive target_entity", defaults=(True, ""))
 ):
-    # no __slots__: the cached properties keep their values in a __dict__
+    # no __slots__: the cached regex keeps its value in a __dict__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -64,14 +66,6 @@ class MatchRule(
         """
         flags = 0 if self.case_sensitive else re.IGNORECASE
         return re.compile(re.escape(self.pattern), flags)
-
-    @cached_property
-    def _folded(self) -> str:
-        return _fold(self.pattern)
-
-    @cached_property
-    def _folds_in_place(self) -> bool:
-        return _folds_in_place(self.pattern)
 
 
 class EntityMention(
@@ -183,86 +177,140 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
     """All non-overlapping occurrences of each rule in the raw text.
 
     Matches of different rules may overlap; matches of one rule never do.
-    A case-sensitive rule is found by substring search and builds no
-    regex; one whose pattern is absent costs one `in` test and nothing
-    else. A case-insensitive rule builds its `MatchRule.regex` only if its
-    folded pattern occurs in the folded text; that test never drops a
-    match, so the regex decides every case-insensitive span. Where every
-    character of the text and of the pattern folds to exactly one
-    character, folded positions are text positions, so the regex is only
-    tried at each occurrence of the folded pattern; otherwise it scans
-    the whole text.
+    One scan of the text finds every case-sensitive pattern, and one scan
+    of the folded text every folded case-insensitive one; only the rules
+    found are visited. A case-sensitive rule's occurrences are its
+    matches. A case-insensitive rule's `MatchRule.regex` decides each of
+    its spans: where the text and the pattern fold in place, folded
+    positions are text positions, so it is tried only where the folded
+    pattern occurs; otherwise it scans the whole text.
     """
+    index = rules._index if isinstance(rules, _RuleList) else _RuleIndex(rules)
     text = doc.text
-    folded_text: str | None = None
-    text_folds_in_place = False
+    found = index.scan_sensitive(text)
+    visits = [(k, found[pattern]) for pattern in found for k in index.sensitive[pattern]]
+    if index.insensitive:
+        anchored = index.anchored if _folds_in_place(text) else ()
+        found = index.scan_insensitive(_fold(text))
+        found[""] = None  # a pattern of combining dots folds to "", found everywhere
+        visits += [
+            (k, found[folded] if k in anchored else None)
+            for folded in found
+            for k in index.insensitive.get(folded, ())
+        ]
     mentions: list[EntityMention] = []
-    for rule in rules:
-        if rule.case_sensitive:
-            if rule.pattern not in text:
-                continue
-            spans = _literal_spans(text, rule.pattern)
+    for k, starts in sorted(visits):  # in rule order: each rule is visited once
+        rule = rules[k]
+        if starts is None:
+            spans = ((m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text))
         else:
-            if folded_text is None:
-                folded_text = _fold(text)
-                text_folds_in_place = _folds_in_place(text)
-            first = folded_text.find(rule._folded)
-            if first < 0:
-                continue
-            if text_folds_in_place and rule._folds_in_place:
-                spans = _anchored_spans(text, folded_text, rule, first)
-            else:
-                spans = (
-                    (m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text)
-                )
+            match = None if rule.case_sensitive else rule.regex.match
+            spans = _spans(text, starts, rule.pattern, match)
         resolved_id = rule.target_entity or None
         mentions.extend(
-            EntityMention(
-                doc_id=doc.doc_id,
-                char_start=start,
-                char_end=end,
-                surface=surface,
-                resolved_id=resolved_id,
-                provenance="rule",
-            )
+            EntityMention(doc.doc_id, start, end, surface, resolved_id, "rule")
             for start, end, surface in spans
         )
     mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
     return mentions
 
 
-def _literal_spans(text: str, pattern: str) -> Iterator[tuple[int, int, str]]:
-    """The non-overlapping occurrences of a nonempty literal, left to right,
-    as `re.finditer(re.escape(pattern), text)` finds them."""
-    start = text.find(pattern)
-    while start >= 0:
-        end = start + len(pattern)
-        yield start, end, pattern
-        start = text.find(pattern, end)
-
-
-def _anchored_spans(
-    text: str, folded_text: str, rule: MatchRule, first: int
-) -> Iterator[tuple[int, int, str]]:
-    """The spans of `rule.regex.finditer(text)`, found by trying the regex
-    only where the folded pattern occurs in `folded_text`, from `first` on.
-
-    Both the text and the pattern must fold in place: then every span the
-    regex matches folds to the folded pattern at the same position, so no
-    span is skipped. A failed check moves on by one character, a match to
-    its end, as `finditer` does.
-    """
-    regex = rule.regex
-    folded = rule._folded
-    pos = first
-    while pos >= 0:
-        m = regex.match(text, pos)
-        if m is None:
-            pos = folded_text.find(folded, pos + 1)
-        else:
+def _spans(text: str, starts: list[int], pattern: str, match) -> Iterator[tuple[int, int, str]]:
+    """A rule's non-overlapping spans, left to right as `finditer` finds
+    them, from the sorted positions where its (folded) pattern occurs:
+    `match`, if given, decides each span, else each position is one."""
+    end = 0
+    for start in starts:
+        if start < end:
+            continue
+        if match is None:
+            end = start + len(pattern)
+            yield start, end, pattern
+        elif m := match(text, start):
             end = m.end()
-            yield pos, end, m.group(0)
-            pos = folded_text.find(folded, end)
+            yield start, end, m.group(0)
+
+
+class _RuleList(list):
+    """The rules `load_rules` returns: a list that keeps the scan index it
+    builds on its first match, so the rules must not change after that."""
+
+    @cached_property
+    def _index(self) -> _RuleIndex:
+        return _RuleIndex(self)
+
+
+class _RuleIndex:
+    """The rules' positions by case-sensitive and by folded pattern, the
+    case-insensitive ones that fold in place, and a scanner of each set."""
+
+    def __init__(self, rules: Sequence[MatchRule]):
+        self.sensitive: dict[str, list[int]] = {}
+        self.insensitive: dict[str, list[int]] = {}
+        self.anchored: set[int] = set()
+        for k, rule in enumerate(rules):
+            if rule.case_sensitive:
+                self.sensitive.setdefault(rule.pattern, []).append(k)
+                continue
+            self.insensitive.setdefault(_fold(rule.pattern), []).append(k)
+            if _folds_in_place(rule.pattern):
+                self.anchored.add(k)
+        self.scan_sensitive = _scanner(self.sensitive)
+        self.scan_insensitive = _scanner(self.insensitive)
+
+
+def _scanner(literals: Iterable[str]) -> Callable[[str], dict[str, list[int]]]:
+    """A function from a text to the sorted start positions of each
+    nonempty literal that occurs in it, overlapping occurrences too. It
+    searches a regex of the literals' distinct prefixes of up to three
+    characters (`_trie_branches`) once per position where one starts, and
+    confirms there each literal whose prefix the match starts with."""
+    by_prefix: dict[str, list[str]] = {}
+    for literal in filter(None, literals):
+        by_prefix.setdefault(literal[:3], []).append(literal)
+    if not by_prefix:
+        return lambda text: {}
+    candidates = {
+        prefix: [p for n in range(1, len(prefix) + 1) for p in by_prefix.get(prefix[:n], ())]
+        for prefix in by_prefix
+    }
+    search = re.compile("|".join(_trie_branches(by_prefix, first=True))).search
+
+    def occurrences(text: str) -> dict[str, list[int]]:
+        found: dict[str, list[int]] = {}
+        m = search(text)
+        while m is not None:
+            start = m.start()
+            for literal in candidates[m.group()]:
+                if text.startswith(literal, start):
+                    found.setdefault(literal, []).append(start)
+            m = search(text, start + 1)
+        return found
+
+    return occurrences
+
+
+def _trie_branches(words: Iterable[str], first: bool = False) -> list[str]:
+    """Regex alternatives that match the longest of the nonempty words at
+    a position, nested by character: `ab(?:xy|[cd])?` and `e` for ab, abc,
+    abd, abxy and e. The characters that only end words share a class,
+    except `first` ones: those stay literals, so that sre can skip ahead
+    to them."""
+    branches, ends = [], []
+    for char, group in groupby(sorted(words), itemgetter(0)):
+        rests = [word[1:] for word in group]
+        tails = [rest for rest in rests if rest]
+        if not tails:
+            (branches if first else ends).append(re.escape(char))
+            continue
+        nested = _trie_branches(tails)
+        optional = "?" if len(tails) < len(rests) else ""
+        if optional or len(nested) > 1:
+            nested = [f"(?:{'|'.join(nested)}){optional}"]
+        branches.append(re.escape(char) + nested[0])
+    if ends:
+        branches.append(ends[0] if len(ends) == 1 else f"[{''.join(ends)}]")
+    return branches
 
 
 def _fold(s: str) -> str:
@@ -445,7 +493,7 @@ def load_rules(path: str | Path) -> list[MatchRule]:
             "skipping %d lemma rule(s); corpus ingestion provides no lemma layer",
             lemma_rules,
         )
-    return rules
+    return _RuleList(rules)
 
 
 def _parse_bool(raw: str | None, default: bool) -> bool:

@@ -3,15 +3,16 @@
 They are written for plainness, not speed: the Jaccard distance of two
 feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
 Δ, a disparity matrix from explicit pair values, the inverse of a figure
-panel's y-transform, and the audit's record layer: politician records
-with their affiliations, each one's activity period as a date interval,
-and the per-time-point count of the active politicians' careers.
+panel's y-transform, the audit's record layer (politician records with
+their affiliations, each one's activity period as a date interval, and
+the per-time-point count of the active politicians' careers), and rule
+matching one rule at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
 
@@ -26,6 +27,7 @@ from kgdiv.audit import (
     compute_bounds,
 )
 from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
+from kgdiv.pipeline import EntityMention, MatchRule, TextDocument, _fold, _folds_in_place
 from kgdiv.report import PANEL_HEIGHT
 
 
@@ -259,3 +261,64 @@ def audit_by_records(
                     )
                 )
     return AuditResult(rows=rows, coverage=coverage)
+
+
+def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMention]:
+    """All non-overlapping occurrences of each rule in the raw text, one
+    rule at a time: a case-sensitive rule by substring search, a
+    case-insensitive one by its regex where its folded pattern occurs in
+    the folded text (anchored at each occurrence where both fold in
+    place, over the whole text otherwise)."""
+    text = doc.text
+    folded_text: str | None = None
+    text_folds_in_place = False
+    mentions: list[EntityMention] = []
+    for rule in rules:
+        if rule.case_sensitive:
+            if rule.pattern not in text:
+                continue
+            spans = _literal_spans(text, rule.pattern)
+        else:
+            if folded_text is None:
+                folded_text = _fold(text)
+                text_folds_in_place = _folds_in_place(text)
+            first = folded_text.find(_fold(rule.pattern))
+            if first < 0:
+                continue
+            if text_folds_in_place and _folds_in_place(rule.pattern):
+                spans = _anchored_spans(text, folded_text, rule, first)
+            else:
+                spans = (
+                    (m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text)
+                )
+        mentions.extend(
+            EntityMention(doc.doc_id, start, end, surface, rule.target_entity or None, "rule")
+            for start, end, surface in spans
+        )
+    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
+    return mentions
+
+
+def _literal_spans(text: str, pattern: str) -> Iterator[tuple[int, int, str]]:
+    """The non-overlapping occurrences of a nonempty literal, left to right."""
+    start = text.find(pattern)
+    while start >= 0:
+        end = start + len(pattern)
+        yield start, end, pattern
+        start = text.find(pattern, end)
+
+
+def _anchored_spans(
+    text: str, folded_text: str, rule: MatchRule, first: int
+) -> Iterator[tuple[int, int, str]]:
+    """The spans of `rule.regex.finditer(text)`, trying the regex only where
+    the folded pattern occurs in `folded_text` (both must fold in place)."""
+    folded = _fold(rule.pattern)
+    pos = first
+    while pos >= 0:
+        m = rule.regex.match(text, pos)
+        if m is None:
+            pos = folded_text.find(folded, pos + 1)
+        else:
+            yield pos, m.end(), m.group(0)
+            pos = folded_text.find(folded, m.end())

@@ -294,7 +294,12 @@ class TestAudit:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--today", "2020-13-01"), ("--today", "soon"), ("--max-unmapped", "-1"), ("--max-unmapped", "x")],
+        [
+            ("--today", "2020-13-01"), ("--today", "soon"),
+            # an ISO week date and the basic format, which Python 3.11+ would read
+            ("--today", "1995-W21-1"), ("--today", "19950521"),
+            ("--max-unmapped", "-1"), ("--max-unmapped", "x"),
+        ],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, fixture_dir, capsys, flag, value):
         out = tmp_path / "out"
@@ -484,10 +489,16 @@ class TestAudit:
              "line 2: election_date '2019-5-26' is not an ISO date"),
             ("--baseline", "KVV,2019-05-26,N-VA,25,150\nKVV,2019-05-26,CD&V,12,124\n",
              "line 3: inconsistent total_seats for KVV 2019-05-26: 150 vs 124"),
+            ("--baseline", "KVV,1995-W21-1,N-VA,25,150\n",
+             "line 2: election_date '1995-W21-1' is not an ISO date"),
             ("--overrides", "p1,2019-12-01\np2,2019-13-01\n",
              "line 3: career_end '2019-13-01' is not an ISO date"),
+            ("--overrides", "p1,19950521\n", "line 2: career_end '19950521' is not an ISO date"),
         ],
-        ids=["seats", "total-seats", "election-date", "inconsistent-total", "career-end"],
+        ids=[
+            "seats", "total-seats", "election-date", "inconsistent-total", "week-date",
+            "career-end", "basic-format",
+        ],
     )
     def test_bad_baseline_or_override_cell_names_file_and_line(
         self, tmp_path, fixture_dir, capsys, flag, rows, message
@@ -508,6 +519,35 @@ class TestAudit:
         assert run_cli(*argv) == 1
         assert f"error: {bad} {message}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+# Python 3.11+ reads an ISO week date and the basic format as dates, 3.10
+# does not; every date input accepts YYYY-MM-DD only, on every Python
+@pytest.mark.parametrize("value", ["1995-W21-1", "19950521"])
+@pytest.mark.parametrize("given", ["snapshot", "schedule", "audit-csv"])
+def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, capsys, given, value):
+    out = tmp_path / "out"
+    if given == "snapshot":
+        shutil.copytree(GOLDEN / "snapshot_en", tmp_path / "snap")
+        politicians = tmp_path / "snap" / "politicians.csv"
+        politicians.write_text(
+            politicians.read_text(encoding="utf-8").replace("1985-01-08", value, 1),
+            encoding="utf-8",
+        )
+        argv = ["validate", "--snapshot", str(tmp_path / "snap")]
+        code, message = 1, f"aff_start {value!r} is not an ISO date"
+    elif given == "schedule":
+        argv = [*audit_args(GOLDEN / "snapshot_en", out, fixture_dir), "--schedule", value]
+        code, message = 2, f"bad schedule entry {value!r}"
+    else:
+        series = tmp_path / "audit.csv"
+        golden = (GOLDEN / "audit_en" / "audit_kvv.csv").read_text(encoding="utf-8")
+        series.write_text(golden.replace("1990-01-01", value, 1), encoding="utf-8")
+        argv = ["report", "--audit", str(series), "--out", str(out)]
+        code, message = 1, f"row 2: {value!r} is not a YYYY-MM-DD date"
+    assert run_cli(*argv) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestScore:

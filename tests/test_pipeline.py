@@ -33,6 +33,7 @@ from kgdiv.pipeline import (
     parse_annotation_response,
 )
 from kgdiv.pipeline import _fold, _folds_in_place
+from tests import oracles
 
 try:
     from re._casefix import _EXTRA_CASES
@@ -231,6 +232,68 @@ class TestMatchRules:
         for rule in (sensitive_hit, sensitive_miss, insensitive_miss):
             assert "regex" not in rule.__dict__
         assert "regex" in insensitive_hit.__dict__
+
+    # few letters, so that patterns share their 3-character prefixes and
+    # overlap; k, K and the Kelvin sign fold in place, ß and a combining dot
+    # do not (and a pattern of combining dots folds to nothing)
+    SCAN_ALPHABET = "abAB kK\u212a\u00df\u0307"
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_property_one_scan_equals_one_rule_at_a_time(self, data):
+        pattern = st.text(alphabet=self.SCAN_ALPHABET, min_size=1, max_size=5)
+        specs = data.draw(st.lists(st.tuples(pattern, st.booleans()), min_size=1, max_size=40))
+        # repeat some patterns, with the same case flag or the other one
+        again = st.sampled_from(specs)
+        flipped = again.map(lambda spec: (spec[0], not spec[1]))
+        specs += data.draw(st.lists(st.one_of(again, flipped), max_size=5))
+        # the text strings patterns together, some with their cases swapped
+        pieces = st.sampled_from([pattern for pattern, _ in specs])
+        filler = st.text(alphabet=self.SCAN_ALPHABET, max_size=3)
+        text = "".join(
+            data.draw(st.lists(st.one_of(pieces, pieces.map(str.swapcase), filler), max_size=20))
+        )
+        rules = [
+            MatchRule(pattern=pattern, case_sensitive=sensitive, target_entity=f"t{k % 7}")
+            for k, (pattern, sensitive) in enumerate(specs)
+        ]
+        doc = TextDocument(doc_id="d", text=text)
+        assert match_rules(doc, rules) == oracles.match_rules(doc, rules)
+
+    def test_pattern_that_folds_to_nothing_occurs_everywhere(self):
+        text = "a\u0307b\u0307"
+        rule = MatchRule(pattern="\u0307", case_sensitive=False, target_entity="u:dot")
+        got = [(m.char_start, m.char_end) for m in match_rules(TextDocument("d", text), [rule])]
+        assert got == [(1, 2), (3, 4)]
+
+    def test_thousands_of_patterns_in_one_scan(self):
+        rng = random.Random(5)
+        letters = "aeiouklmnrstvzAEKLMNRSTVZ"
+        patterns = sorted(
+            {"".join(rng.choice(letters) for _ in range(rng.randint(1, 9))) for _ in range(3500)}
+        )
+        assert len(patterns) > 3000
+        rules = [
+            MatchRule(pattern=p, case_sensitive=rng.random() < 0.7, target_entity=f"t{k}")
+            for k, p in enumerate(patterns)
+        ]
+        picks = [rng.choice(patterns) for _ in range(1500)]
+        text = " ".join(p.swapcase() if rng.random() < 0.2 else p for p in picks)
+        doc = TextDocument(doc_id="d", text=text)
+        assert match_rules(doc, rules) == oracles.match_rules(doc, rules)
+        assert len(match_rules(doc, rules)) > 1500
+
+    def test_loaded_rules_keep_one_scan_index(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_text("pattern,case_sensitive\ngroen,false\nN-VA,true\n", encoding="utf-8")
+        rules = load_rules(path)
+        docs = [TextDocument("a", "Groen en N-VA"), TextDocument("b", "GROEN, groen")]
+        assert [match_rules(doc, rules) for doc in docs] == [
+            oracles.match_rules(doc, rules) for doc in docs
+        ]
+        index = vars(rules)["_index"]
+        match_rules(docs[0], rules)
+        assert vars(rules)["_index"] is index
 
 
 def _ignorecase_pairs() -> list[tuple[str, str]]:

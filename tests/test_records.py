@@ -154,10 +154,12 @@ def test_a_record_unpacks_and_keeps_its_defaults():
 
 
 def test_loading_rules_compiles_no_regex(tmp_path):
-    """A case-insensitive rule compiles its regex only when it is asked for."""
+    """A case-insensitive rule compiles its regex only when it is asked
+    for, and the rules' scan index is built on their first match."""
     path = tmp_path / "rules.csv"
     path.write_text("pattern,case_sensitive\ngroen,false\nN-VA,true\n", encoding="utf-8")
     rules = load_rules(path)
     assert [vars(rule) for rule in rules] == [{}, {}]
+    assert vars(rules) == {}
     assert rules[0].regex.match("GROEN")
     assert list(vars(rules[0])) == ["regex"]
