@@ -175,22 +175,33 @@ _PARTIAL_DATE = re.compile(r"(\d{4})(?:-(\d{2}))?")
 #: as its earliest day, so it never begins late
 _LATEST_DAY_COLUMNS = frozenset(("aff_end", "death_date"))
 
+_UNREAD = object()
 
-def _row_date(raw: str, column: str, partial: list[str]) -> date | None:
+
+def _row_date(
+    raw: str, column: str, partial: list[str], days: dict[str, date | None]
+) -> date | None:
     """The ISO date in a snapshot row's column value, or None if it is empty.
 
     A bare year or year-month is read as its earliest or latest day, by
-    column, and the reading is noted in `partial`.
+    column, and the reading is noted in `partial`. `days` holds the values
+    read so far that are empty or full ISO dates, whose reading depends on
+    neither the column nor the row.
     """
-    raw = raw.strip()
-    if not raw:
+    day = days.get(raw, _UNREAD)
+    if day is not _UNREAD:
+        return day
+    stripped = raw.strip()
+    if not stripped:
+        days[raw] = None
         return None
     try:
-        return iso_date(raw[:10])
+        day = days[raw] = iso_date(stripped[:10])
+        return day
     except ValueError:
-        match = _PARTIAL_DATE.fullmatch(raw)
+        match = _PARTIAL_DATE.fullmatch(stripped)
         if match is None:
-            raise ValueError(f"{column} {raw!r} is not an ISO date") from None
+            raise ValueError(f"{column} {stripped!r} is not an ISO date") from None
     year = int(match.group(1))
     if match.group(2) is None:
         first, last = date(year, 1, 1), date(year, 12, 31)
@@ -201,7 +212,7 @@ def _row_date(raw: str, column: str, partial: list[str]) -> date | None:
         else:
             last = first.replace(month=first.month + 1) - timedelta(days=1)
     day = last if column in _LATEST_DAY_COLUMNS else first
-    partial.append(f"{column} {raw} read as {day}")
+    partial.append(f"{column} {stripped} read as {day}")
     return day
 
 
@@ -214,8 +225,9 @@ def read_snapshot(
 
     A politicians row holds the fields of catalog.POLITICIANS_CSV_HEADER,
     in that order, as fetch_politicians and read_politicians_csv give it.
-    Every date column is read once and every party reference resolved
-    once (given a map; without one no row has a party). The findings are
+    Every date column is read once, and each distinct full ISO date value
+    parsed once; every party reference is resolved once (given a map;
+    without one no row has a party). The findings are
     resources appearing both as politician and as party reference, rows
     with a year or year-month date (one finding per row, naming the day
     each is read as), inverted affiliation intervals, deaths predating an
@@ -231,17 +243,18 @@ def read_snapshot(
     deaths: dict[str, date] = {}
     starts: dict[str, list[date]] = {}
     with_relevant: set[str] = set()
+    days: dict[str, date | None] = {}
     for source, pid, label, ref, raw_start, raw_end, raw_death, _, raw_stamp in politician_rows:
         politician_ids.add(pid)
         if ref:
             party_refs.add(ref)
 
         partial: list[str] = []
-        start = _row_date(raw_start, "aff_start", partial)
-        end = _row_date(raw_end, "aff_end", partial)
-        death = _row_date(raw_death, "death_date", partial)
+        start = _row_date(raw_start, "aff_start", partial, days)
+        end = _row_date(raw_end, "aff_end", partial, days)
+        death = _row_date(raw_death, "death_date", partial, days)
         # a partial stamp is no finding
-        stamp = _row_date(raw_stamp, "retrieved_at", [])
+        stamp = _row_date(raw_stamp, "retrieved_at", [], days)
         if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
             retrieved_at = stamp
         if partial:
@@ -387,7 +400,9 @@ def baseline_share(
         if not preceding:
             raise ValueError(
                 f"time point {time_point} precedes the first recorded election "
-                f"{election_dates[0]} for body {baselines.body!r}"
+                f"{election_dates[0]} for body {baselines.body!r}; audit the other "
+                "bodies (--body), use --baseline-policy closest, or start the "
+                f"--schedule on or after {election_dates[0]}"
             )
         chosen = preceding[-1]
     else:

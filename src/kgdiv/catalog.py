@@ -14,7 +14,7 @@ The snapshot CSV formats, and their readers, live in csvformat.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .csvformat import PARTIES_CSV_HEADER, POLITICIANS_CSV_HEADER, write_csv
@@ -257,32 +257,34 @@ def fetch_politicians(
     """Materialize the politicians snapshot, one tuple per affiliation, in
     POLITICIANS_CSV_HEADER order."""
     template = builtin_templates()[(endpoint.dialect, "politicians")]
-    rows = []
-    for binding in execute_query(endpoint, template, transport=transport):
-        get = binding.get
-        rows.append(
-            (
-                endpoint.dialect,
-                get("politician", ""),
-                get("label", ""),
-                get("party", ""),
-                _clip_date(get("start", "")),
-                _clip_date(get("end", "")),
-                _clip_date(get("death", "")),
-                get("position", ""),
-                retrieved_at,
-            )
+    dialect = endpoint.dialect
+    # the values come in the template's SELECT order
+    return [
+        (
+            dialect,
+            politician,
+            label,
+            party,
+            _clip_date(start),
+            _clip_date(end),
+            _clip_date(death),
+            position,
+            retrieved_at,
         )
-    return rows
+        for politician, label, party, start, end, death, position in execute_query(
+            endpoint, template, transport=transport
+        )
+    ]
 
 
 def fetch_parties(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-) -> list[dict[str, str]]:
-    """Materialize the parties snapshot, using the usage-based fallback
-    when the direct query comes back empty."""
+) -> list[tuple[str, ...]]:
+    """Materialize the parties snapshot, one tuple per party in
+    PARTIES_CSV_HEADER order, using the usage-based fallback when the direct
+    query comes back empty."""
     catalog = builtin_templates()
     bindings = execute_query(
         endpoint, catalog[(endpoint.dialect, "parties")], transport=transport
@@ -290,19 +292,11 @@ def fetch_parties(
     fallback = catalog.get((endpoint.dialect, "parties_via_usage"))
     if not bindings and fallback is not None:
         bindings = execute_query(endpoint, fallback, transport=transport)
-    rows = []
-    for binding in bindings:
-        rows.append(
-            {
-                "source": endpoint.dialect,
-                "party_id": binding.get("party", ""),
-                "label": binding.get("label", ""),
-                "country": binding.get("country", ""),
-                "raw_alignment": binding.get("alignment", ""),
-                "retrieved_at": retrieved_at,
-            }
-        )
-    return rows
+    # the values come in the templates' SELECT order
+    return [
+        (endpoint.dialect, party, label, country, alignment, retrieved_at)
+        for party, label, country, alignment in bindings
+    ]
 
 
 def coverage_counts(
@@ -326,9 +320,6 @@ def write_politicians_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> No
     write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
 
 
-def write_parties_csv(path: str | Path, rows: Iterable[Mapping[str, str]]) -> None:
-    write_csv(
-        Path(path),
-        PARTIES_CSV_HEADER,
-        ([row.get(k, "") for k in PARTIES_CSV_HEADER] for row in rows),
-    )
+def write_parties_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write fetch_parties' tuples as they are."""
+    write_csv(Path(path), PARTIES_CSV_HEADER, rows)

@@ -324,8 +324,8 @@ def _folds_in_place(s: str) -> bool:
     """Whether every character of `s` folds to exactly one character, so
     that each position of `_fold(s)` is the same position of `s`. Equal
     lengths are not enough: ß, a, a combining dot and k fold to 'ssak',
-    which puts the a one place late."""
-    return all(len(_fold(c)) == 1 for c in set(s))
+    which puts the a one place late. Every ASCII character folds to one."""
+    return s.isascii() or all(len(_fold(c)) == 1 for c in set(s))
 
 
 class AnnotationClient:

@@ -1,17 +1,20 @@
 """SPARQL endpoint client: templated queries, paging, rate limiting, parsing.
 
 Queries are issued with LIMIT/OFFSET pages until a short page comes back.
-Each JSON binding is parsed once into a hashable tuple of its terms, and
-that tuple is the key that deduplicates rows, a second safety net against
-unstable OFFSET paging. A full page that adds no new row stops the query
-with an error rather than paging forever. Per-endpoint request rates are
-capped process-wide.
+Each JSON binding is parsed once into one compact row: its values in the
+variable order, and the kind, datatype and language tag of each term, as
+one tuple shared by every binding of the same shape. That pair is the key
+that deduplicates rows, a second safety net against unstable OFFSET
+paging, and the values are the row a query returns. A full page that adds
+no new row stops the query with an error rather than paging forever.
+Per-endpoint request rates are capped process-wide.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from collections import namedtuple
@@ -34,11 +37,17 @@ class MalformedResultError(QueryError):
     """The endpoint's response body is not a valid result document."""
 
 
-#: one bound variable: (variable, kind, value, datatype, language tag), where
-#: kind is "uri", "bnode" or "literal" and an absent datatype or tag is ""
-Term = tuple[str, str, str, str, str]
+#: one parsed binding: its values in the variable order ("" where unbound),
+#: and per variable the (kind, datatype, language tag) of its term, or None
+#: where unbound; kind is "uri", "bnode" or "literal", and an absent
+#: datatype or tag is "". The pair is the binding's dedup key.
+Row = tuple[tuple[str, ...], tuple[tuple[str, str, str] | None, ...]]
 
 _KINDS = {"uri": "uri", "bnode": "bnode", "literal": "literal", "typed-literal": "literal"}
+
+#: the variables a SELECT names; SELECT * and expressions do not match.
+#: re compiles it on the first query, so an import compiles no regex
+_SELECT = r"(?im)^\s*SELECT\s+(?:(?:DISTINCT|REDUCED)\s+)?((?:\?\w+\s+)+)WHERE\b"
 
 
 class EndpointConfig(
@@ -146,12 +155,14 @@ def execute_query(
     endpoint: EndpointConfig,
     template: QueryTemplate,
     transport: Transport | None = None,
-) -> list[dict[str, str]]:
+) -> list[tuple[str, ...]]:
     """Run a query template with paging, dedup, rate limiting and retries.
 
-    Returns one variable -> value mapping per distinct binding, in first-seen
-    order. Bindings that differ only in a datatype or language tag are
-    distinct, so they give two rows with the same values.
+    Returns each distinct binding's values, in first-seen order, as a tuple
+    in the template's variable order ("" where unbound): the variables its
+    SELECT names, or the endpoint's for SELECT *. Bindings that differ only
+    in a datatype or language tag are distinct, so they give two rows with
+    the same values.
     """
     if template.dialect != endpoint.dialect:
         raise ValueError(
@@ -160,13 +171,16 @@ def execute_query(
         )
     send = transport or http_transport
     limiter = _limiter_for(endpoint)
+    selected = re.search(_SELECT, template.query_text)
+    order = tuple(selected.group(1).replace("?", "").split()) if selected else None
 
-    rows: dict[tuple[Term, ...], None] = {}
+    rows: dict[Row, None] = {}
     offset = 0
     while True:
         paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
-        page = parse_results(body)
+        # a SELECT * keeps the order the first page declares
+        order, page = parse_results(body, order)
         before = len(rows)
         rows.update(dict.fromkeys(page))
         if len(page) < endpoint.page_size:
@@ -177,7 +191,7 @@ def execute_query(
                 "with no new rows; it may ignore OFFSET"
             )
         offset += endpoint.page_size
-    return [{var: value for var, _, value, _, _ in row} for row in rows]
+    return [values for values, _ in rows]
 
 
 def _send_with_retry(
@@ -195,46 +209,76 @@ def _send_with_retry(
     raise last_error  # type: ignore[misc]
 
 
-def parse_results(body: bytes | Mapping) -> list[tuple[Term, ...]]:
+def parse_results(
+    body: bytes | Mapping, order: tuple[str, ...] | None = None
+) -> tuple[tuple[str, ...], list[Row]]:
     """Parse a SPARQL JSON results document, as bytes or decoded (and then
-    only read), into one variable-sorted tuple of terms per binding. Datatypes
-    and language tags are kept; the hashable tuple is the binding's dedup key."""
+    only read), into one Row per binding, its values in `order` (by
+    default the order the document declares), and give that order with
+    the rows. Datatypes and language tags are kept; each distinct term
+    shape, and each distinct tuple of them, is one shared object."""
     try:
         doc = body if isinstance(body, Mapping) else json.loads(body)
-        declared = set(doc["head"]["vars"])
+        declared = tuple(doc["head"]["vars"])
         bindings = doc["results"]["bindings"]
+        if order is None:
+            order = declared
+        where = {var: i for i, var in enumerate(order) if var in declared}
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedResultError(f"not a SPARQL JSON results document: {exc}") from exc
+    unbound_values = [""] * len(order)
+    unbound_terms = [None] * len(order)
+    # (type, datatype, xml:lang) as sent -> the checked term shape
+    shapes: dict[tuple, tuple[str, str, str]] = {}
+    shared: dict[tuple, tuple] = {}
     rows = []
     try:
         for binding in bindings:
-            row = []
+            values = unbound_values[:]
+            terms = unbound_terms[:]
             for var, term in binding.items():
-                kind = _KINDS.get(term.get("type"))
+                sent = term.get("type"), term.get("datatype"), term.get("xml:lang")
+                try:
+                    shape = shapes[sent]
+                except KeyError:
+                    shape = shapes[sent] = _term_shape(term)
+                except TypeError:  # an unhashable type, datatype or tag
+                    shape = _term_shape(term)
                 value = term.get("value")
-                datatype = lang = ""
-                if kind == "literal":
-                    datatype = term.get("datatype") or ""
-                    lang = term.get("xml:lang") or ""
-                    if datatype and lang:
-                        raise MalformedResultError(
-                            f"literal {value!r} carries both a datatype and a language tag"
-                        )
-                    if type(datatype) is not str or type(lang) is not str:
-                        raise MalformedResultError(
-                            f"literal {value!r} with a non-string datatype or language tag"
-                        )
-                elif kind is None:
-                    raise MalformedResultError(f"unknown binding kind {term.get('type')!r}")
                 if type(value) is not str:
                     raise MalformedResultError(f"binding of {var!r} without a string value")
-                row.append((var, kind, value, datatype, lang))
-            if not declared.issuperset(binding):
-                raise MalformedResultError(
-                    f"binding of undeclared variables {sorted(set(binding) - declared)}"
-                )
-            row.sort()
-            rows.append(tuple(row))
+                i = where.get(var)
+                if i is None:
+                    undeclared = sorted(set(binding).difference(declared))
+                    if undeclared:
+                        raise MalformedResultError(f"binding of undeclared variables {undeclared}")
+                    unselected = sorted(set(binding).difference(order))
+                    raise MalformedResultError(f"binding of unselected variables {unselected}")
+                values[i] = value
+                terms[i] = shape
+            terms = tuple(terms)
+            rows.append((tuple(values), shared.setdefault(terms, terms)))
     except (AttributeError, TypeError) as exc:
         raise MalformedResultError(f"malformed binding: {exc}") from exc
-    return rows
+    return order, rows
+
+
+def _term_shape(term: Mapping) -> tuple[str, str, str]:
+    """A term's checked (kind, datatype, language tag)."""
+    kind = _KINDS.get(term.get("type"))
+    if kind == "literal":
+        value = term.get("value")
+        datatype = term.get("datatype") or ""
+        lang = term.get("xml:lang") or ""
+        if datatype and lang:
+            raise MalformedResultError(
+                f"literal {value!r} carries both a datatype and a language tag"
+            )
+        if type(datatype) is not str or type(lang) is not str:
+            raise MalformedResultError(
+                f"literal {value!r} with a non-string datatype or language tag"
+            )
+        return kind, datatype, lang
+    if kind is None:
+        raise MalformedResultError(f"unknown binding kind {term.get('type')!r}")
+    return kind, "", ""

@@ -592,6 +592,49 @@ class TestValidateSnapshot:
             "affiliation CD&V: death_date 2001-04 read as 2001-04-30"
         )
 
+    def test_repeated_partial_date_one_finding_per_row(self):
+        # a year reads by its column, and adds its finding to every row
+        rows = [
+            snapshot_row("p1", party="N-VA", start="1995", end="1995"),
+            snapshot_row("p2", party="N-VA", start="1995", end="1999-01-01"),
+            snapshot_row("p3", party="N-VA", start="1990-01-01", end="1995"),
+        ]
+        snapshot = read_snapshot(rows, nmap=make_map())
+        assert [(f.subject, f.detail) for f in snapshot.findings] == [
+            ("p1", "affiliation N-VA: aff_start 1995 read as 1995-01-01, "
+             "aff_end 1995 read as 1995-12-31"),
+            ("p2", "affiliation N-VA: aff_start 1995 read as 1995-01-01"),
+            ("p3", "affiliation N-VA: aff_end 1995 read as 1995-12-31"),
+        ]
+        assert [row[5:7] for row in snapshot.rows] == [
+            (date(1995, 1, 1), date(1995, 12, 31)),
+            (date(1995, 1, 1), date(1999, 1, 1)),
+            (date(1990, 1, 1), date(1995, 12, 31)),
+        ]
+
+    def test_each_distinct_full_date_parsed_once(self, monkeypatch):
+        import kgdiv.audit
+
+        parsed = Counter()
+        real = kgdiv.audit.iso_date
+
+        def counting(raw):
+            parsed[raw] += 1
+            return real(raw)
+
+        monkeypatch.setattr(kgdiv.audit, "iso_date", counting)
+        rows = [
+            snapshot_row("p1", party="N-VA", start="2001-01-01", end="2005-01-01"),
+            snapshot_row("p2", party="CD&V", start="2001-01-01", end="2005-01-01"),
+            snapshot_row("p3", party="VB", start="2005-01-01", death="2001-01-01"),
+        ]
+        snapshot = read_snapshot(rows)
+        # the dates and the one retrieved_at stamp, each parsed once
+        assert parsed == dict.fromkeys(["2001-01-01", "2005-01-01", "2022-05-01"], 1)
+        assert [row[5] for row in snapshot.rows] == [
+            date(2001, 1, 1), date(2001, 1, 1), date(2005, 1, 1)
+        ]
+
 
 @st.composite
 def iso_dates_of_any_precision(draw):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from kgdiv.catalog import (
@@ -17,6 +19,7 @@ from kgdiv.catalog import (
     write_politicians_csv,
 )
 from kgdiv.fixtures import FixtureStore, FixtureTransport
+from kgdiv.sparql import _SELECT as SELECT
 from kgdiv.sparql import DIALECTS, EndpointConfig
 
 
@@ -40,6 +43,12 @@ def politician_dicts(dialect, transport):
     return [dict(zip(POLITICIANS_CSV_HEADER, row, strict=True)) for row in rows]
 
 
+def party_dicts(dialect, transport):
+    """fetch_parties' rows, each keyed by the snapshot header."""
+    rows = fetch_parties(endpoint(dialect), "2022-05-27", transport)
+    return [dict(zip(PARTIES_CSV_HEADER, row, strict=True)) for row in rows]
+
+
 def test_builtin_templates_cover_all_dialects():
     catalog = builtin_templates()
     for dialect in DIALECTS:
@@ -50,6 +59,18 @@ def test_builtin_templates_cover_all_dialects():
         assert template.dialect == dialect
         assert template.query_text.startswith("#template=")
         assert "ORDER BY" in template.query_text
+
+
+def test_templates_select_the_columns_the_fetches_unpack():
+    # fetch_politicians and fetch_parties unpack execute_query's values,
+    # which come in the order each template's SELECT names them
+    politician = ["politician", "label", "party", "start", "end", "death", "position"]
+    party = ["party", "label", "country", "alignment"]
+    expected = {"politicians": politician, "parties": party, "parties_via_usage": party}
+    for (_, template_id), template in builtin_templates().items():
+        selected = re.search(SELECT, template.query_text)
+        names = selected.group(1).replace("?", "").split()
+        assert names == expected.get(template_id, ["member"])
 
 
 class TestFetchPoliticians:
@@ -99,22 +120,20 @@ class TestFetchPoliticians:
 class TestFetchParties:
     def test_direct_query(self, transport):
         rows = fetch_parties(endpoint("en-dbpedia"), "2022-05-27", transport)
-        ids = {r["party_id"] for r in rows}
+        assert {len(row) for row in rows} == {len(PARTIES_CSV_HEADER)}
+        ids = {r["party_id"] for r in party_dicts("en-dbpedia", transport)}
         assert "http://dbpedia.org/resource/New_Flemish_Alliance" in ids
-        for row in rows:
-            assert tuple(row) == PARTIES_CSV_HEADER
 
     def test_nl_dbpedia_usage_workaround(self, transport):
         # the direct nl-dbpedia query yields nothing; the fallback must kick in
-        rows = fetch_parties(endpoint("nl-dbpedia"), "2022-05-27", transport)
+        rows = party_dicts("nl-dbpedia", transport)
         assert rows
         assert {r["party_id"] for r in rows} >= {
             "http://nl.dbpedia.org/resource/Nieuw-Vlaamse_Alliantie"
         }
 
     def test_miscategorized_party_still_emitted(self, transport):
-        rows = fetch_parties(endpoint("en-dbpedia"), "2022-05-27", transport)
-        ids = {r["party_id"] for r in rows}
+        ids = {r["party_id"] for r in party_dicts("en-dbpedia", transport)}
         assert (
             "http://dbpedia.org/resource/Women%27s_Equality_Party_(New_York)" in ids
         )
@@ -149,7 +168,7 @@ def test_snapshot_csv_round_trip(tmp_path, transport):
     assert header == ",".join(PARTIES_CSV_HEADER)
 
     assert read_politicians_csv(pol_path) == politicians
-    assert read_parties_csv(par_path) == parties
+    assert read_parties_csv(par_path) == [dict(zip(PARTIES_CSV_HEADER, row)) for row in parties]
 
 
 def test_read_csv_rejects_missing_columns(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -18,6 +19,16 @@ from kgdiv.csvformat import POLITICIANS_CSV_HEADER
 from tests.conftest import write_config
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: a politicians dataset of one and a half default pages
+POLITICIANS_1500 = json.dumps(
+    {
+        "variables": ["politician"],
+        "bindings": [
+            {"politician": {"type": "uri", "value": f"http://x/p{n}"}} for n in range(1500)
+        ],
+    }
+)
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -161,6 +172,9 @@ class TestFetch:
                 '"binding": {"politician": {"type": "uri", "value": "http://x/p{n}"}}}}',
             ),
             ("en-dbpedia/parties.json", '{"variables": ["party"], "synthetic": []}'),
+            # the default page is 1000 rows, so the store meets these late
+            ("en-dbpedia/politicians.json", POLITICIANS_1500.replace('"http://x/p1200"', "x", 1)),
+            ("en-dbpedia/politicians.json", POLITICIANS_1500 + ' {"x": 1}'),
         ],
         ids=[
             "manifest-a-list",
@@ -175,6 +189,8 @@ class TestFetch:
             "synthetic-count-a-string",
             "synthetic-count-negative",
             "synthetic-not-an-object",
+            "bad-element-in-a-later-page",
+            "extra-data-after-the-document",
         ],
     )
     def test_malformed_fixture_is_a_clean_error(
@@ -288,8 +304,14 @@ class TestAudit:
         (out / "earlier.txt").write_text("kept", encoding="utf-8")
         assert run_cli(*audit_args(snapshot, out, fixture_dir, body=body)) == code
         if case == "preceding-before-first-election":
-            # VP's first recorded election is 1995; the default schedule starts in 1990
-            assert "precedes the first recorded election" in capsys.readouterr().err
+            # VP's first recorded election is 1995; the default schedule starts
+            # in 1990. The message names the three ways out
+            assert capsys.readouterr().err == (
+                "error: time point 1990-01-01 precedes the first recorded election "
+                "1995-05-21 for body 'VP'; audit the other bodies (--body), use "
+                "--baseline-policy closest, or start the --schedule on or after "
+                "1995-05-21\n"
+            )
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt", *written]
 
     @pytest.mark.parametrize(

@@ -186,6 +186,23 @@ class TestMatchRules:
         got = [(m.char_start, m.char_end) for m in match_rules(TextDocument("d", text), [rule])]
         assert got == [m.span() for m in re.finditer("a", text, re.IGNORECASE)] == [(1, 2)]
 
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.characters(max_codepoint=127),
+                st.sampled_from("\u00df\u0307\u0130\u0131\ufb03\u1e9e\u212a\u00e9"),
+                st.characters(),
+            ),
+            max_size=20,
+        )
+    )
+    @example(s="")
+    @example(s="abc\x00\x7f")
+    @example(s="a\u00df")
+    def test_property_folds_in_place_per_character(self, s):
+        # the ASCII shortcut answers as the per-character definition does
+        assert _folds_in_place(s) == all(len(_fold(c)) == 1 for c in s)
+
     # characters that each fold to exactly one character, in case groups
     # that re.IGNORECASE equates: long s, Kelvin sign, dotted and dotless
     # i, final sigma and micro sign

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import json
+import random
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -71,7 +74,15 @@ def serving(body: bytes):
     return transport
 
 
-def query_bindings(variables, bindings):
+#: the rows of a SELECT * come in the order the results declare
+SELECT_ALL = QueryTemplate(
+    template_id="probe",
+    dialect="en-dbpedia",
+    query_text="#template=probe\nSELECT * WHERE { ?s ?p ?o }",
+)
+
+
+def query_bindings(variables, bindings, template=SELECT_ALL):
     endpoint = EndpointConfig(
         url="fixture:///en-dbpedia/served",
         dialect="en-dbpedia",
@@ -79,33 +90,50 @@ def query_bindings(variables, bindings):
         max_requests_per_second=1e9,
     )
     return execute_query(
-        endpoint, PROBE_TEMPLATE, transport=serving(results_doc(variables, bindings))
+        endpoint, template, transport=serving(results_doc(variables, bindings))
     )
 
 
 class TestParseResults:
     def test_minimal_json(self):
-        assert parse_results(MINIMAL_JSON) == [(("s", "uri", "http://example.org/a", "", ""),)]
+        assert parse_results(MINIMAL_JSON) == (
+            ("s",),
+            [(("http://example.org/a",), (("uri", "", ""),))],
+        )
 
     def test_empty_document_gives_no_rows(self):
-        assert parse_results(EMPTY_JSON) == []
+        assert parse_results(EMPTY_JSON) == (("s", "o"), [])
 
     def test_language_tag(self):
-        assert parse_results(LANG_JSON) == [(("label", "literal", "België", "", "nl"),)]
+        assert parse_results(LANG_JSON) == (
+            ("label",),
+            [(("België",), (("literal", "", "nl"),))],
+        )
 
-    def test_terms_sorted_by_variable(self):
+    def test_values_in_declared_order(self):
         body = results_doc(
-            ["b", "a"],
+            ["b", "a", "c"],
             [
                 {
-                    "b": {"type": "bnode", "value": "n1"},
                     "a": {"type": "literal", "value": "1", "datatype": "xsd:int"},
+                    "b": {"type": "bnode", "value": "n1"},
                 }
             ],
         )
-        assert parse_results(body) == [
-            (("a", "literal", "1", "xsd:int", ""), ("b", "bnode", "n1", "", ""))
-        ]
+        # an unbound variable reads as "" with no term
+        assert parse_results(body) == (
+            ("b", "a", "c"),
+            [(("n1", "1", ""), (("bnode", "", ""), ("literal", "xsd:int", ""), None))],
+        )
+
+    def test_rows_of_one_shape_share_their_terms(self):
+        term = {"type": "literal", "datatype": "http://www.w3.org/2001/XMLSchema#date"}
+        body = results_doc(
+            ["d"], [{"d": {**term, "value": day}} for day in ("2001-01-01", "2002-02-02")]
+        )
+        (_, first), (_, second) = parse_results(body)[1]
+        assert first is second
+        assert first == (("literal", "http://www.w3.org/2001/XMLSchema#date", ""),)
 
     def test_typed_literal_reads_as_literal(self):
         plain = {"type": "literal", "value": "1990", "datatype": "xsd:gYear"}
@@ -116,8 +144,8 @@ class TestParseResults:
 
     def test_datatype_on_iri_ignored(self):
         term = {"type": "uri", "value": "http://x/a", "datatype": "d", "xml:lang": "en"}
-        assert parse_results(results_doc(["s"], [{"s": term}])) == [
-            (("s", "uri", "http://x/a", "", ""),)
+        assert parse_results(results_doc(["s"], [{"s": term}]))[1] == [
+            (("http://x/a",), (("uri", "", ""),))
         ]
 
     def test_malformed_body(self):
@@ -198,7 +226,7 @@ class TestDedup:
                 {"label": {"type": "literal", "value": "Gent", "xml:lang": "nl"}},
             ],
         )
-        assert rows == [{"label": "Gent"}, {"label": "Gent"}]
+        assert rows == [("Gent",), ("Gent",)]
 
     def test_bindings_differing_only_in_datatype_are_two_rows(self):
         rows = query_bindings(
@@ -208,7 +236,7 @@ class TestDedup:
                 {"y": {"type": "literal", "value": "1990"}},
             ],
         )
-        assert rows == [{"y": "1990"}, {"y": "1990"}]
+        assert rows == [("1990",), ("1990",)]
 
     def test_literal_and_typed_literal_are_one_row(self):
         rows = query_bindings(
@@ -218,7 +246,7 @@ class TestDedup:
                 {"y": {"type": "typed-literal", "value": "1990", "datatype": "xsd:gYear"}},
             ],
         )
-        assert rows == [{"y": "1990"}]
+        assert rows == [("1990",)]
 
     def test_first_seen_order_across_pages(self, tmp_path):
         bindings = [
@@ -236,7 +264,33 @@ class TestDedup:
         rows = execute_query(
             endpoint, PROBE_TEMPLATE, transport=FixtureTransport(FixtureStore(tmp_path))
         )
-        assert [row["x"][-1] for row in rows] == ["c", "a", "b", "d"]
+        assert [x[-1] for x, in rows] == ["c", "a", "b", "d"]
+
+
+def iri(name):
+    return {"type": "uri", "value": f"http://x/{name}"}
+
+
+class TestSelectOrder:
+    TEMPLATE = QueryTemplate(
+        template_id="probe",
+        dialect="en-dbpedia",
+        query_text="#template=probe\nSELECT DISTINCT ?a ?b WHERE { ?a ?p ?b }",
+    )
+
+    def test_rows_follow_the_select_order(self):
+        rows = query_bindings(
+            ["b", "a"], [{"a": iri("x"), "b": iri("y")}, {"b": iri("z")}], self.TEMPLATE
+        )
+        assert rows == [("http://x/x", "http://x/y"), ("", "http://x/z")]
+
+    def test_a_declared_unselected_variable_may_stay_unbound(self):
+        rows = query_bindings(["a", "c"], [{"a": iri("x")}], self.TEMPLATE)
+        assert rows == [("http://x/x", "")]
+
+    def test_a_bound_unselected_variable_is_malformed(self):
+        with pytest.raises(MalformedResultError, match=r"unselected variables \['c'\]"):
+            query_bindings(["a", "c"], [{"a": iri("x"), "c": iri("y")}], self.TEMPLATE)
 
 
 def safe_text(max_size=30):
@@ -316,14 +370,25 @@ def term_key(var, term):
     )
 
 
+def row_terms(variables, row):
+    """A parsed row's bound terms, as sorted term_key tuples."""
+    values, terms = row
+    return sorted(
+        (var, term[0], value, *term[1:])
+        for var, value, term in zip(variables, values, terms)
+        if term is not None
+    )
+
+
 @given(raw_results())
 @settings(max_examples=100)
 def test_property_json_round_trip(results):
     variables, bindings = results
-    parsed = parse_results(results_doc(variables, bindings))
-    # parsing gives the values of each binding, in binding order
-    assert [{var: value for var, _, value, _, _ in row} for row in parsed] == [
-        {var: term["value"] for var, term in binding.items()} for binding in bindings
+    declared, parsed = parse_results(results_doc(variables, bindings))
+    assert declared == tuple(variables)
+    # parsing gives the terms of each binding, in binding order
+    assert [row_terms(variables, row) for row in parsed] == [
+        sorted(term_key(var, term) for var, term in binding.items()) for binding in bindings
     ]
     # dedup gives the distinct term tuples in first-seen order
     distinct = []
@@ -331,9 +396,11 @@ def test_property_json_round_trip(results):
         key = sorted(term_key(var, term) for var, term in binding.items())
         if key not in distinct:
             distinct.append(key)
-    assert query_bindings(variables, bindings) == [
-        {var: value for var, _, value, _, _ in key} for key in distinct
-    ]
+    expected = []
+    for key in distinct:
+        values = {var: value for var, _, value, _, _ in key}
+        expected.append(tuple(values.get(var, "") for var in variables))
+    assert query_bindings(variables, bindings) == expected
 
 
 class LateClock:
@@ -392,7 +459,7 @@ class TestExecuteQuery:
             for size in (1, 7, 100):
                 endpoint = endpoint_for(server, page_size=size)
                 rows = execute_query(endpoint, PROBE_TEMPLATE)
-                row_sets[size] = {row["x"] for row in rows}
+                row_sets[size] = {x for x, in rows}
         assert row_sets[1] == row_sets[7] == row_sets[100]
         assert len(row_sets[1]) == 250
 
@@ -415,7 +482,7 @@ class TestExecuteQuery:
             max_requests_per_second=1000,
         )
         rows = execute_query(endpoint, PROBE_TEMPLATE, transport=transport)
-        assert rows == [{"x": "http://probe.test/a"}, {"x": "http://probe.test/b"}]
+        assert rows == [("http://probe.test/a",), ("http://probe.test/b",)]
 
     def test_dialect_mismatch(self, probe_store):
         endpoint = EndpointConfig(
@@ -548,7 +615,7 @@ def test_http_transport_roundtrip(probe_store):
             "application/sparql-results+json",
             10.0,
         )
-    assert len(parse_results(body)) == 5
+    assert len(parse_results(body)[1]) == 5
 
 
 # --- the in-process fixture path against the HTTP one ------------------------
@@ -647,6 +714,8 @@ def test_property_decoded_document_parses_like_its_bytes(results):
 
 
 def test_store_cache_survives_repeated_fetches():
+    # the store opens a dataset once and keeps where its elements start;
+    # each fetch decodes the pages afresh, from the file as it is
     store = FixtureStore(FIXTURES / "kg")
     transport = FixtureTransport(store)
     endpoint = EndpointConfig(
@@ -657,7 +726,179 @@ def test_store_cache_survives_repeated_fetches():
     )
     template = fixture_template("en-dbpedia", "politicians")
     first = execute_query(endpoint, template, transport=transport)
-    cached = copy.deepcopy(store.dataset("en-dbpedia", "politicians"))
+    dataset = store.dataset("en-dbpedia", "politicians")
     second = execute_query(endpoint, template, transport=transport)
     assert first and first == second
-    assert store.dataset("en-dbpedia", "politicians") == cached
+    assert store.dataset("en-dbpedia", "politicians") is dataset
+    recorded = json.loads(dataset.path.read_text(encoding="utf-8"))["bindings"]
+    assert dataset.page(0, None) == recorded
+
+
+# --- the store decodes a page at a time ------------------------------------------
+
+DATE = "http://www.w3.org/2001/XMLSchema#date"
+
+
+def politician_bindings(count: int) -> list[dict]:
+    """Politicians-shaped bindings: two IRIs, a tagged and a typed literal."""
+    return [
+        {
+            "politician": {"type": "uri", "value": f"http://dbpedia.org/resource/P_{n:06d}"},
+            "label": {"type": "literal", "value": f"Politician {n}", "xml:lang": "en"},
+            "party": {"type": "uri", "value": f"http://dbpedia.org/resource/Party_{n % 40}"},
+            "start": {"type": "literal", "value": f"{1950 + n % 70}-0{1 + n % 9}-1{n % 10}", "datatype": DATE},
+        }
+        for n in range(count)
+    ]
+
+
+def write_dataset(root: Path, text: str) -> Path:
+    (root / "en-dbpedia").mkdir(exist_ok=True)
+    path = root / "en-dbpedia" / "probe.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def page(store: FixtureStore, offset: int, limit: int = 100) -> dict:
+    return store.respond("en-dbpedia", f"#template=probe\nLIMIT {limit} OFFSET {offset}")
+
+
+def test_bindings_before_variables(tmp_path):
+    bindings = politician_bindings(250)
+    variables = list(bindings[0])
+    write_dataset(tmp_path, json.dumps({"bindings": bindings, "variables": variables}))
+    store = FixtureStore(tmp_path)
+    for offset in (0, 200, 100, 250, 300):
+        assert page(store, offset) == {
+            "head": {"vars": variables},
+            "results": {"bindings": bindings[offset : offset + 100]},
+        }
+
+
+def test_page_asked_twice_is_decoded_twice(tmp_path):
+    bindings = politician_bindings(250)
+    write_dataset(tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings}))
+    store = FixtureStore(tmp_path)
+    first, second = page(store, 100), page(store, 100)
+    assert first == second
+    assert first["results"]["bindings"] == bindings[100:200]
+    assert first["results"]["bindings"] is not second["results"]["bindings"]
+
+
+def test_concurrent_respond_calls_agree(tmp_path):
+    bindings = politician_bindings(2000)
+    # whitespace of every kind between the elements
+    text = json.dumps({"variables": list(bindings[0]), "bindings": bindings}, indent="\t")
+    write_dataset(tmp_path, text.replace("\n", "\r\n"))
+    store = FixtureStore(tmp_path)
+    offsets = list(range(0, 2100, 100))
+    answers: dict[int, list] = {}
+    errors = []
+
+    def fetch_all(seed):
+        # each thread asks for the pages in its own order, most of them
+        # beyond the starts found so far
+        order = offsets[:]
+        random.Random(seed).shuffle(order)
+        try:
+            for offset in order:
+                answers.setdefault(offset, []).append(page(store, offset))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fetch_all, args=(seed,)) for seed in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    for offset in offsets:
+        expected = bindings[offset : offset + 100]
+        assert [doc["results"]["bindings"] for doc in answers[offset]] == [expected] * 4
+
+
+def test_synthetic_pages_make_only_their_slice(tmp_path):
+    make_probe_dataset(tmp_path, "en-dbpedia", "probe", 250)
+    store = FixtureStore(tmp_path)
+    assert [b["x"]["value"] for b in page(store, 240)["results"]["bindings"]] == [
+        f"http://probe.test/probe/{n}" for n in range(240, 250)
+    ]
+    assert page(store, 300)["results"]["bindings"] == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"variables": ["x"], "bindings": [], "variables": ["x"]}', "names 'variables' twice"),
+        ('{"variables": ["x"], "bindings": [], "bindings": []}', "names 'bindings' twice"),
+        (
+            '{"variables": ["x"], "synthetic": {"count": 1, "binding": {}}, "bindings": []}',
+            "has both bindings and synthetic",
+        ),
+        ('{"variables": ["x"], "bindings": {}}', "has no list of bindings"),
+        ('{"variables": ["x"], "bindings": []} []', "Extra data"),
+        ('{"variables": ["x"] "bindings": []}', "Expecting ',' delimiter"),
+        ('{"variables": ["x"], "bindings": [{}, ]}', "Expecting value"),
+        ('{"variables": ["x"], "bindings": [{} {}]}', "Expecting ',' delimiter"),
+        ('{"variables": ["x"], "bindings": [{}]', "Expecting ',' delimiter"),
+        ("[]", "is not an object with a list of string variables"),
+        ("\ufeff{}", "is not JSON"),
+    ],
+    ids=[
+        "variables-twice",
+        "bindings-twice",
+        "bindings-and-synthetic",
+        "bindings-an-object",
+        "extra-data",
+        "no-comma-between-keys",
+        "trailing-comma",
+        "no-comma-between-elements",
+        "unclosed-document",
+        "a-list",
+        "byte-order-mark",
+    ],
+)
+def test_malformed_dataset_names_the_file(tmp_path, text, message):
+    path = write_dataset(tmp_path, text)
+    with pytest.raises(ValueError, match=message) as raised:
+        page(FixtureStore(tmp_path), 0)
+    assert str(path) in str(raised.value)
+
+
+def test_a_later_page_finds_bad_json_when_it_gets_there(tmp_path):
+    text = json.dumps({"variables": ["politician"], "bindings": politician_bindings(150)})
+    path = write_dataset(tmp_path, text.replace('"Politician 120"', "Politician 120", 1))
+    store = FixtureStore(tmp_path)
+    assert len(page(store, 0)["results"]["bindings"]) == 100
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"fixture file {path} is not JSON"):
+            page(store, 100)
+
+
+def test_paging_a_fixture_traces_about_twice_its_size(tmp_path):
+    # the store holds the file's text and one decoded page. Reading the
+    # file holds its bytes and its text at once, twice its size, and the
+    # pages stay below that; decoding the whole dataset up front held about
+    # six times the file's size
+    bindings = politician_bindings(20_000)
+    path = write_dataset(
+        tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings})
+    )
+    del bindings
+    size = path.stat().st_size
+    transport = FixtureTransport(FixtureStore(tmp_path))
+    tracemalloc.start()
+    try:
+        offset = parsed = 0
+        while True:
+            query = f"#template=probe\nLIMIT 1000 OFFSET {offset}"
+            rows = parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))[1]
+            parsed += len(rows)
+            if len(rows) < 1000:
+                break
+            offset += 1000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == 20_000
+    assert peak <= 2.1 * size
