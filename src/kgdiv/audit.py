@@ -52,7 +52,7 @@ def parse_schedule(raw: str) -> tuple[date, ...]:
         if not item:
             continue
         try:
-            if len(item) == 4:
+            if re.fullmatch("[0-9]{4}", item):
                 points.add(date(int(item), 1, 1))
             else:
                 points.add(iso_date(item))
@@ -168,7 +168,7 @@ AuditResult = namedtuple("AuditResult", "rows coverage")
 
 
 #: xsd:gYear and xsd:gYearMonth values, as DBpedia returns them
-_PARTIAL_DATE = re.compile(r"(\d{4})(?:-(\d{2}))?")
+_PARTIAL_DATE = re.compile("([0-9]{4})(?:-([0-9]{2}))?")
 
 #: columns whose year or year-month value is read as its latest day, so a
 #: partial end or death never comes early; a partial start or stamp is read

@@ -479,7 +479,7 @@ def _type_filtered(mentions, triples, ontology):
     kept = []
     for mention in mentions:
         types = triples.types(mention.resolved_id) if mention.resolved_id else []
-        if types and ontology.classify(triples.dialect, types) is None:
+        if types and ontology.classify(types) is None:
             continue
         kept.append(mention)
     return kept

@@ -39,10 +39,10 @@ from __future__ import annotations
 import json
 import re
 import threading
-from datetime import date
 from pathlib import Path
 from urllib.parse import urlparse
 
+from .csvformat import iso_date
 from .sparql import DIALECTS, QueryTransportError
 
 TEMPLATE_MARK = re.compile(r"#template=(\S+)")
@@ -249,10 +249,13 @@ class FixtureStore:
         if not isinstance(manifest, dict):
             raise ValueError(f"fixture manifest {path} is not a JSON object")
         stamp = manifest.get("retrieved_at")
+        if stamp is None or stamp == "":
+            return ""
         try:
-            if stamp is None or stamp == "" or date.fromisoformat(stamp).isoformat() == stamp:
-                return stamp or ""
-        except (TypeError, ValueError):
+            if isinstance(stamp, str):
+                iso_date(stamp)
+                return stamp
+        except ValueError:
             pass
         raise ValueError(
             f"fixture manifest {path}: retrieved_at {stamp!r} is not a YYYY-MM-DD date"

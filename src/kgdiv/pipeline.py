@@ -99,26 +99,9 @@ class LocalOntology(namedtuple("LocalOntology", "property_map actor_type_classes
                 )
         return self
 
-    def feature_name(self, dialect: str, predicate: str) -> str | None:
-        return self.property_map.get((dialect, predicate))
-
-    def classify(self, dialect: str, class_ids: Iterable[str]) -> str | None:
-        for class_id in class_ids:
-            actor_type = self.actor_type_classes.get((dialect, class_id))
-            if actor_type is not None:
-                return actor_type
-        return None
-
-
-class TripleSource:
-    """Provider of (predicate, object) pairs and type classes per resource:
-    any object with these members serves, without subclassing."""
-
-    dialect: str
-
-    def predicates(self, resource_id: str) -> Sequence[tuple[str, str]]: ...
-
-    def types(self, resource_id: str) -> Sequence[str]: ...
+    def classify(self, class_ids: Iterable[str]) -> str | None:
+        """The actor type of the first class that has one, or None."""
+        return next(filter(None, map(self.actor_type_classes.get, class_ids)), None)
 
 
 _TYPE_PREDICATES = frozenset(
@@ -140,19 +123,18 @@ class CsvTripleSource:
     rows must not change after that.
     """
 
-    def __init__(self, rows: list[tuple[str, str, str]], dialect: str = "generic"):
+    def __init__(self, rows: list[tuple[str, str, str]]):
         self.rows = rows
-        self.dialect = dialect
 
     @classmethod
-    def from_file(cls, path: str | Path, dialect: str = "generic") -> "CsvTripleSource":
+    def from_file(cls, path: str | Path) -> "CsvTripleSource":
         rows = [
             (subject.strip(), predicate.strip(), obj.strip())
             for subject, predicate, obj in csv_columns(
                 path, ("subject", "predicate", "object")
             )
         ]
-        return cls(rows=rows, dialect=dialect)
+        return cls(rows=rows)
 
     @cached_property
     def _by_subject(self) -> dict[str, list[tuple[str, str, str]]]:
@@ -404,7 +386,7 @@ def annotate(doc: TextDocument, client: AnnotationClient) -> list[EntityMention]
 
 
 def enrich_entity(
-    root_id: str, triples: TripleSource, ontology: LocalOntology
+    root_id: str, triples: CsvTripleSource, ontology: LocalOntology
 ) -> FeatureSet:
     """Map a resource's predicates to feature pairs, expanding one hop.
 
@@ -419,9 +401,10 @@ def enrich_entity(
     except Exception as exc:
         raise EnrichmentError(f"cannot retrieve triples for {root_id!r}: {exc}") from exc
 
+    names = ontology.property_map
     features: set[tuple[str, str]] = set()
     for predicate, obj in root_pairs:
-        name = ontology.feature_name(triples.dialect, predicate)
+        name = names.get(predicate)
         if name is None:
             continue
         features.add((name, obj))
@@ -429,7 +412,7 @@ def enrich_entity(
             continue
         try:
             obj_types = triples.types(obj)
-            if ontology.classify(triples.dialect, obj_types) is None:
+            if ontology.classify(obj_types) is None:
                 continue
             linked_pairs = triples.predicates(obj)
         except Exception as exc:
@@ -443,7 +426,7 @@ def enrich_entity(
             )
             continue
         for linked_predicate, linked_obj in linked_pairs:
-            linked_name = ontology.feature_name(triples.dialect, linked_predicate)
+            linked_name = names.get(linked_predicate)
             if linked_name is None:
                 continue
             features.add((f"{name}.{linked_name}", linked_obj))
@@ -508,76 +491,35 @@ def _parse_bool(raw: str | None, default: bool) -> bool:
 
 
 def builtin_ontology() -> LocalOntology:
-    """Default predicate and class mappings for the supported dialects.
+    """Default predicate and class mappings, in one table for every source.
 
-    The generic dialect maps bare predicate names onto themselves, for
-    locally curated triple files.
+    Bare predicate and class names, as locally curated triple files use
+    them, map onto themselves; the DBpedia and Wikidata IRIs of the same
+    concepts map onto the same names. A bare name has no colon, so it
+    never equals an IRI.
     """
-    property_map: dict[tuple[str, str], str] = {}
-    actor_type_classes: dict[tuple[str, str], str] = {}
-
-    generic_predicates = (
-        "party",
-        "ideology",
-        "country",
-        "government-type",
-        "eu-membership",
-        "alignment",
-        "occupation",
-    )
-    for predicate in generic_predicates:
-        property_map[("generic", predicate)] = predicate
-    actor_type_classes.update(
-        {
-            ("generic", "person"): "person",
-            ("generic", "organisation"): "organisation",
-            ("generic", "party"): "organisation",
-            ("generic", "country"): "geopolitical-entity",
-            ("generic", "geopolitical-entity"): "geopolitical-entity",
-        }
-    )
-
     dbo = "http://dbpedia.org/ontology/"
-    for dialect in ("en-dbpedia", "nl-dbpedia"):
-        property_map.update(
-            {
-                (dialect, f"{dbo}party"): "party",
-                (dialect, f"{dbo}ideology"): "ideology",
-                (dialect, f"{dbo}country"): "country",
-                (dialect, f"{dbo}governmentType"): "government-type",
-                (dialect, f"{dbo}occupation"): "occupation",
-            }
-        )
-        actor_type_classes.update(
-            {
-                (dialect, f"{dbo}Person"): "person",
-                (dialect, f"{dbo}Politician"): "person",
-                (dialect, f"{dbo}Organisation"): "organisation",
-                (dialect, f"{dbo}PoliticalParty"): "organisation",
-                (dialect, f"{dbo}Country"): "geopolitical-entity",
-            }
-        )
-
     wdt = "http://www.wikidata.org/prop/direct/"
     wd = "http://www.wikidata.org/entity/"
-    property_map.update(
-        {
-            ("wikidata", f"{wdt}P102"): "party",
-            ("wikidata", f"{wdt}P1142"): "ideology",
-            ("wikidata", f"{wdt}P27"): "country",
-            ("wikidata", f"{wdt}P17"): "country",
-            ("wikidata", f"{wdt}P122"): "government-type",
-            ("wikidata", f"{wdt}P106"): "occupation",
-        }
-    )
-    actor_type_classes.update(
-        {
-            ("wikidata", f"{wd}Q5"): "person",
-            ("wikidata", f"{wd}Q7278"): "organisation",
-            ("wikidata", f"{wd}Q43229"): "organisation",
-            ("wikidata", f"{wd}Q6256"): "geopolitical-entity",
-        }
-    )
+    property_map: dict[str, str] = {}
+    for name, iris in (
+        ("party", (f"{dbo}party", f"{wdt}P102")),
+        ("ideology", (f"{dbo}ideology", f"{wdt}P1142")),
+        ("country", (f"{dbo}country", f"{wdt}P27", f"{wdt}P17")),
+        ("government-type", (f"{dbo}governmentType", f"{wdt}P122")),
+        ("eu-membership", ()),
+        ("alignment", ()),
+        ("occupation", (f"{dbo}occupation", f"{wdt}P106")),
+    ):
+        property_map.update(dict.fromkeys((name, *iris), name))
+    actor_type_classes: dict[str, str] = {}
+    for actor_type, classes in (
+        ("person", ("person", f"{dbo}Person", f"{dbo}Politician", f"{wd}Q5")),
+        ("organisation", ("organisation", f"{dbo}Organisation", f"{wd}Q43229")),
+        ("organisation", ("party", f"{dbo}PoliticalParty", f"{wd}Q7278")),  # parties
+        ("geopolitical-entity", ("geopolitical-entity", "country", f"{dbo}Country", f"{wd}Q6256")),
+    ):
+        actor_type_classes.update(dict.fromkeys(classes, actor_type))
     return LocalOntology(
         property_map=property_map, actor_type_classes=actor_type_classes
     )

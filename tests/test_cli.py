@@ -152,6 +152,8 @@ class TestFetch:
             ("manifest.json", '{"retrieved_at": 5}'),
             ("manifest.json", "{"),
             ("manifest.json", '{"retrieved_at": "2022-13-01"}'),
+            ("manifest.json", '{"retrieved_at": "2022-W21-5"}'),
+            ("manifest.json", '{"retrieved_at": {%s}}' % ", ".join(f'"{k}": 1' for k in range(10))),
             ("en-dbpedia/politicians.json", '{"bindings": []}'),
             ("en-dbpedia/politicians.json", "[]"),
             ("en-dbpedia/politicians.json", '{"variables": [1], "bindings": []}'),
@@ -181,6 +183,8 @@ class TestFetch:
             "manifest-stamp-a-number",
             "manifest-not-json",
             "manifest-stamp-not-a-date",
+            "manifest-stamp-a-week-date",
+            "manifest-stamp-an-object-of-ten-keys",
             "dataset-without-variables",
             "dataset-a-list",
             "variables-not-strings",
@@ -544,8 +548,13 @@ class TestAudit:
 
 
 # Python 3.11+ reads an ISO week date and the basic format as dates, 3.10
-# does not; every date input accepts YYYY-MM-DD only, on every Python
-@pytest.mark.parametrize("value", ["1995-W21-1", "19950521"])
+# does not; every date input accepts YYYY-MM-DD only, on every Python. A
+# year is four ASCII digits: int() also reads other decimal digits, an
+# underscore between digits and a sign
+@pytest.mark.parametrize(
+    "value",
+    ["1995-W21-1", "19950521", "\u0661\u0669\u0669\u0660", "\uff11\uff19\uff19\uff10", "1_99", "+123"],
+)
 @pytest.mark.parametrize("given", ["snapshot", "schedule", "audit-csv"])
 def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, capsys, given, value):
     out = tmp_path / "out"
@@ -570,6 +579,12 @@ def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, cap
     assert run_cli(*argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+DBO = "http://dbpedia.org/ontology/"
+WDT = "http://www.wikidata.org/prop/direct/"
+WD = "http://www.wikidata.org/entity/"
 
 
 class TestScore:
@@ -599,6 +614,35 @@ class TestScore:
         assert float(by_doc["doc2"][2]) == 0.0
         # counts 2:1 -> 2 * 1 * (2/3 * 1/3)
         assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "type_party, ideology",
+        [
+            (f"{RDF_TYPE},{DBO}PoliticalParty", f"{DBO}ideology"),
+            (f"{WDT}P31,{WD}Q7278", f"{WDT}P1142"),
+        ],
+        ids=["dbpedia", "wikidata"],
+    )
+    def test_iri_triples_score_as_the_bare_names(
+        self, tmp_path, fixture_dir, type_party, ideology
+    ):
+        bare = (fixture_dir / "triples.csv").read_text(encoding="utf-8")
+        iri = bare.replace(",type,party\n", f",{type_party}\n")
+        iri = iri.replace(",ideology,", f",{ideology},")
+        assert ",type," not in iri and ",ideology," not in iri
+        (tmp_path / "triples.csv").write_text(iri, encoding="utf-8")
+        outputs = {}
+        for name, triples in (("bare", fixture_dir), ("iri", tmp_path)):
+            argv = ["score", "--corpus", str(fixture_dir / "corpus")]
+            argv += ["--rules", str(fixture_dir / "rules.csv")]
+            argv += ["--triples", str(triples / "triples.csv"), "--out", str(tmp_path / name)]
+            assert run_cli(*argv) == 0
+            outputs[name] = [
+                (tmp_path / name / csv).read_bytes()
+                for csv in ("scores.csv", "entity_counts.csv")
+            ]
+        assert outputs["iri"] == outputs["bare"]
+        assert b"doc1,2,0.5\n" in outputs["iri"][0]
 
     def test_each_id_enriched_once(self, tmp_path, fixture_dir, monkeypatch):
         import kgdiv.pipeline
@@ -649,6 +693,25 @@ class TestScore:
         assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
 
     def test_annotator_mentions_filtered_by_actor_type(self, tmp_path):
+        self.check_actor_type_filter(tmp_path, "type", "person", "building")
+
+    @pytest.mark.parametrize(
+        "type_, person, building",
+        [
+            (RDF_TYPE, f"{DBO}Politician", f"{DBO}Building"),
+            (f"{WDT}P31", f"{WD}Q5", f"{WD}Q41176"),
+        ],
+        ids=["dbpedia", "wikidata"],
+    )
+    def test_annotator_mentions_typed_by_iri_filtered_alike(
+        self, tmp_path, type_, person, building
+    ):
+        self.check_actor_type_filter(tmp_path, type_, person, building)
+
+    @staticmethod
+    def check_actor_type_filter(tmp_path, type_, person, building):
+        """Score two annotator mentions, one of a resource of class `person`
+        and one of class `building`, both typed through `type_`."""
         import json
         import threading
         from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -660,8 +723,8 @@ class TestScore:
         triples = tmp_path / "triples.csv"
         triples.write_text(
             "subject,predicate,object\n"
-            "http://x/jan,type,person\n"
-            "http://x/landmark,type,building\n",
+            f"http://x/jan,{type_},{person}\n"
+            f"http://x/landmark,{type_},{building}\n",
             encoding="utf-8",
         )
         payload = json.dumps(

@@ -440,9 +440,7 @@ class TestTripleIndex:
         ]
         assert triples.types("X") == ["building", "party", "person"]
         # the first actor-type class in file order wins
-        assert builtin_ontology().classify("generic", triples.types("X")) == (
-            "organisation"
-        )
+        assert builtin_ontology().classify(triples.types("X")) == "organisation"
 
     def test_unknown_id_gives_empty_lists(self):
         triples = CsvTripleSource(rows=list(self.ROWS))
@@ -524,8 +522,6 @@ class TestEnrichment:
 
     def test_root_failure_is_fatal(self):
         class Broken:
-            dialect = "generic"
-
             def predicates(self, resource_id):
                 raise IOError("boom")
 
@@ -537,8 +533,6 @@ class TestEnrichment:
 
     def test_linked_failure_degrades(self, caplog):
         class Flaky:
-            dialect = "generic"
-
             def predicates(self, resource_id):
                 if resource_id == "Y":
                     raise IOError("linked down")
@@ -644,8 +638,74 @@ def test_load_rules_empty_case_cell_means_case_sensitive(tmp_path):
 
 def test_ontology_validation():
     with pytest.raises(ValueError, match="empty feature name"):
-        LocalOntology(property_map={("generic", "p"): ""}, actor_type_classes={})
+        LocalOntology(property_map={"p": ""}, actor_type_classes={})
     with pytest.raises(ValueError, match="unknown actor type"):
-        LocalOntology(
-            property_map={}, actor_type_classes={("generic", "c"): "robot"}
-        )
+        LocalOntology(property_map={}, actor_type_classes={"c": "robot"})
+
+
+DBO = "http://dbpedia.org/ontology/"
+WDT = "http://www.wikidata.org/prop/direct/"
+WD = "http://www.wikidata.org/entity/"
+
+#: the IRI mappings the table held when it was keyed by knowledge source
+#: as well, each with its target name
+SOURCE_KEYED_PREDICATES = {
+    f"{DBO}party": "party",
+    f"{DBO}ideology": "ideology",
+    f"{DBO}country": "country",
+    f"{DBO}governmentType": "government-type",
+    f"{DBO}occupation": "occupation",
+    f"{WDT}P102": "party",
+    f"{WDT}P1142": "ideology",
+    f"{WDT}P27": "country",
+    f"{WDT}P17": "country",
+    f"{WDT}P122": "government-type",
+    f"{WDT}P106": "occupation",
+}
+SOURCE_KEYED_CLASSES = {
+    f"{DBO}Person": "person",
+    f"{DBO}Politician": "person",
+    f"{DBO}Organisation": "organisation",
+    f"{DBO}PoliticalParty": "organisation",
+    f"{DBO}Country": "geopolitical-entity",
+    f"{WD}Q5": "person",
+    f"{WD}Q7278": "organisation",
+    f"{WD}Q43229": "organisation",
+    f"{WD}Q6256": "geopolitical-entity",
+}
+
+
+def test_builtin_ontology_keeps_every_iri_mapping():
+    ontology = builtin_ontology()
+    for iri, name in SOURCE_KEYED_PREDICATES.items():
+        assert ontology.property_map[iri] == name
+    for iri, actor_type in SOURCE_KEYED_CLASSES.items():
+        assert ontology.actor_type_classes[iri] == actor_type
+    # the bare names map onto themselves, and no bare name is an IRI
+    bare = {key for key in ontology.property_map if ":" not in key}
+    assert {ontology.property_map[key] for key in bare} == bare
+    assert set(ontology.property_map) == bare | set(SOURCE_KEYED_PREDICATES)
+    assert set(ontology.actor_type_classes) - set(SOURCE_KEYED_CLASSES) == {
+        "person", "organisation", "party", "country", "geopolitical-entity",
+    }
+
+
+@pytest.mark.parametrize(
+    "party, type_, party_class, ideology",
+    [
+        (
+            f"{DBO}party",
+            "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+            f"{DBO}PoliticalParty",
+            f"{DBO}ideology",
+        ),
+        (f"{WDT}P102", f"{WDT}P31", f"{WD}Q7278", f"{WDT}P1142"),
+    ],
+    ids=["dbpedia", "wikidata"],
+)
+def test_iris_enrich_to_the_bare_feature_names(party, type_, party_class, ideology):
+    triples = CsvTripleSource(
+        rows=[("X", party, "Y"), ("Y", type_, party_class), ("Y", ideology, "Z")]
+    )
+    features = enrich_entity("X", triples, builtin_ontology())
+    assert features.pairs == frozenset({("party", "Y"), ("party.ideology", "Z")})

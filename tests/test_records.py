@@ -103,11 +103,11 @@ CHECKED = [
     ),
     (
         LocalOntology,
-        dict(property_map={("generic", "p"): "p"}, actor_type_classes={}),
+        dict(property_map={"p": "p"}, actor_type_classes={}),
         {
-            "name": ({"property_map": {("generic", "p"): ""}}, "empty feature name"),
+            "name": ({"property_map": {"p": ""}}, "empty feature name"),
             "type": (
-                {"actor_type_classes": {("generic", "c"): "animal"}}, "unknown actor type"
+                {"actor_type_classes": {"c": "animal"}}, "unknown actor type"
             ),
         },
     ),
