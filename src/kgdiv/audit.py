@@ -203,14 +203,17 @@ def _row_date(
         if match is None:
             raise ValueError(f"{column} {stripped!r} is not an ISO date") from None
     year = int(match.group(1))
-    if match.group(2) is None:
-        first, last = date(year, 1, 1), date(year, 12, 31)
-    else:
-        first = date(year, int(match.group(2)), 1)
-        if first.month == 12:
-            last = date(year, 12, 31)
+    try:
+        if match.group(2) is None:
+            first, last = date(year, 1, 1), date(year, 12, 31)
         else:
-            last = first.replace(month=first.month + 1) - timedelta(days=1)
+            first = date(year, int(match.group(2)), 1)
+            if first.month == 12:
+                last = date(year, 12, 31)
+            else:
+                last = first.replace(month=first.month + 1) - timedelta(days=1)
+    except ValueError:  # year 0, or a month out of range
+        raise ValueError(f"{column} {stripped!r} is not an ISO date") from None
     day = last if column in _LATEST_DAY_COLUMNS else first
     partial.append(f"{column} {stripped} read as {day}")
     return day
@@ -328,7 +331,7 @@ def _careers(
     """
     deaths: dict[str, date | None] = {}
     pairs: dict[str, list[tuple[date | None, date | None]]] = {}
-    parties: dict[str, set[str]] = {}
+    parties: dict[str, list[str]] = {}
     for _, pid, _, party, relevant, start, end, death in rows:
         if deaths.get(pid) is None:
             deaths[pid] = death
@@ -336,7 +339,7 @@ def _careers(
             if start is not None or end is not None:
                 pairs.setdefault(pid, []).append((start, end))
             if relevant:
-                parties.setdefault(pid, set()).add(party)
+                parties.setdefault(pid, []).append(party)
 
     late = min(
         (pid for pid, day in overrides.items() if deaths.get(pid) and day > deaths[pid]),
@@ -348,12 +351,15 @@ def _careers(
         )
 
     careers = []
+    # equal careers share one set
+    shared: dict[frozenset[str], frozenset[str]] = {}
     for pid, dated in pairs.items():
         cap = min(today, deaths[pid] or today, overrides.get(pid, today))
         first = min((start for start, _ in dated if start is not None), default=date.min)
         last = max(cap if end is None else end for _, end in dated)
         if first <= last:
-            careers.append((first, last, frozenset(parties.get(pid, ()))))
+            career = frozenset(parties.get(pid, ()))
+            careers.append((first, last, shared.setdefault(career, career)))
     return careers, len(deaths) - len(careers)
 
 

@@ -233,7 +233,8 @@ def cmd_fetch(args) -> int:
 
 def _read_snapshot(raw: str, nmap):
     """A snapshot directory's audit.Snapshot under the audit.NormalizationMap
-    `nmap` (or None), its rows read once; its parties.csv is optional."""
+    `nmap` (or None), its rows read once, as they stream from the file; its
+    parties.csv is optional."""
     from . import audit, csvformat
 
     snapshot_dir = Path(raw)
@@ -242,7 +243,7 @@ def _read_snapshot(raw: str, nmap):
         raise ConfigError(f"snapshot {snapshot_dir} has no politicians.csv")
     parties_path = snapshot_dir / "parties.csv"
     return audit.read_snapshot(
-        csvformat.read_politicians_csv(politicians_path),
+        csvformat.csv_columns(politicians_path, csvformat.POLITICIANS_CSV_HEADER),
         csvformat.read_parties_csv(parties_path) if parties_path.exists() else [],
         nmap,
     )

@@ -196,6 +196,8 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
     rows = []
     for line, row in numbered_csv_rows(path, CSV_COLUMNS):
         try:
+            if row["alignment"] not in ALIGNMENTS:
+                raise ValueError(f"alignment {row['alignment']!r} not one of {ALIGNMENTS}")
             rows.append(
                 AuditRow(
                     source=row["source"],

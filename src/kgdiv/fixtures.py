@@ -18,27 +18,42 @@ each of "variables", "bindings" and "synthetic" at most once, and has
 bindings or synthetic, not both. A file that does not have this shape is
 rejected with a ValueError that names it.
 
-The store decodes a dataset a page at a time. It keeps the file's text
-and decodes only the elements of the bindings array that a LIMIT/OFFSET
-page asks for, element by element with json's C scanner, remembering
-where each element starts; a synthetic dataset makes only the page's
-slice. A page asked for again is decoded again. So the bindings array is
-checked as the pages reach it: bad JSON in a later element, or after the
-array, is found by the request for the page that gets there, and
-execute_query, which pages to the end, finds it before it returns.
+The store keeps no dataset in memory, neither its text nor its bindings.
+Opening a dataset reads the members before its bindings array. A page
+opens the file, seeks to the byte offset of the nearest element whose
+start is known, and reads on in CHUNK-byte chunks through an incremental
+UTF-8 decoder, decoding the elements with json's C scanner and noting
+where each one starts. It yields each binding it is asked for as soon as
+the delimiter after it is checked, and closes the file when it ends or
+is abandoned; a synthetic dataset makes only the page's bindings. An
+element, or the delimiter after it, cut off by the end of a chunk is
+scanned again once the next chunk is read, so a syntax error counts only
+where the file has no more bytes, and its message places it in the whole
+file as json.loads would. A page asked for again is decoded again. So
+the file is checked as the pages reach it: bad JSON or a byte that is
+not UTF-8 in a later element, or after the array, is found by the
+request for the page that gets there, and execute_query, which pages to
+the end, finds it before it returns.
 
-The in-process transport (no sockets) hands each decoded page straight to
-sparql.parse_results: nothing is encoded only to be decoded again. The
-tests serve the same store over HTTP with a local server speaking the
-SPARQL protocol (tests/fixture_server.py), which encodes each document for
-the wire.
+The in-process transport (no sockets) hands each page straight to
+sparql.parse_results, which builds its rows as the bindings are decoded:
+nothing is encoded only to be decoded again, and no page is held whole.
+At 100k politicians (a 76 MB dataset) one `fetch` peaks at about 133 MB,
+most of it the rows it writes.
+The tests serve the same store over HTTP with a local server speaking the
+SPARQL protocol (tests/fixture_server.py), which decodes each page and
+encodes the document for the wire.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
+import sys
 import threading
+from array import array
+from collections.abc import Iterator
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -47,6 +62,9 @@ from .sparql import DIALECTS, QueryTransportError
 
 TEMPLATE_MARK = re.compile(r"#template=(\S+)")
 PAGE_MARK = re.compile(r"\bLIMIT (\d+) OFFSET (\d+)\s*$")
+
+#: the bytes a dataset file is read in at a time
+CHUNK = 64 * 1024
 
 _SCAN = json.JSONDecoder().scan_once
 _WS = re.compile(r"[ \t\n\r]*")
@@ -57,6 +75,135 @@ _AFTER_ELEMENT = re.compile(r"[ \t\n\r]*([,\]]?)[ \t\n\r]*")
 _KEYS = ("variables", "bindings", "synthetic")
 
 
+class _Text:
+    """A fixture file's text from a byte offset on, decoded as it is read.
+
+    Positions count characters from that offset. `text` holds those from
+    position `first` on: `more` lets go of the text before a position and
+    reads on. A value cut off where the text read so far ends is scanned
+    again once more is read, so a scan error counts only at the end of the
+    file.
+    """
+
+    def __init__(self, path: Path, start: int):
+        self.path = path
+        self.text = ""
+        self.first = 0
+        self.eof = False
+        self._file = open(path, "rb")
+        self._file.seek(start)
+        self._decode = codecs.getincrementaldecoder("utf-8")().decode
+        self._ascii = True
+        #: a position, and the byte offset of its character
+        self._mark, self._byte = 0, start
+
+    def __enter__(self) -> _Text:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def more(self, pos: int) -> None:
+        """Let go of the text before `pos` and read a chunk, or as many
+        chunks as the text kept is long: a value scanned again as it grows
+        is then read in time linear in its length."""
+        self.offset(pos)
+        kept = self.text[pos - self.first :]
+        pieces = [kept]
+        read = 0
+        try:
+            while read <= len(kept) and not self.eof:
+                data = self._file.read(CHUNK)
+                self.eof = not data
+                pieces.append(self._decode(data, self.eof))
+                read += len(data)
+        except UnicodeDecodeError as exc:
+            # placed in the whole file, as decoding all of it places it
+            try:
+                self.path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise ValueError(f"fixture file {self.path} is not JSON: {exc}") from None
+        self.text = "".join(pieces)
+        self.first = pos
+        self._ascii = self.text.isascii()
+
+    def offset(self, pos: int) -> int:
+        """The byte offset of the character at `pos`, at or after the
+        position last asked for and counted on from there."""
+        if self._ascii:
+            self._byte += pos - self._mark
+        else:
+            first = self.first
+            self._byte += len(self.text[self._mark - first : pos - first].encode())
+        self._mark = pos
+        return self._byte
+
+    def ws(self, pos: int) -> int:
+        """The position of the first character from `pos` on that is not
+        whitespace, or of the end of the file if there is none."""
+        start = pos
+        while True:
+            pos = _WS.match(self.text, pos - self.first).end() + self.first
+            if pos < self.first + len(self.text) or self.eof:
+                return pos
+            self.more(start)
+
+    def peek(self, pos: int) -> str:
+        """The character at `pos`, read already, or "" at the end of the file."""
+        i = pos - self.first
+        return self.text[i : i + 1]
+
+    def value(self, pos: int) -> tuple[object, int]:
+        """The JSON value at `pos` and the position after it. Three more
+        characters, or the end of the file, show that a number is whole."""
+        while True:
+            try:
+                value, end = _SCAN(self.text, pos - self.first)
+            except (StopIteration, ValueError) as exc:
+                if self.eof:
+                    raise self._scan_error(exc) from None
+            else:
+                if end + 2 < len(self.text) or self.eof:
+                    return value, end + self.first
+            self.more(pos)
+
+    def element(self, pos: int) -> tuple[object, str, int, int]:
+        """The array element at `pos`; the "," or "]" after it ("" for
+        neither) and its position; and the position after the delimiter
+        and the whitespace that follows it."""
+        while True:
+            try:
+                element, end = _SCAN(self.text, pos - self.first)
+            except (StopIteration, ValueError) as exc:
+                if self.eof:
+                    raise self._scan_error(exc) from None
+            else:
+                after = _AFTER_ELEMENT.match(self.text, end)
+                delimiter = after.group(1)
+                if delimiter and after.end() < len(self.text) or self.eof:
+                    first = self.first
+                    return element, delimiter, after.start(1) + first, after.end() + first
+            self.more(pos)
+
+    def _scan_error(self, exc: Exception) -> ValueError:
+        if isinstance(exc, StopIteration):
+            return self.error("Expecting value", exc.value + self.first)
+        if isinstance(exc, json.JSONDecodeError):
+            return self.error(exc.msg, exc.pos + self.first)
+        return ValueError(f"fixture file {self.path} is not JSON: {exc}")
+
+    def error(self, message: str, pos: int) -> ValueError:
+        """A syntax error at `pos`, placed in the whole file as json places
+        it in the file's text read with universal newlines ("\\r\\n" and
+        "\\r" read as "\\n")."""
+        with open(self.path, "rb") as fh:
+            doc = fh.read(self.offset(pos)).decode("utf-8")
+        doc = doc.replace("\r\n", "\n").replace("\r", "\n")
+        exc = json.JSONDecodeError(message, doc, len(doc))
+        return ValueError(f"fixture file {self.path} is not JSON: {exc}")
+
+
 class Dataset:
     """One fixture dataset: its variables, and its bindings a page at a time."""
 
@@ -64,31 +211,28 @@ class Dataset:
         self.path = path
         self.variables: list[str] | None = None
         self._synthetic: tuple[int, dict] | None = None
-        #: the text offset of each bindings element found so far
-        self._starts: list[int] = []
+        #: the byte offset of each bindings element found so far
+        self._starts = array("q")
         #: the number of bindings, once the end of the document is checked
         self._count: int | None = None
         #: the dataset keys named before the bindings array
         self._keys_before: frozenset = frozenset()
         self._lock = threading.Lock()
-        try:
-            self._text = path.read_text(encoding="utf-8")
-        except ValueError as exc:
-            raise ValueError(f"fixture file {path} is not JSON: {exc}") from None
-        pos = _WS.match(self._text).end()
-        if not self._text.startswith("{", pos):
-            # a JSON document of another type, or none: say which
-            _read_json(path)
-            raise self._shape("is not an object with a list of string variables")
-        self._members(pos + 1, after_value=False, seen=set())
+        with _Text(path, 0) as text:
+            pos = text.ws(0)
+            if text.peek(pos) != "{":
+                # a JSON document of another type, or none: say which
+                _read_json(path)
+                raise self._shape("is not an object with a list of string variables")
+            self._members(text, pos + 1, after_value=False, seen=set())
 
-    def page(self, offset: int, limit: int | None) -> list:
+    def page(self, offset: int, limit: int | None) -> Iterator[dict]:
         """The bindings offset .. offset + limit - 1 (to the end without a
-        limit), decoded afresh."""
+        limit), each decoded afresh as it is asked for."""
         stop = None if limit is None else offset + limit
         if self._synthetic is not None:
             count, proto = self._synthetic
-            return [
+            return (
                 {
                     var: {
                         k: v.replace("{n}", str(n)) if isinstance(v, str) else v
@@ -97,95 +241,95 @@ class Dataset:
                     for var, term in proto.items()
                 }
                 for n in range(offset, count if stop is None else min(stop, count))
-            ]
+            )
         with self._lock:
-            known = len(self._starts)
-            count = self._count
-        if count is not None and offset >= count:
-            return []
-        # from the nearest element whose start is known
-        return self._decode(min(offset, known - 1), offset, stop)
+            if self._count is not None and offset >= self._count:
+                return iter(())
+            # from the nearest element whose start is known
+            index = min(offset, len(self._starts) - 1)
+            start = self._starts[index]
+        return self._page(index, start, offset, stop)
 
-    def _decode(self, index: int, offset: int, stop: int | None) -> list:
-        """Decode the elements from `index`, whose start is known, up to
-        `stop` (or the array's end), and give those from `offset` on."""
-        text, first = self._text, index
-        pos = self._starts[index]
+    def _page(self, index: int, start: int, offset: int, stop: int | None) -> Iterator[dict]:
+        # the file is open while the page is: until it ends or is closed
+        with _Text(self.path, start) as text:
+            yield from self._decode(text, 0, index, offset, stop)
+
+    def _decode(
+        self, text: _Text, pos: int, index: int, offset: int, stop: int | None
+    ) -> Iterator[dict]:
+        """Decode the elements from `index`, at `pos` of `text`, up to
+        `stop` (or the array's end), and give those from `offset` on, each
+        once the delimiter after it is checked."""
+        first = index
         # the starts of the elements after the first, found on the way
-        found: list[int] = []
-        kept = []
+        found = array("q")
         try:
             while stop is None or index < stop:
-                element, end = _SCAN(text, pos)
-                if index >= offset:
-                    kept.append(element)
-                index += 1
-                after = _AFTER_ELEMENT.match(text, end)
-                delimiter = after.group(1)
+                element, delimiter, at, pos = text.element(pos)
                 if delimiter == ",":
-                    pos = after.end()
-                    found.append(pos)
-                    continue
-                if delimiter != "]":
-                    raise self._syntax("Expecting ',' delimiter", after.start(1))
-                self._members(after.start(1) + 1, after_value=True, seen=set(self._keys_before))
-                with self._lock:
-                    self._count = index
-                break
-        except StopIteration as exc:
-            raise self._syntax("Expecting value", exc.value) from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"fixture file {self.path} is not JSON: {exc}") from None
+                    found.append(text.offset(pos))
+                elif delimiter == "]":
+                    self._members(text, at + 1, after_value=True, seen=set(self._keys_before))
+                    with self._lock:
+                        self._count = index + 1
+                else:
+                    raise text.error("Expecting ',' delimiter", at)
+                if index >= offset:
+                    yield element
+                if delimiter == "]":
+                    return
+                index += 1
         finally:
             with self._lock:
                 self._starts.extend(found[len(self._starts) - first - 1 :])
-        return kept
 
-    def _members(self, pos: int, after_value: bool, seen: set) -> None:
+    def _members(self, text: _Text, pos: int, after_value: bool, seen: set) -> None:
         """Read the dataset object's members from `pos`, just after its
         "{" or after a member's value, to the end of the document. A
         bindings array after the variables is left to the pages."""
-        text = self._text
-        pos = _WS.match(text, pos).end()
-        if not after_value and text.startswith("}", pos):
-            return self._end(pos + 1)
+        pos = text.ws(pos)
+        if not after_value and text.peek(pos) == "}":
+            return self._end(text, pos + 1)
         while True:
             if after_value:
-                if text.startswith("}", pos):
-                    return self._end(pos + 1)
-                if not text.startswith(",", pos):
-                    raise self._syntax("Expecting ',' delimiter", pos)
-                pos = _WS.match(text, pos + 1).end()
+                char = text.peek(pos)
+                if char == "}":
+                    return self._end(text, pos + 1)
+                if char != ",":
+                    raise text.error("Expecting ',' delimiter", pos)
+                pos = text.ws(pos + 1)
             after_value = True
-            if not text.startswith('"', pos):
-                raise self._syntax("Expecting property name enclosed in double quotes", pos)
-            key, pos = self._scan(pos)
-            pos = _WS.match(text, pos).end()
-            if not text.startswith(":", pos):
-                raise self._syntax("Expecting ':' delimiter", pos)
-            pos = _WS.match(text, pos + 1).end()
+            if text.peek(pos) != '"':
+                raise text.error("Expecting property name enclosed in double quotes", pos)
+            key, pos = text.value(pos)
+            pos = text.ws(pos)
+            if text.peek(pos) != ":":
+                raise text.error("Expecting ':' delimiter", pos)
+            pos = text.ws(pos + 1)
             if key in _KEYS:
                 if key in seen:
                     raise self._shape(f"names {key!r} twice")
                 seen.add(key)
                 if {"bindings", "synthetic"} <= seen:
                     raise self._shape("has both bindings and synthetic")
-            if key == "bindings" and text.startswith("[", pos):
-                first = _WS.match(text, pos + 1).end()
-                if text.startswith("]", first):
+            if key == "bindings" and text.peek(pos) == "[":
+                first = text.ws(pos + 1)
+                if text.peek(first) == "]":
                     self._count = 0
-                    pos = _WS.match(text, first + 1).end()
+                    pos = text.ws(first + 1)
                     continue
-                self._starts.append(first)
+                self._starts.append(text.offset(first))
                 self._keys_before = frozenset(seen)
                 if self.variables is not None:
                     return
                 # the variables come later: decode to the array's end, and
-                # drop every element (no file has more than it has characters)
-                self._decode(0, len(text), None)
+                # keep no element
+                for _ in self._decode(text, first, 0, sys.maxsize, None):
+                    pass
                 return
-            value, pos = self._scan(pos)
-            pos = _WS.match(text, pos).end()
+            value, pos = text.value(pos)
+            pos = text.ws(pos)
             if key == "variables":
                 if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                     raise self._shape("is not an object with a list of string variables")
@@ -195,9 +339,9 @@ class Dataset:
             elif key == "bindings":
                 raise self._shape("has no list of bindings")
 
-    def _end(self, pos: int) -> None:
-        if _WS.match(self._text, pos).end() != len(self._text):
-            raise self._syntax("Extra data", pos)
+    def _end(self, text: _Text, pos: int) -> None:
+        if text.peek(text.ws(pos)):
+            raise text.error("Extra data", pos)
         if self.variables is None:
             raise self._shape("is not an object with a list of string variables")
         if self._synthetic is None and not self._starts and self._count is None:
@@ -212,18 +356,6 @@ class Dataset:
         if not isinstance(proto, dict) or not all(isinstance(t, dict) for t in proto.values()):
             raise self._shape("synthetic binding is not an object of term objects", ":")
         return count, proto
-
-    def _scan(self, pos: int) -> tuple[object, int]:
-        try:
-            return _SCAN(self._text, pos)
-        except StopIteration as stop:
-            raise self._syntax("Expecting value", stop.value) from None
-        except ValueError as exc:
-            raise ValueError(f"fixture file {self.path} is not JSON: {exc}") from None
-
-    def _syntax(self, message: str, pos: int) -> ValueError:
-        exc = json.JSONDecodeError(message, self._text, pos)
-        return ValueError(f"fixture file {self.path} is not JSON: {exc}")
 
     def _shape(self, message: str, sep: str = "") -> ValueError:
         return ValueError(f"fixture dataset {self.path}{sep} {message}")
@@ -275,7 +407,8 @@ class FixtureStore:
             return self._datasets.setdefault(key, opened)
 
     def respond(self, dialect: str, query: str) -> dict:
-        """Answer one paged SPARQL query with a decoded JSON results document."""
+        """Answer one paged SPARQL query with a JSON results document whose
+        bindings are decoded one at a time, as they are iterated."""
         mark = TEMPLATE_MARK.search(query)
         if not mark:
             raise QueryTransportError("fixture backend needs a #template= marker")

@@ -2,9 +2,10 @@
 and a store that logs the requests it answers.
 
 The tests use them to run the HTTP transport, paging and rate limiting
-against real sockets. The server encodes each results document the store
-answers with as JSON for the wire; the CLI reads fixtures in-process
-through kgdiv.fixtures.FixtureTransport, which skips that encoding.
+against real sockets. The server decodes each page the store answers
+with and encodes the results document as JSON for the wire; the CLI
+reads fixtures in-process through kgdiv.fixtures.FixtureTransport, which
+skips that encoding.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class FixtureServer:
                 try:
                     dialect = _dialect_from_url(path)
                     doc = outer.store.respond(dialect, query)
+                    # the store decodes a page as it is iterated
+                    doc["results"]["bindings"] = list(doc["results"]["bindings"])
                 except (QueryTransportError, OSError, ValueError) as exc:
                     message = str(exc).encode("utf-8")
                     self.send_response(400)

@@ -26,7 +26,12 @@ from kgdiv.audit import (
     read_snapshot,
     run_audit,
 )
-from kgdiv.csvformat import read_parties_csv, read_politicians_csv
+from kgdiv.csvformat import (
+    POLITICIANS_CSV_HEADER,
+    csv_columns,
+    read_parties_csv,
+    read_politicians_csv,
+)
 from tests.oracles import (
     Affiliation,
     DateInterval,
@@ -860,6 +865,28 @@ def test_property_run_audit_equals_record_oracle(case):
         snapshot, nmap, schedule, today or snapshot.retrieved_at or date.today(), overrides
     )
     assert result == expected
+
+
+@given(audit_cases())
+@settings(max_examples=100, deadline=None)
+def test_property_read_snapshot_reads_a_one_shot_iterator_as_a_list(case):
+    rows = case[0]
+    party_rows = [{"party_id": row[3]} for row in rows[::3]]
+    nmap = make_map()
+    assert read_snapshot(iter(rows), iter(party_rows), nmap) == read_snapshot(
+        rows, party_rows, nmap
+    )
+
+
+def test_golden_snapshot_streamed_from_its_file_reads_as_its_rows(fixture_dir):
+    nmap = load_normalization_map(fixture_dir / "map.csv", fixture_dir / "parties.csv")
+    golden = Path(__file__).parent / "golden" / "snapshot_en"
+    parties = read_parties_csv(golden / "parties.csv")
+    streamed = read_snapshot(
+        csv_columns(golden / "politicians.csv", POLITICIANS_CSV_HEADER), parties, nmap
+    )
+    listed = read_snapshot(read_politicians_csv(golden / "politicians.csv"), parties, nmap)
+    assert streamed.rows and streamed == listed
 
 
 def test_override_after_death_names_the_first_politician():

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -550,10 +551,14 @@ class TestAudit:
 # Python 3.11+ reads an ISO week date and the basic format as dates, 3.10
 # does not; every date input accepts YYYY-MM-DD only, on every Python. A
 # year is four ASCII digits: int() also reads other decimal digits, an
-# underscore between digits and a sign
+# underscore between digits and a sign. A snapshot's year or year-month
+# must name a real month of a year from 1 on
 @pytest.mark.parametrize(
     "value",
-    ["1995-W21-1", "19950521", "\u0661\u0669\u0669\u0660", "\uff11\uff19\uff19\uff10", "1_99", "+123"],
+    [
+        "1995-W21-1", "19950521", "\u0661\u0669\u0669\u0660", "\uff11\uff19\uff19\uff10",
+        "1_99", "+123", "1985-13", "1985-00", "0000",
+    ],
 )
 @pytest.mark.parametrize("given", ["snapshot", "schedule", "audit-csv"])
 def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, capsys, given, value):
@@ -1092,6 +1097,24 @@ class TestReport:
         err = capsys.readouterr().err
         assert "row 2" in err
 
+    def test_unknown_alignment_is_a_malformed_row(self, tmp_path, capsys):
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            "s,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
+            "s,2020-01-01,B,sideways,1,2,0.1,0.2,0.1,indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "f"
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: malformed audit CSV {audit_csv}:\n  row 3: alignment 'sideways' "
+        )
+        assert not out.exists()
+
     def test_bad_source_writes_no_figure(self, tmp_path, capsys):
         # sources draw in sorted order: "a-src" draws, then "b-bad" has a share above 1
         audit_csv = tmp_path / "audit.csv"
@@ -1173,6 +1196,46 @@ class TestValidate:
         )
         assert run_cli("validate", "--snapshot", str(snapshot)) == 1
         assert "retrieved_at '2022-13-01' is not an ISO date" in capsys.readouterr().err
+
+    def test_streams_the_snapshot(self, tmp_path, fixture_dir, capsys):
+        # the rows are parsed as they are read: the parsed rows peak at
+        # about three times the file's size, and a list of the raw rows
+        # beside them at about five and a half times
+        with open(fixture_dir / "map.csv", newline="", encoding="utf-8") as fh:
+            aliases = [row["alias"] for row in csv.DictReader(fh)]
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        politicians = snapshot / "politicians.csv"
+        with open(politicians, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(POLITICIANS_CSV_HEADER)
+            for n in range(20_000):
+                start = f"{1950 + n % 60}-0{1 + n % 9}-1{n % 10}"
+                writer.writerow(
+                    [
+                        "en-dbpedia",
+                        f"http://dbpedia.org/resource/Politician_{n // 2:05d}",
+                        f"Politician {n // 2}",
+                        aliases[n % len(aliases)],
+                        start,
+                        "" if n % 3 else f"{1960 + n % 60}-12-31",
+                        "",
+                        "",
+                        "2022-05-27",
+                    ]
+                )
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                "validate", "--snapshot", str(snapshot),
+                "--map", str(fixture_dir / "map.csv"),
+                "--parties", str(fixture_dir / "parties.csv"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * politicians.stat().st_size
 
     @pytest.mark.parametrize("given, missing", [("--map", "--parties"), ("--parties", "--map")])
     def test_map_without_parties_is_config_error(self, tmp_path, capsys, given, missing):

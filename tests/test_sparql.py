@@ -5,15 +5,18 @@ from __future__ import annotations
 import copy
 import json
 import random
+import tempfile
 import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgdiv.fixtures
 import kgdiv.sparql
 from kgdiv.fixtures import FixtureStore, FixtureTransport
 from kgdiv.sparql import (
@@ -731,7 +734,7 @@ def test_store_cache_survives_repeated_fetches():
     assert first and first == second
     assert store.dataset("en-dbpedia", "politicians") is dataset
     recorded = json.loads(dataset.path.read_text(encoding="utf-8"))["bindings"]
-    assert dataset.page(0, None) == recorded
+    assert list(dataset.page(0, None)) == recorded
 
 
 # --- the store decodes a page at a time ------------------------------------------
@@ -760,7 +763,10 @@ def write_dataset(root: Path, text: str) -> Path:
 
 
 def page(store: FixtureStore, offset: int, limit: int = 100) -> dict:
-    return store.respond("en-dbpedia", f"#template=probe\nLIMIT {limit} OFFSET {offset}")
+    """The store's answer to one page, its bindings decoded into a list."""
+    doc = store.respond("en-dbpedia", f"#template=probe\nLIMIT {limit} OFFSET {offset}")
+    doc["results"]["bindings"] = list(doc["results"]["bindings"])
+    return doc
 
 
 def test_bindings_before_variables(tmp_path):
@@ -782,7 +788,9 @@ def test_page_asked_twice_is_decoded_twice(tmp_path):
     first, second = page(store, 100), page(store, 100)
     assert first == second
     assert first["results"]["bindings"] == bindings[100:200]
-    assert first["results"]["bindings"] is not second["results"]["bindings"]
+    assert all(
+        a is not b for a, b in zip(first["results"]["bindings"], second["results"]["bindings"])
+    )
 
 
 def test_concurrent_respond_calls_agree(tmp_path):
@@ -826,43 +834,61 @@ def test_synthetic_pages_make_only_their_slice(tmp_path):
     assert page(store, 300)["results"]["bindings"] == []
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ('{"variables": ["x"], "bindings": [], "variables": ["x"]}', "names 'variables' twice"),
-        ('{"variables": ["x"], "bindings": [], "bindings": []}', "names 'bindings' twice"),
-        (
-            '{"variables": ["x"], "synthetic": {"count": 1, "binding": {}}, "bindings": []}',
-            "has both bindings and synthetic",
-        ),
-        ('{"variables": ["x"], "bindings": {}}', "has no list of bindings"),
-        ('{"variables": ["x"], "bindings": []} []', "Extra data"),
-        ('{"variables": ["x"] "bindings": []}', "Expecting ',' delimiter"),
-        ('{"variables": ["x"], "bindings": [{}, ]}', "Expecting value"),
-        ('{"variables": ["x"], "bindings": [{} {}]}', "Expecting ',' delimiter"),
-        ('{"variables": ["x"], "bindings": [{}]', "Expecting ',' delimiter"),
-        ("[]", "is not an object with a list of string variables"),
-        ("\ufeff{}", "is not JSON"),
-    ],
-    ids=[
-        "variables-twice",
-        "bindings-twice",
-        "bindings-and-synthetic",
-        "bindings-an-object",
-        "extra-data",
-        "no-comma-between-keys",
-        "trailing-comma",
-        "no-comma-between-elements",
-        "unclosed-document",
-        "a-list",
-        "byte-order-mark",
-    ],
-)
+#: malformed datasets, and what the error that names the file says
+MALFORMED = [
+    ('{"variables": ["x"], "bindings": [], "variables": ["x"]}', "names 'variables' twice"),
+    ('{"variables": ["x"], "bindings": [], "bindings": []}', "names 'bindings' twice"),
+    (
+        '{"variables": ["x"], "synthetic": {"count": 1, "binding": {}}, "bindings": []}',
+        "has both bindings and synthetic",
+    ),
+    ('{"variables": ["x"], "bindings": {}}', "has no list of bindings"),
+    ('{"variables": ["x"], "bindings": []} []', "Extra data"),
+    ('{"variables": ["x"] "bindings": []}', "Expecting ',' delimiter"),
+    ('{"variables": ["x"], "bindings": [{}, ]}', "Expecting value"),
+    ('{"variables": ["x"], "bindings": [{} {}]}', "Expecting ',' delimiter"),
+    ('{"variables": ["x"], "bindings": [{}]', "Expecting ',' delimiter"),
+    ("[]", "is not an object with a list of string variables"),
+    ("\ufeff{}", "is not JSON"),
+    # placed as in the text read with universal newlines
+    (
+        '{\r\n"variables": ["x"],\r\n"bindings": [{} {}]}',
+        "Expecting ',' delimiter: line 3 column 17 \\(char 38\\)",
+    ),
+]
+MALFORMED_IDS = [
+    "variables-twice",
+    "bindings-twice",
+    "bindings-and-synthetic",
+    "bindings-an-object",
+    "extra-data",
+    "no-comma-between-keys",
+    "trailing-comma",
+    "no-comma-between-elements",
+    "unclosed-document",
+    "a-list",
+    "byte-order-mark",
+    "crlf-line-ends",
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_dataset_names_the_file(tmp_path, text, message):
     path = write_dataset(tmp_path, text)
     with pytest.raises(ValueError, match=message) as raised:
         page(FixtureStore(tmp_path), 0)
     assert str(path) in str(raised.value)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_dataset_read_a_byte_at_a_time_says_the_same(tmp_path, text, message):
+    write_dataset(tmp_path, text)
+    with pytest.raises(ValueError, match=message) as whole:
+        page(FixtureStore(tmp_path), 0)
+    with patch.object(kgdiv.fixtures, "CHUNK", 1):
+        with pytest.raises(ValueError) as raised:
+            page(FixtureStore(tmp_path), 0)
+    assert str(raised.value) == str(whole.value)
 
 
 def test_a_later_page_finds_bad_json_when_it_gets_there(tmp_path):
@@ -875,11 +901,10 @@ def test_a_later_page_finds_bad_json_when_it_gets_there(tmp_path):
             page(store, 100)
 
 
-def test_paging_a_fixture_traces_about_twice_its_size(tmp_path):
-    # the store holds the file's text and one decoded page. Reading the
-    # file holds its bytes and its text at once, twice its size, and the
-    # pages stay below that; decoding the whole dataset up front held about
-    # six times the file's size
+def test_paging_a_fixture_traces_under_half_its_size(tmp_path):
+    # the store holds a chunk of the file's text and the bindings one at a
+    # time, and the parser one page of rows. Holding the file's text, and
+    # its bytes while it was read, traced about twice the file's size
     bindings = politician_bindings(20_000)
     path = write_dataset(
         tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings})
@@ -901,4 +926,139 @@ def test_paging_a_fixture_traces_about_twice_its_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert parsed == 20_000
-    assert peak <= 2.1 * size
+    assert peak <= 0.5 * size
+
+
+def test_a_page_the_parser_abandons_closes_its_file(tmp_path, monkeypatch):
+    bindings = politician_bindings(300)
+    bindings[150]["label"]["type"] = "wat"
+    write_dataset(tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings}))
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(kgdiv.fixtures, "open", recording_open, raising=False)
+    monkeypatch.setattr(kgdiv.fixtures, "CHUNK", 1024)
+    transport = FixtureTransport(FixtureStore(tmp_path))
+    query = "#template=probe\nLIMIT 200 OFFSET 100"
+    with pytest.raises(MalformedResultError, match="unknown binding kind 'wat'"):
+        parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))
+    assert len(opened) == 2  # the dataset's head, then the page
+    assert all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(b"Politician 120", b"Politician \xff120"), (b"}]}", "}]}\u4e2d".encode("utf-8")[:-1])],
+    ids=["in-a-binding", "a-character-cut-off-at-the-end"],
+)
+def test_a_byte_that_is_not_utf8_is_found_by_the_page_that_reaches_it(
+    tmp_path, monkeypatch, old, new
+):
+    monkeypatch.setattr(kgdiv.fixtures, "CHUNK", 1024)
+    text = json.dumps({"variables": ["politician"], "bindings": politician_bindings(150)})
+    path = write_dataset(tmp_path, "")
+    data = text.encode("utf-8").replace(old, new, 1)
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    store = FixtureStore(tmp_path)
+    assert page(store, 0)["results"]["bindings"] == politician_bindings(100)
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            page(store, 100)
+        assert str(raised.value) == f"fixture file {path} is not JSON: {whole.value}"
+
+
+#: label characters of one (ASCII), two (Dutch), three (CJK) and four
+#: (emoji) bytes in UTF-8, and two that JSON escapes
+LABEL_CHARACTERS = "Jan Zoëĳsé中文名字😀\"\\"
+WHITESPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n", " \r\n\t "])
+
+
+@st.composite
+def dataset_layouts(draw):
+    """A dataset's text and its bindings, the members in any order with
+    whitespace of every kind between the tokens, non-ASCII labels written
+    as they are or escaped, and sometimes a member the store skips; one in
+    two has a character deleted or inserted, or is cut short."""
+    labels = draw(st.lists(st.text(LABEL_CHARACTERS, max_size=8), max_size=12))
+    bindings = [
+        {
+            "politician": {"type": "uri", "value": f"http://dbpedia.org/resource/P_{n}"},
+            "label": {"type": "literal", "value": label, "xml:lang": "nl"},
+        }
+        for n, label in enumerate(labels)
+    ]
+    members = [("variables", ["politician", "label"]), ("bindings", bindings)]
+    if draw(st.booleans()):
+        members.append(("note", draw(st.sampled_from([12345, -1.5e-07, "zeven", None, [1, 2]]))))
+    ensure_ascii = draw(st.booleans())
+
+    def dumps(value):
+        return json.dumps(value, ensure_ascii=ensure_ascii)
+
+    parts = []
+    for key, value in draw(st.permutations(members)):
+        if key == "bindings" and value:
+            elements = [dumps(binding) for binding in value]
+            written = "[" + draw(WHITESPACE)
+            written += "".join(e + draw(WHITESPACE) + "," + draw(WHITESPACE) for e in elements[:-1])
+            written += elements[-1] + draw(WHITESPACE) + "]"
+        else:
+            written = dumps(value)
+        space = [draw(WHITESPACE) for _ in range(4)]
+        parts.append(space[0] + dumps(key) + space[1] + ":" + space[2] + written + space[3])
+    text = draw(WHITESPACE) + "{" + ",".join(parts) + "}" + draw(WHITESPACE)
+    malformed = draw(st.sampled_from([None, None, None, "delete", "insert", "cut"]))
+    if malformed:
+        at = draw(st.integers(0, len(text)))
+        if malformed == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif malformed == "insert":
+            text = text[:at] + draw(st.sampled_from(list(',:[]{}" 1x\n'))) + text[at:]
+        else:
+            text = text[:at]
+    return text, malformed is None
+
+
+def store_outcomes(root: Path, requests) -> list:
+    """The variables of the dataset, then each requested page's bindings,
+    up to the text of the first error."""
+    outcomes = []
+    try:
+        dataset = FixtureStore(root).dataset("en-dbpedia", "probe")
+        outcomes.append(dataset.variables)
+        for offset, limit in requests:
+            outcomes.append(list(dataset.page(offset, limit)))
+    except ValueError as exc:
+        outcomes.append(str(exc))
+    return outcomes
+
+
+@given(
+    dataset_layouts(),
+    st.lists(st.tuples(st.integers(0, 14), st.sampled_from([None, 1, 2, 5])), max_size=4),
+    st.integers(1, 7),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_pages_and_errors_do_not_depend_on_the_chunk_size(layout, requests, chunk):
+    # a text of a few hundred bytes is one chunk, read as the store once
+    # held the whole file's text; chunks of a few bytes cut elements,
+    # delimiters and multibyte characters at every place
+    text, well_formed = layout
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "en-dbpedia").mkdir()
+        (root / "en-dbpedia" / "probe.json").write_bytes(text.encode("utf-8"))
+        whole = store_outcomes(root, requests)
+        with patch.object(kgdiv.fixtures, "CHUNK", chunk):
+            assert store_outcomes(root, requests) == whole
+    if well_formed:
+        decoded = json.loads(text)
+        assert whole == [decoded["variables"]] + [
+            decoded["bindings"][offset : None if limit is None else offset + limit]
+            for offset, limit in requests
+        ]
