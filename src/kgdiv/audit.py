@@ -184,13 +184,10 @@ def _row_date(
     """The ISO date in a snapshot row's column value, or None if it is empty.
 
     A bare year or year-month is read as its earliest or latest day, by
-    column, and the reading is noted in `partial`. `days` holds the values
-    read so far that are empty or full ISO dates, whose reading depends on
-    neither the column nor the row.
+    column, and the reading is noted in `partial`. An empty or full ISO
+    date value is added to `days`, since its reading depends on neither the
+    column nor the row; the caller looks a value up there first.
     """
-    day = days.get(raw, _UNREAD)
-    if day is not _UNREAD:
-        return day
     stripped = raw.strip()
     if not stripped:
         days[raw] = None
@@ -252,12 +249,21 @@ def read_snapshot(
         if ref:
             party_refs.add(ref)
 
+        # the memo is read here, so a value read before costs no call
         partial: list[str] = []
-        start = _row_date(raw_start, "aff_start", partial, days)
-        end = _row_date(raw_end, "aff_end", partial, days)
-        death = _row_date(raw_death, "death_date", partial, days)
-        # a partial stamp is no finding
-        stamp = _row_date(raw_stamp, "retrieved_at", [], days)
+        start = days.get(raw_start, _UNREAD)
+        if start is _UNREAD:
+            start = _row_date(raw_start, "aff_start", partial, days)
+        end = days.get(raw_end, _UNREAD)
+        if end is _UNREAD:
+            end = _row_date(raw_end, "aff_end", partial, days)
+        death = days.get(raw_death, _UNREAD)
+        if death is _UNREAD:
+            death = _row_date(raw_death, "death_date", partial, days)
+        stamp = days.get(raw_stamp, _UNREAD)
+        if stamp is _UNREAD:
+            # a partial stamp is no finding
+            stamp = _row_date(raw_stamp, "retrieved_at", [], days)
         if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
             retrieved_at = stamp
         if partial:

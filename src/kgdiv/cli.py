@@ -281,6 +281,21 @@ def cmd_audit(args) -> int:
                 f"body {args.body!r} not in baseline file (has {bodies})"
             )
         bodies = [args.body]
+    # each body names two output files, so no name may hold a path or clash
+    named: dict[str, list[str]] = {}
+    for body in bodies:
+        if any(c in body for c in "/\\\0"):
+            raise ValueError(
+                f"baselines file {args.baseline}: body {body!r} holds a path "
+                "separator or NUL, so it cannot name an output file"
+            )
+        named.setdefault(f"audit_{body.lower()}.csv", []).append(body)
+    for name, clashing in named.items():
+        if len(clashing) > 1:
+            raise ValueError(
+                f"baselines file {args.baseline}: bodies {', '.join(map(repr, clashing))} "
+                f"map to the same output file {name}"
+            )
 
     snapshot = _read_snapshot(args.snapshot, nmap)
     result = audit.run_audit(

@@ -89,7 +89,8 @@ def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[in
     """The header, then each row, of a CSV file whose header names every
     one of `columns`, each with the line it ends on. A leading byte-order
     mark is dropped, blank lines are skipped, and a row of another width
-    than the header or a file that is not UTF-8 is an error."""
+    than the header, a file that is not UTF-8 or one the csv module cannot
+    read is an error."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -109,6 +110,8 @@ def _checked_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[in
                 yield reader.line_num, fields
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # a field over the size limit, or NUL before 3.11
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def numbered_csv_rows(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 ACTOR_TYPES = ("person", "organisation", "geopolitical-entity")
 
@@ -47,8 +47,9 @@ class BalanceVector(namedtuple("BalanceVector", "shares")):
 
 
 #: Symmetric pairwise dissimilarities in [0, 1] with zero diagonal. Each id
-#: maps to a point; the values live in a table over the points, so ids
-#: sharing a point (equal feature sets) are at distance 0.
+#: maps to a point, and ids sharing a point (equal feature sets) are at
+#: distance 0. The table holds the upper triangle over the points as tails:
+#: row g lists d_gh for the points h > g, so d_gh is table[g][h - g - 1].
 DisparityMatrix = namedtuple("DisparityMatrix", "ids point table")
 
 
@@ -89,6 +90,8 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
     feature pairs, with |a & b| counted as the set bits of the two points'
     masks (one bit per distinct pair). Points are distinct sets, so at
     most one is empty, and an empty set is at distance 1 from every other.
+    Only the masks are kept: each row of the table is computed when it is
+    read, so memory stays linear in the points.
     """
     index: dict[FeatureSet, int] = {}
     point = {i: index.setdefault(f, len(index)) for i, f in features.items()}
@@ -100,14 +103,28 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
             mask |= 1 << bit.setdefault(pair, len(bit))
         masks.append(mask)
     sizes = [len(f.pairs) for f in index]
-    n = len(masks)
-    table = [[0.0] * n for _ in range(n)]
-    for g in range(n):
-        mask_g, size_g, row_g = masks[g], sizes[g], table[g]
-        for h in range(g + 1, n):
-            shared = (mask_g & masks[h]).bit_count()
-            row_g[h] = table[h][g] = 1.0 - shared / (size_g + sizes[h] - shared)
-    return DisparityMatrix(tuple(features), point, table)
+    return DisparityMatrix(tuple(features), point, _TailRows(masks, sizes))
+
+
+class _TailRows(Sequence):
+    """The upper-triangle tails of a Jaccard disparity table: row g holds
+    d_gh for the points h > g and is computed anew on each read."""
+
+    __slots__ = ("masks", "sizes")
+
+    def __init__(self, masks: list[int], sizes: list[int]):
+        self.masks, self.sizes = masks, sizes
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, g: int) -> list[float]:
+        g = range(len(self.masks))[g]  # IndexError past the end ends iteration
+        mask_g, size_g = self.masks[g], self.sizes[g]
+        return [
+            1.0 - (shared := (mask_g & mask_h).bit_count()) / (size_g + size_h - shared)
+            for mask_h, size_h in zip(self.masks[g + 1 :], self.sizes[g + 1 :])
+        ]
 
 
 def stirling_delta(
@@ -134,9 +151,8 @@ def stirling_delta(
     delta = 0.0
     for g, row in enumerate(table):
         row_sum = 0.0
-        for h in range(g + 1, len(row)):
-            d = row[h]
+        for d, weight_h in zip(row, weights[g + 1 :]):
             if d != 0.0:
-                row_sum += d**alpha * weights[h]
+                row_sum += d**alpha * weight_h
         delta += weights[g] * row_sum
     return DiversityResult(delta=2.0 * delta, variety=len(balance.shares), balance=balance)

@@ -49,8 +49,10 @@ def gini_simpson(balance: BalanceVector) -> float:
 
 
 def disparity_value(matrix: DisparityMatrix, i: str, j: str) -> float:
-    """d_ij looked up through the ids' points (0 on the diagonal)."""
-    return matrix.table[matrix.point[i]][matrix.point[j]]
+    """d_ij looked up through the ids' points in the table's upper-triangle
+    tails (0 on the diagonal)."""
+    g, h = sorted((matrix.point[i], matrix.point[j]))
+    return 0.0 if g == h else matrix.table[g][h - g - 1]
 
 
 def pair_terms(
@@ -74,10 +76,11 @@ def explicit_matrix(
     ids: Sequence[str], values: Mapping[tuple[str, str], float]
 ) -> DisparityMatrix:
     """A matrix in which every id is its own point, with values keyed by
-    unordered id pairs (either orientation); missing pairs are 0."""
+    unordered id pairs (either orientation); missing pairs are 0. Row g of
+    the table holds the pairs (g, h) for h > g."""
     ids = tuple(ids)
     point = {entity_id: g for g, entity_id in enumerate(ids)}
-    table = [[0.0] * len(ids) for _ in ids]
+    table = [[0.0] * (len(ids) - g - 1) for g in range(len(ids))]
     for (i, j), d in values.items():
         if i not in point or j not in point:
             raise ValueError(f"pair ({i!r}, {j!r}) references unknown entity id")
@@ -85,7 +88,9 @@ def explicit_matrix(
             raise ValueError(f"diagonal entry d({i!r},{i!r}) must be 0, got {d}")
         if not 0.0 <= d <= 1.0:
             raise ValueError(f"disparity d({i!r},{j!r}) = {d} outside [0, 1]")
-        table[point[i]][point[j]] = table[point[j]][point[i]] = d
+        g, h = sorted((point[i], point[j]))
+        if g != h:
+            table[g][h - g - 1] = d
     return DisparityMatrix(ids, point, table)
 
 

@@ -468,21 +468,35 @@ class TestAudit:
     def test_each_date_read_once(self, tmp_path, fixture_dir, monkeypatch):
         import kgdiv.audit
 
-        snapshot = GOLDEN / "snapshot_en"
-        with open(snapshot / "politicians.csv", newline="") as fh:
-            rows = len(list(csv.DictReader(fh)))
-        calls = 0
+        with open(GOLDEN / "snapshot_en" / "politicians.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # a partial date twice and another once
+        partial = {"1985", "2010-06"}
+        rows[0]["aff_start"] = rows[2]["aff_start"] = "1985"
+        rows[1]["aff_end"] = "2010-06"
+        snapshot = tmp_path / "snap"
+        snapshot.mkdir()
+        with open(snapshot / "politicians.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        calls = Counter()
         real = kgdiv.audit._row_date
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
+        def counting(raw, *args):
+            calls[raw] += 1
+            return real(raw, *args)
 
         monkeypatch.setattr(kgdiv.audit, "_row_date", counting)
         assert run_cli(*audit_args(snapshot, tmp_path / "out", fixture_dir)) == 0
-        # aff_start, aff_end, death_date and retrieved_at, once each
-        assert calls == 4 * rows
+        cells = Counter(
+            row[column]
+            for row in rows
+            for column in ("aff_start", "aff_end", "death_date", "retrieved_at")
+        )
+        # one call per distinct empty or full ISO value; a partial date is
+        # read per cell, since its reading depends on the column
+        assert calls == {raw: n if raw in partial else 1 for raw, n in cells.items()}
 
     def test_override_after_death_fails_and_writes_nothing(
         self, tmp_path, fixture_dir, capsys
@@ -547,6 +561,40 @@ class TestAudit:
         assert f"error: {bad} {message}\n" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "bodies, message",
+        [
+            (("KVV", "kvv"), "bodies 'KVV', 'kvv' map to the same output file audit_kvv.csv"),
+            (("KVV", "K/V"), "body 'K/V' holds a path separator or NUL"),
+            (("KVV", "K\\V"), "body 'K\\\\V' holds a path separator or NUL"),
+            (("KVV", "K\0V"), "body 'K\\x00V' holds a path separator or NUL"),
+        ],
+        ids=["case-clash", "slash", "backslash", "nul"],
+    )
+    def test_body_that_cannot_name_its_own_files_is_rejected(
+        self, tmp_path, fixture_dir, capsys, bodies, message
+    ):
+        header, *rows = (fixture_dir / "baselines.csv").read_text(encoding="utf-8").splitlines(
+            keepends=True
+        )
+        kvv = [row.removeprefix("KVV") for row in rows if row.startswith("KVV,")]
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text(
+            header + "".join(body + row for body in bodies for row in kvv), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        argv = audit_args(GOLDEN / "snapshot_en", out, fixture_dir, body=None)
+        argv[argv.index("--baseline") + 1] = str(baselines)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        if "\0" in bodies[1] and sys.version_info < (3, 11):
+            # the csv module reads no NUL before Python 3.11
+            message = f"line {len(kvv) + 2}: line contains NUL"
+            assert f"error: {baselines} {message}\n" in err
+        else:
+            assert f"error: baselines file {baselines}: {message}" in err
+        assert list(out.iterdir()) == []
+
 
 # Python 3.11+ reads an ISO week date and the basic format as dates, 3.10
 # does not; every date input accepts YYYY-MM-DD only, on every Python. A
@@ -584,6 +632,20 @@ def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, cap
     assert run_cli(*argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_field_over_the_csv_size_limit_names_file_and_line(tmp_path, capsys):
+    snapshot = tmp_path / "snap"
+    shutil.copytree(GOLDEN / "snapshot_en", snapshot)
+    politicians = snapshot / "politicians.csv"
+    politicians.write_text(
+        politicians.read_text(encoding="utf-8").replace("An Peeters", "A" * 200_000, 1),
+        encoding="utf-8",
+    )
+    assert run_cli("validate", "--snapshot", str(snapshot)) == 1
+    assert f"error: {politicians} line 2: field larger than field limit" in (
+        capsys.readouterr().err
+    )
 
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"

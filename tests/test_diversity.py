@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -348,3 +349,48 @@ def test_property_zero_disparity_pinned_in_grouped_delta(rng, alpha, beta):
     # explicit matrices hold zeros between distinct ids, which alpha = 0
     # would turn into 0^0 = 1 without the pin
     assert_grouped_equals_pair_terms(*random_instance(rng), alpha, beta)
+
+
+@given(
+    st.dictionaries(
+        st.text(min_size=1, max_size=3),
+        st.frozensets(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")), max_size=6),
+        min_size=1,
+        max_size=12,
+    ),
+    st.data(),
+    EXPONENTS,
+    EXPONENTS,
+)
+@settings(max_examples=200)
+def test_property_computed_rows_match_the_oracles(raw, data, alpha, beta):
+    entities = {i: FeatureSet(pairs) for i, pairs in raw.items()}
+    counts = {i: data.draw(st.integers(min_value=1, max_value=5)) for i in entities}
+    m = compute_disparity(entities)
+    # iteration over the rows ends after the last point
+    assert len(list(m.table)) == len(m.table)
+    for a, fa in entities.items():
+        for b, fb in entities.items():
+            assert disparity_value(m, a, b) == jaccard_distance(fa, fb)
+    assert_grouped_equals_pair_terms(compute_balance(counts), m, alpha, beta)
+
+
+def test_disparity_and_delta_memory_is_linear_in_points():
+    rng = random.Random(1)
+    pool = [("f", str(k)) for k in range(40)]
+    sets: set[frozenset] = set()
+    while len(sets) < 1500:
+        sets.add(frozenset(rng.sample(pool, rng.randint(1, 8))))
+    entities = {f"e{k}": FeatureSet(f) for k, f in enumerate(sorted(sets, key=sorted))}
+    balance = compute_balance({i: 1 + k % 3 for k, i in enumerate(entities)})
+    tracemalloc.start()
+    try:
+        stirling_delta(balance, compute_disparity(entities))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a full table over n points holds n * n float references, 8 bytes each
+    # (18 MB here, with the floats themselves 54 MB more); rows computed one
+    # at a time peak near 0.5 MB, most of it the id and point dicts
+    n = len(entities)
+    assert peak < n * n * 8 / 20
