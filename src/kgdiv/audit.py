@@ -14,13 +14,13 @@ every body and only the comparison runs per body.
 from __future__ import annotations
 
 import re
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import date, timedelta
 from pathlib import Path
 
 from . import ConfigError, warn
-from .csvformat import ALIGNMENTS, AuditRow, csv_rows, iso_date, numbered_csv_rows
+from .csvformat import ALIGNMENTS, AuditRow, iso_date, numbered_csv_rows
 
 RELEVANCE_CLASSES = ("relevant", "not-relevant", "foreign")
 
@@ -148,16 +148,15 @@ Finding = namedtuple("Finding", "kind subject detail")
 UnmappedRef = namedtuple("UnmappedRef", "raw_ref politician_id source")
 
 
-#: One parsed snapshot row: (source, politician_id, label, party, relevant,
-#: start, end, death). party is the canonical acronym, or None for a row
-#: with no party reference or one the map cannot resolve; an inverted
-#: interval has lost its start and end.
-SnapshotRow = tuple[str, str, str, str | None, bool, date | None, date | None, date | None]
-
-#: A politicians snapshot read once by read_snapshot: one SnapshotRow per
-#: row, the refs the map cannot resolve, the sorted findings, and the
-#: latest retrieved_at stamp (None when no row has one).
-Snapshot = namedtuple("Snapshot", "rows unmapped findings retrieved_at")
+#: A politicians snapshot read once by read_snapshot. `careers` holds, per
+#: source and politician id, one career list [death, first, last, open,
+#: parties]: the politician's first non-empty death in that source; the
+#: earliest start and the latest end of its affiliations that have a
+#: canonical party and a date (None if none has one); whether one of those
+#: is open-ended; and the frozenset of its relevant parties. `retrieved_at`
+#: holds the latest stamp of each source that has one; then come the refs
+#: the map cannot resolve and the sorted findings.
+Snapshot = namedtuple("Snapshot", "careers retrieved_at unmapped findings")
 
 #: Per-source, per-time-point actor accounting.
 CoverageRow = namedtuple(
@@ -220,52 +219,59 @@ def read_snapshot(
     politician_rows: Iterable[Sequence[str]],
     party_rows: Iterable[Mapping[str, str]] = (),
     nmap: NormalizationMap | None = None,
+    path: str | Path = "snapshot",
 ) -> Snapshot:
-    """Parse each politicians row once and flag data-quality problems.
+    """Read each politicians row once into its career, and flag
+    data-quality problems.
 
     A politicians row holds the fields of catalog.POLITICIANS_CSV_HEADER,
     in that order, as fetch_politicians and read_politicians_csv give it.
     Every date column is read once, and each distinct full ISO date value
-    parsed once; every party reference is resolved once (given a map;
-    without one no row has a party). The findings are
+    parsed once; a bad date names `path` and the row, counted from 1.
+    Every party reference is resolved once (given a map; without one no
+    row has a party). The findings are
     resources appearing both as politician and as party reference, rows
     with a year or year-month date (one finding per row, naming the day
     each is read as), inverted affiliation intervals, deaths predating an
     affiliation start, and (given a map) politicians with no relevant
     affiliation at all.
     """
-    rows: list[SnapshotRow] = []
+    careers: defaultdict[str, dict[str, list]] = defaultdict(dict)
+    retrieved_at: dict[str, date] = {}
     unmapped: list[UnmappedRef] = []
     findings: list[Finding] = []
-    retrieved_at = None
-    politician_ids: set[str] = set()
     party_refs = {r["party_id"] for r in party_rows if r.get("party_id")}
+    # each party set grown by one party is built once, and shared
+    grown: dict[tuple[frozenset[str], str], frozenset[str]] = {}
     deaths: dict[str, date] = {}
     starts: dict[str, list[date]] = {}
-    with_relevant: set[str] = set()
     days: dict[str, date | None] = {}
-    for source, pid, label, ref, raw_start, raw_end, raw_death, _, raw_stamp in politician_rows:
-        politician_ids.add(pid)
+    for row, (source, pid, _, ref, raw_start, raw_end, raw_death, _, raw_stamp) in enumerate(
+        politician_rows, 1
+    ):
         if ref:
             party_refs.add(ref)
 
         # the memo is read here, so a value read before costs no call
         partial: list[str] = []
-        start = days.get(raw_start, _UNREAD)
-        if start is _UNREAD:
-            start = _row_date(raw_start, "aff_start", partial, days)
-        end = days.get(raw_end, _UNREAD)
-        if end is _UNREAD:
-            end = _row_date(raw_end, "aff_end", partial, days)
-        death = days.get(raw_death, _UNREAD)
-        if death is _UNREAD:
-            death = _row_date(raw_death, "death_date", partial, days)
-        stamp = days.get(raw_stamp, _UNREAD)
-        if stamp is _UNREAD:
-            # a partial stamp is no finding
-            stamp = _row_date(raw_stamp, "retrieved_at", [], days)
-        if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
-            retrieved_at = stamp
+        try:
+            start = days.get(raw_start, _UNREAD)
+            if start is _UNREAD:
+                start = _row_date(raw_start, "aff_start", partial, days)
+            end = days.get(raw_end, _UNREAD)
+            if end is _UNREAD:
+                end = _row_date(raw_end, "aff_end", partial, days)
+            death = days.get(raw_death, _UNREAD)
+            if death is _UNREAD:
+                death = _row_date(raw_death, "death_date", partial, days)
+            stamp = days.get(raw_stamp, _UNREAD)
+            if stamp is _UNREAD:
+                # a partial stamp is no finding
+                stamp = _row_date(raw_stamp, "retrieved_at", [], days)
+        except ValueError as exc:
+            raise ValueError(f"{path} row {row}: {exc}") from None
+        if stamp is not None and stamp > retrieved_at.get(source, date.min):
+            retrieved_at[source] = stamp
         if partial:
             findings.append(
                 Finding("partial-date", pid, f"affiliation {ref}: " + ", ".join(partial))
@@ -284,18 +290,36 @@ def read_snapshot(
         if death is not None:
             deaths.setdefault(pid, death)
 
-        party, relevant = None, False
+        by_pid = careers[source]
+        career = by_pid.get(pid)
+        if career is None:
+            career = by_pid[pid] = [death, None, None, False, frozenset()]
+        elif career[0] is None:
+            career[0] = death
         raw_ref = ref.strip()
-        if raw_ref and nmap is not None:
-            party = nmap.resolve(raw_ref)
-            if party is None:
-                unmapped.append(UnmappedRef(raw_ref, pid, source))
-            elif nmap.party(party).relevance == "relevant":
-                relevant = True
-                with_relevant.add(pid)
-        rows.append((source, pid, label, party, relevant, start, end, death))
+        if not raw_ref or nmap is None:
+            continue
+        party = nmap.resolve(raw_ref)
+        if party is None:
+            unmapped.append(UnmappedRef(raw_ref, pid, source))
+            continue
+        if start is not None and (career[1] is None or start < career[1]):
+            career[1] = start
+        if end is not None:
+            if career[2] is None or end > career[2]:
+                career[2] = end
+        elif start is not None:
+            career[3] = True
+        if nmap.party(party).relevance == "relevant" and party not in career[4]:
+            key = (career[4], party)
+            parties = grown.get(key)
+            if parties is None:
+                parties = grown[key] = career[4] | {party}
+            career[4] = parties
 
-    for conflicted in sorted(politician_ids & party_refs):
+    for conflicted in sorted(
+        ref for ref in party_refs if any(ref in by_pid for by_pid in careers.values())
+    ):
         findings.append(
             Finding(
                 "type-conflict",
@@ -314,59 +338,16 @@ def read_snapshot(
                 )
             )
     if nmap is not None:
-        for pid in sorted(politician_ids - with_relevant):
+        lacking = {pid for by_pid in careers.values() for pid, c in by_pid.items() if not c[4]}
+        lacking.difference_update(
+            pid for by_pid in careers.values() for pid, c in by_pid.items() if c[4]
+        )
+        for pid in sorted(lacking):
             findings.append(
                 Finding("no-relevant-affiliation", pid, "no affiliation with a relevant party")
             )
     findings.sort(key=lambda f: (f.kind, f.subject))
-    return Snapshot(rows, unmapped, findings, retrieved_at)
-
-
-def _careers(
-    rows: Iterable[SnapshotRow], today: date, overrides: Mapping[str, date]
-) -> tuple[list[tuple[date, date, frozenset[str]]], int]:
-    """The (first, last, relevant parties) career of each dated politician
-    in one source's rows, and how many politicians are undated.
-
-    A politician's death is its first non-empty one, and a row without a
-    canonical party adds nothing to its career. The career is the hull of
-    its dated (start, end) pairs, with an open end read as the cap: the
-    earliest of today, the death and the career-end override. A hull with
-    no start begins at date.min. A politician with no dated pair, or whose
-    hull starts after its end, is undated.
-    """
-    deaths: dict[str, date | None] = {}
-    pairs: dict[str, list[tuple[date | None, date | None]]] = {}
-    parties: dict[str, list[str]] = {}
-    for _, pid, _, party, relevant, start, end, death in rows:
-        if deaths.get(pid) is None:
-            deaths[pid] = death
-        if party is not None:
-            if start is not None or end is not None:
-                pairs.setdefault(pid, []).append((start, end))
-            if relevant:
-                parties.setdefault(pid, []).append(party)
-
-    late = min(
-        (pid for pid, day in overrides.items() if deaths.get(pid) and day > deaths[pid]),
-        default=None,
-    )
-    if late is not None:
-        raise ValueError(
-            f"career end override {overrides[late]} after death {deaths[late]} for {late!r}"
-        )
-
-    careers = []
-    # equal careers share one set
-    shared: dict[frozenset[str], frozenset[str]] = {}
-    for pid, dated in pairs.items():
-        cap = min(today, deaths[pid] or today, overrides.get(pid, today))
-        first = min((start for start, _ in dated if start is not None), default=date.min)
-        last = max(cap if end is None else end for _, end in dated)
-        if first <= last:
-            career = frozenset(parties.get(pid, ()))
-            careers.append((first, last, shared.setdefault(career, career)))
-    return careers, len(deaths) - len(careers)
+    return Snapshot(dict(careers), retrieved_at, unmapped, findings)
 
 
 def compute_bounds(
@@ -442,35 +423,48 @@ def run_audit(
 ) -> AuditResult:
     """Visibility bounds over a politicians snapshot, per source and time point.
 
-    `snapshot` is read_snapshot's result under the same map. One pass per
-    source: build each politician's career from the rows once, then at
-    each distinct time point count the relevant party sets of the active careers
-    and read every relevant party's bounds from that count. The rows carry
-    no baseline; judge compares them with one body's seat shares.
+    `snapshot` is read_snapshot's result under the same map. Per source:
+    cap each open career at the earliest of today, its death and its
+    override, then at each distinct time point count the relevant party
+    sets of the active careers and read every relevant party's bounds
+    from that count. The rows carry no baseline; judge compares them with
+    one body's seat shares.
 
-    `today` caps open-ended affiliations; it defaults to the snapshot's
-    latest retrieved_at stamp so a cached snapshot always audits the same
-    way. Rows without any stamp need an explicit `today`.
+    `today` defaults to each source's latest retrieved_at stamp, so a
+    cached snapshot always audits the same way, alone or beside other
+    sources. A source without any stamp needs an explicit `today`.
     """
     if today is None:
-        if snapshot.rows and snapshot.retrieved_at is None:
+        unstamped = sorted(set(snapshot.careers) - set(snapshot.retrieved_at))
+        if unstamped:
             raise ValueError(
-                "no snapshot row has a retrieved_at stamp; give the date that "
-                "caps open careers with --today"
+                f"no row of source {', '.join(unstamped)} has a retrieved_at stamp; give "
+                "the date that caps open careers with --today"
             )
-        today = snapshot.retrieved_at or date.today()
-
-    by_source: dict[str, list[SnapshotRow]] = {}
-    for row in snapshot.rows:
-        by_source.setdefault(row[0], []).append(row)
-
+    overrides = career_end_overrides or {}
     relevant = nmap.relevant_parties()
     alignment = {p: nmap.party(p).alignment for p in relevant}
     audit_rows: list[AuditRow] = []
     coverage: list[CoverageRow] = []
 
-    for source in sorted(by_source):
-        careers, undated = _careers(by_source[source], today, career_end_overrides or {})
+    for source, by_pid in sorted(snapshot.careers.items()):
+        deaths = {pid: by_pid[pid][0] for pid in overrides if pid in by_pid and by_pid[pid][0]}
+        late = min((pid for pid in deaths if overrides[pid] > deaths[pid]), default=None)
+        if late is not None:
+            raise ValueError(
+                f"career end override {overrides[late]} after death {deaths[late]} for {late!r}"
+            )
+        cap = today or snapshot.retrieved_at[source]
+        careers = []
+        for pid, (death, first, last, open_end, parties) in by_pid.items():
+            if open_end:
+                last = max(last or date.min, min(cap, death or cap, overrides.get(pid, cap)))
+            elif last is None:
+                continue
+            first = first or date.min
+            if first <= last:
+                careers.append((first, last, parties))
+        undated = len(by_pid) - len(careers)
         for time_point in sorted(set(schedule)):
             counts = Counter(
                 parties for first, last, parties in careers if first <= time_point <= last
@@ -538,18 +532,34 @@ def load_normalization_map(
     parties CSV: canonical_acronym,alignment,relevance
     """
     parties: dict[str, PartyRecord] = {}
-    for row in csv_rows(parties_path, ("canonical_acronym", "alignment", "relevance")):
+    columns = ("canonical_acronym", "alignment", "relevance")
+    for line, row in numbered_csv_rows(parties_path, columns):
         acronym = row["canonical_acronym"].strip()
-        parties[acronym] = PartyRecord(
+        parties[acronym] = _checked(
+            f"{parties_path} line {line}",
+            PartyRecord,
             canonical_acronym=acronym,
             alignment=row["alignment"].strip(),
             relevance=row["relevance"].strip(),
         )
-    aliases = {
-        row["alias"].strip(): row["canonical_acronym"].strip()
-        for row in csv_rows(alias_path, ("alias", "canonical_acronym"))
-    }
+    aliases = {}
+    for line, row in numbered_csv_rows(alias_path, ("alias", "canonical_acronym")):
+        alias, canonical = row["alias"].strip(), row["canonical_acronym"].strip()
+        if canonical not in parties:
+            raise ValueError(
+                f"{alias_path} line {line}: alias {alias!r} maps to unknown canonical "
+                f"party {canonical!r}"
+            )
+        aliases[alias] = canonical
     return NormalizationMap(alias_to_canonical=aliases, canonical_to_party=parties)
+
+
+def _checked(where: str, record: Callable, **fields):
+    """record(**fields), or its ValueError prefixed with `where`."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _cell(
@@ -579,9 +589,11 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
         entry = per_body.setdefault(body, {}).setdefault(
             election, {"seats": {}, "total": None}
         )
-        entry["seats"][row["canonical_acronym"].strip()] = _cell(
-            path, line, "seats", row["seats"], int, "an integer"
-        )
+        party = row["canonical_acronym"].strip()
+        seats = _cell(path, line, "seats", row["seats"], int, "an integer")
+        if seats < 0:
+            raise ValueError(f"{path} line {line}: negative seats for {party!r}")
+        entry["seats"][party] = seats
         total = _cell(path, line, "total_seats", row["total_seats"], int, "an integer")
         if entry["total"] is not None and entry["total"] != total:
             raise ValueError(
@@ -594,7 +606,12 @@ def load_baselines(path: str | Path) -> dict[str, BaselineTable]:
         tables[body] = BaselineTable(
             body=body,
             elections={
-                day: ElectionResult(seats=e["seats"], total_seats=e["total"])
+                day: _checked(
+                    f"{path}: body {body!r} election {day}",
+                    ElectionResult,
+                    seats=e["seats"],
+                    total_seats=e["total"],
+                )
                 for day, e in elections.items()
             },
         )

@@ -246,6 +246,7 @@ def _read_snapshot(raw: str, nmap):
         csvformat.csv_columns(politicians_path, csvformat.POLITICIANS_CSV_HEADER),
         csvformat.read_parties_csv(parties_path) if parties_path.exists() else [],
         nmap,
+        politicians_path,
     )
 
 

@@ -5,25 +5,28 @@ feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
 Δ, a disparity matrix from explicit pair values, the inverse of a figure
 panel's y-transform, the audit's record layer (politician records with
 their affiliations, each one's activity period as a date interval, and
-the per-time-point count of the active politicians' careers), and rule
-matching one rule at a time.
+the per-time-point count of the active politicians' careers, over a
+snapshot parsed into one tuple per row), and rule matching one rule at a
+time.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date
 
 from kgdiv.audit import (
+    _UNREAD,
     LOW_SAMPLE_THRESHOLD,
     AuditResult,
     AuditRow,
     CoverageRow,
+    Finding,
     NormalizationMap,
-    Snapshot,
-    SnapshotRow,
+    UnmappedRef,
+    _row_date,
     compute_bounds,
 )
 from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
@@ -153,6 +156,124 @@ class PoliticianRecord:
         return frozenset(a.party for a in self.affiliations if a.relevant)
 
 
+#: One parsed snapshot row: (source, politician_id, label, party, relevant,
+#: start, end, death). party is the canonical acronym, or None for a row
+#: with no party reference or one the map cannot resolve; an inverted
+#: interval has lost its start and end.
+SnapshotRow = tuple[str, str, str, str | None, bool, date | None, date | None, date | None]
+
+#: A politicians snapshot parsed by read_snapshot_rows: one SnapshotRow per
+#: row, the refs the map cannot resolve, the sorted findings, and the
+#: latest retrieved_at stamp (None when no row has one).
+RowSnapshot = namedtuple("RowSnapshot", "rows unmapped findings retrieved_at")
+
+
+def read_snapshot_rows(
+    politician_rows: Iterable[Sequence[str]],
+    party_rows: Iterable[Mapping[str, str]] = (),
+    nmap: NormalizationMap | None = None,
+) -> RowSnapshot:
+    """Parse each politicians row once and flag data-quality problems.
+
+    A politicians row holds the fields of catalog.POLITICIANS_CSV_HEADER,
+    in that order, as fetch_politicians and read_politicians_csv give it.
+    Every date column is read once, and each distinct full ISO date value
+    parsed once; every party reference is resolved once (given a map;
+    without one no row has a party). The findings are
+    resources appearing both as politician and as party reference, rows
+    with a year or year-month date (one finding per row, naming the day
+    each is read as), inverted affiliation intervals, deaths predating an
+    affiliation start, and (given a map) politicians with no relevant
+    affiliation at all.
+    """
+    rows: list[SnapshotRow] = []
+    unmapped: list[UnmappedRef] = []
+    findings: list[Finding] = []
+    retrieved_at = None
+    politician_ids: set[str] = set()
+    party_refs = {r["party_id"] for r in party_rows if r.get("party_id")}
+    deaths: dict[str, date] = {}
+    starts: dict[str, list[date]] = {}
+    with_relevant: set[str] = set()
+    days: dict[str, date | None] = {}
+    for source, pid, label, ref, raw_start, raw_end, raw_death, _, raw_stamp in politician_rows:
+        politician_ids.add(pid)
+        if ref:
+            party_refs.add(ref)
+
+        # the memo is read here, so a value read before costs no call
+        partial: list[str] = []
+        start = days.get(raw_start, _UNREAD)
+        if start is _UNREAD:
+            start = _row_date(raw_start, "aff_start", partial, days)
+        end = days.get(raw_end, _UNREAD)
+        if end is _UNREAD:
+            end = _row_date(raw_end, "aff_end", partial, days)
+        death = days.get(raw_death, _UNREAD)
+        if death is _UNREAD:
+            death = _row_date(raw_death, "death_date", partial, days)
+        stamp = days.get(raw_stamp, _UNREAD)
+        if stamp is _UNREAD:
+            # a partial stamp is no finding
+            stamp = _row_date(raw_stamp, "retrieved_at", [], days)
+        if stamp is not None and (retrieved_at is None or stamp > retrieved_at):
+            retrieved_at = stamp
+        if partial:
+            findings.append(
+                Finding("partial-date", pid, f"affiliation {ref}: " + ", ".join(partial))
+            )
+        if start is not None:
+            starts.setdefault(pid, []).append(start)
+            if end is not None and end < start:
+                findings.append(
+                    Finding(
+                        "inverted-interval",
+                        pid,
+                        f"affiliation {ref} has end {end} before start {start}",
+                    )
+                )
+                start = end = None
+        if death is not None:
+            deaths.setdefault(pid, death)
+
+        party, relevant = None, False
+        raw_ref = ref.strip()
+        if raw_ref and nmap is not None:
+            party = nmap.resolve(raw_ref)
+            if party is None:
+                unmapped.append(UnmappedRef(raw_ref, pid, source))
+            elif nmap.party(party).relevance == "relevant":
+                relevant = True
+                with_relevant.add(pid)
+        rows.append((source, pid, label, party, relevant, start, end, death))
+
+    for conflicted in sorted(politician_ids & party_refs):
+        findings.append(
+            Finding(
+                "type-conflict",
+                conflicted,
+                "appears both as a politician and as a party reference",
+            )
+        )
+    for pid in sorted(deaths):
+        late_starts = [s for s in starts.get(pid, []) if s > deaths[pid]]
+        if late_starts:
+            findings.append(
+                Finding(
+                    "death-before-start",
+                    pid,
+                    f"death {deaths[pid]} precedes affiliation start {min(late_starts)}",
+                )
+            )
+    if nmap is not None:
+        for pid in sorted(politician_ids - with_relevant):
+            findings.append(
+                Finding("no-relevant-affiliation", pid, "no affiliation with a relevant party")
+            )
+    findings.sort(key=lambda f: (f.kind, f.subject))
+    return RowSnapshot(rows, unmapped, findings, retrieved_at)
+
+
 def normalize_affiliations(
     rows: Iterable[SnapshotRow],
     career_end_overrides: Mapping[str, date] | None = None,
@@ -218,22 +339,25 @@ def activity_period(p: PoliticianRecord, today: date) -> DateInterval | None:
 
 
 def audit_by_records(
-    snapshot: Snapshot,
+    snapshot: RowSnapshot,
     nmap: NormalizationMap,
     schedule: Sequence[date],
-    today: date,
+    today: Mapping[str, date],
     career_end_overrides: Mapping[str, date] | None = None,
 ) -> AuditResult:
     """run_audit through the record layer: per source, one record per
-    politician and one activity period per record, then per time point a
-    count of the active records' relevant party sets."""
+    politician and one activity period per record, its open ends capped at
+    the source's `today`, then per time point a count of the active
+    records' relevant party sets."""
     relevant = nmap.relevant_parties()
     rows, coverage = [], []
     for source in sorted({row[0] for row in snapshot.rows}):
         politicians = normalize_affiliations(
             [row for row in snapshot.rows if row[0] == source], career_end_overrides
         )
-        periods = [(activity_period(p, today), p.relevant_parties()) for p in politicians]
+        periods = [
+            (activity_period(p, today[source]), p.relevant_parties()) for p in politicians
+        ]
         dated = [(period, parties) for period, parties in periods if period is not None]
         for time_point in sorted(schedule):
             counts = Counter(

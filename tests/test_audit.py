@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -39,6 +40,7 @@ from tests.oracles import (
     activity_period,
     audit_by_records,
     normalize_affiliations,
+    read_snapshot_rows,
 )
 
 TODAY = date(2022, 5, 1)
@@ -71,9 +73,12 @@ def snapshot_row(
 
 
 def normalize(rows):
-    """The records and unmapped refs of one source's rows, read once."""
-    snapshot = read_snapshot(rows, nmap=make_map())
-    return normalize_affiliations(snapshot.rows), snapshot.unmapped
+    """The records and unmapped refs of one source's rows, through the
+    reference parse; read_snapshot finds the same unmapped refs."""
+    nmap = make_map()
+    reference = read_snapshot_rows(rows, nmap=nmap)
+    assert read_snapshot(rows, nmap=nmap).unmapped == reference.unmapped
+    return normalize_affiliations(reference.rows), reference.unmapped
 
 
 def audit(rows, nmap, schedule, today=None):
@@ -496,8 +501,16 @@ def test_two_sources_keep_their_own_deaths():
             "death_date 1999 read as 1999-12-31",
         ),
     ]
+    assert {
+        source: {pid: career[0] for pid, career in by_pid.items()}
+        for source, by_pid in snapshot.careers.items()
+    } == {
+        "en-dbpedia": {"p1": date(2000, 6, 30), "p2": date(2002, 1, 1)},
+        "wikidata": {"p1": date(2011, 12, 31)},
+    }
+    reference = read_snapshot_rows(rows, nmap=nmap)
     records = {
-        source: normalize_affiliations(r for r in snapshot.rows if r[0] == source)
+        source: normalize_affiliations(r for r in reference.rows if r[0] == source)
         for source in ("en-dbpedia", "wikidata")
     }
     assert records == {
@@ -611,10 +624,11 @@ class TestValidateSnapshot:
             ("p2", "affiliation N-VA: aff_start 1995 read as 1995-01-01"),
             ("p3", "affiliation N-VA: aff_end 1995 read as 1995-12-31"),
         ]
-        assert [row[5:7] for row in snapshot.rows] == [
-            (date(1995, 1, 1), date(1995, 12, 31)),
-            (date(1995, 1, 1), date(1999, 1, 1)),
-            (date(1990, 1, 1), date(1995, 12, 31)),
+        # each career is its one row's (start, end)
+        assert [career[1:3] for career in snapshot.careers["test"].values()] == [
+            [date(1995, 1, 1), date(1995, 12, 31)],
+            [date(1995, 1, 1), date(1999, 1, 1)],
+            [date(1990, 1, 1), date(1995, 12, 31)],
         ]
 
     def test_each_distinct_full_date_parsed_once(self, monkeypatch):
@@ -633,10 +647,10 @@ class TestValidateSnapshot:
             snapshot_row("p2", party="CD&V", start="2001-01-01", end="2005-01-01"),
             snapshot_row("p3", party="VB", start="2005-01-01", death="2001-01-01"),
         ]
-        snapshot = read_snapshot(rows)
+        snapshot = read_snapshot(rows, nmap=make_map())
         # the dates and the one retrieved_at stamp, each parsed once
         assert parsed == dict.fromkeys(["2001-01-01", "2005-01-01", "2022-05-01"], 1)
-        assert [row[5] for row in snapshot.rows] == [
+        assert [career[1] for career in snapshot.careers["test"].values()] == [
             date(2001, 1, 1), date(2001, 1, 1), date(2005, 1, 1)
         ]
 
@@ -660,12 +674,12 @@ def iso_dates_of_any_precision(draw):
 def test_property_partial_date_edges(case):
     text, first, last = case
     rows = [snapshot_row("p1", party="N-VA", start=text, end=text, death=text)]
-    (p,), _ = normalize(rows)
-    interval = p.affiliations[0].interval
-    assert interval.start <= interval.end
+    snapshot = read_snapshot(rows, nmap=make_map())
+    ((death, start, end, open_end, _),) = snapshot.careers["test"].values()
+    assert start <= end and not open_end
     # the start edge is the period's first day, the end and death its last
-    assert interval.start == first
-    assert interval.end == last == p.death_date
+    assert start == first
+    assert end == last == death
     assert [f.kind for f in findings_of(rows)] == (["partial-date"] if first != last else [])
 
 
@@ -773,6 +787,60 @@ def test_loaders(tmp_path):
     assert tables["VP"].elections[date(2019, 5, 26)].total_seats == 124
 
 
+MAP_CSV = "alias,canonical_acronym\nVolksunie,N-VA\n"
+PARTIES_CSV = "canonical_acronym,alignment,relevance\nN-VA,right,relevant\nCD&V,centre,relevant\n"
+BASELINES_CSV = (
+    "body,election_date,canonical_acronym,seats,total_seats\nKVV,2019-05-26,N-VA,25,150\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "parties.csv",
+            PARTIES_CSV + "VB,sideways,relevant\n",
+            " line 4: alignment 'sideways' not one of (",
+        ),
+        (
+            "parties.csv",
+            PARTIES_CSV + "VB,right,maybe\n",
+            " line 4: relevance 'maybe' not one of (",
+        ),
+        (
+            "map.csv",
+            MAP_CSV + "Foo,NOPE\n",
+            " line 3: alias 'Foo' maps to unknown canonical party 'NOPE'",
+        ),
+        (
+            "baselines.csv",
+            BASELINES_CSV + "KVV,2019-05-26,CD&V,-2,150\n",
+            " line 3: negative seats for 'CD&V'",
+        ),
+        (
+            "baselines.csv",
+            BASELINES_CSV + "KVV,2019-05-26,CD&V,126,150\n",
+            ": body 'KVV' election 2019-05-26: party seats exceed total seats",
+        ),
+        (
+            "baselines.csv",
+            "body,election_date,canonical_acronym,seats,total_seats\nVP,2014-05-25,N-VA,0,0\n",
+            ": body 'VP' election 2014-05-25: total_seats must be positive",
+        ),
+    ],
+    ids=["alignment", "relevance", "alias", "negative-seats", "seats-exceed-total", "no-seats"],
+)
+def test_rejected_map_parties_or_baselines_value_says_where(tmp_path, name, text, message):
+    inputs = {"map.csv": MAP_CSV, "parties.csv": PARTIES_CSV, "baselines.csv": BASELINES_CSV}
+    inputs[name] = text
+    for file, content in inputs.items():
+        (tmp_path / file).write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_normalization_map(tmp_path / "map.csv", tmp_path / "parties.csv")
+        load_baselines(tmp_path / "baselines.csv")
+    assert str(raised.value).startswith(f"{tmp_path / name}{message}")
+
+
 SOURCES = ("en-dbpedia", "nl-dbpedia", "wikidata")
 #: mapped, aliased, not-relevant, foreign, unmapped and missing references
 REFS = ("N-VA", "Volksunie", "CD&V", "VB", "sp.a", "LocalList", "UF", "Mystery", "")
@@ -825,6 +893,16 @@ def audit_cases(draw):
     return rows, overrides, schedule, today
 
 
+def latest_stamps(rows):
+    """The latest retrieved_at of each source that has one, read from the
+    raw rows."""
+    stamps = {}
+    for row in rows:
+        if row[8]:
+            stamps[row[0]] = max(stamps.get(row[0], row[8]), row[8])
+    return {source: date.fromisoformat(stamp) for source, stamp in stamps.items()}
+
+
 @given(audit_cases())
 @example(
     (
@@ -850,21 +928,82 @@ def test_property_run_audit_equals_record_oracle(case):
     rows, overrides, schedule, today = case
     nmap = make_map()
     snapshot = read_snapshot(rows, nmap=nmap)
+    reference = read_snapshot_rows(rows, nmap=nmap)
+    assert (snapshot.unmapped, snapshot.findings) == (reference.unmapped, reference.findings)
     # an override may not pass any death of its politician
-    for _, pid, _, _, _, _, _, death in snapshot.rows:
+    for _, pid, _, _, _, _, _, death in reference.rows:
         if death is not None and pid in overrides:
             overrides[pid] = min(overrides[pid], death)
-    if today is None and snapshot.rows and snapshot.retrieved_at is None:
+    stamps = latest_stamps(rows)
+    if today is None and set(stamps) != {row[0] for row in rows}:
         with pytest.raises(ValueError, match="--today"):
             run_audit(snapshot, nmap, schedule=schedule, career_end_overrides=overrides)
         return
     result = run_audit(
         snapshot, nmap, schedule=schedule, today=today, career_end_overrides=overrides
     )
-    expected = audit_by_records(
-        snapshot, nmap, schedule, today or snapshot.retrieved_at or date.today(), overrides
-    )
-    assert result == expected
+    caps = {row[0]: today or stamps[row[0]] for row in rows}
+    assert result == audit_by_records(reference, nmap, schedule, caps, overrides)
+
+
+def test_each_source_is_capped_at_its_own_stamp():
+    """An open career is capped at the latest stamp of its own source, so
+    a source audits the same beside another, later stamped one."""
+    en = [snapshot_row("p1", "N-VA", "2015-01-01", source="en-dbpedia", stamp="2019-06-01")]
+    wd = [snapshot_row("p2", "CD&V", "2015-01-01", source="wikidata", stamp="2022-05-27")]
+    schedule = [date(2018, 1, 1), date(2020, 1, 1)]
+    active = {
+        source: [c.active_total for c in audit(rows, make_map(), schedule).coverage]
+        for source, rows in (("alone", en), ("merged", en + wd))
+    }
+    assert active == {"alone": [1, 0], "merged": [1, 0, 1, 1]}
+
+
+def test_an_unstamped_source_needs_today_and_is_named():
+    rows = [
+        snapshot_row("p1", party="N-VA", start="2015-01-01", source="en-dbpedia"),
+        snapshot_row("p2", party="CD&V", start="2015-01-01", source="wikidata", stamp=""),
+    ]
+    with pytest.raises(ValueError, match="^no row of source wikidata has a retrieved_at stamp"):
+        audit(rows, make_map(), [date(2020, 1, 1)])
+    assert audit(rows, make_map(), [date(2020, 1, 1)], today=TODAY).coverage[1].active_total == 1
+
+
+@st.composite
+def restamped_audit_cases(draw):
+    """audit_cases with each row stamped at random, so that each source has
+    its own latest stamp, or none."""
+    rows, overrides, schedule, today = draw(audit_cases())
+    stamps = st.one_of(st.just(""), st.dates(date(1990, 1, 1), date(2025, 12, 31)).map(str))
+    return [row[:8] + (draw(stamps),) for row in rows], overrides, schedule, today
+
+
+@given(restamped_audit_cases())
+@settings(max_examples=200, deadline=None)
+def test_property_merged_audit_equals_the_per_source_audits(case):
+    rows, overrides, schedule, today = case
+    nmap = make_map()
+    # an override may not pass any death of its politician, in any source
+    for _, pid, _, _, _, _, _, death in read_snapshot_rows(rows, nmap=nmap).rows:
+        if death is not None and pid in overrides:
+            overrides[pid] = min(overrides[pid], death)
+
+    def audit_of(some_rows):
+        try:
+            return run_audit(
+                read_snapshot(some_rows, nmap=nmap), nmap, schedule, today, overrides
+            )
+        except ValueError as exc:
+            return str(exc)
+
+    merged = audit_of(rows)
+    alone = [audit_of([row for row in rows if row[0] == s]) for s in sorted({r[0] for r in rows})]
+    if isinstance(merged, str):
+        # the merged audit fails only where a source fails alone
+        assert "--today" in merged and any(isinstance(a, str) for a in alone)
+        return
+    assert merged.rows == [row for a in alone for row in a.rows]
+    assert merged.coverage == [row for a in alone for row in a.coverage]
 
 
 @given(audit_cases())
@@ -886,7 +1025,7 @@ def test_golden_snapshot_streamed_from_its_file_reads_as_its_rows(fixture_dir):
         csv_columns(golden / "politicians.csv", POLITICIANS_CSV_HEADER), parties, nmap
     )
     listed = read_snapshot(read_politicians_csv(golden / "politicians.csv"), parties, nmap)
-    assert streamed.rows and streamed == listed
+    assert streamed.careers and streamed == listed
 
 
 def test_override_after_death_names_the_first_politician():
@@ -905,4 +1044,39 @@ def test_override_after_death_names_the_first_politician():
     with pytest.raises(ValueError, match=message):
         run_audit(snapshot, nmap, schedule=[TODAY], career_end_overrides=overrides)
     with pytest.raises(ValueError, match=message):
-        audit_by_records(snapshot, nmap, [TODAY], TODAY, overrides)
+        audit_by_records(
+            read_snapshot_rows(rows, nmap=nmap), nmap, [TODAY], dict.fromkeys("ab", TODAY),
+            overrides,
+        )
+
+
+def test_read_and_audit_memory_follows_the_politicians_not_the_rows():
+    """One career per politician is all the read keeps of its rows: at 20
+    rows per politician the traced peak of read_snapshot and run_audit
+    stays near its peak at one row each (one parsed tuple per row would
+    make it about ten times as high). The dates come from one pool of 120,
+    so the memo of parsed dates does not grow with the rows either; what
+    does is one reference per start that the death-before-start finding
+    keeps."""
+    nmap = make_map()
+    refs = ("N-VA", "Volksunie", "CD&V", "VB", "sp.a", "LocalList")
+
+    def rows(politicians, per_politician):
+        for n in range(politicians):
+            pid = f"http://dbpedia.org/resource/Politician_{n:05d}"
+            death = "2019-05-01" if n % 2 else ""
+            for k in range(per_politician):
+                start = date(1980, 1, 1) + timedelta(days=90 * ((n + 7 * k) % 120))
+                end = "" if k % 3 else (start + timedelta(days=900)).isoformat()
+                ref = refs[(n + k) % len(refs)]
+                yield snapshot_row(pid, ref, start.isoformat(), end, death)
+
+    def peak(per_politician):
+        tracemalloc.start()
+        try:
+            run_audit(read_snapshot(rows(1000, per_politician), nmap=nmap), nmap)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20) < 1.5 * peak(1)

@@ -449,20 +449,31 @@ class TestAudit:
             writer.writeheader()
             writer.writerows(rows)
         per_source = Counter(row["source"] for row in rows)
+        politicians = {
+            source: len({row["politician_id"] for row in rows if row["source"] == source})
+            for source in per_source
+        }
 
-        # the careers of one source are built from all of its rows in one call
-        calls = []
-        real = kgdiv.audit._careers
+        # one read walks the rows once, into one career per politician and source
+        walked, careers = Counter(), []
+        real = kgdiv.audit.read_snapshot
 
-        def counting(source_rows, *args):
-            calls.append((source_rows[0][0], len(source_rows)))
-            return real(source_rows, *args)
+        def counting(politician_rows, *args):
+            def walk():
+                for row in politician_rows:
+                    walked[row[0]] += 1
+                    yield row
 
-        monkeypatch.setattr(kgdiv.audit, "_careers", counting)
+            snapshot = real(walk(), *args)
+            careers.append({source: len(by_pid) for source, by_pid in snapshot.careers.items()})
+            return snapshot
+
+        monkeypatch.setattr(kgdiv.audit, "read_snapshot", counting)
         schedule = ",".join(str(year) for year in range(1996, 2022, 2))
         argv = audit_args(snapshot, tmp_path / "out", fixture_dir, body=None)
         assert run_cli(*argv, "--schedule", schedule) == 0
-        assert calls == sorted(per_source.items())
+        assert walked == per_source
+        assert careers == [politicians]
 
 
     def test_each_date_read_once(self, tmp_path, fixture_dir, monkeypatch):
@@ -631,6 +642,30 @@ def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, cap
         code, message = 1, f"row 2: {value!r} is not a YYYY-MM-DD date"
     assert run_cli(*argv) == code
     assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "audit"])
+def test_bad_snapshot_date_names_file_and_row(tmp_path, fixture_dir, capsys, command):
+    snapshot = tmp_path / "snap"
+    shutil.copytree(GOLDEN / "snapshot_en", snapshot)
+    politicians = snapshot / "politicians.csv"
+    with open(politicians, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[3]["aff_start"] = "1985-1x-01"
+    with open(politicians, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    if command == "validate":
+        argv = ["validate", "--snapshot", str(snapshot), "--out", str(out)]
+    else:
+        argv = audit_args(snapshot, out, fixture_dir)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {politicians} row 4: aff_start '1985-1x-01' is not an ISO date\n"
+    )
     assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -1260,9 +1295,10 @@ class TestValidate:
         assert "retrieved_at '2022-13-01' is not an ISO date" in capsys.readouterr().err
 
     def test_streams_the_snapshot(self, tmp_path, fixture_dir, capsys):
-        # the rows are parsed as they are read: the parsed rows peak at
-        # about three times the file's size, and a list of the raw rows
-        # beside them at about five and a half times
+        # the rows are read into careers as they stream: the careers peak
+        # at about 1.3 times the file's size, one parsed tuple per row at
+        # about three times, and a list of the raw rows beside them at
+        # about five and a half times
         with open(fixture_dir / "map.csv", newline="", encoding="utf-8") as fh:
             aliases = [row["alias"] for row in csv.DictReader(fh)]
         snapshot = tmp_path / "snap"
