@@ -428,10 +428,10 @@ def cmd_score(args) -> int:
     rules_path = _require_file(args.rules, "rules")
     rules = load_rules(rules_path) if rules_path else []
     triples_path = _require_file(args.triples, "triples")
-    triples = (
-        CsvTripleSource.from_file(triples_path) if triples_path else None
-    )
     ontology = builtin_ontology()
+    triples = (
+        CsvTripleSource.from_file(triples_path, ontology) if triples_path else None
+    )
     params = DiversityParams(
         alpha=1.0 if args.alpha is None else args.alpha,
         beta=1.0 if args.beta is None else args.beta,

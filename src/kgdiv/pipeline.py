@@ -117,41 +117,46 @@ _TYPE_PREDICATES = frozenset(
 
 
 class CsvTripleSource:
-    """Triples from a CSV of subject,predicate,object rows.
+    """Triples from subject,predicate,object rows, each field stripped,
+    held as each subject's (predicate, object) pairs in file order.
 
-    Lookups go through a subject index built on the first lookup, so the
-    rows must not change after that.
+    Given an ontology, only the rows that scoring reads are kept, as they
+    are read: those whose predicate the ontology maps, and type rows.
+    Labels, abstracts, notes and every other predicate are dropped.
     """
 
-    def __init__(self, rows: list[tuple[str, str, str]]):
-        self.rows = rows
+    def __init__(
+        self, rows: Iterable[Sequence[str]], ontology: LocalOntology | None = None
+    ):
+        if ontology is not None:
+            # a kept predicate is held as the ontology's own string
+            keep = {p: p for p in (*ontology.property_map, *_TYPE_PREDICATES)}
+            rows = (
+                (subject, keep[stripped], obj)
+                for subject, predicate, obj in rows
+                if (stripped := predicate.strip()) in keep
+            )
+        index: dict[str, list[tuple[str, str]]] = {}
+        for subject, predicate, obj in rows:
+            subject = subject.strip()
+            pairs = index.get(subject)
+            if pairs is None:
+                index[subject] = pairs = []
+            pairs.append((predicate.strip(), obj.strip()))
+        self._by_subject = index
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "CsvTripleSource":
-        rows = [
-            (subject.strip(), predicate.strip(), obj.strip())
-            for subject, predicate, obj in csv_columns(
-                path, ("subject", "predicate", "object")
-            )
-        ]
-        return cls(rows=rows)
-
-    @cached_property
-    def _by_subject(self) -> dict[str, list[tuple[str, str, str]]]:
-        """The rows of each subject, in file order, built on first lookup."""
-        index: dict[str, list[tuple[str, str, str]]] = {}
-        for row in self.rows:
-            index.setdefault(row[0], []).append(row)
-        return index
+    def from_file(
+        cls, path: str | Path, ontology: LocalOntology | None = None
+    ) -> "CsvTripleSource":
+        return cls(csv_columns(path, ("subject", "predicate", "object")), ontology)
 
     def predicates(self, resource_id: str) -> list[tuple[str, str]]:
-        return [(p, o) for _, p, o in self._by_subject.get(resource_id, ())]
+        return list(self._by_subject.get(resource_id, ()))
 
     def types(self, resource_id: str) -> list[str]:
         return [
-            o
-            for _, p, o in self._by_subject.get(resource_id, ())
-            if p in _TYPE_PREDICATES
+            o for p, o in self._by_subject.get(resource_id, ()) if p in _TYPE_PREDICATES
         ]
 
 

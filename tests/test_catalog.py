@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kgdiv.catalog import (
     PARTIES_CSV_HEADER,
@@ -18,6 +22,7 @@ from kgdiv.catalog import (
     write_parties_csv,
     write_politicians_csv,
 )
+from kgdiv.csvformat import write_csv
 from kgdiv.fixtures import FixtureStore, FixtureTransport
 from kgdiv.sparql import _SELECT as SELECT
 from kgdiv.sparql import DIALECTS, EndpointConfig
@@ -169,6 +174,41 @@ def test_snapshot_csv_round_trip(tmp_path, transport):
 
     assert read_politicians_csv(pol_path) == politicians
     assert read_parties_csv(par_path) == [dict(zip(PARTIES_CSV_HEADER, row)) for row in parties]
+
+
+#: rows that csv.writer may write otherwise than joined with ","; hypothesis
+#: draws the first ones most, and the last five send a whole chunk to it
+ODD_CSV_ROWS = [
+    ['"', "c"], ["a\nb", "c"], ["a,b", "c"], ["a\rb", "c"], [",", ""], ['a"b', "c"],
+    ["a", "\r\n"], ["a", "\x00"], [], [""], ["a"], ["a", 1], [2, -3],
+]
+
+
+@given(
+    plain=st.lists(
+        st.lists(st.text(st.sampled_from("ab \u00e9"), max_size=3), min_size=2, max_size=4),
+        min_size=1,
+        max_size=8,
+    ),
+    copies=st.integers(0, 20),
+    odd=st.lists(st.tuples(st.integers(0, 600), st.sampled_from(ODD_CSV_ROWS)), max_size=3),
+)
+# each odd row alone in a chunk of 32 rows, 40 rows apart
+@example(plain=[["a", "b"]] * 16, copies=33, odd=[(40 * k, r) for k, r in enumerate(ODD_CSV_ROWS)])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_csv_writes_csv_writer_bytes(tmp_path, plain, copies, odd):
+    # up to 160 plain rows and a few odd ones anywhere, so that the writer's
+    # chunks of 32 rows are plain or mixed and the odd rows fall at any offset
+    rows = plain * copies
+    for at, row in odd:
+        rows.insert(at % (len(rows) + 1), row)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["h1", "h2"])
+    writer.writerows(rows)
+    path = tmp_path / "out.csv"
+    write_csv(path, ["h1", "h2"], iter(rows))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_read_csv_rejects_missing_columns(tmp_path):

@@ -1212,15 +1212,43 @@ class TestReport:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "shares, bad",
+        [
+            ("0.1,1.500000,0.1", "upper_share '1.500000'"),
+            ("-0.1,0.2,0.1", "lower_share '-0.1'"),
+            ("0.1,0.2,nan", "baseline_share 'nan'"),
+        ],
+    )
+    def test_share_outside_unit_interval_names_file_and_row(
+        self, tmp_path, capsys, shares, bad
+    ):
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            "s,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
+            f"s,2020-01-01,PVDA,left,1,2,{shares},indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "f"
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed audit CSV {audit_csv}:\n  row 3: {bad} outside [0, 1]\n"
+        )
+        assert not out.exists()
+
     def test_bad_source_writes_no_figure(self, tmp_path, capsys):
-        # sources draw in sorted order: "a-src" draws, then "b-bad" has a share above 1
+        # sources draw in sorted order: "a-src" draws, then "b-bad" has its
+        # bounds in the wrong order, which only the figure checks
         audit_csv = tmp_path / "audit.csv"
         audit_csv.write_text(
             "source,time_point,canonical_acronym,alignment,lower_count,"
             "upper_count,lower_share,upper_share,baseline_share,verdict,"
             "active_total\n"
             "a-src,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
-            "b-bad,2020-01-01,A,left,1,2,0.1,1.5,0.1,indeterminate,10\n",
+            "b-bad,2020-01-01,A,left,1,2,0.3,0.2,0.1,indeterminate,10\n",
             encoding="utf-8",
         )
         out = tmp_path / "fig"

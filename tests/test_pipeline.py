@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import _sre
+import csv
 import json
 import random
 import re
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kgdiv.diversity import FeatureSet
@@ -32,7 +34,7 @@ from kgdiv.pipeline import (
     match_rules,
     parse_annotation_response,
 )
-from kgdiv.pipeline import _fold, _folds_in_place
+from kgdiv.pipeline import _TYPE_PREDICATES, _fold, _folds_in_place
 from tests import oracles
 
 try:
@@ -468,6 +470,91 @@ class TestTripleIndex:
             assert triples.types(subject) == [
                 o for s, p, o in rows if s == subject and p in ("type", "P31")
             ]
+
+
+def write_triples(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject", "predicate", "object"])
+        writer.writerows(rows)
+
+
+DBO = "http://dbpedia.org/ontology/"
+WDT = "http://www.wikidata.org/prop/direct/"
+TRIPLE_SUBJECTS = ["A", "B", "http://example.org/C"]
+TRIPLE_PREDICATES = [
+    # mapped, as bare names and as IRIs
+    "party", "ideology", "country", f"{DBO}party", f"{WDT}P1142", f"{WDT}P17",
+    # type predicates
+    "type", "a", "P31", "rdf:type", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+    # never read
+    "label", "note-1", "http://www.w3.org/2000/01/rdf-schema#label", f"{DBO}abstract",
+]
+TRIPLE_OBJECTS = [*TRIPLE_SUBJECTS, "person", "party", "country", f"{DBO}Person", "x"]
+
+
+def padded(values):
+    return st.builds(
+        lambda left, value, right: left + value + right,
+        st.sampled_from(["", " ", "  "]),
+        st.sampled_from(values),
+        st.sampled_from(["", " "]),
+    )
+
+
+class TestOntologyFilter:
+    @given(
+        st.lists(
+            st.tuples(padded(TRIPLE_SUBJECTS), padded(TRIPLE_PREDICATES), padded(TRIPLE_OBJECTS)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property_filtered_source_scores_alike(self, tmp_path, rows):
+        path = tmp_path / "triples.csv"
+        write_triples(path, rows)
+        ontology = builtin_ontology()
+        full = CsvTripleSource.from_file(path)
+        kept = CsvTripleSource.from_file(path, ontology)
+        for resource in {*TRIPLE_SUBJECTS, *TRIPLE_OBJECTS}:
+            assert enrich_entity(resource, kept, ontology) == enrich_entity(
+                resource, full, ontology
+            )
+            assert kept.types(resource) == full.types(resource)
+            assert kept.predicates(resource) == [
+                (p, o)
+                for p, o in full.predicates(resource)
+                if p in ontology.property_map or p in _TYPE_PREDICATES
+            ]
+
+    def test_unread_rows_are_not_held(self, tmp_path):
+        # three unread rows per read row, as in a dump with labels and notes
+        rows = []
+        for i in range(2000):
+            actor = f"http://example.org/actor/{i:05d}"
+            rows += [
+                (actor, f"{DBO}party" if i % 2 else "type", f"http://example.org/party/{i % 7}"),
+                (actor, "http://www.w3.org/2000/01/rdf-schema#label", f"Actor number {i:05d}"),
+                (actor, f"{DBO}abstract", f"An actor, one of many: number {i:05d}"),
+                (actor, f"note-{i % 3}", f"note on actor {i:05d}"),
+            ]
+        path = tmp_path / "triples.csv"
+        write_triples(path, rows)
+        ontology = builtin_ontology()
+
+        def held(*args):
+            tracemalloc.start()
+            try:
+                source = CsvTripleSource.from_file(path, *args)
+                return tracemalloc.get_traced_memory()[0], source
+            finally:
+                tracemalloc.stop()
+
+        (full, _), (kept, source) = held(), held(ontology)
+        assert kept <= 0.4 * full
+        assert source.predicates("http://example.org/actor/00001") == [
+            (f"{DBO}party", "http://example.org/party/1")
+        ]
 
 
 class TestEnrichment:
