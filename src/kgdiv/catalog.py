@@ -14,7 +14,8 @@ The snapshot CSV formats, and their readers, live in csvformat.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from pathlib import Path
 
 from .csvformat import PARTIES_CSV_HEADER, POLITICIANS_CSV_HEADER, write_csv
@@ -253,13 +254,13 @@ def fetch_politicians(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-) -> list[tuple[str, ...]]:
-    """Materialize the politicians snapshot, one tuple per affiliation, in
-    POLITICIANS_CSV_HEADER order."""
+) -> Iterator[tuple[str, ...]]:
+    """The politicians snapshot, one tuple per affiliation in
+    POLITICIANS_CSV_HEADER order, fetched as the iterator is read."""
     template = builtin_templates()[(endpoint.dialect, "politicians")]
     dialect = endpoint.dialect
     # the values come in the template's SELECT order
-    return [
+    return (
         (
             dialect,
             politician,
@@ -274,29 +275,30 @@ def fetch_politicians(
         for politician, label, party, start, end, death, position in execute_query(
             endpoint, template, transport=transport
         )
-    ]
+    )
 
 
 def fetch_parties(
     endpoint: EndpointConfig,
     retrieved_at: str,
     transport: Transport | None = None,
-) -> list[tuple[str, ...]]:
-    """Materialize the parties snapshot, one tuple per party in
-    PARTIES_CSV_HEADER order, using the usage-based fallback when the direct
-    query comes back empty."""
+) -> Iterator[tuple[str, ...]]:
+    """The parties snapshot, one tuple per party in PARTIES_CSV_HEADER
+    order, fetched as the iterator is read. The direct query's first row,
+    or its lack, decides on the usage-based fallback."""
     catalog = builtin_templates()
     bindings = execute_query(
         endpoint, catalog[(endpoint.dialect, "parties")], transport=transport
     )
+    first = next(bindings, None)
     fallback = catalog.get((endpoint.dialect, "parties_via_usage"))
-    if not bindings and fallback is not None:
+    if first is not None:
+        bindings = chain((first,), bindings)
+    elif fallback is not None:
         bindings = execute_query(endpoint, fallback, transport=transport)
     # the values come in the templates' SELECT order
-    return [
-        (endpoint.dialect, party, label, country, alignment, retrieved_at)
-        for party, label, country, alignment in bindings
-    ]
+    for party, label, country, alignment in bindings:
+        yield endpoint.dialect, party, label, country, alignment, retrieved_at
 
 
 def coverage_counts(
@@ -307,19 +309,18 @@ def coverage_counts(
     catalog = builtin_templates()
     counts = {}
     for template_id in COVERAGE_TEMPLATE_IDS:
-        counts[template_id] = len(
-            execute_query(
-                endpoint, catalog[(endpoint.dialect, template_id)], transport=transport
-            )
+        rows = execute_query(
+            endpoint, catalog[(endpoint.dialect, template_id)], transport=transport
         )
+        counts[template_id] = sum(1 for _ in rows)
     return counts
 
 
-def write_politicians_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
-    """Write fetch_politicians' tuples as they are."""
-    write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
+def write_politicians_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> int:
+    """Write fetch_politicians' tuples as they are; gives their number."""
+    return write_csv(Path(path), POLITICIANS_CSV_HEADER, rows)
 
 
-def write_parties_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
-    """Write fetch_parties' tuples as they are."""
-    write_csv(Path(path), PARTIES_CSV_HEADER, rows)
+def write_parties_csv(path: str | Path, rows: Iterable[Sequence[str]]) -> int:
+    """Write fetch_parties' tuples as they are; gives their number."""
+    return write_csv(Path(path), PARTIES_CSV_HEADER, rows)

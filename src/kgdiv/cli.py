@@ -159,19 +159,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> None:
+def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, object]:
     """Write each named output through a .tmp file and rename them only once
-    all are written, so a failure leaves none of them behind."""
+    all are written, so a failure leaves none of them behind. Gives what
+    each writer returned, by name."""
     tmps = {name: out / f"{name}.tmp" for name in writers}
     try:
+        written = {}
         for name, write in writers.items():
-            write(tmps[name])
+            written[name] = write(tmps[name])
         for name, tmp in tmps.items():
             tmp.replace(out / name)
     except BaseException:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
         raise
+    return written
 
 
 def _require_file(raw: str | Path | None, what: str) -> Path | None:
@@ -211,10 +214,11 @@ def cmd_fetch(args) -> int:
     else:
         retrieved_at = date.today().isoformat()
 
+    # the rows are fetched as they are written: the parties once the
+    # politicians are all written
     politicians = catalog.fetch_politicians(endpoint, retrieved_at, transport=transport)
     parties = catalog.fetch_parties(endpoint, retrieved_at, transport=transport)
-
-    _write_all(
+    written = _write_all(
         out,
         {
             "politicians.csv": partial(catalog.write_politicians_csv, rows=politicians),
@@ -222,8 +226,8 @@ def cmd_fetch(args) -> int:
         },
     )
     print(
-        f"wrote {len(politicians)} politician rows and {len(parties)} party "
-        f"rows to {out}"
+        f"wrote {written['politicians.csv']} politician rows and "
+        f"{written['parties.csv']} party rows to {out}"
     )
     return 0
 
@@ -481,9 +485,17 @@ def cmd_score(args) -> int:
         for entity_id in ids:
             count_rows.append([doc.doc_id, entity_id, counts[entity_id]])
 
-    write_csv(out / "scores.csv", ["doc_id", "n_entities", "delta"], score_rows)
+    # the ints as str, made as the rows are written, so that write_csv can
+    # join the rows
     write_csv(
-        out / "entity_counts.csv", ["doc_id", "entity_id", "count"], count_rows
+        out / "scores.csv",
+        ["doc_id", "n_entities", "delta"],
+        ((doc_id, str(n), delta) for doc_id, n, delta in score_rows),
+    )
+    write_csv(
+        out / "entity_counts.csv",
+        ["doc_id", "entity_id", "count"],
+        ((doc_id, entity_id, str(n)) for doc_id, entity_id, n in count_rows),
     )
     print(f"scored {len(docs)} documents into {out}")
     return 0

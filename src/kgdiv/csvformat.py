@@ -79,22 +79,26 @@ def alignment_rank(alignment: str) -> int:
     return ALIGNMENTS.index(alignment)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The header and the rows as csv.writer writes them, with "\n" line
-    ends. The rows go 32 at a time, each chunk joined with "," unless
-    `_joined` finds a field that csv.writer would write otherwise. A
-    chunk's text stays within the file's 8 KiB write buffer, so it adds
-    no memory: 256-row chunks raised `fetch`'s peak."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write the header and the rows as csv.writer writes them, with "\n"
+    line ends, and give the number of rows. The rows go 32 at a time, each
+    chunk joined with "," unless `_joined` finds a field that csv.writer
+    would write otherwise. A chunk's text stays within the file's 8 KiB
+    write buffer, so it adds no memory: 256-row chunks raised `fetch`'s
+    peak."""
+    written = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         rows = iter(rows)
         for chunk in iter(lambda: list(islice(rows, 32)), []):
+            written += len(chunk)
             text = _joined(chunk)
             if text is None:
                 writer.writerows(chunk)
             else:
                 fh.write(text)
+    return written
 
 
 def _joined(rows: list[Sequence]) -> str | None:
@@ -237,6 +241,11 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
         try:
             if row["alignment"] not in ALIGNMENTS:
                 raise ValueError(f"alignment {row['alignment']!r} not one of {ALIGNMENTS}")
+            lower, upper = _share(row, "lower_share"), _share(row, "upper_share")
+            if lower > upper:
+                raise ValueError(
+                    f"lower_share {row['lower_share']!r} above upper_share {row['upper_share']!r}"
+                )
             rows.append(
                 AuditRow(
                     source=row["source"],
@@ -245,8 +254,8 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
                     alignment=row["alignment"],
                     lower_count=int(row["lower_count"]),
                     upper_count=int(row["upper_count"]),
-                    lower_share=_share(row, "lower_share"),
-                    upper_share=_share(row, "upper_share"),
+                    lower_share=lower,
+                    upper_share=upper,
                     baseline_share=_share(row, "baseline_share"),
                     verdict=row["verdict"],
                     active_total=int(row["active_total"]),

@@ -32,14 +32,15 @@ where the file has no more bytes, and its message places it in the whole
 file as json.loads would. A page asked for again is decoded again. So
 the file is checked as the pages reach it: bad JSON or a byte that is
 not UTF-8 in a later element, or after the array, is found by the
-request for the page that gets there, and execute_query, which pages to
-the end, finds it before it returns.
+request for the page that gets there, and execute_query's rows, read to
+the end, find it before they end.
 
 The in-process transport (no sockets) hands each page straight to
-sparql.parse_results, which builds its rows as the bindings are decoded:
-nothing is encoded only to be decoded again, and no page is held whole.
-At 100k politicians (a 76 MB dataset) one `fetch` peaks at about 133 MB,
-most of it the rows it writes.
+sparql.parse_results, whose rows are parsed as the bindings are decoded
+and reach the snapshot CSV one at a time: nothing is encoded only to be
+decoded again, and no page is held whole. At 100k politicians (a 76 MB
+dataset) one `fetch` peaks at about 57 MB, most of it the one key per
+distinct row that execute_query keeps to drop repeats.
 The tests serve the same store over HTTP with a local server speaking the
 SPARQL protocol (tests/fixture_server.py), which decodes each page and
 encodes the document for the wire.

@@ -1,13 +1,15 @@
 """SPARQL endpoint client: templated queries, paging, rate limiting, parsing.
 
 Queries are issued with LIMIT/OFFSET pages until a short page comes back.
-Each JSON binding is parsed once into one compact row: its values in the
-variable order, and the kind, datatype and language tag of each term, as
-one tuple shared by every binding of the same shape. That pair is the key
-that deduplicates rows, a second safety net against unstable OFFSET
-paging, and the values are the row a query returns. A full page that adds
-no new row stops the query with an error rather than paging forever.
-Per-endpoint request rates are capped process-wide.
+The rows stream: a page is requested when the rows before it have been
+read, and each JSON binding is parsed, as it is read, into one compact
+row: its values in the variable order, and the kind, datatype and
+language tag of each term, as one tuple shared by every binding of the
+same shape. Rows are deduplicated, a second safety net against unstable
+OFFSET paging, on that pair; the query keeps, per tuple of term shapes,
+only each distinct row's values joined on NUL, and gives the values. A
+full page that adds no new row stops the query with an error rather than
+paging forever. Per-endpoint request rates are capped process-wide.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 import threading
 import time
 from collections import namedtuple
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from urllib.parse import urlencode
 
 from . import DIALECTS, QueryError
@@ -155,43 +157,60 @@ def execute_query(
     endpoint: EndpointConfig,
     template: QueryTemplate,
     transport: Transport | None = None,
-) -> list[tuple[str, ...]]:
+) -> Iterator[tuple[str, ...]]:
     """Run a query template with paging, dedup, rate limiting and retries.
 
-    Returns each distinct binding's values, in first-seen order, as a tuple
-    in the template's variable order ("" where unbound): the variables its
-    SELECT names, or the endpoint's for SELECT *. Bindings that differ only
-    in a datatype or language tag are distinct, so they give two rows with
-    the same values.
+    The arguments are checked at the call; the pages are requested as the
+    returned iterator is read. It gives each distinct binding's values, in
+    first-seen order, as a tuple in the template's variable order (""
+    where unbound): the variables its SELECT names, or the endpoint's for
+    SELECT *. Bindings that differ only in a datatype or language tag are
+    distinct, so they give two rows with the same values.
     """
     if template.dialect != endpoint.dialect:
         raise ValueError(
             f"template dialect {template.dialect!r} does not match endpoint "
             f"dialect {endpoint.dialect!r}"
         )
-    send = transport or http_transport
-    limiter = _limiter_for(endpoint)
     selected = re.search(_SELECT, template.query_text)
     order = tuple(selected.group(1).replace("?", "").split()) if selected else None
+    return _distinct_rows(endpoint, template.query_text, transport or http_transport, order)
 
-    rows: dict[Row, None] = {}
+
+def _distinct_rows(
+    endpoint: EndpointConfig, query: str, send: Transport, order: tuple[str, ...] | None
+) -> Iterator[tuple[str, ...]]:
+    limiter = _limiter_for(endpoint)
+    # per tuple of term shapes, each distinct row's values joined on NUL,
+    # or the values themselves where one of them holds a NUL
+    seen: dict[tuple, set] = {}
     offset = 0
     while True:
-        paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
+        paged = f"{query}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
         # a SELECT * keeps the order the first page declares
         order, page = parse_results(body, order)
-        before = len(rows)
-        rows.update(dict.fromkeys(page))
-        if len(page) < endpoint.page_size:
-            break
-        if len(rows) == before:
+        joins = len(order) - 1
+        read = new = 0
+        for read, (values, terms) in enumerate(page, 1):
+            key = "\0".join(values)
+            if key.count("\0") != joins:
+                key = values
+            keys = seen.get(terms)
+            if keys is None:
+                keys = seen[terms] = set()
+            if key not in keys:
+                keys.add(key)
+                new += 1
+                yield values
+        if read < endpoint.page_size:
+            return
+        if not new:
             raise MalformedResultError(
                 f"endpoint {endpoint.url} returned a full page at offset {offset} "
                 "with no new rows; it may ignore OFFSET"
             )
         offset += endpoint.page_size
-    return [values for values, _ in rows]
 
 
 def _send_with_retry(
@@ -211,12 +230,13 @@ def _send_with_retry(
 
 def parse_results(
     body: bytes | Mapping, order: tuple[str, ...] | None = None
-) -> tuple[tuple[str, ...], list[Row]]:
+) -> tuple[tuple[str, ...], Iterator[Row]]:
     """Parse a SPARQL JSON results document, as bytes or decoded (and then
-    only read), into one Row per binding, its values in `order` (by
-    default the order the document declares), and give that order with
-    the rows. Datatypes and language tags are kept; each distinct term
-    shape, and each distinct tuple of them, is one shared object."""
+    only read): its head is checked at the call, and the order of the
+    values (by default the one the document declares) comes with an
+    iterator that parses one Row per binding as it is read. Datatypes and
+    language tags are kept; each distinct term shape, and each distinct
+    tuple of them, is one shared object."""
     try:
         doc = body if isinstance(body, Mapping) else json.loads(body)
         declared = tuple(doc["head"]["vars"])
@@ -226,12 +246,17 @@ def parse_results(
         where = {var: i for i, var in enumerate(order) if var in declared}
     except (ValueError, KeyError, TypeError) as exc:
         raise MalformedResultError(f"not a SPARQL JSON results document: {exc}") from exc
+    return order, _rows(bindings, order, declared, where)
+
+
+def _rows(
+    bindings: Iterable, order: tuple[str, ...], declared: tuple[str, ...], where: dict[str, int]
+) -> Iterator[Row]:
     unbound_values = [""] * len(order)
     unbound_terms = [None] * len(order)
     # (type, datatype, xml:lang) as sent -> the checked term shape
     shapes: dict[tuple, tuple[str, str, str]] = {}
     shared: dict[tuple, tuple] = {}
-    rows = []
     try:
         for binding in bindings:
             values = unbound_values[:]
@@ -257,10 +282,9 @@ def parse_results(
                 values[i] = value
                 terms[i] = shape
             terms = tuple(terms)
-            rows.append((tuple(values), shared.setdefault(terms, terms)))
+            yield tuple(values), shared.setdefault(terms, terms)
     except (AttributeError, TypeError) as exc:
         raise MalformedResultError(f"malformed binding: {exc}") from exc
-    return order, rows
 
 
 def _term_shape(term: Mapping) -> tuple[str, str, str]:

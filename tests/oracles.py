@@ -6,12 +6,14 @@ feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
 panel's y-transform, the audit's record layer (politician records with
 their affiliations, each one's activity period as a date interval, and
 the per-time-point count of the active politicians' careers, over a
-snapshot parsed into one tuple per row), and rule matching one rule at a
-time.
+snapshot parsed into one tuple per row), rule matching one rule at a
+time, and a query's distinct rows kept whole, as (values, terms) dict
+keys over lists of each page's rows.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -32,6 +34,15 @@ from kgdiv.audit import (
 from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
 from kgdiv.pipeline import EntityMention, MatchRule, TextDocument, _fold, _folds_in_place
 from kgdiv.report import PANEL_HEIGHT
+from kgdiv.sparql import (
+    _SELECT,
+    RESULTS_JSON,
+    EndpointConfig,
+    MalformedResultError,
+    QueryTemplate,
+    Transport,
+    parse_results,
+)
 
 
 def jaccard_distance(a: FeatureSet, b: FeatureSet) -> float:
@@ -451,3 +462,31 @@ def _anchored_spans(
         else:
             yield pos, m.end(), m.group(0)
             pos = folded_text.find(folded, m.end())
+
+
+def query_rows(
+    endpoint: EndpointConfig, template: QueryTemplate, transport: Transport
+) -> list[tuple[str, ...]]:
+    """execute_query's rows as a list, without its rate limit and retries:
+    each page's rows listed whole, and every distinct (values, terms) row
+    kept as a dict key, in first-seen order."""
+    selected = re.search(_SELECT, template.query_text)
+    order = tuple(selected.group(1).replace("?", "").split()) if selected else None
+    rows: dict = {}
+    offset = 0
+    while True:
+        paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
+        body = transport(endpoint.url, paged, RESULTS_JSON, endpoint.timeout)
+        order, page = parse_results(body, order)
+        page = list(page)
+        before = len(rows)
+        rows.update(dict.fromkeys(page))
+        if len(page) < endpoint.page_size:
+            break
+        if len(rows) == before:
+            raise MalformedResultError(
+                f"endpoint {endpoint.url} returned a full page at offset {offset} "
+                "with no new rows; it may ignore OFFSET"
+            )
+        offset += endpoint.page_size
+    return [values for values, _ in rows]

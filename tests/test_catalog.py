@@ -160,8 +160,8 @@ def test_coverage_counts_match_recorded_fixtures(transport):
 
 
 def test_snapshot_csv_round_trip(tmp_path, transport):
-    politicians = fetch_politicians(endpoint("en-dbpedia"), "2022-05-27", transport)
-    parties = fetch_parties(endpoint("en-dbpedia"), "2022-05-27", transport)
+    politicians = list(fetch_politicians(endpoint("en-dbpedia"), "2022-05-27", transport))
+    parties = list(fetch_parties(endpoint("en-dbpedia"), "2022-05-27", transport))
     pol_path = tmp_path / "politicians.csv"
     par_path = tmp_path / "parties.csv"
     write_politicians_csv(pol_path, politicians)

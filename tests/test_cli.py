@@ -227,6 +227,72 @@ class TestFetch:
         lines = (out / "parties.csv").read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) > 1
 
+    def test_a_failing_parties_query_leaves_the_earlier_snapshot(
+        self, tmp_path, kg_fixture_dir, capsys
+    ):
+        # the parties are fetched once politicians.csv.tmp is written
+        fixture = tmp_path / "kg"
+        shutil.copytree(kg_fixture_dir, fixture)
+        (fixture / "en-dbpedia" / "parties.json").write_text(
+            '{"variables": ["party"], "bindings": [{"party": {"type": "wat", "value": "x"}}]}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "snap"
+        out.mkdir()
+        (out / "politicians.csv").write_text("earlier", encoding="utf-8")
+        assert run_cli(*fetch_args(out, fixture)) == 1
+        assert capsys.readouterr().err == "error: unknown binding kind 'wat'\n"
+        assert [p.name for p in out.iterdir()] == ["politicians.csv"]
+        assert (out / "politicians.csv").read_text(encoding="utf-8") == "earlier"
+
+    def test_peak_follows_the_distinct_keys(self, tmp_path, capsys):
+        # fetch keeps one NUL-joined key per distinct row while the rows
+        # stream to the file: its traced peak is about 1.6 times the keys'
+        # size; a page of parsed rows, every distinct row and the fetched
+        # tuples, each held whole, peaked at about 3.5 times
+        import kgdiv.catalog
+        import kgdiv.config
+        import kgdiv.fixtures  # noqa: F401 (imported outside the trace)
+
+        date = "http://www.w3.org/2001/XMLSchema#date"
+        bindings = []
+        for n in range(20_000):
+            binding = {
+                "politician": {"type": "uri", "value": f"http://dbpedia.org/resource/P_{n // 2:06d}"},
+                "label": {"type": "literal", "value": f"Politician {n // 2}", "xml:lang": "en"},
+                "party": {"type": "uri", "value": f"http://dbpedia.org/resource/Party_{n % 40}"},
+                "start": {"type": "literal", "value": f"{1950 + n % 60}-0{1 + n % 9}-1{n % 10}", "datatype": date},
+            }
+            if n % 3 == 0:
+                binding["end"] = {"type": "literal", "value": f"{1960 + n % 60}-12-31", "datatype": date}
+            bindings.append(binding)
+            if n % 10 == 0:
+                bindings.append(binding)  # a repeat
+        fixture = tmp_path / "kg"
+        (fixture / "en-dbpedia").mkdir(parents=True)
+        variables = ["politician", "label", "party", "start", "end", "death", "position"]
+        (fixture / "en-dbpedia" / "politicians.json").write_text(
+            json.dumps({"variables": variables, "bindings": bindings}), encoding="utf-8"
+        )
+        (fixture / "en-dbpedia" / "parties.json").write_text(
+            '{"variables": ["party", "label", "country", "alignment"], "bindings": []}',
+            encoding="utf-8",
+        )
+        del bindings, binding
+        out = tmp_path / "snap"
+        tracemalloc.start()
+        try:
+            code = run_cli(*fetch_args(out, fixture))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.startswith("wrote 20000 politician rows and 0 party rows")
+        with open(out / "politicians.csv", newline="", encoding="utf-8") as fh:
+            keys = {"\0".join(row[1:8]) for row in list(csv.reader(fh))[1:]}
+        assert len(keys) == 20_000
+        assert peak < 2.5 * sum(map(sys.getsizeof, keys))
+
 
 def unstamped_snapshot(snapshot: Path) -> Path:
     """The golden snapshot's politicians with their retrieved_at stamps blanked."""
@@ -1239,23 +1305,53 @@ class TestReport:
         )
         assert not out.exists()
 
-    def test_bad_source_writes_no_figure(self, tmp_path, capsys):
-        # sources draw in sorted order: "a-src" draws, then "b-bad" has its
-        # bounds in the wrong order, which only the figure checks
+    def test_lower_share_above_upper_share_names_file_and_row(self, tmp_path, capsys):
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            "s,2020-01-01,PVDA,left,1,2,0.3,0.2,0.1,indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "f"
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed audit CSV {audit_csv}:\n"
+            "  row 2: lower_share '0.3' above upper_share '0.2'\n"
+        )
+        assert not out.exists()
+
+    def test_bad_source_writes_no_figure(self, tmp_path, capsys, monkeypatch):
+        # sources draw in sorted order: "a-src" draws, then drawing "b-bad"
+        # fails, after the first figure is made
+        import kgdiv.report
+
+        drawn = []
+        real = kgdiv.report.emit_figure_svg
+
+        def failing_second(spec):
+            drawn.append(spec.source_label)
+            if len(drawn) == 2:
+                raise ValueError(f"cannot draw {spec.source_label}")
+            return real(spec)
+
+        monkeypatch.setattr(kgdiv.report, "emit_figure_svg", failing_second)
         audit_csv = tmp_path / "audit.csv"
         audit_csv.write_text(
             "source,time_point,canonical_acronym,alignment,lower_count,"
             "upper_count,lower_share,upper_share,baseline_share,verdict,"
             "active_total\n"
             "a-src,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n"
-            "b-bad,2020-01-01,A,left,1,2,0.3,0.2,0.1,indeterminate,10\n",
+            "b-bad,2020-01-01,A,left,1,2,0.1,0.2,0.1,indeterminate,10\n",
             encoding="utf-8",
         )
         out = tmp_path / "fig"
         out.mkdir()
         (out / "earlier.txt").write_text("kept", encoding="utf-8")
         assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
-        assert "outside [0, 1]" in capsys.readouterr().err
+        assert "cannot draw b-bad" in capsys.readouterr().err
+        assert len(drawn) == 2
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
     def test_colliding_figure_names_write_nothing(self, tmp_path, capsys):

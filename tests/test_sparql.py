@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgdiv.fixtures
@@ -29,6 +29,7 @@ from kgdiv.sparql import (
     http_transport,
     parse_results,
 )
+from tests import oracles
 from tests.conftest import FIXTURES, make_probe_dataset
 from tests.fixture_server import FixtureServer, RecordingStore
 
@@ -85,6 +86,12 @@ SELECT_ALL = QueryTemplate(
 )
 
 
+def parse_all(body, order=None):
+    """parse_results' order and its rows, read to the end."""
+    order, rows = parse_results(body, order)
+    return order, list(rows)
+
+
 def query_bindings(variables, bindings, template=SELECT_ALL):
     endpoint = EndpointConfig(
         url="fixture:///en-dbpedia/served",
@@ -92,23 +99,23 @@ def query_bindings(variables, bindings, template=SELECT_ALL):
         page_size=1000,
         max_requests_per_second=1e9,
     )
-    return execute_query(
-        endpoint, template, transport=serving(results_doc(variables, bindings))
+    return list(
+        execute_query(endpoint, template, transport=serving(results_doc(variables, bindings)))
     )
 
 
 class TestParseResults:
     def test_minimal_json(self):
-        assert parse_results(MINIMAL_JSON) == (
+        assert parse_all(MINIMAL_JSON) == (
             ("s",),
             [(("http://example.org/a",), (("uri", "", ""),))],
         )
 
     def test_empty_document_gives_no_rows(self):
-        assert parse_results(EMPTY_JSON) == (("s", "o"), [])
+        assert parse_all(EMPTY_JSON) == (("s", "o"), [])
 
     def test_language_tag(self):
-        assert parse_results(LANG_JSON) == (
+        assert parse_all(LANG_JSON) == (
             ("label",),
             [(("België",), (("literal", "", "nl"),))],
         )
@@ -124,7 +131,7 @@ class TestParseResults:
             ],
         )
         # an unbound variable reads as "" with no term
-        assert parse_results(body) == (
+        assert parse_all(body) == (
             ("b", "a", "c"),
             [(("n1", "1", ""), (("bnode", "", ""), ("literal", "xsd:int", ""), None))],
         )
@@ -134,20 +141,20 @@ class TestParseResults:
         body = results_doc(
             ["d"], [{"d": {**term, "value": day}} for day in ("2001-01-01", "2002-02-02")]
         )
-        (_, first), (_, second) = parse_results(body)[1]
+        (_, first), (_, second) = parse_all(body)[1]
         assert first is second
         assert first == (("literal", "http://www.w3.org/2001/XMLSchema#date", ""),)
 
     def test_typed_literal_reads_as_literal(self):
         plain = {"type": "literal", "value": "1990", "datatype": "xsd:gYear"}
         typed = {**plain, "type": "typed-literal"}
-        assert parse_results(results_doc(["y"], [{"y": plain}])) == parse_results(
+        assert parse_all(results_doc(["y"], [{"y": plain}])) == parse_all(
             results_doc(["y"], [{"y": typed}])
         )
 
     def test_datatype_on_iri_ignored(self):
         term = {"type": "uri", "value": "http://x/a", "datatype": "d", "xml:lang": "en"}
-        assert parse_results(results_doc(["s"], [{"s": term}]))[1] == [
+        assert parse_all(results_doc(["s"], [{"s": term}]))[1] == [
             (("http://x/a",), (("uri", "", ""),))
         ]
 
@@ -171,13 +178,14 @@ class TestParseResults:
         ids=["no-head", "no-vars", "no-results", "no-bindings", "vars-not-a-list"],
     )
     def test_missing_head_vars_or_bindings(self, doc):
+        # the head is checked at the call, before any row is read
         with pytest.raises(MalformedResultError, match="not a SPARQL JSON results"):
             parse_results(json.dumps(doc).encode())
 
     def test_unknown_binding_kind(self):
         doc = results_doc(["s"], [{"s": {"type": "wat", "value": "x"}}])
         with pytest.raises(MalformedResultError, match="unknown binding kind"):
-            parse_results(doc)
+            parse_all(doc)
 
     @pytest.mark.parametrize(
         "term",
@@ -191,22 +199,22 @@ class TestParseResults:
     )
     def test_binding_without_a_value(self, term):
         with pytest.raises(MalformedResultError, match="without a string value"):
-            parse_results(results_doc(["s"], [{"s": term}]))
+            parse_all(results_doc(["s"], [{"s": term}]))
 
     def test_undeclared_variable(self):
         doc = results_doc(["s"], [{"s": {"type": "uri", "value": "x"}, "o": {"type": "uri", "value": "y"}}])
         with pytest.raises(MalformedResultError, match=r"undeclared variables \['o'\]"):
-            parse_results(doc)
+            parse_all(doc)
 
     def test_datatype_and_lang_exclusive(self):
         term = {"type": "literal", "value": "x", "datatype": "d", "xml:lang": "en"}
         with pytest.raises(MalformedResultError, match="both a datatype and a language tag"):
-            parse_results(results_doc(["s"], [{"s": term}]))
+            parse_all(results_doc(["s"], [{"s": term}]))
 
     def test_non_string_datatype_rejected(self):
         term = {"type": "literal", "value": "x", "datatype": ["d"]}
         with pytest.raises(MalformedResultError, match="non-string datatype"):
-            parse_results(results_doc(["s"], [{"s": term}]))
+            parse_all(results_doc(["s"], [{"s": term}]))
 
     @pytest.mark.parametrize(
         "bindings",
@@ -216,7 +224,7 @@ class TestParseResults:
     def test_malformed_binding(self, bindings):
         doc = json.dumps({"head": {"vars": ["s"]}, "results": {"bindings": bindings}}).encode()
         with pytest.raises(MalformedResultError):
-            parse_results(doc)
+            parse_all(doc)
 
 
 class TestDedup:
@@ -240,6 +248,10 @@ class TestDedup:
             ],
         )
         assert rows == [("1990",), ("1990",)]
+
+    def test_values_that_join_alike_on_nul_are_two_rows(self):
+        rows = query_bindings(["a", "b"], NUL_PAIR + NUL_PAIR)
+        assert rows == [("a\0b", "c"), ("a", "b\0c")]
 
     def test_literal_and_typed_literal_are_one_row(self):
         rows = query_bindings(
@@ -312,10 +324,11 @@ def datatypes():
 
 
 @st.composite
-def raw_terms(draw):
-    """One term in the SPARQL JSON results encoding."""
+def raw_terms(draw, values=None):
+    """One term in the SPARQL JSON results encoding, its value drawn from
+    `values` (by default any safe text)."""
     kind = draw(st.sampled_from(["uri", "bnode", "literal", "typed-literal"]))
-    term = {"type": kind, "value": draw(safe_text())}
+    term = {"type": kind, "value": draw(safe_text() if values is None else values)}
     if kind == "typed-literal":
         term["datatype"] = draw(datatypes())
     elif kind == "literal":
@@ -387,7 +400,7 @@ def row_terms(variables, row):
 @settings(max_examples=100)
 def test_property_json_round_trip(results):
     variables, bindings = results
-    declared, parsed = parse_results(results_doc(variables, bindings))
+    declared, parsed = parse_all(results_doc(variables, bindings))
     assert declared == tuple(variables)
     # parsing gives the terms of each binding, in binding order
     assert [row_terms(variables, row) for row in parsed] == [
@@ -404,6 +417,79 @@ def test_property_json_round_trip(results):
         values = {var: value for var, _, value, _, _ in key}
         expected.append(tuple(values.get(var, "") for var in variables))
     assert query_bindings(variables, bindings) == expected
+
+
+#: few values, so that rows repeat, and two pairs that join alike on NUL:
+#: ("a\0b", "c") and ("a", "b\0c")
+NUL_VALUES = ["", "a", "c", "a\0b", "b\0c", "\0"]
+
+
+@st.composite
+def scripted_pages(draw):
+    """Variables, a template that selects them all (SELECT * or named in
+    some order), a page size and the pages an endpoint serves: full pages
+    and then a short one, of bindings drawn from a small pool, so that
+    rows repeat within and across pages, differ only by a datatype or
+    language tag, hold NUL or leave a variable unbound."""
+    variables = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    named = draw(st.one_of(st.none(), st.permutations(variables)))
+    select = "*" if named is None else " ".join(f"?{var}" for var in named)
+    template = QueryTemplate(
+        template_id="probe",
+        dialect="en-dbpedia",
+        query_text=f"#template=probe\nSELECT {select} WHERE {{ ?s ?p ?o }}",
+    )
+    pool = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(variables),
+                raw_terms(st.sampled_from(NUL_VALUES)),
+                max_size=len(variables),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    page_size = draw(st.integers(1, 4))
+    picks = st.sampled_from(pool)
+    pages = [
+        draw(st.lists(picks, min_size=page_size, max_size=page_size))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    pages.append(draw(st.lists(picks, max_size=page_size - 1)))
+    return variables, template, page_size, pages
+
+
+NUL_PAIR = [
+    {"a": {"type": "uri", "value": "a\0b"}, "b": {"type": "uri", "value": "c"}},
+    {"a": {"type": "uri", "value": "a"}, "b": {"type": "uri", "value": "b\0c"}},
+]
+
+
+@given(scripted_pages())
+@example((["a", "b"], SELECT_ALL, 2, [NUL_PAIR, NUL_PAIR[1:]]))
+@settings(max_examples=200)
+def test_property_streamed_rows_match_the_listed_dedup(script):
+    variables, template, page_size, pages = script
+
+    def scripted(url, query, accept, timeout):
+        index = int(query.rsplit("OFFSET ", 1)[1]) // page_size
+        return results_doc(variables, pages[index] if index < len(pages) else [])
+
+    def outcome(run):
+        try:
+            return "rows", run()
+        except MalformedResultError as exc:
+            return "error", str(exc)
+
+    endpoint = EndpointConfig(
+        url="fixture:///en-dbpedia/scripted",
+        dialect="en-dbpedia",
+        page_size=page_size,
+        max_requests_per_second=1e9,
+    )
+    streamed = outcome(lambda: list(execute_query(endpoint, template, scripted)))
+    assert streamed == outcome(lambda: oracles.query_rows(endpoint, template, scripted))
 
 
 class LateClock:
@@ -450,7 +536,7 @@ class TestExecuteQuery:
     def test_paging_over_http(self, probe_store):
         with FixtureServer(probe_store) as server:
             endpoint = endpoint_for(server, page_size=100)
-            rows = execute_query(endpoint, PROBE_TEMPLATE)
+            rows = list(execute_query(endpoint, PROBE_TEMPLATE))
         assert len(rows) == 250
         # 100 + 100 + 50: the short third page stops the loop
         assert len(probe_store.requests) == 3
@@ -484,7 +570,7 @@ class TestExecuteQuery:
             url="fixture:///en-dbpedia", dialect="en-dbpedia", page_size=10,
             max_requests_per_second=1000,
         )
-        rows = execute_query(endpoint, PROBE_TEMPLATE, transport=transport)
+        rows = list(execute_query(endpoint, PROBE_TEMPLATE, transport=transport))
         assert rows == [("http://probe.test/a",), ("http://probe.test/b",)]
 
     def test_dialect_mismatch(self, probe_store):
@@ -508,7 +594,7 @@ class TestExecuteQuery:
             page_size=50,
             max_requests_per_second=40.0,
         )
-        rows = execute_query(endpoint, PROBE_TEMPLATE, transport=recording)
+        rows = list(execute_query(endpoint, PROBE_TEMPLATE, transport=recording))
         assert len(rows) == 250
         gaps = [b - a for a, b in zip(sent, sent[1:])]
         assert min(gaps) >= (1 / 40.0) - 0.002
@@ -530,7 +616,7 @@ class TestExecuteQuery:
             max_requests_per_second=1000,
             retry_limit=2,
         )
-        assert len(execute_query(endpoint, PROBE_TEMPLATE, transport=flaky)) == 250
+        assert len(list(execute_query(endpoint, PROBE_TEMPLATE, transport=flaky))) == 250
 
     def test_retries_exhausted(self, probe_store):
         def always_down(url, query, accept, timeout):
@@ -543,7 +629,7 @@ class TestExecuteQuery:
             retry_limit=1,
         )
         with pytest.raises(QueryTransportError):
-            execute_query(endpoint, PROBE_TEMPLATE, transport=always_down)
+            list(execute_query(endpoint, PROBE_TEMPLATE, transport=always_down))
 
     def test_http_error_status(self, probe_store):
         with FixtureServer(probe_store) as server:
@@ -553,7 +639,7 @@ class TestExecuteQuery:
                 max_requests_per_second=1000,
             )
             with pytest.raises(QueryTransportError, match="HTTP 400"):
-                execute_query(endpoint, PROBE_TEMPLATE)
+                list(execute_query(endpoint, PROBE_TEMPLATE))
 
     def test_unreachable_endpoint(self):
         endpoint = EndpointConfig(
@@ -563,7 +649,7 @@ class TestExecuteQuery:
             timeout=0.5,
         )
         with pytest.raises(QueryTransportError):
-            execute_query(endpoint, PROBE_TEMPLATE)
+            list(execute_query(endpoint, PROBE_TEMPLATE))
 
     def test_full_page_without_new_rows_stops(self):
         # an endpoint that ignores OFFSET serves the same full page forever
@@ -593,7 +679,7 @@ class TestExecuteQuery:
             max_requests_per_second=1000,
         )
         with pytest.raises(MalformedResultError, match="no new rows"):
-            execute_query(endpoint, PROBE_TEMPLATE, transport=ignores_offset)
+            list(execute_query(endpoint, PROBE_TEMPLATE, transport=ignores_offset))
         assert len(sent) == 2
 
     def test_post_for_long_queries(self, probe_store):
@@ -606,7 +692,7 @@ class TestExecuteQuery:
         )
         with FixtureServer(probe_store) as server:
             endpoint = endpoint_for(server, page_size=300)
-            rows = execute_query(endpoint, long_template)
+            rows = list(execute_query(endpoint, long_template))
         assert len(rows) == 250
 
 
@@ -618,7 +704,7 @@ def test_http_transport_roundtrip(probe_store):
             "application/sparql-results+json",
             10.0,
         )
-    assert len(parse_results(body)[1]) == 5
+    assert len(parse_all(body)[1]) == 5
 
 
 # --- the in-process fixture path against the HTTP one ------------------------
@@ -645,7 +731,7 @@ def both_paths(store: FixtureStore, dialect: str, template_id: str, page_size: i
 
     def run(endpoint, transport=None):
         try:
-            return "rows", execute_query(endpoint, template, transport=transport)
+            return "rows", list(execute_query(endpoint, template, transport=transport))
         except MalformedResultError as exc:
             return "error", str(exc)
 
@@ -712,7 +798,7 @@ def test_property_decoded_document_parses_like_its_bytes(results):
     body = results_doc(variables, bindings)
     doc = json.loads(body)
     before = copy.deepcopy(doc)
-    assert parse_results(body) == parse_results(doc)
+    assert parse_all(body) == parse_all(doc)
     assert doc == before
 
 
@@ -728,9 +814,9 @@ def test_store_cache_survives_repeated_fetches():
         max_requests_per_second=1e9,
     )
     template = fixture_template("en-dbpedia", "politicians")
-    first = execute_query(endpoint, template, transport=transport)
+    first = list(execute_query(endpoint, template, transport=transport))
     dataset = store.dataset("en-dbpedia", "politicians")
-    second = execute_query(endpoint, template, transport=transport)
+    second = list(execute_query(endpoint, template, transport=transport))
     assert first and first == second
     assert store.dataset("en-dbpedia", "politicians") is dataset
     recorded = json.loads(dataset.path.read_text(encoding="utf-8"))["bindings"]
@@ -917,7 +1003,7 @@ def test_paging_a_fixture_traces_under_half_its_size(tmp_path):
         offset = parsed = 0
         while True:
             query = f"#template=probe\nLIMIT 1000 OFFSET {offset}"
-            rows = parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))[1]
+            rows = list(parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))[1])
             parsed += len(rows)
             if len(rows) < 1000:
                 break
@@ -929,23 +1015,44 @@ def test_paging_a_fixture_traces_under_half_its_size(tmp_path):
     assert peak <= 0.5 * size
 
 
-def test_a_page_the_parser_abandons_closes_its_file(tmp_path, monkeypatch):
+@pytest.fixture()
+def opened(monkeypatch):
+    """The files kgdiv.fixtures opens from now on."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(kgdiv.fixtures, "open", recording_open, raising=False)
+    return files
+
+
+def test_a_page_the_parser_abandons_closes_its_file(tmp_path, monkeypatch, opened):
     bindings = politician_bindings(300)
     bindings[150]["label"]["type"] = "wat"
     write_dataset(tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings}))
-    opened = []
-
-    def recording_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(kgdiv.fixtures, "open", recording_open, raising=False)
     monkeypatch.setattr(kgdiv.fixtures, "CHUNK", 1024)
     transport = FixtureTransport(FixtureStore(tmp_path))
     query = "#template=probe\nLIMIT 200 OFFSET 100"
     with pytest.raises(MalformedResultError, match="unknown binding kind 'wat'"):
-        parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))
+        list(parse_results(transport("fixture:///en-dbpedia", query, "", 1.0))[1])
     assert len(opened) == 2  # the dataset's head, then the page
+    assert all(fh.closed for fh in opened)
+
+
+def test_rows_left_unread_close_the_page_file(tmp_path, opened):
+    bindings = politician_bindings(300)
+    write_dataset(tmp_path, json.dumps({"variables": list(bindings[0]), "bindings": bindings}))
+    endpoint = EndpointConfig(
+        url="fixture:///en-dbpedia/unread", dialect="en-dbpedia", page_size=200,
+        max_requests_per_second=1e9,
+    )
+    rows = execute_query(endpoint, SELECT_ALL, transport=FixtureTransport(FixtureStore(tmp_path)))
+    assert opened == []  # nothing is requested before a row is read
+    next(rows)
+    assert len(opened) == 2 and not opened[1].closed  # the dataset's head, then the page
+    del rows
     assert all(fh.closed for fh in opened)
 
 
