@@ -12,9 +12,10 @@ import argparse
 import gc
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from datetime import date
 from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 from . import DIALECTS, ConfigError, QueryError, warn
@@ -367,41 +368,60 @@ def cmd_audit(args) -> int:
 # --- score ------------------------------------------------------------------
 
 
-def _load_corpus(path: Path) -> list:
+def _load_corpus(path: Path) -> Iterator:
     """The corpus's pipeline.TextDocuments, from a directory of .txt files
-    or a CSV with doc_id and text columns; an empty corpus is a
-    configuration error."""
+    or a CSV with doc_id and text columns, read 16 at a time as they are
+    taken. The corpus's kind, a CSV's header and an empty corpus, a
+    configuration error, are checked at the call; a document that is not
+    UTF-8 and a repeated CSV doc_id are errors once they are read."""
     from .csvformat import csv_rows
-    from .pipeline import TextDocument
 
     if path.is_dir():
-        docs = []
-        for file in sorted(path.glob("*.txt")):
-            try:
-                text = file.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{file} is not UTF-8 text: {exc}") from None
-            docs.append(TextDocument(doc_id=file.stem, text=text))
-        if not docs:
+        files = sorted(path.glob("*.txt"))
+        if not files:
             raise ConfigError(f"corpus directory {path} has no .txt files")
-        return docs
-    if path.suffix.lower() != ".csv":
+        docs = map(_text_document, files)
+    elif path.suffix.lower() != ".csv":
         raise ConfigError(f"corpus {path} is neither a directory nor a CSV file")
-    docs = [
-        TextDocument(doc_id=row["doc_id"], text=row["text"])
-        for row in csv_rows(path, ("doc_id", "text"))
-    ]
-    if not docs:
-        raise ConfigError(f"corpus CSV {path} has no documents")
+    else:
+        rows = csv_rows(path, ("doc_id", "text"))
+        first = next(rows, None)
+        if first is None:
+            raise ConfigError(f"corpus CSV {path} has no documents")
+        docs = _csv_documents(path, chain([first], rows))
+    # a file read between every two documents made matching them 5-6%
+    # slower than reading the corpus first; 16 reads at a time cost about 1%
+    return chain.from_iterable(iter(lambda: list(islice(docs, 16)), []))
+
+
+def _text_document(file: Path):
+    from .pipeline import TextDocument
+
+    try:
+        return TextDocument(doc_id=file.stem, text=file.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{file} is not UTF-8 text: {exc}") from None
+
+
+def _csv_documents(path: Path, rows: Iterator[dict[str, str]]) -> Iterator:
+    from .pipeline import TextDocument
+
     seen: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise ValueError(f"corpus CSV {path} repeats doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-    return docs
+    for row in rows:
+        doc_id = row["doc_id"]
+        if doc_id in seen:
+            raise ValueError(f"corpus CSV {path} repeats doc_id {doc_id!r}")
+        seen.add(doc_id)
+        yield TextDocument(doc_id=doc_id, text=row["text"])
 
 
 def cmd_score(args) -> int:
+    """Score each document of the corpus as `_load_corpus` reads it. Its
+    entity_counts.csv rows go to their .tmp file as it is scored; only the
+    one scores.csv row per document is held until the end. Both files are
+    renamed into place once every document is scored, so a failure at any
+    document, a late corpus error or an unreachable annotator under
+    --require-nel, leaves neither."""
     from .csvformat import write_csv
     from .diversity import (
         DiversityParams,
@@ -442,62 +462,68 @@ def cmd_score(args) -> int:
     )
 
     client = AnnotationClient(endpoint_url=args.nel_endpoint) if args.nel_endpoint else None
-    nel_warned = False
 
     # enrichment is a pure function of the id, the triples and the ontology,
     # so each id is enriched once per run
     features: dict[str, FeatureSet] = {}
-    score_rows: list[list] = []
-    count_rows: list[list] = []
-    for doc in docs:
-        mentions = match_rules(doc, rules)
-        if client is not None:
-            try:
-                annotated = annotate(doc, client)
-            except AnnotationError as exc:
-                if args.require_nel:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-                if not nel_warned:
-                    warn(
-                        __name__,
-                        "annotation endpoint unavailable (%s); continuing with "
-                        "rule matches only",
-                        exc,
-                    )
-                    nel_warned = True
-                annotated = []
-            mentions = mentions + _type_filtered(annotated, triples, ontology)
-        counts = aggregate_mentions(mentions)
-        ids = sorted(counts)
-        for entity_id in ids:
-            if entity_id not in features:
-                # no features without triples or for an unnamed category
-                features[entity_id] = (
-                    FeatureSet()
-                    if triples is None or entity_id.startswith(UNNAMED_PREFIX)
-                    else enrich_entity(entity_id, triples, ontology)
-                )
-        balance = compute_balance(counts)
-        disparity = compute_disparity({i: features[i] for i in ids})
-        result = stirling_delta(balance, disparity, params)
-        score_rows.append([doc.doc_id, result.variety, f"{result.delta:.12g}"])
-        for entity_id in ids:
-            count_rows.append([doc.doc_id, entity_id, counts[entity_id]])
+    # the ints as str, so that write_csv can join the rows
+    score_rows: list[tuple[str, str, str]] = []
 
-    # the ints as str, made as the rows are written, so that write_csv can
-    # join the rows
-    write_csv(
-        out / "scores.csv",
-        ["doc_id", "n_entities", "delta"],
-        ((doc_id, str(n), delta) for doc_id, n, delta in score_rows),
-    )
-    write_csv(
-        out / "entity_counts.csv",
-        ["doc_id", "entity_id", "count"],
-        ((doc_id, entity_id, str(n)) for doc_id, entity_id, n in count_rows),
-    )
-    print(f"scored {len(docs)} documents into {out}")
+    def count_rows():
+        nel_warned = False
+        for doc in docs:
+            mentions = match_rules(doc, rules)
+            if client is not None:
+                try:
+                    annotated = annotate(doc, client)
+                except AnnotationError as exc:
+                    if args.require_nel:
+                        raise
+                    if not nel_warned:
+                        warn(
+                            __name__,
+                            "annotation endpoint unavailable (%s); continuing with "
+                            "rule matches only",
+                            exc,
+                        )
+                        nel_warned = True
+                    annotated = []
+                mentions = mentions + _type_filtered(annotated, triples, ontology)
+            counts = aggregate_mentions(mentions)
+            ids = sorted(counts)
+            for entity_id in ids:
+                if entity_id not in features:
+                    # no features without triples or for an unnamed category
+                    features[entity_id] = (
+                        FeatureSet()
+                        if triples is None or entity_id.startswith(UNNAMED_PREFIX)
+                        else enrich_entity(entity_id, triples, ontology)
+                    )
+            balance = compute_balance(counts)
+            disparity = compute_disparity({i: features[i] for i in ids})
+            result = stirling_delta(balance, disparity, params)
+            score_rows.append((doc.doc_id, str(result.variety), f"{result.delta:.12g}"))
+            for entity_id in ids:
+                yield doc.doc_id, entity_id, str(counts[entity_id])
+
+    try:
+        # the counts are written, and so every document scored, before the
+        # scores are
+        _write_all(
+            out,
+            {
+                "entity_counts.csv": partial(
+                    write_csv, header=["doc_id", "entity_id", "count"], rows=count_rows()
+                ),
+                "scores.csv": partial(
+                    write_csv, header=["doc_id", "n_entities", "delta"], rows=score_rows
+                ),
+            },
+        )
+    except AnnotationError as exc:  # only under --require-nel
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"scored {len(score_rows)} documents into {out}")
     return 0
 
 
@@ -528,6 +554,8 @@ def cmd_report(args) -> int:
     audit_path = Path(args.audit)
     if not audit_path.exists():
         raise ConfigError(f"audit file {audit_path} does not exist")
+    if audit_path.is_dir():
+        raise ConfigError(f"audit file {audit_path} is a directory")
     rows = read_series_csv(audit_path)
     sources = sorted({r.source for r in rows})
     figure_sources: dict[str, list[str]] = {}

@@ -252,13 +252,13 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
                     time_point=iso_date(row["time_point"]),
                     party=row["canonical_acronym"],
                     alignment=row["alignment"],
-                    lower_count=int(row["lower_count"]),
-                    upper_count=int(row["upper_count"]),
+                    lower_count=_field(row, "lower_count", int, "an integer"),
+                    upper_count=_field(row, "upper_count", int, "an integer"),
                     lower_share=lower,
                     upper_share=upper,
                     baseline_share=_share(row, "baseline_share"),
                     verdict=row["verdict"],
-                    active_total=int(row["active_total"]),
+                    active_total=_field(row, "active_total", int, "an integer"),
                 )
             )
         except ValueError as exc:
@@ -268,8 +268,17 @@ def read_series_csv(path: str | Path) -> list[AuditRow]:
     return rows
 
 
+def _field(row: dict[str, str], column: str, parse, what: str):
+    """A column's value parsed, or a ValueError that names the column and
+    the value in place of the parser's own words."""
+    try:
+        return parse(row[column])
+    except ValueError:
+        raise ValueError(f"{column} {row[column]!r} is not {what}") from None
+
+
 def _share(row: dict[str, str], column: str) -> float:
-    share = float(row[column])
+    share = _field(row, column, float, "a number")
     if not 0 <= share <= 1:  # NaN too
         raise ValueError(f"{column} {row[column]!r} outside [0, 1]")
     return share

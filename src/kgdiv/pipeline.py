@@ -123,6 +123,11 @@ class CsvTripleSource:
     Given an ontology, only the rows that scoring reads are kept, as they
     are read: those whose predicate the ontology maps, and type rows.
     Labels, abstracts, notes and every other predicate are dropped.
+
+    Equal pairs are one tuple, so a source holds one pair and one object
+    string per distinct pair, however many rows repeat it. `shared` maps
+    each of them to itself, and `enrich_entity` keeps its feature pairs
+    and linked feature names there too, for as long as the source lives.
     """
 
     def __init__(
@@ -137,13 +142,16 @@ class CsvTripleSource:
                 if (stripped := predicate.strip()) in keep
             )
         index: dict[str, list[tuple[str, str]]] = {}
+        shared: dict = {}
         for subject, predicate, obj in rows:
             subject = subject.strip()
             pairs = index.get(subject)
             if pairs is None:
                 index[subject] = pairs = []
-            pairs.append((predicate.strip(), obj.strip()))
+            pair = (predicate.strip(), obj.strip())
+            pairs.append(shared.setdefault(pair, pair))
         self._by_subject = index
+        self.shared = shared
 
     @classmethod
     def from_file(
@@ -400,6 +408,11 @@ def enrich_entity(
     predicates are prefixed with the linking feature name. Failures on
     linked resources degrade to a partial feature set with a warning; only
     the root's retrieval failure is fatal.
+
+    Each distinct feature pair is one tuple, and each linked feature name
+    is built once: both are kept in the source's `shared` memo (a source
+    without one gets a memo for this call), where a pair equal to a triple
+    pair, as under bare predicate names, is that pair itself.
     """
     try:
         root_pairs = triples.predicates(root_id)
@@ -407,12 +420,14 @@ def enrich_entity(
         raise EnrichmentError(f"cannot retrieve triples for {root_id!r}: {exc}") from exc
 
     names = ontology.property_map
+    shared = getattr(triples, "shared", {})
     features: set[tuple[str, str]] = set()
     for predicate, obj in root_pairs:
         name = names.get(predicate)
         if name is None:
             continue
-        features.add((name, obj))
+        pair = (name, obj)
+        features.add(shared.setdefault(pair, pair))
         if obj == root_id:
             continue
         try:
@@ -434,7 +449,12 @@ def enrich_entity(
             linked_name = names.get(linked_predicate)
             if linked_name is None:
                 continue
-            features.add((f"{name}.{linked_name}", linked_obj))
+            # a linked name is keyed by a three-tuple, which no pair equals
+            dotted = shared.get(key := (name, ".", linked_name))
+            if dotted is None:
+                shared[key] = dotted = f"{name}.{linked_name}"
+            pair = (dotted, linked_obj)
+            features.add(shared.setdefault(pair, pair))
     return FeatureSet(frozenset(features))
 
 

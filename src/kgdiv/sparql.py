@@ -192,13 +192,17 @@ def _distinct_rows(
         order, page = parse_results(body, order)
         joins = len(order) - 1
         read = new = 0
+        # a page's rows share one tuple per distinct term shapes, held until
+        # the page is read, so each is hashed and compared once per page and
+        # then found by its id
+        by_id: dict[int, set] = {}
         for read, (values, terms) in enumerate(page, 1):
             key = "\0".join(values)
             if key.count("\0") != joins:
                 key = values
-            keys = seen.get(terms)
+            keys = by_id.get(id(terms))
             if keys is None:
-                keys = seen[terms] = set()
+                keys = by_id[id(terms)] = seen.setdefault(terms, set())
             if key not in keys:
                 keys.add(key)
                 new += 1

@@ -7,8 +7,9 @@ panel's y-transform, the audit's record layer (politician records with
 their affiliations, each one's activity period as a date interval, and
 the per-time-point count of the active politicians' careers, over a
 snapshot parsed into one tuple per row), rule matching one rule at a
-time, and a query's distinct rows kept whole, as (values, terms) dict
-keys over lists of each page's rows.
+time, a triple index and one-hop enrichment that build a new tuple per
+row and per feature pair, and a query's distinct rows kept whole, as
+(values, terms) dict keys over lists of each page's rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ from kgdiv.audit import (
     compute_bounds,
 )
 from kgdiv.diversity import BalanceVector, DisparityMatrix, DiversityParams, FeatureSet
-from kgdiv.pipeline import EntityMention, MatchRule, TextDocument, _fold, _folds_in_place
+from kgdiv.pipeline import (
+    _TYPE_PREDICATES,
+    EntityMention,
+    LocalOntology,
+    MatchRule,
+    TextDocument,
+    _fold,
+    _folds_in_place,
+)
 from kgdiv.report import PANEL_HEIGHT
 from kgdiv.sparql import (
     _SELECT,
@@ -462,6 +471,42 @@ def _anchored_spans(
         else:
             yield pos, m.end(), m.group(0)
             pos = folded_text.find(folded, m.end())
+
+
+def triple_index(
+    rows: Iterable[Sequence[str]], ontology: LocalOntology | None = None
+) -> dict[str, list[tuple[str, str]]]:
+    """Each subject's (predicate, object) pairs, every field stripped, in
+    row order, one new tuple per row; given an ontology, only the rows
+    whose predicate it maps or that are type rows."""
+    index: dict[str, list[tuple[str, str]]] = {}
+    for subject, predicate, obj in rows:
+        predicate = predicate.strip()
+        if ontology is None or predicate in ontology.property_map or predicate in _TYPE_PREDICATES:
+            index.setdefault(subject.strip(), []).append((predicate, obj.strip()))
+    return index
+
+
+def enrich(
+    root_id: str, index: Mapping[str, list[tuple[str, str]]], ontology: LocalOntology
+) -> FeatureSet:
+    """A resource's feature pairs over a `triple_index`, each pair and each
+    linked name built anew: every mapped pair of the root, and, for each
+    object other than the root that has an actor type, that object's
+    mapped pairs under the root pair's name and a dot."""
+    names = ontology.property_map
+    features = set()
+    for predicate, obj in index.get(root_id, ()):
+        if predicate not in names:
+            continue
+        features.add((names[predicate], obj))
+        types = [o for p, o in index.get(obj, ()) if p in _TYPE_PREDICATES]
+        if obj == root_id or ontology.classify(types) is None:
+            continue
+        for linked_predicate, linked_obj in index.get(obj, ()):
+            if linked_predicate in names:
+                features.add((names[predicate] + "." + names[linked_predicate], linked_obj))
+    return FeatureSet(frozenset(features))
 
 
 def query_rows(

@@ -1096,6 +1096,90 @@ class TestScore:
         assert capsys.readouterr().err == f"error: corpus CSV {corpus} repeats doc_id 'd1'\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("failure", ["not-utf8", "repeated-doc-id", "short-row", "require-nel"])
+    def test_a_failure_at_the_last_document_leaves_no_output(
+        self, tmp_path, fixture_dir, capsys, monkeypatch, failure
+    ):
+        # 60 documents of two actors each: the counts of the first ones are
+        # written to entity_counts.csv.tmp before the last one fails
+        import kgdiv.csvformat
+        import kgdiv.pipeline
+
+        texts = [f"N-VA en CD&V deel {k}." for k in range(60)]
+        argv = ["--rules", str(fixture_dir / "rules.csv"), "--triples", str(fixture_dir / "triples.csv")]
+        if failure == "not-utf8":
+            corpus = tmp_path / "corpus"
+            corpus.mkdir()
+            for k, text in enumerate(texts):
+                (corpus / f"doc{k:02d}.txt").write_text(text, encoding="utf-8")
+            (corpus / "doc59.txt").write_bytes("Caf\u00e9 N-VA".encode("latin-1"))
+            message = f"error: {corpus / 'doc59.txt'} is not UTF-8 text: "
+        else:
+            corpus = tmp_path / "corpus.csv"
+            rows = [f"doc{k:02d},{text}\n" for k, text in enumerate(texts)]
+            rows[-1] = {"repeated-doc-id": "doc00,N-VA\n", "short-row": "doc59\n"}.get(failure, rows[-1])
+            corpus.write_text("doc_id,text\n" + "".join(rows), encoding="utf-8")
+            message = {
+                "repeated-doc-id": f"error: corpus CSV {corpus} repeats doc_id 'doc00'\n",
+                "short-row": f"error: {corpus} line 61: 1 fields where the header has 2\n",
+                "require-nel": "error: annotation endpoint returned HTTP 503\n",
+            }[failure]
+        if failure == "require-nel":
+            real = kgdiv.pipeline.annotate
+
+            def failing_last(doc, client):
+                if doc.doc_id == "doc59":
+                    raise kgdiv.pipeline.AnnotationTransportError(
+                        "annotation endpoint returned HTTP 503"
+                    )
+                return real(doc, client)
+
+            monkeypatch.setattr(kgdiv.pipeline, "annotate", failing_last)
+            monkeypatch.setattr(
+                kgdiv.pipeline.AnnotationClient, "fetch", lambda self, text: b'{"Resources": []}'
+            )
+            argv += ["--nel-endpoint", "http://annotator.invalid/rest/annotate", "--require-nel"]
+        out = tmp_path / "out"
+        out.mkdir()
+        written = []
+        real_write_csv = kgdiv.csvformat.write_csv
+
+        def recording_write_csv(path, header, rows):
+            written.append(path.name)
+            return real_write_csv(path, header, rows)
+
+        monkeypatch.setattr(kgdiv.csvformat, "write_csv", recording_write_csv)
+        code = run_cli("score", "--corpus", str(corpus), *argv, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert written == ["entity_counts.csv.tmp"]
+        assert list(out.iterdir()) == []
+
+    def test_peak_follows_a_few_documents_not_the_corpus(self, tmp_path, fixture_dir, capsys):
+        # documents of about 40 kB each, read 16 at a time: 120 of them peak
+        # no higher than 20 do, less than a document's size apart; holding
+        # the corpus put every document's text in the peak
+        text = "N-VA wint. CD&V verliest. Het weer blijft grijs. " * 800
+
+        def peak(documents):
+            corpus = tmp_path / f"corpus{documents}"
+            corpus.mkdir()
+            for k in range(documents):
+                (corpus / f"doc{k:03d}.txt").write_text(f"{k} {text}", encoding="utf-8")
+            argv = score_args(tmp_path / f"out{documents}", fixture_dir)
+            argv[argv.index(str(fixture_dir / "corpus"))] = str(corpus)
+            argv += ["--rules", str(fixture_dir / "rules.csv"), "--triples", str(fixture_dir / "triples.csv")]
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(20), peak(120)
+        assert capsys.readouterr().out.endswith("scored 120 documents into " f"{tmp_path / 'out120'}\n")
+        assert many - few < len(text)
+
 
 @pytest.mark.parametrize(
     "command, target, text",
@@ -1320,6 +1404,40 @@ class TestReport:
             f"error: malformed audit CSV {audit_csv}:\n"
             "  row 2: lower_share '0.3' above upper_share '0.2'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "counts_and_shares, bad",
+        [
+            ("1,2, ,0.2,0.1", "lower_share ' ' is not a number"),
+            ("left,2,0.1,0.2,0.1", "lower_count 'left' is not an integer"),
+            ("1,2.5,0.1,0.2,0.1", "upper_count '2.5' is not an integer"),
+        ],
+    )
+    def test_value_that_does_not_parse_names_its_column(
+        self, tmp_path, capsys, counts_and_shares, bad
+    ):
+        audit_csv = tmp_path / "audit.csv"
+        audit_csv.write_text(
+            "source,time_point,canonical_acronym,alignment,lower_count,"
+            "upper_count,lower_share,upper_share,baseline_share,verdict,"
+            "active_total\n"
+            f"s,2020-01-01,PVDA,left,{counts_and_shares},indeterminate,10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "f"
+        assert run_cli("report", "--audit", str(audit_csv), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed audit CSV {audit_csv}:\n  row 2: {bad}\n"
+        )
+        assert not out.exists()
+
+    def test_directory_as_audit_csv_is_a_config_error(self, tmp_path, capsys):
+        audit_dir = tmp_path / "audit"
+        audit_dir.mkdir()
+        out = tmp_path / "f"
+        assert run_cli("report", "--audit", str(audit_dir), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: audit file {audit_dir} is a directory\n"
         assert not out.exists()
 
     def test_bad_source_writes_no_figure(self, tmp_path, capsys, monkeypatch):

@@ -557,6 +557,73 @@ class TestOntologyFilter:
         ]
 
 
+    def test_held_size_follows_the_distinct_pairs(self):
+        # 2,000 subjects over the same 20 pairs, two rows each or ten, each
+        # field a new string, as the CSV reader gives them: a row past the
+        # distinct pairs adds only its slot in its subject's list, where a
+        # tuple and two strings per row held about 220 bytes
+        def rows(per_subject):
+            for i in range(2000):
+                for k in range(per_subject):
+                    yield f"actor/{i:05d}", f"{DBO}party", f"http://example.org/party/{(i + k) % 20}"
+
+        def held(per_subject):
+            tracemalloc.start()
+            try:
+                source = CsvTripleSource(rows(per_subject))
+                return tracemalloc.get_traced_memory()[0], source
+            finally:
+                tracemalloc.stop()
+
+        (few, _), (many, source) = held(2), held(10)
+        assert (many - few) / (2000 * 8) < 24
+        assert len(source.shared) == 20
+        assert source.predicates("actor/00003")[0] is source.predicates("actor/00023")[0]
+
+
+class TestSharedPairs:
+    @given(
+        st.lists(
+            st.tuples(padded(TRIPLE_SUBJECTS), padded(TRIPLE_PREDICATES), padded(TRIPLE_OBJECTS)),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_property_equals_the_unshared_index_and_enrichment(self, rows, filtered):
+        ontology = builtin_ontology()
+        source = CsvTripleSource(rows, ontology if filtered else None)
+        index = oracles.triple_index(rows, ontology if filtered else None)
+        resources = {*TRIPLE_SUBJECTS, *TRIPLE_OBJECTS, "absent"}
+        for resource in resources:
+            assert source.predicates(resource) == index.get(resource, [])
+        # twice over, so that the second pass reads the memo the first made
+        for resource in [*sorted(resources), *sorted(resources)]:
+            assert enrich_entity(resource, source, ontology) == oracles.enrich(
+                resource, index, ontology
+            )
+
+    def test_entities_with_the_same_party_share_its_pairs(self):
+        party = "".join(["http://example.org/", "party/1"])
+        rows = [
+            ("A", "party", party),
+            ("B", "party", "".join(["http://example.org/", "party/1"])),
+            (party, "type", "party"),
+            (party, "ideology", "green"),
+        ]
+        triples = CsvTripleSource(rows, builtin_ontology())
+        a = enrich_entity("A", triples, builtin_ontology())
+        b = enrich_entity("B", triples, builtin_ontology())
+        assert a == b == FeatureSet(
+            frozenset({("party", party), ("party.ideology", "green")})
+        )
+        by_name = {pair[0]: pair for pair in a.pairs}
+        for pair in b.pairs:
+            assert pair is by_name[pair[0]]
+        # under bare predicate names a feature pair is the triple's own pair
+        assert by_name["party"] is triples.predicates("A")[0]
+
+
 class TestEnrichment:
     def test_party_then_ideology(self):
         triples = CsvTripleSource(
