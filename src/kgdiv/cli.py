@@ -178,6 +178,17 @@ def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[
     return written
 
 
+def _findings_writer(findings) -> Callable[[Path], object]:
+    """The findings.csv writer of `audit` and `validate --out`."""
+    from .csvformat import write_csv
+
+    return partial(
+        write_csv,
+        header=["kind", "subject", "detail"],
+        rows=[[f.kind, f.subject, f.detail] for f in findings],
+    )
+
+
 def _require_file(raw: str | Path | None, what: str) -> Path | None:
     if raw is None:
         return None
@@ -334,11 +345,7 @@ def cmd_audit(args) -> int:
             file=sys.stderr,
         )
         return 1
-    writers["findings.csv"] = partial(
-        csvformat.write_csv,
-        header=["kind", "subject", "detail"],
-        rows=[[f.kind, f.subject, f.detail] for f in snapshot.findings],
-    )
+    writers["findings.csv"] = _findings_writer(snapshot.findings)
     coverage = [
         [
             c.source,
@@ -551,9 +558,7 @@ def cmd_report(args) -> int:
     from . import report
     from .csvformat import read_series_csv
 
-    audit_path = Path(args.audit)
-    if not audit_path.exists():
-        raise ConfigError(f"audit file {audit_path} does not exist")
+    audit_path = _require_file(args.audit, "audit")
     if audit_path.is_dir():
         raise ConfigError(f"audit file {audit_path} is a directory")
     rows = read_series_csv(audit_path)
@@ -566,9 +571,11 @@ def cmd_report(args) -> int:
             raise ValueError(
                 f"sources {', '.join(map(repr, named))} map to the same figure file {name}"
             )
-    out = _out_dir(args)
-    if not sources:
-        spec = report.FigureSpec(
+    specs = {
+        name: report.build_figure_spec(rows, source, args.baseline_label, style=args.style)
+        for name, (source,) in figure_sources.items()
+    } or {
+        "figure_empty.svg": report.FigureSpec(
             title="no data",
             source_label="none",
             baseline_label=args.baseline_label,
@@ -577,21 +584,20 @@ def cmd_report(args) -> int:
             active_counts={},
             style=args.style,
         )
-        (out / "figure_empty.svg").write_bytes(report.emit_figure_svg(spec))
-        print(f"no audit rows; wrote placeholder figure to {out}")
-        return 0
-    # every figure is built before any is written
-    writers = {
-        name: partial(
-            Path.write_bytes,
-            data=report.emit_figure_svg(
-                report.build_figure_spec(rows, source, args.baseline_label, style=args.style)
-            ),
-        )
-        for name, (source,) in figure_sources.items()
     }
-    _write_all(out, writers)
-    print(f"wrote {len(sources)} figure(s) to {out}")
+    out = _out_dir(args)
+    # every figure is drawn before any is written
+    _write_all(
+        out,
+        {
+            name: partial(Path.write_bytes, data=report.emit_figure_svg(spec))
+            for name, spec in specs.items()
+        },
+    )
+    if sources:
+        print(f"wrote {len(sources)} figure(s) to {out}")
+    else:
+        print(f"no audit rows; wrote placeholder figure to {out}")
     return 0
 
 
@@ -600,7 +606,6 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     from . import audit
-    from .csvformat import write_csv
 
     if bool(args.map_file) != bool(args.parties):
         given, missing = ("--map", "--parties") if args.map_file else ("--parties", "--map")
@@ -616,12 +621,7 @@ def cmd_validate(args) -> int:
     if not findings:
         print("no findings")
     if args.out:
-        out = _out_dir(args)
-        write_csv(
-            out / "findings.csv",
-            ["kind", "subject", "detail"],
-            [[f.kind, f.subject, f.detail] for f in findings],
-        )
+        _write_all(_out_dir(args), {"findings.csv": _findings_writer(findings)})
     return 0
 
 

@@ -226,9 +226,12 @@ def iso_date(raw: str) -> date:
     """A YYYY-MM-DD date, read alike on every Python: from 3.11 on,
     `date.fromisoformat` also reads week dates and the basic format, and
     the dashes at 4 and 7 of a 10-character value leave only YYYY-MM-DD."""
-    if len(raw) != 10 or raw[4] != "-" or raw[7] != "-":
-        raise ValueError(f"{raw!r} is not a YYYY-MM-DD date")
-    return date.fromisoformat(raw)
+    if len(raw) == 10 and raw[4] == "-" and raw[7] == "-":
+        try:
+            return date.fromisoformat(raw)
+        except ValueError:  # no such day, or not digits
+            pass
+    raise ValueError(f"{raw!r} is not a YYYY-MM-DD date")
 
 
 def read_series_csv(path: str | Path) -> list[AuditRow]:

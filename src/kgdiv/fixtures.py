@@ -402,7 +402,7 @@ class FixtureStore:
                 return self._datasets[key]
         path = self.root / dialect / f"{template_id}.json"
         if not path.exists():
-            raise FileNotFoundError(f"no fixture dataset {dialect}/{template_id}")
+            raise FileNotFoundError(f"no fixture dataset {path}")
         opened = Dataset(path)
         with self._lock:
             return self._datasets.setdefault(key, opened)

@@ -39,10 +39,6 @@ class AnnotationResponseError(AnnotationError):
     """The annotation endpoint returned an unusable document."""
 
 
-class EnrichmentError(RuntimeError):
-    """The root resource's triples could not be retrieved."""
-
-
 TextDocument = namedtuple("TextDocument", "doc_id text")
 
 
@@ -405,47 +401,25 @@ def enrich_entity(
 
     Linked resources reached through a mapped predicate are expanded once
     if they belong to one of the recognized actor types; their mapped
-    predicates are prefixed with the linking feature name. Failures on
-    linked resources degrade to a partial feature set with a warning; only
-    the root's retrieval failure is fatal.
+    predicates are prefixed with the linking feature name.
 
     Each distinct feature pair is one tuple, and each linked feature name
-    is built once: both are kept in the source's `shared` memo (a source
-    without one gets a memo for this call), where a pair equal to a triple
-    pair, as under bare predicate names, is that pair itself.
+    is built once: both are kept in the source's `shared` memo, where a
+    pair equal to a triple pair, as under bare predicate names, is that
+    pair itself.
     """
-    try:
-        root_pairs = triples.predicates(root_id)
-    except Exception as exc:
-        raise EnrichmentError(f"cannot retrieve triples for {root_id!r}: {exc}") from exc
-
     names = ontology.property_map
-    shared = getattr(triples, "shared", {})
+    shared = triples.shared
     features: set[tuple[str, str]] = set()
-    for predicate, obj in root_pairs:
+    for predicate, obj in triples.predicates(root_id):
         name = names.get(predicate)
         if name is None:
             continue
         pair = (name, obj)
         features.add(shared.setdefault(pair, pair))
-        if obj == root_id:
+        if obj == root_id or ontology.classify(triples.types(obj)) is None:
             continue
-        try:
-            obj_types = triples.types(obj)
-            if ontology.classify(obj_types) is None:
-                continue
-            linked_pairs = triples.predicates(obj)
-        except Exception as exc:
-            warn(
-                __name__,
-                "enrichment of %r: linked resource %r failed (%s); keeping "
-                "partial features",
-                root_id,
-                obj,
-                exc,
-            )
-            continue
-        for linked_predicate, linked_obj in linked_pairs:
+        for linked_predicate, linked_obj in triples.predicates(obj):
             linked_name = names.get(linked_predicate)
             if linked_name is None:
                 continue

@@ -88,25 +88,17 @@ def build_figure_spec(
     """Assemble a figure for one source from audit rows."""
     mine = [r for r in rows if r.source == source]
     time_points = tuple(sorted({r.time_point for r in mine}))
-    per_party: dict[tuple[int, str], dict] = {}
+    per_party: dict[tuple[int, str], PartySeries] = {}
     active_counts: dict[date, int] = {}
     for r in mine:
         key = (alignment_rank(r.alignment), r.party)
-        entry = per_party.setdefault(
-            key, {"alignment": r.alignment, "bounds": {}, "baselines": {}}
-        )
-        entry["bounds"][r.time_point] = (r.lower_share, r.upper_share)
-        entry["baselines"][r.time_point] = r.baseline_share
+        party = per_party.get(key)
+        if party is None:
+            party = per_party[key] = PartySeries(r.party, r.alignment, {}, {})
+        party.bounds[r.time_point] = (r.lower_share, r.upper_share)
+        party.baselines[r.time_point] = r.baseline_share
         active_counts[r.time_point] = r.active_total
-    parties = tuple(
-        PartySeries(
-            acronym=acronym,
-            alignment=entry["alignment"],
-            bounds=entry["bounds"],
-            baselines=entry["baselines"],
-        )
-        for (_, acronym), entry in sorted(per_party.items())
-    )
+    parties = tuple(per_party[key] for key in sorted(per_party))
     return FigureSpec(
         title=f"Party visibility in {source} vs {baseline_label}",
         source_label=source,
@@ -122,27 +114,17 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-class _Svg:
-    def __init__(self) -> None:
-        self.parts: list[str] = []
-
-    def element(self, tag: str, text: str | None = None, **attrs: str) -> None:
-        rendered = " ".join(
-            f'{_attr(k)}="{_escape_attr(v)}"' for k, v in attrs.items()
-        )
-        if text is None:
-            self.parts.append(f"<{tag} {rendered}/>")
-        else:
-            self.parts.append(f"<{tag} {rendered}>{_escape(text)}</{tag}>")
-
-    def open_group(self, **attrs: str) -> None:
-        rendered = " ".join(
-            f'{_attr(k)}="{_escape_attr(v)}"' for k, v in attrs.items()
-        )
-        self.parts.append(f"<g {rendered}>")
-
-    def close_group(self) -> None:
-        self.parts.append("</g>")
+def _tag(name: str, text: str | None = None, **attrs: str) -> str:
+    """One element: a <g> left open for the caller to close, else
+    self-closed, or around `text`."""
+    rendered = " ".join(
+        f'{_attr(k)}="{_escape_attr(v)}"' for k, v in attrs.items()
+    )
+    if name == "g":
+        return f"<g {rendered}>"
+    if text is None:
+        return f"<{name} {rendered}/>"
+    return f"<{name} {rendered}>{_escape(text)}</{name}>"
 
 
 def _attr(name: str) -> str:
@@ -186,82 +168,87 @@ def figure_y_max(spec: FigureSpec) -> float:
 def emit_figure_svg(spec: FigureSpec) -> bytes:
     """Render the figure; byte-identical output for identical specs."""
     if not spec.parties or not spec.time_points:
-        return _empty_figure(spec)
-    if spec.style == "stacked":
-        return _stacked_figure(spec)
-    return _line_figure(spec)
+        parts = _empty_figure(spec)
+    elif spec.style == "stacked":
+        parts = _stacked_figure(spec)
+    else:
+        parts = _line_figure(spec)
+    parts.append("</svg>")
+    return "\n".join(parts).encode("utf-8")
 
 
-def _svg_header(svg: _Svg, spec: FigureSpec, height: int, x0: int, x1: int, y_max: float) -> None:
-    svg.parts.append(
+def _open(
+    spec: FigureSpec, height: int, axes: tuple[int, int, float] | None = None
+) -> list[str]:
+    """A figure's <svg> tag, with the (x0, x1, y_max) of its axes if it has
+    any, and its title."""
+    data = ""
+    if axes is not None:
+        x0, x1, y_max = axes
+        data = f'data-x0="{x0}" data-x1="{x1}" data-y-max="{y_max:.6f}" '
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{height}" '
-        f'data-x0="{x0}" data-x1="{x1}" data-y-max="{_fmt_y(y_max)}" '
-        f'data-style="{spec.style}">'
-    )
-    svg.element(
-        "text",
-        spec.title,
-        x=str(MARGIN_LEFT),
-        y="24",
-        font_size="16",
-        font_family="sans-serif",
-    )
+        f'width="{WIDTH}" height="{height}" {data}data-style="{spec.style}">',
+        _tag(
+            "text",
+            spec.title,
+            x=str(MARGIN_LEFT),
+            y="24",
+            font_size="16",
+            font_family="sans-serif",
+        ),
+    ]
 
 
-def _fmt_y(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _empty_figure(spec: FigureSpec) -> bytes:
-    svg = _Svg()
-    height = TOP + PANEL_HEIGHT + FOOTER
-    svg.parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{height}" data-style="{spec.style}">'
-    )
-    svg.element(
-        "text",
-        spec.title,
-        x=str(MARGIN_LEFT),
-        y="24",
-        font_size="16",
-        font_family="sans-serif",
-    )
-    svg.element(
+def _frame(top: int, height: int, stroke: str = "#dddddd") -> str:
+    return _tag(
         "rect",
         x=str(MARGIN_LEFT),
-        y=str(TOP),
+        y=str(top),
         width=str(WIDTH - MARGIN_LEFT - MARGIN_RIGHT),
-        height=str(PANEL_HEIGHT),
+        height=str(height),
         fill="none",
-        stroke="#cccccc",
+        stroke=stroke,
     )
-    svg.element(
-        "text",
-        "no data",
-        x=str(WIDTH / 2),
-        y=str(TOP + PANEL_HEIGHT / 2),
-        font_size="14",
-        font_family="sans-serif",
-        text_anchor="middle",
+
+
+def _baseline(party: PartySeries, pairs: list[tuple[float, float]]) -> str:
+    return _tag(
+        "polyline",
+        points=_points(pairs),
+        fill="none",
+        stroke="#333333",
+        stroke_width="0.8",
+        class_="baseline",
+        data_party=party.acronym,
     )
-    svg.parts.append("</svg>")
-    return "\n".join(svg.parts).encode("utf-8")
+
+
+def _empty_figure(spec: FigureSpec) -> list[str]:
+    return _open(spec, TOP + PANEL_HEIGHT + FOOTER) + [
+        _frame(TOP, PANEL_HEIGHT, stroke="#cccccc"),
+        _tag(
+            "text",
+            "no data",
+            x=str(WIDTH / 2),
+            y=str(TOP + PANEL_HEIGHT / 2),
+            font_size="14",
+            font_family="sans-serif",
+            text_anchor="middle",
+        ),
+    ]
 
 
 def _points(pairs: Iterable[tuple[float, float]]) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pairs)
 
 
-def _line_figure(spec: FigureSpec) -> bytes:
-    svg = _Svg()
+def _line_figure(spec: FigureSpec) -> list[str]:
     x_of, x0, x1 = _x_mapper(spec.time_points)
     y_max = figure_y_max(spec)
     n = len(spec.parties)
     axis_top = TOP + n * (PANEL_HEIGHT + PANEL_GAP)
-    height = axis_top + FOOTER
-    _svg_header(svg, spec, height, x0, x1, y_max)
+    parts = _open(spec, axis_top + FOOTER, (x0, x1, y_max))
 
     for index, party in enumerate(spec.parties):
         panel_top = TOP + index * (PANEL_HEIGHT + PANEL_GAP)
@@ -270,83 +257,58 @@ def _line_figure(spec: FigureSpec) -> bytes:
             return panel_top + PANEL_HEIGHT - share / y_max * PANEL_HEIGHT
 
         colour = _ALIGNMENT_COLOURS[party.alignment]
-        svg.open_group(
-            class_="panel", data_party=party.acronym, data_panel_top=str(panel_top)
-        )
-        svg.element(
-            "rect",
-            x=str(MARGIN_LEFT),
-            y=str(panel_top),
-            width=str(WIDTH - MARGIN_LEFT - MARGIN_RIGHT),
-            height=str(PANEL_HEIGHT),
-            fill="none",
-            stroke="#dddddd",
-        )
-        svg.element(
-            "text",
-            f"{party.acronym} ({party.alignment})",
-            x="8",
-            y=str(panel_top + PANEL_HEIGHT / 2),
-            font_size="12",
-            font_family="sans-serif",
-        )
+        parts += [
+            _tag("g", class_="panel", data_party=party.acronym, data_panel_top=str(panel_top)),
+            _frame(panel_top, PANEL_HEIGHT),
+            _tag(
+                "text",
+                f"{party.acronym} ({party.alignment})",
+                x="8",
+                y=str(panel_top + PANEL_HEIGHT / 2),
+                font_size="12",
+                font_family="sans-serif",
+            ),
+        ]
         known = [t for t in spec.time_points if t in party.bounds]
         if known:
             lower_pts = [(x_of(t), y_of(party.bounds[t][0])) for t in known]
             upper_pts = [(x_of(t), y_of(party.bounds[t][1])) for t in known]
-            svg.element(
-                "polygon",
-                points=_points(lower_pts + upper_pts[::-1]),
-                fill=colour,
-                fill_opacity="0.25",
-                stroke="none",
-                class_="band",
-                data_party=party.acronym,
+            parts.append(
+                _tag(
+                    "polygon",
+                    points=_points(lower_pts + upper_pts[::-1]),
+                    fill=colour,
+                    fill_opacity="0.25",
+                    stroke="none",
+                    class_="band",
+                    data_party=party.acronym,
+                )
             )
-            svg.element(
-                "polyline",
-                points=_points(lower_pts),
-                fill="none",
-                stroke=colour,
-                stroke_width="2.5",
-                class_="band-edge",
-                data_party=party.acronym,
-                data_kind="lower",
-            )
-            svg.element(
-                "polyline",
-                points=_points(upper_pts),
-                fill="none",
-                stroke=colour,
-                stroke_width="2.5",
-                class_="band-edge",
-                data_party=party.acronym,
-                data_kind="upper",
-            )
+            for kind, pts in (("lower", lower_pts), ("upper", upper_pts)):
+                parts.append(
+                    _tag(
+                        "polyline",
+                        points=_points(pts),
+                        fill="none",
+                        stroke=colour,
+                        stroke_width="2.5",
+                        class_="band-edge",
+                        data_party=party.acronym,
+                        data_kind=kind,
+                    )
+                )
         baseline_known = [t for t in spec.time_points if t in party.baselines]
         if baseline_known:
-            svg.element(
-                "polyline",
-                points=_points(
-                    [(x_of(t), y_of(party.baselines[t])) for t in baseline_known]
-                ),
-                fill="none",
-                stroke="#333333",
-                stroke_width="0.8",
-                class_="baseline",
-                data_party=party.acronym,
+            parts.append(
+                _baseline(party, [(x_of(t), y_of(party.baselines[t])) for t in baseline_known])
             )
-        svg.close_group()
-
-    _time_axis(svg, spec, x_of, axis_top)
-    svg.parts.append("</svg>")
-    return "\n".join(svg.parts).encode("utf-8")
+        parts.append("</g>")
+    return parts + _time_axis(spec, x_of, axis_top)
 
 
-def _stacked_figure(spec: FigureSpec) -> bytes:
+def _stacked_figure(spec: FigureSpec) -> list[str]:
     """Single panel; bold lines at cumulative mid-band shares so the vertical
     space between consecutive lines reads as that party's share."""
-    svg = _Svg()
     x_of, x0, x1 = _x_mapper(spec.time_points)
     cumulative: dict[date, float] = {t: 0.0 for t in spec.time_points}
     cum_baseline: dict[date, float] = {t: 0.0 for t in spec.time_points}
@@ -364,107 +326,96 @@ def _stacked_figure(spec: FigureSpec) -> bytes:
     y_max = max(max(cumulative.values()), max(cum_baseline.values()), 0.01)
 
     axis_top = TOP + STACKED_HEIGHT
-    height = axis_top + FOOTER
-    _svg_header(svg, spec, height, x0, x1, y_max)
+    parts = _open(spec, axis_top + FOOTER, (x0, x1, y_max))
 
     def y_of(share: float) -> float:
         return TOP + STACKED_HEIGHT - share / y_max * STACKED_HEIGHT
 
-    svg.element(
-        "rect",
-        x=str(MARGIN_LEFT),
-        y=str(TOP),
-        width=str(WIDTH - MARGIN_LEFT - MARGIN_RIGHT),
-        height=str(STACKED_HEIGHT),
-        fill="none",
-        stroke="#dddddd",
-    )
+    parts.append(_frame(TOP, STACKED_HEIGHT))
+    last = spec.time_points[-1]
     for party, tops, base_tops in layers:
-        colour = _ALIGNMENT_COLOURS[party.alignment]
-        svg.element(
-            "polyline",
-            points=_points([(x_of(t), y_of(tops[t])) for t in spec.time_points]),
-            fill="none",
-            stroke=colour,
-            stroke_width="2.5",
-            class_="stack-line",
-            data_party=party.acronym,
-        )
-        svg.element(
-            "polyline",
-            points=_points(
-                [(x_of(t), y_of(base_tops[t])) for t in spec.time_points]
+        parts += [
+            _tag(
+                "polyline",
+                points=_points([(x_of(t), y_of(tops[t])) for t in spec.time_points]),
+                fill="none",
+                stroke=_ALIGNMENT_COLOURS[party.alignment],
+                stroke_width="2.5",
+                class_="stack-line",
+                data_party=party.acronym,
             ),
-            fill="none",
-            stroke="#333333",
-            stroke_width="0.8",
-            class_="baseline",
-            data_party=party.acronym,
-        )
-        last = spec.time_points[-1]
-        svg.element(
-            "text",
-            party.acronym,
-            x=str(WIDTH - MARGIN_RIGHT + 4),
-            y=_fmt(y_of(tops[last])),
-            font_size="10",
-            font_family="sans-serif",
-        )
-    _time_axis(svg, spec, x_of, axis_top)
-    svg.parts.append("</svg>")
-    return "\n".join(svg.parts).encode("utf-8")
+            _baseline(party, [(x_of(t), y_of(base_tops[t])) for t in spec.time_points]),
+            _tag(
+                "text",
+                party.acronym,
+                x=str(WIDTH - MARGIN_RIGHT + 4),
+                y=_fmt(y_of(tops[last])),
+                font_size="10",
+                font_family="sans-serif",
+            ),
+        ]
+    return parts + _time_axis(spec, x_of, axis_top)
 
 
-def _time_axis(svg: _Svg, spec: FigureSpec, x_of, axis_top: float) -> None:
-    svg.element(
-        "line",
-        x1=str(MARGIN_LEFT),
-        y1=_fmt(axis_top),
-        x2=str(WIDTH - MARGIN_RIGHT),
-        y2=_fmt(axis_top),
-        stroke="#333333",
-        stroke_width="1",
-    )
-    for t in spec.time_points:
-        x = x_of(t)
-        svg.element(
+def _time_axis(spec: FigureSpec, x_of, axis_top: float) -> list[str]:
+    parts = [
+        _tag(
             "line",
-            x1=_fmt(x),
+            x1=str(MARGIN_LEFT),
             y1=_fmt(axis_top),
-            x2=_fmt(x),
-            y2=_fmt(axis_top + 5),
+            x2=str(WIDTH - MARGIN_RIGHT),
+            y2=_fmt(axis_top),
             stroke="#333333",
             stroke_width="1",
         )
-        svg.element(
-            "text",
-            str(t.year),
-            x=_fmt(x),
-            y=_fmt(axis_top + 20),
-            font_size="11",
-            font_family="sans-serif",
-            text_anchor="middle",
-            class_="tick-label",
-        )
-        count = spec.active_counts.get(t)
-        if count is not None:
-            svg.element(
+    ]
+    for t in spec.time_points:
+        x = x_of(t)
+        parts += [
+            _tag(
+                "line",
+                x1=_fmt(x),
+                y1=_fmt(axis_top),
+                x2=_fmt(x),
+                y2=_fmt(axis_top + 5),
+                stroke="#333333",
+                stroke_width="1",
+            ),
+            _tag(
                 "text",
-                str(count),
+                str(t.year),
                 x=_fmt(x),
-                y=_fmt(axis_top + 38),
+                y=_fmt(axis_top + 20),
                 font_size="11",
                 font_family="sans-serif",
                 text_anchor="middle",
-                class_="active-count",
-                data_time=t.isoformat(),
+                class_="tick-label",
+            ),
+        ]
+        count = spec.active_counts.get(t)
+        if count is not None:
+            parts.append(
+                _tag(
+                    "text",
+                    str(count),
+                    x=_fmt(x),
+                    y=_fmt(axis_top + 38),
+                    font_size="11",
+                    font_family="sans-serif",
+                    text_anchor="middle",
+                    class_="active-count",
+                    data_time=t.isoformat(),
+                )
             )
-    svg.element(
-        "text",
-        f"active actors in {spec.source_label}; thin lines: {spec.baseline_label} seat shares",
-        x=str(MARGIN_LEFT),
-        y=_fmt(axis_top + 58),
-        font_size="11",
-        font_family="sans-serif",
-        class_="legend",
+    parts.append(
+        _tag(
+            "text",
+            f"active actors in {spec.source_label}; thin lines: {spec.baseline_label} seat shares",
+            x=str(MARGIN_LEFT),
+            y=_fmt(axis_top + 58),
+            font_size="11",
+            font_family="sans-serif",
+            class_="legend",
+        )
     )
+    return parts

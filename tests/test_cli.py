@@ -682,7 +682,7 @@ class TestAudit:
     "value",
     [
         "1995-W21-1", "19950521", "\u0661\u0669\u0669\u0660", "\uff11\uff19\uff19\uff10",
-        "1_99", "+123", "1985-13", "1985-00", "0000",
+        "1_99", "+123", "1985-13", "1985-00", "0000", "2020-13-01",
     ],
 )
 @pytest.mark.parametrize("given", ["snapshot", "schedule", "audit-csv"])
@@ -1301,6 +1301,21 @@ class TestReport:
             GOLDEN / "fig_en" / "figure_en-dbpedia.svg"
         ).read_bytes()
 
+    @pytest.mark.parametrize("figure", ["stacked", "placeholder"])
+    def test_stacked_and_placeholder_figures_match_golden_svg(self, tmp_path, figure):
+        audit_csv = GOLDEN / "audit_en" / "audit_kvv.csv"
+        argv = ["--style", "stacked", "--baseline-label", "KVV"]
+        name, golden = "figure_en-dbpedia.svg", "figure_en-dbpedia_stacked.svg"
+        if figure == "placeholder":
+            header = audit_csv.read_bytes().splitlines(keepends=True)[0]
+            audit_csv = tmp_path / "audit.csv"
+            audit_csv.write_bytes(header)
+            argv, name, golden = [], "figure_empty.svg", "figure_empty.svg"
+        out = tmp_path / "fig"
+        assert run_cli("report", "--audit", str(audit_csv), *argv, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [name]
+        assert (out / name).read_bytes() == (GOLDEN / "fig_en" / golden).read_bytes()
+
     def test_stacked_style_selected(self, tmp_path):
         out = tmp_path / "fig"
         code = run_cli(
@@ -1577,6 +1592,20 @@ class TestValidate:
         assert code == 0
         assert peak < 4 * politicians.stat().st_size
 
+    def test_out_writes_the_golden_findings(self, tmp_path, fixture_dir):
+        out = tmp_path / "out"
+        code = run_cli(
+            "validate", "--snapshot", str(GOLDEN / "snapshot_en"),
+            "--map", str(fixture_dir / "map.csv"),
+            "--parties", str(fixture_dir / "parties.csv"),
+            "--out", str(out),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["findings.csv"]
+        assert (out / "findings.csv").read_bytes() == (
+            GOLDEN / "audit_en" / "findings.csv"
+        ).read_bytes()
+
     @pytest.mark.parametrize("given, missing", [("--map", "--parties"), ("--parties", "--map")])
     def test_map_without_parties_is_config_error(self, tmp_path, capsys, given, missing):
         code = run_cli(
@@ -1585,6 +1614,40 @@ class TestValidate:
         )
         assert code == 2
         assert capsys.readouterr().err == f"config error: {given} needs {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fixture-dir", "fixture-dataset", "corpus", "corpus-no-txt", "corpus-kind", "audit"],
+)
+def test_missing_input_is_a_config_error_naming_it(tmp_path, kg_fixture_dir, capsys, case):
+    out = tmp_path / "out"
+    if case == "fixture-dir":
+        path = tmp_path / "no-such-fixture"
+        argv = fetch_args(out, path)
+    elif case == "fixture-dataset":
+        shutil.copytree(kg_fixture_dir, tmp_path / "kg")
+        path = tmp_path / "kg" / "en-dbpedia" / "politicians.json"
+        path.unlink()
+        argv = fetch_args(out, tmp_path / "kg")
+    elif case == "audit":
+        path = tmp_path / "no-such-audit.csv"
+        argv = ["report", "--audit", str(path), "--out", str(out)]
+    else:
+        path = tmp_path / "no-such-corpus"
+        if case == "corpus-no-txt":
+            path = tmp_path / "corpus"
+            path.mkdir()
+            (path / "notes.md").write_text("N-VA", encoding="utf-8")
+        elif case == "corpus-kind":
+            path = tmp_path / "corpus.txt"
+            path.write_text("N-VA", encoding="utf-8")
+        argv = ["score", "--corpus", str(path), "--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestDeterminism:

@@ -21,7 +21,6 @@ from kgdiv.pipeline import (
     AnnotationResponseError,
     AnnotationTransportError,
     CsvTripleSource,
-    EnrichmentError,
     EntityMention,
     LocalOntology,
     MatchRule,
@@ -673,32 +672,6 @@ class TestEnrichment:
         for name, value in features.pairs:
             assert name.count(".") <= 1
             assert value in ("res1", "res2")
-
-    def test_root_failure_is_fatal(self):
-        class Broken:
-            def predicates(self, resource_id):
-                raise IOError("boom")
-
-            def types(self, resource_id):
-                return []
-
-        with pytest.raises(EnrichmentError):
-            enrich_entity("X", Broken(), builtin_ontology())
-
-    def test_linked_failure_degrades(self, caplog):
-        class Flaky:
-            def predicates(self, resource_id):
-                if resource_id == "Y":
-                    raise IOError("linked down")
-                return [("party", "Y")]
-
-            def types(self, resource_id):
-                return ["party"]
-
-        with caplog.at_level("WARNING"):
-            features = enrich_entity("X", Flaky(), builtin_ontology())
-        assert features.pairs == frozenset({("party", "Y")})
-        assert any("partial features" in r.message for r in caplog.records)
 
 
 class TestAggregate:
