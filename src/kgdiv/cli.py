@@ -154,16 +154,13 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, object]:
-    """Write each named output through a .tmp file and rename them only once
-    all are written, so a failure leaves none of them behind. Gives what
-    each writer returned, by name."""
+    """Write each named output into the directory `out`, made if missing,
+    through a .tmp file, and rename them only once all are written, so a
+    failure leaves none of them behind, nor an empty directory it made.
+    Gives what each writer returned, by name."""
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
     tmps = {name: out / f"{name}.tmp" for name in writers}
     try:
         written = {}
@@ -174,6 +171,8 @@ def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[
     except BaseException:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
+        if made and not any(out.iterdir()):
+            out.rmdir()
         raise
     return written
 
@@ -204,7 +203,7 @@ def _require_file(raw: str | Path | None, what: str) -> Path | None:
 def cmd_fetch(args) -> int:
     from . import catalog, config, sparql
 
-    out = _out_dir(args)
+    out = Path(args.out)
     endpoint = config.endpoint(args.source, args.endpoints)
 
     transport = None
@@ -269,7 +268,7 @@ def _read_snapshot(raw: str, nmap):
 def cmd_audit(args) -> int:
     from . import audit, csvformat
 
-    out = _out_dir(args)
+    out = Path(args.out)
     for name, raw in (
         ("baseline", args.baseline),
         ("map", args.map_file),
@@ -450,7 +449,7 @@ def cmd_score(args) -> int:
         match_rules,
     )
 
-    out = _out_dir(args)
+    out = Path(args.out)
     corpus_path = Path(args.corpus)
     if not corpus_path.exists():
         raise ConfigError(f"corpus {corpus_path} does not exist")
@@ -585,7 +584,7 @@ def cmd_report(args) -> int:
             style=args.style,
         )
     }
-    out = _out_dir(args)
+    out = Path(args.out)
     # every figure is drawn before any is written
     _write_all(
         out,
@@ -621,7 +620,7 @@ def cmd_validate(args) -> int:
     if not findings:
         print("no findings")
     if args.out:
-        _write_all(_out_dir(args), {"findings.csv": _findings_writer(findings)})
+        _write_all(Path(args.out), {"findings.csv": _findings_writer(findings)})
     return 0
 
 

@@ -90,8 +90,9 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
     feature pairs, with |a & b| counted as the set bits of the two points'
     masks (one bit per distinct pair). Points are distinct sets, so at
     most one is empty, and an empty set is at distance 1 from every other.
-    Only the masks are kept: each row of the table is computed when it is
-    read, so memory stays linear in the points.
+    Only the masks and sizes are kept: each row of the table is computed
+    when it is read, so memory stays linear in the points, and
+    `stirling_delta` can read the masks and sizes instead of the rows.
     """
     index: dict[FeatureSet, int] = {}
     point = {i: index.setdefault(f, len(index)) for i, f in features.items()}
@@ -139,7 +140,12 @@ def stirling_delta(
     entity has diversity 0.
 
     The sum is computed as 2 * sum over point pairs g < h with d_gh > 0 of
-    d_gh^alpha * Q_g * Q_h, where Q_g sums p_i^beta over the ids of point g.
+    d_gh^alpha * Q_g * Q_h, where Q_g sums p_i^beta over the ids of point g,
+    row by row with h ascending. Over a `compute_disparity` matrix of many
+    points of few sizes, as of a document of many actors, it is one pass
+    over the point pairs, each d^alpha looked up by the two sizes and the
+    shared count. Other rows, computed or explicit, are read as given. Both
+    give the same bits for the same distances.
     """
     if set(balance.ids) != set(disparity.ids):
         raise ValueError("balance and disparity cover different entity ids")
@@ -149,10 +155,37 @@ def stirling_delta(
         weights[disparity.point[i]] += p_i**params.beta
     alpha = params.alpha
     delta = 0.0
-    for g, row in enumerate(table):
-        row_sum = 0.0
-        for d, weight_h in zip(row, weights[g + 1 :]):
-            if d != 0.0:
-                row_sum += d**alpha * weight_h
-        delta += weights[g] * row_sum
+    sizes = table.sizes if isinstance(table, _TailRows) else ()
+    present, n = set(sizes), len(sizes)
+    # d_gh depends only on the two sizes and the shared count, so d^alpha can
+    # be computed once per pair of sizes present and shared count, and looked
+    # up. Each entry costs what a pair's d^alpha does, so the lookup is built
+    # only where the pairs, about n^2 / 2, are twice the entries, of which
+    # there are at least len(present)^2. A denominator is 0 only between two
+    # empty sets, never two points
+    if 2 * len(present) < n and 4 * sum(min(a, b) + 1 for a in present for b in present) < n * n:
+        powers = {
+            a: {
+                b: [
+                    0.0 if (d := 1.0 - s / ((a + b - s) or 1)) == 0.0 else d**alpha
+                    for s in range(min(a, b) + 1)
+                ]
+                for b in present
+            }
+            for a in present
+        }
+        points = list(zip(table.masks, sizes, weights))
+        for g, (mask_g, size_g, weight_g) in enumerate(points):
+            power = powers[size_g]
+            row_sum = 0.0
+            for mask_h, size_h, weight_h in points[g + 1 :]:
+                row_sum += power[size_h][(mask_g & mask_h).bit_count()] * weight_h
+            delta += weight_g * row_sum
+    else:
+        for g, row in enumerate(table):
+            row_sum = 0.0
+            for d, weight_h in zip(row, weights[g + 1 :]):
+                if d != 0.0:
+                    row_sum += d**alpha * weight_h
+            delta += weights[g] * row_sum
     return DiversityResult(delta=2.0 * delta, variety=len(balance.shares), balance=balance)

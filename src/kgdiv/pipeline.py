@@ -122,8 +122,9 @@ class CsvTripleSource:
 
     Equal pairs are one tuple, so a source holds one pair and one object
     string per distinct pair, however many rows repeat it. `shared` maps
-    each of them to itself, and `enrich_entity` keeps its feature pairs
-    and linked feature names there too, for as long as the source lives.
+    each of them to itself, and `enrich_entity` keeps its feature pairs,
+    linked feature names and linked resources' expansions there too, for
+    as long as the source lives.
     """
 
     def __init__(
@@ -399,14 +400,16 @@ def enrich_entity(
 ) -> FeatureSet:
     """Map a resource's predicates to feature pairs, expanding one hop.
 
-    Linked resources reached through a mapped predicate are expanded once
-    if they belong to one of the recognized actor types; their mapped
-    predicates are prefixed with the linking feature name.
+    Linked resources other than the root reached through a mapped
+    predicate are expanded if they belong to one of the recognized actor
+    types; their mapped predicates are prefixed with the linking feature
+    name.
 
-    Each distinct feature pair is one tuple, and each linked feature name
-    is built once: both are kept in the source's `shared` memo, where a
-    pair equal to a triple pair, as under bare predicate names, is that
-    pair itself.
+    Each distinct feature pair is one tuple, each linked feature name is
+    built once, and each linked resource is classified and expanded once
+    per feature name, whichever root links to it: all three are kept in
+    the source's `shared` memo, where a pair equal to a triple pair, as
+    under bare predicate names, is that pair itself.
     """
     names = ontology.property_map
     shared = triples.shared
@@ -416,19 +419,27 @@ def enrich_entity(
         if name is None:
             continue
         pair = (name, obj)
-        features.add(shared.setdefault(pair, pair))
-        if obj == root_id or ontology.classify(triples.types(obj)) is None:
+        features.add(pair := shared.setdefault(pair, pair))
+        if obj == root_id:
             continue
-        for linked_predicate, linked_obj in triples.predicates(obj):
-            linked_name = names.get(linked_predicate)
-            if linked_name is None:
-                continue
-            # a linked name is keyed by a three-tuple, which no pair equals
-            dotted = shared.get(key := (name, ".", linked_name))
-            if dotted is None:
-                shared[key] = dotted = f"{name}.{linked_name}"
-            pair = (dotted, linked_obj)
-            features.add(shared.setdefault(pair, pair))
+        # a linked resource's expansion is keyed by a one-tuple, which no
+        # pair and no linked name's key equals
+        linked = shared.get((pair,))
+        if linked is None:
+            linked = []
+            if ontology.classify(triples.types(obj)) is not None:
+                for linked_predicate, linked_obj in triples.predicates(obj):
+                    linked_name = names.get(linked_predicate)
+                    if linked_name is None:
+                        continue
+                    # a linked name is keyed by a three-tuple, which no pair equals
+                    dotted = shared.get(key := (name, ".", linked_name))
+                    if dotted is None:
+                        shared[key] = dotted = f"{name}.{linked_name}"
+                    linked_pair = (dotted, linked_obj)
+                    linked.append(shared.setdefault(linked_pair, linked_pair))
+            shared[(pair,)] = linked = tuple(linked)
+        features.update(linked)
     return FeatureSet(frozenset(features))
 
 

@@ -2,13 +2,15 @@
 
 They are written for plainness, not speed: the Jaccard distance of two
 feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
-Δ, a disparity matrix from explicit pair values, the inverse of a figure
+Δ, Δ as two passes over the rows of d_gh, a disparity matrix from
+explicit pair values, the inverse of a figure
 panel's y-transform, the audit's record layer (politician records with
 their affiliations, each one's activity period as a date interval, and
 the per-time-point count of the active politicians' careers, over a
 snapshot parsed into one tuple per row), rule matching one rule at a
 time, a triple index and one-hop enrichment that build a new tuple per
-row and per feature pair, and a query's distinct rows kept whole, as
+row and per feature pair, one-hop enrichment that expands each linked
+resource anew for every root, and a query's distinct rows kept whole, as
 (values, terms) dict keys over lists of each page's rows.
 """
 
@@ -93,6 +95,38 @@ def pair_terms(
             d = disparity_value(matrix, i, j)
             terms[(i, j)] = 0.0 if d == 0.0 else d**params.alpha * (p_i * p_j) ** params.beta
     return terms
+
+
+def two_pass_delta(
+    balance: BalanceVector,
+    matrix: DisparityMatrix,
+    params: DiversityParams = DiversityParams(),
+) -> float:
+    """Stirling's Δ in two passes: each row of d_gh for h > g, built with one
+    division per pair from the masks and sizes of a `compute_disparity`
+    matrix (or taken from explicit rows), then walked again with one
+    d**alpha per nonzero pair, row by row with h ascending."""
+    table = matrix.table
+    if hasattr(table, "masks"):
+        masks, sizes = table.masks, table.sizes
+        table = [
+            [
+                1.0 - (shared := (masks[g] & mask_h).bit_count()) / (sizes[g] + size_h - shared)
+                for mask_h, size_h in zip(masks[g + 1 :], sizes[g + 1 :])
+            ]
+            for g in range(len(masks))
+        ]
+    weights = [0.0] * len(table)
+    for i, p_i in balance.shares.items():
+        weights[matrix.point[i]] += p_i**params.beta
+    delta = 0.0
+    for g, row in enumerate(table):
+        row_sum = 0.0
+        for d, weight_h in zip(row, weights[g + 1 :]):
+            if d != 0.0:
+                row_sum += d**params.alpha * weight_h
+        delta += weights[g] * row_sum
+    return 2.0 * delta
 
 
 def explicit_matrix(
@@ -506,6 +540,33 @@ def enrich(
         for linked_predicate, linked_obj in index.get(obj, ()):
             if linked_predicate in names:
                 features.add((names[predicate] + "." + names[linked_predicate], linked_obj))
+    return FeatureSet(frozenset(features))
+
+
+def enrich_per_root(root_id: str, triples, ontology: LocalOntology) -> FeatureSet:
+    """One-hop enrichment over a `CsvTripleSource` that classifies and
+    expands a linked resource again for every root that links to it,
+    keeping each feature pair and linked name in the source's `shared`."""
+    names = ontology.property_map
+    shared = triples.shared
+    features: set[tuple[str, str]] = set()
+    for predicate, obj in triples.predicates(root_id):
+        name = names.get(predicate)
+        if name is None:
+            continue
+        pair = (name, obj)
+        features.add(shared.setdefault(pair, pair))
+        if obj == root_id or ontology.classify(triples.types(obj)) is None:
+            continue
+        for linked_predicate, linked_obj in triples.predicates(obj):
+            linked_name = names.get(linked_predicate)
+            if linked_name is None:
+                continue
+            dotted = shared.get(key := (name, ".", linked_name))
+            if dotted is None:
+                shared[key] = dotted = f"{name}.{linked_name}"
+            pair = (dotted, linked_obj)
+            features.add(shared.setdefault(pair, pair))
     return FeatureSet(frozenset(features))
 
 

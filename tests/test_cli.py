@@ -14,6 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kgdiv.cli import main
 from kgdiv.csvformat import POLITICIANS_CSV_HEADER
@@ -210,7 +212,7 @@ class TestFetch:
         assert err.startswith("error: ")
         assert str(fixture / name) in err
         assert "Traceback" not in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_source_choices_are_the_dialects(self):
         # kgdiv.DIALECTS, which sparql binds too, so parsing imports no sparql code
@@ -594,7 +596,7 @@ class TestAudit:
             "error: career end override 2017-01-01 after death 2016-03-02 for "
             "'http://dbpedia.org/resource/Carla_Maes'\n"
         ) in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, rows, message",
@@ -636,7 +638,7 @@ class TestAudit:
             argv += [flag, str(bad)]
         assert run_cli(*argv) == 1
         assert f"error: {bad} {message}\n" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bodies, message",
@@ -670,7 +672,7 @@ class TestAudit:
             assert f"error: {baselines} {message}\n" in err
         else:
             assert f"error: baselines file {baselines}: {message}" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 # Python 3.11+ reads an ISO week date and the basic format as dates, 3.10
@@ -708,7 +710,7 @@ def test_dates_other_than_year_month_day_are_rejected(tmp_path, fixture_dir, cap
         code, message = 1, f"row 2: {value!r} is not a YYYY-MM-DD date"
     assert run_cli(*argv) == code
     assert message in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "audit"])
@@ -732,7 +734,7 @@ def test_bad_snapshot_date_names_file_and_row(tmp_path, fixture_dir, capsys, com
     assert capsys.readouterr().err == (
         f"error: {politicians} row 4: aff_start '1985-1x-01' is not an ISO date\n"
     )
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_field_over_the_csv_size_limit_names_file_and_line(tmp_path, capsys):
@@ -1082,7 +1084,7 @@ class TestScore:
         code = run_cli("score", "--corpus", str(corpus), "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == f"config error: corpus CSV {corpus} has no documents\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_csv_corpus_repeating_a_doc_id_fails(self, tmp_path, fixture_dir, capsys):
         corpus = tmp_path / "corpus.csv"
@@ -1094,7 +1096,7 @@ class TestScore:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: corpus CSV {corpus} repeats doc_id 'd1'\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("failure", ["not-utf8", "repeated-doc-id", "short-row", "require-nel"])
     def test_a_failure_at_the_last_document_leaves_no_output(
@@ -1235,6 +1237,61 @@ def test_malformed_input_csv_fails_cleanly(tmp_path, fixture_dir, capsys, comman
     assert list(out.iterdir()) == []
 
 
+#: cell values that real input files hold by mistake: empty and blank
+#: cells, NUL, bytes that are not UTF-8, a byte order mark, stray and
+#: unclosed quotes, a separator or a line end inside the cell, words that
+#: the readers parse, and a long run of a two-byte character
+HOSTILE_CELLS = [
+    b"", b" ", b"\x00", b"\xff\xfe", b"\xef\xbb\xbf", b'"', b'"unclosed', b'a"b', b'"x"y',
+    b"a,b", b"\n", b"\r\n", b"\r", b"lemma", b"surface ", b"maybe", b"FALSE", b"0", b"-1",
+    b"nan", b"type", b"party", b"N-VA", b"\xc3\xa9" * 300, b"\\",
+]
+
+
+def score_input_rows(fixture_dir: Path) -> dict[str, list[list[bytes]]]:
+    """The fixture rules, triples and corpus (as a CSV), each a header row
+    and data rows of cells; no cell holds a comma, quote or line end."""
+    tables = {}
+    for name in ("rules", "triples"):
+        with open(fixture_dir / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            tables[name] = [[cell.encode() for cell in row] for row in csv.reader(fh)]
+    tables["corpus"] = [[b"doc_id", b"text"]] + [
+        [path.stem.encode(), path.read_bytes().strip()]
+        for path in sorted((fixture_dir / "corpus").glob("*.txt"))
+    ]
+    return tables
+
+
+@given(
+    st.sampled_from(["rules", "triples", "corpus"]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(HOSTILE_CELLS),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_score_with_one_hostile_cell_exits_cleanly_naming_the_file(
+    tmp_path_factory, fixture_dir, capsys, changed, row, column, value
+):
+    """score over inputs with one cell changed (any row, the header too)
+    exits 0, 1 or 2 with no traceback, and a failure names the file."""
+    tables = score_input_rows(fixture_dir)
+    cells = tables[changed][row % len(tables[changed])]
+    cells[column % len(cells)] = value
+    directory = tmp_path_factory.mktemp("hostile")
+    paths = {name: directory / f"{name}.csv" for name in tables}
+    for name, rows in tables.items():
+        paths[name].write_bytes(b"".join(b",".join(cells) + b"\n" for cells in rows))
+    code = run_cli(
+        "score", "--corpus", str(paths["corpus"]), "--rules", str(paths["rules"]),
+        "--triples", str(paths["triples"]), "--out", str(directory / "out"),
+    )
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert str(paths[changed]) in err
+
+
 @pytest.mark.parametrize("reader", ["rules", "snapshot", "audit-csv", "corpus-txt"])
 def test_input_that_is_not_utf8_names_the_file(tmp_path, fixture_dir, capsys, reader):
     """A Latin-1 input file exits 1 with an error that names it."""
@@ -1262,7 +1319,7 @@ def test_input_that_is_not_utf8_names_the_file(tmp_path, fixture_dir, capsys, re
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad} is not UTF-8 text: ")
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestReport:
@@ -1647,7 +1704,7 @@ def test_missing_input_is_a_config_error_naming_it(tmp_path, kg_fixture_dir, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
     assert "Traceback" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kgdiv.diversity import (
     BalanceVector,
+    DisparityMatrix,
     DiversityParams,
     FeatureSet,
     compute_balance,
@@ -24,6 +25,7 @@ from tests.oracles import (
     gini_simpson,
     jaccard_distance,
     pair_terms,
+    two_pass_delta,
 )
 
 
@@ -373,6 +375,57 @@ def test_property_computed_rows_match_the_oracles(raw, data, alpha, beta):
         for b, fb in entities.items():
             assert disparity_value(m, a, b) == jaccard_distance(fa, fb)
     assert_grouped_equals_pair_terms(compute_balance(counts), m, alpha, beta)
+
+
+DELTA_POOL = [("f", str(k)) for k in range(70)]
+
+
+@st.composite
+def delta_instances(draw):
+    """0 to 60 entities, each with the set of an earlier one, a prefix of
+    one order of 70 pairs (so nested sets, and masks past 64 bits), or a
+    set of the first 20 pairs. Every set but the whole order has one of up
+    to three sizes, so the points are often many of few sizes, which
+    `stirling_delta` sums by lookup, and otherwise few, whose rows it reads."""
+    chain = draw(st.permutations(DELTA_POOL))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3))
+    sets: list[frozenset] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=60))):
+        kind = draw(st.sampled_from(["earlier", "prefix", "sized", "sized", "sized"]))
+        if kind == "earlier" and sets:
+            sets.append(draw(st.sampled_from(sets)))
+        elif kind == "prefix":
+            sets.append(frozenset(chain[: draw(st.sampled_from([*sizes, 70]))]))
+        else:
+            size = draw(st.sampled_from(sizes))
+            sets.append(frozenset(draw(st.permutations(DELTA_POOL[:20]))[:size]))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(sets), max_size=len(sets)))
+    entities = {f"e{k}": FeatureSet(f) for k, f in enumerate(sets)}
+    return entities, dict(zip(entities, counts))
+
+
+DELTA_ALPHAS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 1.7])
+
+
+@given(delta_instances(), DELTA_ALPHAS, EXPONENTS)
+@settings(max_examples=200, deadline=None)
+def test_property_delta_equals_the_two_pass_delta_exactly(drawn, alpha, beta):
+    entities, counts = drawn
+    balance, m = compute_balance(counts), compute_disparity(entities)
+    params = DiversityParams(alpha, beta)
+    delta = stirling_delta(balance, m, params).delta
+    assert delta == two_pass_delta(balance, m, params)
+    # the same rows given explicitly take the row loop, to the same bits
+    rows = DisparityMatrix(m.ids, m.point, [list(row) for row in m.table])
+    assert stirling_delta(balance, rows, params).delta == delta
+
+
+@given(st.randoms(use_true_random=False), DELTA_ALPHAS, EXPONENTS)
+@settings(max_examples=150)
+def test_property_explicit_rows_give_the_two_pass_delta_exactly(rng, alpha, beta):
+    balance, m = random_instance(rng, max_n=12)
+    params = DiversityParams(alpha, beta)
+    assert stirling_delta(balance, m, params).delta == two_pass_delta(balance, m, params)
 
 
 def test_disparity_and_delta_memory_is_linear_in_points():

@@ -623,6 +623,59 @@ class TestSharedPairs:
         assert by_name["party"] is triples.predicates("A")[0]
 
 
+class TestLinkedExpansion:
+    # rows every example holds: R names the party L under two feature names,
+    # and L links back to R and to itself; R's ideology I has mapped
+    # predicates but no actor type; R links to itself
+    ROWS = [
+        ("R", "party", "L"),
+        ("R", "country", "L"),
+        ("L", "type", "party"),
+        ("L", "party", "R"),
+        ("L", "party", "L"),
+        ("L", "ideology", "green"),
+        ("R", "ideology", "I"),
+        ("I", "type", "idea"),
+        ("I", "party", "L"),
+        ("R", "party", "R"),
+    ]
+    RESOURCES = ["R", "L", "I", "S", "T"]
+
+    def test_each_linked_resource_under_each_name(self):
+        triples = CsvTripleSource(self.ROWS, builtin_ontology())
+        assert enrich_entity("R", triples, builtin_ontology()).pairs == {
+            ("party", "L"), ("country", "L"), ("ideology", "I"), ("party", "R"),
+            ("party.party", "R"), ("party.party", "L"), ("party.ideology", "green"),
+            ("country.party", "R"), ("country.party", "L"), ("country.ideology", "green"),
+        }
+        # L's expansion under party is kept, but L does not expand itself
+        assert enrich_entity("L", triples, builtin_ontology()).pairs == {
+            ("party", "R"), ("party", "L"), ("ideology", "green"),
+        }
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(RESOURCES),
+                st.sampled_from(["party", "country", "ideology", "occupation", "type", "label"]),
+                st.sampled_from([*RESOURCES, "party", "person", "idea", "x"]),
+            ),
+            max_size=30,
+        ),
+        st.permutations(RESOURCES),
+    )
+    @settings(max_examples=200)
+    def test_property_equals_expanding_for_every_root(self, extra, order):
+        rows = [*self.ROWS, *extra]
+        ontology = builtin_ontology()
+        source, per_root = CsvTripleSource(rows, ontology), CsvTripleSource(rows, ontology)
+        # twice over, so that the second pass reads the expansions the first kept
+        for resource in [*order, *order]:
+            assert enrich_entity(resource, source, ontology) == oracles.enrich_per_root(
+                resource, per_root, ontology
+            )
+
+
 class TestEnrichment:
     def test_party_then_ideology(self):
         triples = CsvTripleSource(
