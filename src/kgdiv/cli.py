@@ -159,7 +159,8 @@ def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[
     through a .tmp file, and rename them only once all are written, so a
     failure leaves none of them behind, nor an empty directory it made.
     Gives what each writer returned, by name."""
-    made = not out.exists()
+    # the directories that mkdir makes, deepest first
+    made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
     tmps = {name: out / f"{name}.tmp" for name in writers}
     try:
@@ -171,8 +172,9 @@ def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[
     except BaseException:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
-        if made and not any(out.iterdir()):
-            out.rmdir()
+        for path in made:
+            if not any(path.iterdir()):
+                path.rmdir()
         raise
     return written
 

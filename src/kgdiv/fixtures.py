@@ -25,15 +25,17 @@ start is known, and reads on in CHUNK-byte chunks through an incremental
 UTF-8 decoder, decoding the elements with json's C scanner and noting
 where each one starts. It yields each binding it is asked for as soon as
 the delimiter after it is checked, and closes the file when it ends or
-is abandoned; a synthetic dataset makes only the page's bindings. An
-element, or the delimiter after it, cut off by the end of a chunk is
-scanned again once the next chunk is read, so a syntax error counts only
-where the file has no more bytes, and its message places it in the whole
-file as json.loads would. A page asked for again is decoded again. So
-the file is checked as the pages reach it: bad JSON or a byte that is
-not UTF-8 in a later element, or after the array, is found by the
-request for the page that gets there, and execute_query's rows, read to
-the end, find it before they end.
+is abandoned; a synthetic dataset makes only the page's bindings. Keys,
+member values and elements are read by one step: a value, and the
+delimiter after it. A value or delimiter cut off by the end of a chunk
+is scanned again once the next chunk is read, so a fault counts only
+where the file has no more bytes. The store only finds a fault: its
+message is json's own, worded and placed as in the whole file, which is
+then decoded once with each object let go. A page asked for again is
+decoded again. So the file is checked as the pages reach it: bad JSON
+or a byte that is not UTF-8 in a later element, or after the array, is
+found by the request for the page that gets there, and execute_query's
+rows, read to the end, find it before they end.
 
 The in-process transport (no sockets) hands each page straight to
 sparql.parse_results, whose rows are parsed as the bindings are decoded
@@ -69,8 +71,8 @@ CHUNK = 64 * 1024
 
 _SCAN = json.JSONDecoder().scan_once
 _WS = re.compile(r"[ \t\n\r]*")
-#: the whitespace, delimiter and whitespace that follow an array element
-_AFTER_ELEMENT = re.compile(r"[ \t\n\r]*([,\]]?)[ \t\n\r]*")
+#: the whitespace, delimiter and whitespace that follow a value
+_AFTER = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*")
 #: the dataset keys that must not repeat, as json's last-one-wins would
 #: change pages already served
 _KEYS = ("variables", "bindings", "synthetic")
@@ -82,8 +84,7 @@ class _Text:
     Positions count characters from that offset. `text` holds those from
     position `first` on: `more` lets go of the text before a position and
     reads on. A value cut off where the text read so far ends is scanned
-    again once more is read, so a scan error counts only at the end of the
-    file.
+    again once more is read, so a fault counts only at the end of the file.
     """
 
     def __init__(self, path: Path, start: int):
@@ -118,13 +119,8 @@ class _Text:
                 self.eof = not data
                 pieces.append(self._decode(data, self.eof))
                 read += len(data)
-        except UnicodeDecodeError as exc:
-            # placed in the whole file, as decoding all of it places it
-            try:
-                self.path.read_bytes().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            raise ValueError(f"fixture file {self.path} is not JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_json(self.path) from None
         self.text = "".join(pieces)
         self.first = pos
         self._ascii = self.text.isascii()
@@ -155,54 +151,26 @@ class _Text:
         i = pos - self.first
         return self.text[i : i + 1]
 
-    def value(self, pos: int) -> tuple[object, int]:
-        """The JSON value at `pos` and the position after it. Three more
-        characters, or the end of the file, show that a number is whole."""
+    def value(self, pos: int) -> tuple[object, str, int]:
+        """The JSON value at `pos`; the ",", ":", "]" or "}" after it (""
+        for none); and the position after that delimiter and the
+        whitespace that follows it. It reads on until the character after
+        that whitespace is read and, where that is not a delimiter, three
+        characters past the value; or to the end of the file. Either shows
+        that a number is whole, and a missing delimiter is found without
+        reading on to the end."""
         while True:
             try:
                 value, end = _SCAN(self.text, pos - self.first)
-            except (StopIteration, ValueError) as exc:
+            except (StopIteration, ValueError):
                 if self.eof:
-                    raise self._scan_error(exc) from None
+                    raise _not_json(self.path) from None
             else:
-                if end + 2 < len(self.text) or self.eof:
-                    return value, end + self.first
+                after = _AFTER.match(self.text, end)
+                delimiter, read = after.group(1), len(self.text)
+                if after.end() < read and (delimiter or end + 2 < read) or self.eof:
+                    return value, delimiter, after.end() + self.first
             self.more(pos)
-
-    def element(self, pos: int) -> tuple[object, str, int, int]:
-        """The array element at `pos`; the "," or "]" after it ("" for
-        neither) and its position; and the position after the delimiter
-        and the whitespace that follows it."""
-        while True:
-            try:
-                element, end = _SCAN(self.text, pos - self.first)
-            except (StopIteration, ValueError) as exc:
-                if self.eof:
-                    raise self._scan_error(exc) from None
-            else:
-                after = _AFTER_ELEMENT.match(self.text, end)
-                delimiter = after.group(1)
-                if delimiter and after.end() < len(self.text) or self.eof:
-                    first = self.first
-                    return element, delimiter, after.start(1) + first, after.end() + first
-            self.more(pos)
-
-    def _scan_error(self, exc: Exception) -> ValueError:
-        if isinstance(exc, StopIteration):
-            return self.error("Expecting value", exc.value + self.first)
-        if isinstance(exc, json.JSONDecodeError):
-            return self.error(exc.msg, exc.pos + self.first)
-        return ValueError(f"fixture file {self.path} is not JSON: {exc}")
-
-    def error(self, message: str, pos: int) -> ValueError:
-        """A syntax error at `pos`, placed in the whole file as json places
-        it in the file's text read with universal newlines ("\\r\\n" and
-        "\\r" read as "\\n")."""
-        with open(self.path, "rb") as fh:
-            doc = fh.read(self.offset(pos)).decode("utf-8")
-        doc = doc.replace("\r\n", "\n").replace("\r", "\n")
-        exc = json.JSONDecodeError(message, doc, len(doc))
-        return ValueError(f"fixture file {self.path} is not JSON: {exc}")
 
 
 class Dataset:
@@ -225,7 +193,7 @@ class Dataset:
                 # a JSON document of another type, or none: say which
                 _read_json(path)
                 raise self._shape("is not an object with a list of string variables")
-            self._members(text, pos + 1, after_value=False, seen=set())
+            self._members(text, "{", text.ws(pos + 1), set())
 
     def page(self, offset: int, limit: int | None) -> Iterator[dict]:
         """The bindings offset .. offset + limit - 1 (to the end without a
@@ -267,15 +235,15 @@ class Dataset:
         found = array("q")
         try:
             while stop is None or index < stop:
-                element, delimiter, at, pos = text.element(pos)
+                element, delimiter, pos = text.value(pos)
                 if delimiter == ",":
                     found.append(text.offset(pos))
                 elif delimiter == "]":
-                    self._members(text, at + 1, after_value=True, seen=set(self._keys_before))
+                    self._members(text, text.peek(pos), text.ws(pos + 1), set(self._keys_before))
                     with self._lock:
                         self._count = index + 1
                 else:
-                    raise text.error("Expecting ',' delimiter", at)
+                    raise _not_json(self.path)
                 if index >= offset:
                     yield element
                 if delimiter == "]":
@@ -285,29 +253,17 @@ class Dataset:
             with self._lock:
                 self._starts.extend(found[len(self._starts) - first - 1 :])
 
-    def _members(self, text: _Text, pos: int, after_value: bool, seen: set) -> None:
-        """Read the dataset object's members from `pos`, just after its
-        "{" or after a member's value, to the end of the document. A
-        bindings array after the variables is left to the pages."""
-        pos = text.ws(pos)
-        if not after_value and text.peek(pos) == "}":
-            return self._end(text, pos + 1)
-        while True:
-            if after_value:
-                char = text.peek(pos)
-                if char == "}":
-                    return self._end(text, pos + 1)
-                if char != ",":
-                    raise text.error("Expecting ',' delimiter", pos)
-                pos = text.ws(pos + 1)
-            after_value = True
-            if text.peek(pos) != '"':
-                raise text.error("Expecting property name enclosed in double quotes", pos)
-            key, pos = text.value(pos)
-            pos = text.ws(pos)
-            if text.peek(pos) != ":":
-                raise text.error("Expecting ':' delimiter", pos)
-            pos = text.ws(pos + 1)
+    def _members(self, text: _Text, delimiter: str, pos: int, seen: set) -> None:
+        """Read the dataset object's members to the end of the document,
+        from `delimiter` ("{" at the object's start, else the one after a
+        member's value) and `pos`, after it and its whitespace. A bindings
+        array after the variables is left to the pages."""
+        if delimiter == "{" and text.peek(pos) == "}":
+            delimiter, pos = "}", text.ws(pos + 1)
+        while delimiter in ("{", ","):
+            key, delimiter, pos = text.value(pos)
+            if not isinstance(key, str) or delimiter != ":":
+                raise _not_json(self.path)
             if key in _KEYS:
                 if key in seen:
                     raise self._shape(f"names {key!r} twice")
@@ -319,18 +275,17 @@ class Dataset:
                 if text.peek(first) == "]":
                     self._count = 0
                     pos = text.ws(first + 1)
+                    delimiter, pos = text.peek(pos), text.ws(pos + 1)
                     continue
                 self._starts.append(text.offset(first))
                 self._keys_before = frozenset(seen)
-                if self.variables is not None:
-                    return
-                # the variables come later: decode to the array's end, and
-                # keep no element
-                for _ in self._decode(text, first, 0, sys.maxsize, None):
-                    pass
+                if self.variables is None:
+                    # the variables come later: decode to the array's end,
+                    # and keep no element
+                    for _ in self._decode(text, first, 0, sys.maxsize, None):
+                        pass
                 return
-            value, pos = text.value(pos)
-            pos = text.ws(pos)
+            value, delimiter, pos = text.value(pos)
             if key == "variables":
                 if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                     raise self._shape("is not an object with a list of string variables")
@@ -339,10 +294,8 @@ class Dataset:
                 self._synthetic = self._checked_synthetic(value)
             elif key == "bindings":
                 raise self._shape("has no list of bindings")
-
-    def _end(self, text: _Text, pos: int) -> None:
-        if text.peek(text.ws(pos)):
-            raise text.error("Extra data", pos)
+        if delimiter != "}" or text.peek(pos):
+            raise _not_json(self.path)
         if self.variables is None:
             raise self._shape("is not an object with a list of string variables")
         if self._synthetic is None and not self._starts and self._count is None:
@@ -425,11 +378,22 @@ class FixtureStore:
         }
 
 
-def _read_json(path: Path):
+def _read_json(path: Path, object_pairs_hook=None):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=object_pairs_hook)
     except ValueError as exc:
         raise ValueError(f"fixture file {path} is not JSON: {exc}") from None
+
+
+def _not_json(path: Path) -> ValueError:
+    """The error of a fixture file found not to be JSON: json's own, worded
+    and placed as in the whole file read as _read_json reads it. Each
+    object decodes to None, so no more than the text is held."""
+    try:
+        _read_json(path, lambda pairs: None)
+    except ValueError as exc:
+        return exc
+    return ValueError(f"fixture file {path} changed while it was read")
 
 
 def _dialect_from_url(url: str) -> str:

@@ -165,7 +165,8 @@ def execute_query(
     first-seen order, as a tuple in the template's variable order (""
     where unbound): the variables its SELECT names, or the endpoint's for
     SELECT *. Bindings that differ only in a datatype or language tag are
-    distinct, so they give two rows with the same values.
+    distinct, so they give two rows with the same values. A malformed
+    page's error names the template and the page's offset.
     """
     if template.dialect != endpoint.dialect:
         raise ValueError(
@@ -174,11 +175,14 @@ def execute_query(
         )
     selected = re.search(_SELECT, template.query_text)
     order = tuple(selected.group(1).replace("?", "").split()) if selected else None
-    return _distinct_rows(endpoint, template.query_text, transport or http_transport, order)
+    return _distinct_rows(endpoint, template, transport or http_transport, order)
 
 
 def _distinct_rows(
-    endpoint: EndpointConfig, query: str, send: Transport, order: tuple[str, ...] | None
+    endpoint: EndpointConfig,
+    template: QueryTemplate,
+    send: Transport,
+    order: tuple[str, ...] | None,
 ) -> Iterator[tuple[str, ...]]:
     limiter = _limiter_for(endpoint)
     # per tuple of term shapes, each distinct row's values joined on NUL,
@@ -186,27 +190,33 @@ def _distinct_rows(
     seen: dict[tuple, set] = {}
     offset = 0
     while True:
-        paged = f"{query}\nLIMIT {endpoint.page_size} OFFSET {offset}"
+        paged = f"{template.query_text}\nLIMIT {endpoint.page_size} OFFSET {offset}"
         body = _send_with_retry(send, endpoint, paged, limiter)
-        # a SELECT * keeps the order the first page declares
-        order, page = parse_results(body, order)
-        joins = len(order) - 1
         read = new = 0
         # a page's rows share one tuple per distinct term shapes, held until
         # the page is read, so each is hashed and compared once per page and
         # then found by its id
         by_id: dict[int, set] = {}
-        for read, (values, terms) in enumerate(page, 1):
-            key = "\0".join(values)
-            if key.count("\0") != joins:
-                key = values
-            keys = by_id.get(id(terms))
-            if keys is None:
-                keys = by_id[id(terms)] = seen.setdefault(terms, set())
-            if key not in keys:
-                keys.add(key)
-                new += 1
-                yield values
+        try:
+            # a SELECT * keeps the order the first page declares
+            order, page = parse_results(body, order)
+            joins = len(order) - 1
+            for read, (values, terms) in enumerate(page, 1):
+                key = "\0".join(values)
+                if key.count("\0") != joins:
+                    key = values
+                keys = by_id.get(id(terms))
+                if keys is None:
+                    keys = by_id[id(terms)] = seen.setdefault(terms, set())
+                if key not in keys:
+                    keys.add(key)
+                    new += 1
+                    yield values
+        except MalformedResultError as exc:
+            # the same words over every transport
+            raise MalformedResultError(
+                f"template {template.template_id}, page at offset {offset}: {exc}"
+            ) from exc
         if read < endpoint.page_size:
             return
         if not new:

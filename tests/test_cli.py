@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from kgdiv.cli import main
 from kgdiv.csvformat import POLITICIANS_CSV_HEADER
-from tests.conftest import write_config
+from tests.conftest import FIXTURES, write_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -243,7 +243,9 @@ class TestFetch:
         out.mkdir()
         (out / "politicians.csv").write_text("earlier", encoding="utf-8")
         assert run_cli(*fetch_args(out, fixture)) == 1
-        assert capsys.readouterr().err == "error: unknown binding kind 'wat'\n"
+        assert capsys.readouterr().err == (
+            "error: template parties, page at offset 0: unknown binding kind 'wat'\n"
+        )
         assert [p.name for p in out.iterdir()] == ["politicians.csv"]
         assert (out / "politicians.csv").read_text(encoding="utf-8") == "earlier"
 
@@ -1248,13 +1250,21 @@ HOSTILE_CELLS = [
 ]
 
 
+def csv_cells(path: Path) -> list[list[bytes]]:
+    """A CSV file's rows of cells as bytes, its header row first."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [[cell.encode() for cell in row] for row in csv.reader(fh)]
+
+
+def write_cells(path: Path, rows: list[list[bytes]]) -> None:
+    """Write rows of cells that hold no comma, quote or line end of their own."""
+    path.write_bytes(b"".join(b",".join(cells) + b"\n" for cells in rows))
+
+
 def score_input_rows(fixture_dir: Path) -> dict[str, list[list[bytes]]]:
     """The fixture rules, triples and corpus (as a CSV), each a header row
     and data rows of cells; no cell holds a comma, quote or line end."""
-    tables = {}
-    for name in ("rules", "triples"):
-        with open(fixture_dir / f"{name}.csv", newline="", encoding="utf-8") as fh:
-            tables[name] = [[cell.encode() for cell in row] for row in csv.reader(fh)]
+    tables = {name: csv_cells(fixture_dir / f"{name}.csv") for name in ("rules", "triples")}
     tables["corpus"] = [[b"doc_id", b"text"]] + [
         [path.stem.encode(), path.read_bytes().strip()]
         for path in sorted((fixture_dir / "corpus").glob("*.txt"))
@@ -1280,7 +1290,7 @@ def test_score_with_one_hostile_cell_exits_cleanly_naming_the_file(
     directory = tmp_path_factory.mktemp("hostile")
     paths = {name: directory / f"{name}.csv" for name in tables}
     for name, rows in tables.items():
-        paths[name].write_bytes(b"".join(b",".join(cells) + b"\n" for cells in rows))
+        write_cells(paths[name], rows)
     code = run_cli(
         "score", "--corpus", str(paths["corpus"]), "--rules", str(paths["rules"]),
         "--triples", str(paths["triples"]), "--out", str(directory / "out"),
@@ -1290,6 +1300,64 @@ def test_score_with_one_hostile_cell_exits_cleanly_naming_the_file(
     assert "Traceback" not in err
     if code:
         assert str(paths[changed]) in err
+
+
+#: the inputs of validate and audit, and report's audit CSV, each by its
+#: name in the directory the hostile-cell property writes
+AUDIT_INPUTS = {
+    "snapshot/politicians.csv": GOLDEN / "snapshot_en" / "politicians.csv",
+    "snapshot/parties.csv": GOLDEN / "snapshot_en" / "parties.csv",
+    "map.csv": FIXTURES / "map.csv",
+    "parties.csv": FIXTURES / "parties.csv",
+    "baselines.csv": FIXTURES / "baselines.csv",
+    "audit_kvv.csv": GOLDEN / "audit_en" / "audit_kvv.csv",
+}
+
+
+@given(
+    st.sampled_from(sorted(AUDIT_INPUTS)),
+    st.integers(min_value=0, max_value=99),
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from(HOSTILE_CELLS),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_audit_and_report_with_one_hostile_cell_exit_cleanly_naming_the_file(
+    tmp_path_factory, capsys, changed, row, column, value
+):
+    """validate and audit, or report for an audit CSV, over inputs with one
+    cell changed (any row, the header too) exit 0, 1 or 2 with no
+    traceback. A failure names the changed file, or the file that a
+    downstream finding points to: unmapped refs over --max-unmapped name
+    unmapped_refs.csv, and an alias that a parties.csv edit orphans names
+    its map.csv line."""
+    directory = tmp_path_factory.mktemp("hostile")
+    (directory / "snapshot").mkdir()
+    for name, source in AUDIT_INPUTS.items():
+        rows = csv_cells(source)
+        if name == changed:
+            cells = rows[row % len(rows)]
+            cells[column % len(cells)] = value
+        write_cells(directory / name, rows)
+    out = directory / "out"
+    if changed == "audit_kvv.csv":
+        runs = [["report", "--audit", str(directory / changed), "--out", str(out)]]
+    else:
+        nmap = ["--map", str(directory / "map.csv"), "--parties", str(directory / "parties.csv")]
+        runs = [
+            ["validate", "--snapshot", str(directory / "snapshot"), *nmap],
+            audit_args(directory / "snapshot", out, directory),
+        ]
+    for argv in runs:
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert (
+                str(directory / changed) in err
+                or str(out / "unmapped_refs.csv") in err
+                or changed == "parties.csv" and f"{directory / 'map.csv'} line " in err
+            ), err
 
 
 @pytest.mark.parametrize("reader", ["rules", "snapshot", "audit-csv", "corpus-txt"])
@@ -1675,14 +1743,20 @@ class TestValidate:
 
 @pytest.mark.parametrize(
     "case",
-    ["fixture-dir", "fixture-dataset", "corpus", "corpus-no-txt", "corpus-kind", "audit"],
+    [
+        "fixture-dir", "fixture-dataset", "fixture-dataset-nested-out", "corpus",
+        "corpus-no-txt", "corpus-kind", "audit",
+    ],
 )
 def test_missing_input_is_a_config_error_naming_it(tmp_path, kg_fixture_dir, capsys, case):
     out = tmp_path / "out"
     if case == "fixture-dir":
         path = tmp_path / "no-such-fixture"
         argv = fetch_args(out, path)
-    elif case == "fixture-dataset":
+    elif case.startswith("fixture-dataset"):
+        if case == "fixture-dataset-nested-out":
+            # every directory made for --out goes, the deepest first
+            out = tmp_path / "nest" / "a" / "b"
         shutil.copytree(kg_fixture_dir, tmp_path / "kg")
         path = tmp_path / "kg" / "en-dbpedia" / "politicians.json"
         path.unlink()
@@ -1705,6 +1779,7 @@ def test_missing_input_is_a_config_error_naming_it(tmp_path, kg_fixture_dir, cap
     assert err.startswith("config error: ") and str(path) in err
     assert "Traceback" not in err
     assert not out.exists()
+    assert not (tmp_path / "nest").exists()
 
 
 class TestDeterminism:

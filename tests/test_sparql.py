@@ -930,6 +930,8 @@ MALFORMED = [
     ),
     ('{"variables": ["x"], "bindings": {}}', "has no list of bindings"),
     ('{"variables": ["x"], "bindings": []} []', "Extra data"),
+    # placed after the whitespace before it, as json places it
+    ('{"variables": ["x"], "bindings": []}   []', r"Extra data: line 1 column 40 \(char 39\)"),
     ('{"variables": ["x"] "bindings": []}', "Expecting ',' delimiter"),
     ('{"variables": ["x"], "bindings": [{}, ]}', "Expecting value"),
     ('{"variables": ["x"], "bindings": [{} {}]}', "Expecting ',' delimiter"),
@@ -948,6 +950,7 @@ MALFORMED_IDS = [
     "bindings-and-synthetic",
     "bindings-an-object",
     "extra-data",
+    "extra-data-after-whitespace",
     "no-comma-between-keys",
     "trailing-comma",
     "no-comma-between-elements",
@@ -1150,6 +1153,7 @@ def store_outcomes(root: Path, requests) -> list:
     st.lists(st.tuples(st.integers(0, 14), st.sampled_from([None, 1, 2, 5])), max_size=4),
     st.integers(1, 7),
 )
+@example(('{"variables": ["x"], "bindings": [{}]} \n[]', False), [(0, None)], 1)
 @settings(max_examples=200, deadline=None)
 def test_property_pages_and_errors_do_not_depend_on_the_chunk_size(layout, requests, chunk):
     # a text of a few hundred bytes is one chunk, read as the store once
@@ -1163,6 +1167,12 @@ def test_property_pages_and_errors_do_not_depend_on_the_chunk_size(layout, reque
         whole = store_outcomes(root, requests)
         with patch.object(kgdiv.fixtures, "CHUNK", chunk):
             assert store_outcomes(root, requests) == whole
+        if isinstance(whole[-1], str) and " is not JSON: " in whole[-1]:
+            # json's own words, placed in the whole file
+            path = root / "en-dbpedia" / "probe.json"
+            with pytest.raises(ValueError) as raised:
+                json.loads(path.read_text(encoding="utf-8"))
+            assert whole[-1] == f"fixture file {path} is not JSON: {raised.value}"
     if well_formed:
         decoded = json.loads(text)
         assert whole == [decoded["variables"]] + [
