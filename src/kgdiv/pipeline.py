@@ -57,8 +57,9 @@ class MatchRule(
     def regex(self) -> re.Pattern[str]:
         """The pattern as a literal surface regex, compiled once per rule.
 
-        `match_rules` builds it only for a case-insensitive rule, and only
-        once the rule's folded pattern occurs in a document's folded text.
+        `match_rules` builds it only for a case-insensitive rule, only once
+        the rule's folded pattern occurs in a document's folded text, and
+        only where the text or the pattern is not ASCII.
         """
         flags = 0 if self.case_sensitive else re.IGNORECASE
         return re.compile(re.escape(self.pattern), flags)
@@ -172,13 +173,48 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
     One scan of the text finds every case-sensitive pattern, and one scan
     of the folded text every folded case-insensitive one; only the rules
     found are visited. A case-sensitive rule's occurrences are its
-    matches. A case-insensitive rule's `MatchRule.regex` decides each of
-    its spans: where the text and the pattern fold in place, folded
-    positions are text positions, so it is tried only where the folded
-    pattern occurs; otherwise it scans the whole text.
+    matches, and so are a case-insensitive rule's in ASCII text when its
+    pattern is ASCII too: there `re.IGNORECASE` only equates ASCII case
+    pairs, and the fold is `lower()`. Otherwise the rule's
+    `MatchRule.regex` decides each of its spans: where the text and the
+    pattern fold in place, folded positions are text positions, so it is
+    tried only where the folded pattern occurs; elsewhere it scans the
+    whole text.
     """
+    mentions = [
+        EntityMention(doc.doc_id, start, end, surface, rule.target_entity or None, "rule")
+        for rule, spans in _rule_spans(doc.text, rules)
+        for start, end, surface in spans
+    ]
+    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
+    return mentions
+
+
+def rule_counts(doc: TextDocument, rules: Sequence[MatchRule]) -> dict[str, int]:
+    """`aggregate_mentions(match_rules(doc, rules))`, keys in the same
+    order, counted from the spans without building a mention: each key
+    comes in at its first span by (start, end, target). The order matters
+    because `stirling_delta` adds up the shares of equal feature sets in it."""
+    counts: dict[str, int] = {}
+    first: dict[str, tuple[int, int, str]] = {}
+    for rule, spans in _rule_spans(doc.text, rules):
+        target = rule.target_entity
+        for start, end, surface in spans:
+            key = target or surface
+            counts[key] = counts.get(key, 0) + 1
+            at = (start, end, target)
+            if at < first.setdefault(key, at):
+                first[key] = at
+    return {key: counts[key] for key in sorted(first, key=first.__getitem__)}
+
+
+def _rule_spans(
+    text: str, rules: Sequence[MatchRule]
+) -> Iterator[tuple[MatchRule, Iterator[tuple[int, int, str]]]]:
+    """Each rule that occurs in the text, in rule order, with its spans
+    left to right, as `match_rules` describes them."""
     index = rules._index if isinstance(rules, _RuleList) else _RuleIndex(rules)
-    text = doc.text
+    ascii_text = text.isascii()
     found = index.scan_sensitive(text)
     visits = [(k, found[pattern]) for pattern in found for k in index.sensitive[pattern]]
     if index.insensitive:
@@ -190,34 +226,28 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
             for folded in found
             for k in index.insensitive.get(folded, ())
         ]
-    mentions: list[EntityMention] = []
     for k, starts in sorted(visits):  # in rule order: each rule is visited once
         rule = rules[k]
         if starts is None:
             spans = ((m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text))
         else:
-            match = None if rule.case_sensitive else rule.regex.match
-            spans = _spans(text, starts, rule.pattern, match)
-        resolved_id = rule.target_entity or None
-        mentions.extend(
-            EntityMention(doc.doc_id, start, end, surface, resolved_id, "rule")
-            for start, end, surface in spans
-        )
-    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
-    return mentions
+            exact = rule.case_sensitive or ascii_text and rule.pattern.isascii()
+            spans = _spans(text, starts, len(rule.pattern), None if exact else rule.regex.match)
+        yield rule, spans
 
 
-def _spans(text: str, starts: list[int], pattern: str, match) -> Iterator[tuple[int, int, str]]:
+def _spans(text: str, starts: list[int], length: int, match) -> Iterator[tuple[int, int, str]]:
     """A rule's non-overlapping spans, left to right as `finditer` finds
     them, from the sorted positions where its (folded) pattern occurs:
-    `match`, if given, decides each span, else each position is one."""
+    `match`, if given, decides each span, else each position starts one
+    of the pattern's `length`."""
     end = 0
     for start in starts:
         if start < end:
             continue
         if match is None:
-            end = start + len(pattern)
-            yield start, end, pattern
+            end = start + length
+            yield start, end, text[start:end]
         elif m := match(text, start):
             end = m.end()
             yield start, end, m.group(0)
@@ -443,10 +473,12 @@ def enrich_entity(
     return FeatureSet(frozenset(features))
 
 
-def aggregate_mentions(mentions: Iterable[EntityMention]) -> dict[str, int]:
+def aggregate_mentions(
+    mentions: Iterable[EntityMention], counts: dict[str, int] | None = None
+) -> dict[str, int]:
     """Occurrence counts per resolved id (mentions without one count under
-    their surface string)."""
-    counts: dict[str, int] = {}
+    their surface string), added to `counts` if given."""
+    counts = {} if counts is None else counts
     for mention in mentions:
         key = mention.resolved_id if mention.resolved_id is not None else mention.surface
         counts[key] = counts.get(key, 0) + 1

@@ -2,15 +2,18 @@
 and a store that logs the requests it answers.
 
 The tests use them to run the HTTP transport, paging and rate limiting
-against real sockets. The server decodes each page the store answers
-with and encodes the results document as JSON for the wire; the CLI
-reads fixtures in-process through kgdiv.fixtures.FixtureTransport, which
-skips that encoding.
+against real sockets, and a store that orders each answer as an endpoint
+may, to page through tied rows. The server decodes each page the store
+answers with and encodes the results document as JSON for the wire; the
+CLI reads fixtures in-process through kgdiv.fixtures.FixtureTransport,
+which skips that encoding.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -39,6 +42,32 @@ class RecordingStore(FixtureStore):
         limit, offset = (int(page.group(1)), int(page.group(2))) if page else (-1, 0)
         self.requests.append(Request(time.monotonic(), limit, offset))
         return super().respond(dialect, query)
+
+
+class TieShufflingStore(FixtureStore):
+    """A fixture store that answers each request as an endpoint may: it
+    sorts the whole dataset by the query's ORDER BY keys, unbound first,
+    gives tied rows a new order drawn from `seed` each time, and then cuts
+    the requested page. (The plain store ignores ORDER BY.)"""
+
+    ORDER_BY = re.compile(r"^ORDER BY((?: \?\w+)+)$", re.MULTILINE)
+
+    def __init__(self, root, seed: int):
+        super().__init__(root)
+        self.random = random.Random(seed)
+
+    def respond(self, dialect: str, query: str) -> dict:
+        page = PAGE_MARK.search(query)
+        doc = super().respond(dialect, query[: page.start()] if page else query)
+        rows = list(doc["results"]["bindings"])
+        self.random.shuffle(rows)
+        keys = [key[1:] for key in self.ORDER_BY.search(query).group(1).split()]
+        rows.sort(key=lambda row: [row[key]["value"] if key in row else "" for key in keys])
+        if page:
+            limit, offset = int(page.group(1)), int(page.group(2))
+            rows = rows[offset : offset + limit]
+        doc["results"]["bindings"] = rows
+        return doc
 
 
 class FixtureServer:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -25,7 +28,8 @@ from kgdiv.catalog import (
 from kgdiv.csvformat import write_csv
 from kgdiv.fixtures import FixtureStore, FixtureTransport
 from kgdiv.sparql import _SELECT as SELECT
-from kgdiv.sparql import DIALECTS, EndpointConfig
+from kgdiv.sparql import DIALECTS, EndpointConfig, execute_query
+from tests.fixture_server import TieShufflingStore
 
 
 def endpoint(dialect):
@@ -63,7 +67,10 @@ def test_builtin_templates_cover_all_dialects():
     for (dialect, _), template in catalog.items():
         assert template.dialect == dialect
         assert template.query_text.startswith("#template=")
-        assert "ORDER BY" in template.query_text
+        # ordered by every selected variable, so that the order is total
+        selected = re.search(SELECT, template.query_text).group(1).split()
+        order = re.search(r"\nORDER BY ([?\w ]+)$", template.query_text).group(1).split()
+        assert sorted(order) == sorted(selected)
 
 
 def test_templates_select_the_columns_the_fetches_unpack():
@@ -157,6 +164,39 @@ def test_coverage_counts_match_recorded_fixtures(transport):
         "flemish_parliament_members": 464,
         "us_house_members": 11160,
     }
+
+
+@given(st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_property_pages_give_every_row_whatever_the_order_of_ties(data, seed):
+    # each bundled template over a dataset of many ties, served sorted by
+    # the template's ORDER BY with ties in a new order on every request
+    catalog = builtin_templates()
+    selected = {key: re.search(SELECT, t.query_text).group(1).split() for key, t in catalog.items()}
+    values = st.sampled_from(["", "a", "b"])  # "" is unbound
+    rows = {
+        len(names): set(data.draw(st.lists(st.tuples(*[values] * len(names)), max_size=30)))
+        for names in selected.values()
+    }
+    with tempfile.TemporaryDirectory() as root:
+        for (dialect, template_id), names in selected.items():
+            names = [name[1:] for name in names]
+            bindings = [
+                {name: {"type": "literal", "value": v} for name, v in zip(names, row) if v}
+                for row in rows[len(names)]
+            ]
+            path = Path(root, dialect, f"{template_id}.json")
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps({"variables": names, "bindings": bindings}))
+        transport = FixtureTransport(TieShufflingStore(root, seed))
+        for (dialect, template_id), template in catalog.items():
+            for page_size in (1, 2, 3, 7):
+                config = endpoint(dialect)._replace(page_size=page_size)
+                got = list(execute_query(config, template, transport=transport))
+                assert sorted(got) == sorted(rows[len(selected[dialect, template_id])]), (
+                    template_id,
+                    page_size,
+                )
 
 
 def test_snapshot_csv_round_trip(tmp_path, transport):

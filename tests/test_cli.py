@@ -787,6 +787,40 @@ class TestScore:
         # counts 2:1 -> 2 * 1 * (2/3 * 1/3)
         assert float(by_doc["doc3"][2]) == pytest.approx(4 / 9, abs=1e-12)
 
+    def test_counts_in_text_that_is_not_ascii_equal_the_oracle(self, tmp_path):
+        # ß folds to ss, İ to i plus a dot that the fold drops, and the
+        # Kelvin sign to k: in these texts case-insensitive spans are
+        # decided by the rules' regexes, not by the ASCII shortcut
+        from kgdiv.pipeline import TextDocument, aggregate_mentions, load_rules
+        from tests import oracles
+
+        texts = {
+            "d1": "STRASSE en Straße, strasse; İstanbul en istanbul",
+            "d2": "\u212aIM kim KIM en Kim in de straße",
+            "d3": "plain ascii kim and Istanbul",
+        }
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for doc_id, text in texts.items():
+            (corpus / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        rules = tmp_path / "rules.csv"
+        rules.write_text(
+            "pattern,case_sensitive,target\n"
+            "straße,false,u:street\nstrasse,false,\nistanbul,false,u:ist\n"
+            "İstanbul,false,u:ist\nkim,false,u:kim\n\u212aim,false,\nKIM,true,u:kim\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli("score", "--corpus", str(corpus), "--rules", str(rules), "--out", str(out)) == 0
+        loaded = load_rules(rules)
+        expected = [["doc_id", "entity_id", "count"]]
+        for doc_id, text in texts.items():
+            counts = aggregate_mentions(oracles.match_rules(TextDocument(doc_id, text), loaded))
+            expected += [[doc_id, key, str(counts[key])] for key in sorted(counts)]
+        with open(out / "entity_counts.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == expected
+        assert len(expected) > 8
+
     @pytest.mark.parametrize(
         "type_party, ideology",
         [

@@ -32,6 +32,7 @@ from kgdiv.pipeline import (
     load_rules,
     match_rules,
     parse_annotation_response,
+    rule_counts,
 )
 from kgdiv.pipeline import _TYPE_PREDICATES, _fold, _folds_in_place
 from tests import oracles
@@ -246,6 +247,14 @@ class TestMatchRules:
         )
         insensitive_hit = MatchRule(pattern="GROEN", case_sensitive=False, target_entity="u:g")
         rules = [sensitive_hit, sensitive_miss, insensitive_miss, insensitive_hit]
+        # in ASCII text an ASCII pattern's folded occurrences are its spans
+        assert len(match_rules(doc, rules)) == 2
+        assert len(rule_counts(doc, rules)) == 2
+        for rule in rules:
+            assert "regex" not in rule.__dict__
+        # a text that is not ASCII but folds in place tries the regex of the
+        # rule it hits, and only that one
+        doc = TextDocument(doc_id="d", text="De N-VA en Groen \u00e9n")
         assert len(match_rules(doc, rules)) == 2
         for rule in (sensitive_hit, sensitive_miss, insensitive_miss):
             assert "regex" not in rule.__dict__
@@ -256,10 +265,11 @@ class TestMatchRules:
     # do not (and a pattern of combining dots folds to nothing)
     SCAN_ALPHABET = "abAB kK\u212a\u00df\u0307"
 
-    @given(st.data())
-    @settings(max_examples=300)
-    def test_property_one_scan_equals_one_rule_at_a_time(self, data):
-        pattern = st.text(alphabet=self.SCAN_ALPHABET, min_size=1, max_size=5)
+    @staticmethod
+    def draw_specs_and_text(data, alphabet: str) -> tuple[list[tuple[str, bool]], str]:
+        """Patterns with their case flags, and a text of the alphabet that
+        strings some of them together."""
+        pattern = st.text(alphabet=alphabet, min_size=1, max_size=5)
         specs = data.draw(st.lists(st.tuples(pattern, st.booleans()), min_size=1, max_size=40))
         # repeat some patterns, with the same case flag or the other one
         again = st.sampled_from(specs)
@@ -267,16 +277,37 @@ class TestMatchRules:
         specs += data.draw(st.lists(st.one_of(again, flipped), max_size=5))
         # the text strings patterns together, some with their cases swapped
         pieces = st.sampled_from([pattern for pattern, _ in specs])
-        filler = st.text(alphabet=self.SCAN_ALPHABET, max_size=3)
+        filler = st.text(alphabet=alphabet, max_size=3)
         text = "".join(
             data.draw(st.lists(st.one_of(pieces, pieces.map(str.swapcase), filler), max_size=20))
         )
+        return specs, text
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_property_one_scan_equals_one_rule_at_a_time(self, data):
+        specs, text = self.draw_specs_and_text(data, self.SCAN_ALPHABET)
         rules = [
             MatchRule(pattern=pattern, case_sensitive=sensitive, target_entity=f"t{k % 7}")
             for k, (pattern, sensitive) in enumerate(specs)
         ]
         doc = TextDocument(doc_id="d", text=text)
         assert match_rules(doc, rules) == oracles.match_rules(doc, rules)
+
+    @given(st.data(), st.sampled_from([SCAN_ALPHABET, "abAB kK"]))
+    @settings(max_examples=300)
+    def test_property_counts_equal_the_oracle_mentions_counted(self, data, alphabet):
+        # an ASCII alphabet too, where case-insensitive spans need no regex;
+        # every third rule has no target, so its spans count by surface
+        specs, text = self.draw_specs_and_text(data, alphabet)
+        rules = [
+            MatchRule(pattern=pattern, case_sensitive=sensitive, target_entity=f"t{k % 5}" if k % 3 else "")
+            for k, (pattern, sensitive) in enumerate(specs)
+        ]
+        doc = TextDocument(doc_id="d", text=text)
+        expected = aggregate_mentions(oracles.match_rules(doc, rules))
+        # in the same order too: Δ sums the shares of equal feature sets in it
+        assert list(rule_counts(doc, rules).items()) == list(expected.items())
 
     def test_pattern_that_folds_to_nothing_occurs_everywhere(self):
         text = "a\u0307b\u0307"
