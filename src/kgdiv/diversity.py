@@ -13,8 +13,8 @@ features are merged into one point whose weight q_g sums their p_i^beta.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections import defaultdict, namedtuple
+from collections.abc import Mapping
 
 ACTOR_TYPES = ("person", "organisation", "geopolitical-entity")
 
@@ -48,9 +48,14 @@ class BalanceVector(namedtuple("BalanceVector", "shares")):
 
 #: Symmetric pairwise dissimilarities in [0, 1] with zero diagonal. Each id
 #: maps to a point, and ids sharing a point (equal feature sets) are at
-#: distance 0. The table holds the upper triangle over the points as tails:
-#: row g lists d_gh for the points h > g, so d_gh is table[g][h - g - 1].
+#: distance 0. The table holds the upper triangle over the points, either
+#: as explicit tails (row g lists d_gh for the points h > g, so d_gh is
+#: table[g][h - g - 1]) or, from `compute_disparity`, as each point's mask
+#: and size, from which d_gh follows.
 DisparityMatrix = namedtuple("DisparityMatrix", "ids point table")
+
+#: Each point's bitmask of feature pairs and its count of them.
+_Masks = namedtuple("_Masks", "masks sizes")
 
 
 class DiversityParams(namedtuple("DiversityParams", "alpha beta", defaults=(1.0, 1.0))):
@@ -90,9 +95,8 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
     feature pairs, with |a & b| counted as the set bits of the two points'
     masks (one bit per distinct pair). Points are distinct sets, so at
     most one is empty, and an empty set is at distance 1 from every other.
-    Only the masks and sizes are kept: each row of the table is computed
-    when it is read, so memory stays linear in the points, and
-    `stirling_delta` can read the masks and sizes instead of the rows.
+    Only the masks and sizes are kept, so memory stays linear in the
+    points; `stirling_delta` computes each d_gh^alpha from them.
     """
     index: dict[FeatureSet, int] = {}
     point = {i: index.setdefault(f, len(index)) for i, f in features.items()}
@@ -104,28 +108,31 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
             mask |= 1 << bit.setdefault(pair, len(bit))
         masks.append(mask)
     sizes = [len(f.pairs) for f in index]
-    return DisparityMatrix(tuple(features), point, _TailRows(masks, sizes))
+    return DisparityMatrix(tuple(features), point, _Masks(masks, sizes))
 
 
-class _TailRows(Sequence):
-    """The upper-triangle tails of a Jaccard disparity table: row g holds
-    d_gh for the points h > g and is computed anew on each read."""
+#: for the alpha last used, d^alpha between two points of sizes a and b
+#: that share s feature pairs, as table[a][b][s]
+_powers: tuple[float, defaultdict] = (1.0, defaultdict(dict))
 
-    __slots__ = ("masks", "sizes")
 
-    def __init__(self, masks: list[int], sizes: list[int]):
-        self.masks, self.sizes = masks, sizes
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __getitem__(self, g: int) -> list[float]:
-        g = range(len(self.masks))[g]  # IndexError past the end ends iteration
-        mask_g, size_g = self.masks[g], self.sizes[g]
-        return [
-            1.0 - (shared := (mask_g & mask_h).bit_count()) / (size_g + size_h - shared)
-            for mask_h, size_h in zip(self.masks[g + 1 :], self.sizes[g + 1 :])
-        ]
+def _power_table(alpha: float, present: set[int]) -> defaultdict:
+    """The lookup table of alpha, kept from the last call with the same
+    alpha, with a list for every two sizes present: a list is made the
+    first time its two sizes occur together."""
+    global _powers
+    # one read of both, so that the table is alpha's whatever other threads set
+    kept, table = _powers
+    if kept != alpha:
+        table = defaultdict(dict)
+        _powers = (alpha, table)
+    for a in present:
+        power = table[a]
+        # equal sets are one point, so two points of one size share fewer
+        # pairs than that size, and no two points are both empty
+        for b in present - power.keys():
+            power[b] = [(1.0 - s / (a + b - s)) ** alpha for s in range(min(a, b) + (a != b))]
+    return table
 
 
 def stirling_delta(
@@ -140,41 +147,25 @@ def stirling_delta(
     entity has diversity 0.
 
     The sum is computed as 2 * sum over point pairs g < h with d_gh > 0 of
-    d_gh^alpha * Q_g * Q_h, where Q_g sums p_i^beta over the ids of point g,
-    row by row with h ascending. Over a `compute_disparity` matrix of many
-    points of few sizes, as of a document of many actors, it is one pass
-    over the point pairs, each d^alpha looked up by the two sizes and the
-    shared count. Other rows, computed or explicit, are read as given. Both
-    give the same bits for the same distances.
+    d_gh^alpha * Q_g * Q_h, row by row with h ascending, where Q_g adds up
+    p_i^beta over the ids of point g in the matrix's id order, so the order
+    of the balance's keys does not matter. Over a `compute_disparity`
+    matrix, whose distinct points are never at distance 0, each d^alpha is
+    looked up by the two sizes and the shared count in a table kept for the
+    alpha last used. Explicit rows are read as given. Both give the same
+    bits for the same distances.
     """
     if set(balance.ids) != set(disparity.ids):
         raise ValueError("balance and disparity cover different entity ids")
-    table = disparity.table
-    weights = [0.0] * len(table)
-    for i, p_i in balance.shares.items():
-        weights[disparity.point[i]] += p_i**params.beta
-    alpha = params.alpha
+    table, point, shares = disparity.table, disparity.point, balance.shares
+    by_masks = isinstance(table, _Masks)
+    weights = [0.0] * len(table.masks if by_masks else table)
+    for i in disparity.ids:
+        weights[point[i]] += shares[i] ** params.beta
     delta = 0.0
-    sizes = table.sizes if isinstance(table, _TailRows) else ()
-    present, n = set(sizes), len(sizes)
-    # d_gh depends only on the two sizes and the shared count, so d^alpha can
-    # be computed once per pair of sizes present and shared count, and looked
-    # up. Each entry costs what a pair's d^alpha does, so the lookup is built
-    # only where the pairs, about n^2 / 2, are twice the entries, of which
-    # there are at least len(present)^2. A denominator is 0 only between two
-    # empty sets, never two points
-    if 2 * len(present) < n and 4 * sum(min(a, b) + 1 for a in present for b in present) < n * n:
-        powers = {
-            a: {
-                b: [
-                    0.0 if (d := 1.0 - s / ((a + b - s) or 1)) == 0.0 else d**alpha
-                    for s in range(min(a, b) + 1)
-                ]
-                for b in present
-            }
-            for a in present
-        }
-        points = list(zip(table.masks, sizes, weights))
+    if by_masks:
+        powers = _power_table(params.alpha, set(table.sizes))
+        points = list(zip(table.masks, table.sizes, weights))
         for g, (mask_g, size_g, weight_g) in enumerate(points):
             power = powers[size_g]
             row_sum = 0.0
@@ -182,10 +173,11 @@ def stirling_delta(
                 row_sum += power[size_h][(mask_g & mask_h).bit_count()] * weight_h
             delta += weight_g * row_sum
     else:
+        alpha = params.alpha
         for g, row in enumerate(table):
             row_sum = 0.0
             for d, weight_h in zip(row, weights[g + 1 :]):
                 if d != 0.0:
                     row_sum += d**alpha * weight_h
             delta += weights[g] * row_sum
-    return DiversityResult(delta=2.0 * delta, variety=len(balance.shares), balance=balance)
+    return DiversityResult(delta=2.0 * delta, variety=len(shares), balance=balance)

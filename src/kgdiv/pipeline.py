@@ -191,21 +191,16 @@ def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMen
 
 
 def rule_counts(doc: TextDocument, rules: Sequence[MatchRule]) -> dict[str, int]:
-    """`aggregate_mentions(match_rules(doc, rules))`, keys in the same
-    order, counted from the spans without building a mention: each key
-    comes in at its first span by (start, end, target). The order matters
-    because `stirling_delta` adds up the shares of equal feature sets in it."""
+    """`aggregate_mentions(match_rules(doc, rules))`, counted from the
+    spans without building a mention. The keys come in rule order;
+    `stirling_delta` does not depend on it."""
     counts: dict[str, int] = {}
-    first: dict[str, tuple[int, int, str]] = {}
     for rule, spans in _rule_spans(doc.text, rules):
         target = rule.target_entity
-        for start, end, surface in spans:
+        for _, _, surface in spans:
             key = target or surface
             counts[key] = counts.get(key, 0) + 1
-            at = (start, end, target)
-            if at < first.setdefault(key, at):
-                first[key] = at
-    return {key: counts[key] for key in sorted(first, key=first.__getitem__)}
+    return counts
 
 
 def _rule_spans(

@@ -1,17 +1,18 @@
 """Reference computations that tests compare the package against.
 
 They are written for plainness, not speed: the Jaccard distance of two
-feature sets, the Gini–Simpson index, the ordered-pair loop of Stirling's
-Δ, Δ as two passes over the rows of d_gh, a disparity matrix from
-explicit pair values, the inverse of a figure
-panel's y-transform, the audit's record layer (politician records with
-their affiliations, each one's activity period as a date interval, and
-the per-time-point count of the active politicians' careers, over a
-snapshot parsed into one tuple per row), rule matching one rule at a
-time, a triple index and one-hop enrichment that build a new tuple per
-row and per feature pair, one-hop enrichment that expands each linked
-resource anew for every root, and a query's distinct rows kept whole, as
-(values, terms) dict keys over lists of each page's rows.
+feature sets, the Gini–Simpson index, the ordered-pair loop of
+Stirling's Δ, the rows of d_gh from a disparity matrix's masks and
+sizes, Δ as two passes over those rows, a disparity matrix from explicit
+pair values, the inverse of a figure panel's y-transform, the audit's
+record layer (politician records with their affiliations, each one's
+activity period as a date interval, and the per-time-point count of the
+active politicians' careers, over a snapshot parsed into one tuple per
+row), rule matching one rule at a time, a triple index and one-hop
+enrichment that build a new tuple per row and per feature pair, one-hop
+enrichment that expands each linked resource anew for every root, and a
+query's distinct rows kept whole, as (values, terms) dict keys over
+lists of each page's rows.
 """
 
 from __future__ import annotations
@@ -73,11 +74,28 @@ def gini_simpson(balance: BalanceVector) -> float:
     return 1.0 - sum(p * p for p in balance.shares.values())
 
 
+def tail_rows(matrix: DisparityMatrix) -> list[list[float]]:
+    """The upper-triangle tails of the table: row g lists d_gh for the
+    points h > g, each with one division from the masks and sizes of a
+    `compute_disparity` matrix, or the explicit rows as given."""
+    table = matrix.table
+    if not hasattr(table, "masks"):
+        return table
+    masks, sizes = table.masks, table.sizes
+    return [
+        [
+            1.0 - (shared := (masks[g] & mask_h).bit_count()) / (sizes[g] + size_h - shared)
+            for mask_h, size_h in zip(masks[g + 1 :], sizes[g + 1 :])
+        ]
+        for g in range(len(masks))
+    ]
+
+
 def disparity_value(matrix: DisparityMatrix, i: str, j: str) -> float:
     """d_ij looked up through the ids' points in the table's upper-triangle
     tails (0 on the diagonal)."""
     g, h = sorted((matrix.point[i], matrix.point[j]))
-    return 0.0 if g == h else matrix.table[g][h - g - 1]
+    return 0.0 if g == h else tail_rows(matrix)[g][h - g - 1]
 
 
 def pair_terms(
@@ -102,23 +120,13 @@ def two_pass_delta(
     matrix: DisparityMatrix,
     params: DiversityParams = DiversityParams(),
 ) -> float:
-    """Stirling's Δ in two passes: each row of d_gh for h > g, built with one
-    division per pair from the masks and sizes of a `compute_disparity`
-    matrix (or taken from explicit rows), then walked again with one
-    d**alpha per nonzero pair, row by row with h ascending."""
-    table = matrix.table
-    if hasattr(table, "masks"):
-        masks, sizes = table.masks, table.sizes
-        table = [
-            [
-                1.0 - (shared := (masks[g] & mask_h).bit_count()) / (sizes[g] + size_h - shared)
-                for mask_h, size_h in zip(masks[g + 1 :], sizes[g + 1 :])
-            ]
-            for g in range(len(masks))
-        ]
+    """Stirling's Δ in two passes: the tail rows of d_gh for h > g, then
+    one d**alpha per nonzero pair, row by row with h ascending, over the
+    weights of the points added up in the matrix's id order."""
+    table = tail_rows(matrix)
     weights = [0.0] * len(table)
-    for i, p_i in balance.shares.items():
-        weights[matrix.point[i]] += p_i**params.beta
+    for i in matrix.ids:
+        weights[matrix.point[i]] += balance.shares[i] ** params.beta
     delta = 0.0
     for g, row in enumerate(table):
         row_sum = 0.0

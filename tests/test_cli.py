@@ -214,6 +214,24 @@ class TestFetch:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_missing_comma_before_a_byte_not_utf8_words_the_whole_file(
+        self, tmp_path, kg_fixture_dir, capsys
+    ):
+        # the comma is missed first, and the fault is worded as in the whole
+        # file read at once: the byte that does not decode
+        fixture = tmp_path / "kg"
+        shutil.copytree(kg_fixture_dir, fixture)
+        data = POLITICIANS_1500.replace('}}, {"politician"', '}} \xff{"politician"', 1)
+        dataset = fixture / "en-dbpedia" / "politicians.json"
+        dataset.write_bytes(data.encode("latin-1"))
+        out = tmp_path / "snap"
+        assert run_cli(*fetch_args(out, fixture)) == 1
+        assert capsys.readouterr().err == (
+            f"error: fixture file {dataset} is not JSON: 'utf-8' codec can't decode byte 0xff"
+            f" in position {data.index(chr(0xFF))}: invalid start byte\n"
+        )
+        assert not out.exists()
+
     def test_source_choices_are_the_dialects(self):
         # kgdiv.DIALECTS, which sparql binds too, so parsing imports no sparql code
         from kgdiv.cli import build_parser

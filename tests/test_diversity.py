@@ -25,6 +25,7 @@ from tests.oracles import (
     gini_simpson,
     jaccard_distance,
     pair_terms,
+    tail_rows,
     two_pass_delta,
 )
 
@@ -369,8 +370,6 @@ def test_property_computed_rows_match_the_oracles(raw, data, alpha, beta):
     entities = {i: FeatureSet(pairs) for i, pairs in raw.items()}
     counts = {i: data.draw(st.integers(min_value=1, max_value=5)) for i in entities}
     m = compute_disparity(entities)
-    # iteration over the rows ends after the last point
-    assert len(list(m.table)) == len(m.table)
     for a, fa in entities.items():
         for b, fb in entities.items():
             assert disparity_value(m, a, b) == jaccard_distance(fa, fb)
@@ -385,8 +384,8 @@ def delta_instances(draw):
     """0 to 60 entities, each with the set of an earlier one, a prefix of
     one order of 70 pairs (so nested sets, and masks past 64 bits), or a
     set of the first 20 pairs. Every set but the whole order has one of up
-    to three sizes, so the points are often many of few sizes, which
-    `stirling_delta` sums by lookup, and otherwise few, whose rows it reads."""
+    to three sizes, so the points are often many of few sizes, and sets
+    repeat, so a point often holds several ids."""
     chain = draw(st.permutations(DELTA_POOL))
     sizes = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=3))
     sets: list[frozenset] = []
@@ -416,8 +415,23 @@ def test_property_delta_equals_the_two_pass_delta_exactly(drawn, alpha, beta):
     delta = stirling_delta(balance, m, params).delta
     assert delta == two_pass_delta(balance, m, params)
     # the same rows given explicitly take the row loop, to the same bits
-    rows = DisparityMatrix(m.ids, m.point, [list(row) for row in m.table])
+    rows = DisparityMatrix(m.ids, m.point, tail_rows(m))
     assert stirling_delta(balance, rows, params).delta == delta
+
+
+@given(delta_instances(), DELTA_ALPHAS, EXPONENTS, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_property_delta_does_not_depend_on_the_order_of_the_counts(drawn, alpha, beta, rng):
+    # the shares of a point's ids are added up in the matrix's id order,
+    # so shuffling the balance's keys leaves every bit of Δ
+    entities, counts = drawn
+    m, params = compute_disparity(entities), DiversityParams(alpha, beta)
+    balance = compute_balance(counts)
+    keys = list(counts)
+    rng.shuffle(keys)
+    shuffled = BalanceVector({i: balance.shares[i] for i in keys})
+    delta = stirling_delta(balance, m, params).delta
+    assert stirling_delta(shuffled, m, params).delta == delta
 
 
 @given(st.randoms(use_true_random=False), DELTA_ALPHAS, EXPONENTS)
