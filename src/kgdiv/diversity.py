@@ -13,7 +13,7 @@ features are merged into one point whose weight q_g sums their p_i^beta.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Mapping
 
 ACTOR_TYPES = ("person", "organisation", "geopolitical-entity")
@@ -111,28 +111,31 @@ def compute_disparity(features: Mapping[str, FeatureSet]) -> DisparityMatrix:
     return DisparityMatrix(tuple(features), point, _Masks(masks, sizes))
 
 
-#: for the alpha last used, d^alpha between two points of sizes a and b
-#: that share s feature pairs, as table[a][b][s]
-_powers: tuple[float, defaultdict] = (1.0, defaultdict(dict))
+#: for the alpha last used, d^alpha = (1 - s / (a + b - s))^alpha of two points of sizes
+#: a and b sharing s pairs, as table[a + b][s], made when first needed and never more than
+#: once per pair; a sum that no pair has needed yet holds _UNUSED, which stays empty
+_powers: tuple[float, list[dict[int, float]]] = (1.0, [])
+_UNUSED: dict[int, float] = {}
 
 
-def _power_table(alpha: float, present: set[int]) -> defaultdict:
-    """The lookup table of alpha, kept from the last call with the same
-    alpha, with a list for every two sizes present: a list is made the
-    first time its two sizes occur together."""
+def _power_table(alpha: float, most: int) -> list[dict[int, float]]:
+    """alpha's lookup table, with an entry for each sum of two sizes up to `most`."""
     global _powers
     # one read of both, so that the table is alpha's whatever other threads set
     kept, table = _powers
     if kept != alpha:
-        table = defaultdict(dict)
+        table = []
         _powers = (alpha, table)
-    for a in present:
-        power = table[a]
-        # equal sets are one point, so two points of one size share fewer
-        # pairs than that size, and no two points are both empty
-        for b in present - power.keys():
-            power[b] = [(1.0 - s / (a + b - s)) ** alpha for s in range(min(a, b) + (a != b))]
+    table.extend([_UNUSED] * (2 * most + 1 - len(table)))
     return table
+
+
+def _power(table: list[dict[int, float]], total: int, shared: int, alpha: float) -> float:
+    """d^alpha of two sizes adding up to `total` that share `shared` pairs, kept in table."""
+    if table[total] is _UNUSED:
+        table[total] = {}
+    table[total][shared] = power = (1.0 - shared / (total - shared)) ** alpha
+    return power
 
 
 def stirling_delta(
@@ -151,29 +154,33 @@ def stirling_delta(
     p_i^beta over the ids of point g in the matrix's id order, so the order
     of the balance's keys does not matter. Over a `compute_disparity`
     matrix, whose distinct points are never at distance 0, each d^alpha is
-    looked up by the two sizes and the shared count in a table kept for the
-    alpha last used. Explicit rows are read as given. Both give the same
-    bits for the same distances.
+    looked up by the sum of the two sizes and the shared count in a table
+    kept for the alpha last used. Explicit rows are read as given. Both
+    give the same bits for the same distances.
     """
     if set(balance.ids) != set(disparity.ids):
         raise ValueError("balance and disparity cover different entity ids")
     table, point, shares = disparity.table, disparity.point, balance.shares
     by_masks = isinstance(table, _Masks)
     weights = [0.0] * len(table.masks if by_masks else table)
-    for i in disparity.ids:
+    for i in point:
         weights[point[i]] += shares[i] ** params.beta
-    delta = 0.0
+    delta, alpha = 0.0, params.alpha
     if by_masks:
-        powers = _power_table(params.alpha, set(table.sizes))
+        powers = _power_table(alpha, max(table.sizes, default=0))
         points = list(zip(table.masks, table.sizes, weights))
         for g, (mask_g, size_g, weight_g) in enumerate(points):
-            power = powers[size_g]
+            # power[size_h] is table[size_g + size_h] as the row began
+            power = powers[size_g:]
             row_sum = 0.0
             for mask_h, size_h, weight_h in points[g + 1 :]:
-                row_sum += power[size_h][(mask_g & mask_h).bit_count()] * weight_h
+                shared = (mask_g & mask_h).bit_count()
+                try:
+                    row_sum += power[size_h][shared] * weight_h
+                except KeyError:
+                    row_sum += _power(powers, size_g + size_h, shared, alpha) * weight_h
             delta += weight_g * row_sum
     else:
-        alpha = params.alpha
         for g, row in enumerate(table):
             row_sum = 0.0
             for d, weight_h in zip(row, weights[g + 1 :]):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgdiv import diversity
 from kgdiv.diversity import (
     BalanceVector,
     DisparityMatrix,
@@ -268,6 +269,13 @@ def test_disparity_matrix_validation():
         explicit_matrix(["A"], {("A", "B"): 0.2})
 
 
+def test_an_id_given_twice_in_the_ids_is_weighed_once():
+    balance = compute_balance({"A": 1, "B": 3})
+    m = explicit_matrix(["A", "B"], {("A", "B"): 0.5})
+    twice = DisparityMatrix(("A", "B", "A"), m.point, m.table)
+    assert stirling_delta(balance, twice).delta == stirling_delta(balance, m).delta == 0.1875
+
+
 FEATURE_POOL = [
     ("party", "a"),
     ("party", "b"),
@@ -440,6 +448,34 @@ def test_property_explicit_rows_give_the_two_pass_delta_exactly(rng, alpha, beta
     balance, m = random_instance(rng, max_n=12)
     params = DiversityParams(alpha, beta)
     assert stirling_delta(balance, m, params).delta == two_pass_delta(balance, m, params)
+
+
+def test_few_large_points_compute_one_power_per_pair():
+    # points of 300, 301, 450 and 451 pairs, the k-th sharing k pairs with
+    # every later one: the lookup table computes one d^alpha per sum of two
+    # sizes and shared count met, 6 here for 6 pairs, where a list over
+    # every count up to the smaller size for each ordered pair of sizes
+    # would compute 5,418; an alpha no other test uses starts a fresh table
+    common = [("c", str(k)) for k in range(3)]
+    entities = {
+        f"e{k}": FeatureSet(frozenset(common[:k] + [(f"p{k}", str(j)) for j in range(size - k)]))
+        for k, size in enumerate([300, 301, 450, 451])
+    }
+    balance, m = compute_balance({"e0": 1, "e1": 2, "e2": 3, "e3": 4}), compute_disparity(entities)
+    params = DiversityParams(alpha=0.3125)
+    tracemalloc.start()
+    try:
+        delta = stirling_delta(balance, m, params).delta
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert delta == two_pass_delta(balance, m, params)
+    alpha, table = diversity._powers
+    assert alpha == 0.3125
+    assert sum(map(len, table)) == 6
+    # the table's 903 entries, one per sum of two sizes, take 8 bytes each;
+    # those 5,418 floats in lists would peak near 176 kB
+    assert peak < 32_000
 
 
 def test_disparity_and_delta_memory_is_linear_in_points():
