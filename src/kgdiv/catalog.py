@@ -5,8 +5,10 @@ English DBpedia encodes politicians' active terms with date properties,
 while the Dutch DBpedia and Wikidata mostly express positions held; the
 Dutch DBpedia additionally needs the party-usage workaround because its
 party entities are not reachable through a direct type+country query.
-Each template starts with a #template= comment (a plain SPARQL comment)
-so offline fixture backends can dispatch on it.
+A template gives only its graph pattern; `_tpl` builds the rest of the
+text: a #template= comment (a plain SPARQL comment, so offline fixture
+backends can dispatch on it), the dialect's prefixes, and SELECT
+DISTINCT and ORDER BY over the variables of the template's kind.
 
 The snapshot CSV formats, and their readers, live in csvformat.
 """
@@ -31,52 +33,62 @@ COVERAGE_TEMPLATE_IDS = (
 
 _DATE10 = re.compile(r"^\d{4}-\d{2}-\d{2}")
 
-_EN_PREFIXES = """\
+_PREFIXES = {
+    "en-dbpedia": """\
 PREFIX dbo: <http://dbpedia.org/ontology/>
 PREFIX dbr: <http://dbpedia.org/resource/>
 PREFIX dbc: <http://dbpedia.org/resource/Category:>
 PREFIX dct: <http://purl.org/dc/terms/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-"""
-
-_NL_PREFIXES = """\
+""",
+    "nl-dbpedia": """\
 PREFIX dbo: <http://dbpedia.org/ontology/>
 PREFIX nlres: <http://nl.dbpedia.org/resource/>
 PREFIX nlprop: <http://nl.dbpedia.org/property/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-"""
-
-_WD_PREFIXES = """\
+""",
+    "wikidata": """\
 PREFIX wd: <http://www.wikidata.org/entity/>
 PREFIX wdt: <http://www.wikidata.org/prop/direct/>
 PREFIX p: <http://www.wikidata.org/prop/>
 PREFIX ps: <http://www.wikidata.org/prop/statement/>
 PREFIX pq: <http://www.wikidata.org/prop/qualifier/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-"""
+""",
+}
 
-def _tpl(template_id: str, dialect: str, query: str) -> QueryTemplate:
+# the variables each kind of template selects, in the order that
+# fetch_politicians and fetch_parties unpack them
+_PARTY_VARIABLES = "?party ?label ?country ?alignment"
+_VARIABLES = {
+    "politicians": "?politician ?label ?party ?start ?end ?death ?position",
+    "parties": _PARTY_VARIABLES,
+    "parties_via_usage": _PARTY_VARIABLES,
+    **dict.fromkeys(COVERAGE_TEMPLATE_IDS, "?member"),
+}
+
+
+def _tpl(template_id: str, dialect: str, pattern: str) -> QueryTemplate:
+    """The template selecting its kind's variables where the graph pattern
+    matches, with the dialect's prefixes, after a #template= mark."""
+    variables = _VARIABLES[template_id]
+    # Ordered by every selected variable: SELECT DISTINCT leaves no two rows
+    # equal in all of them, so the order is total. Every request sorts the
+    # rows the same way, and LIMIT/OFFSET pages neither repeat nor skip a
+    # row, whatever order an endpoint gives tied rows.
     return QueryTemplate(
-        template_id=template_id,
-        dialect=dialect,
-        query_text=f"#template={template_id}\n{query}",
+        template_id,
+        dialect,
+        f"#template={template_id}\n{_PREFIXES[dialect]}"
+        f"SELECT DISTINCT {variables} WHERE {{\n{pattern}}}\nORDER BY {variables}",
     )
 
 
 def builtin_templates() -> dict[tuple[str, str], QueryTemplate]:
     """The full template catalog keyed by (dialect, template_id)."""
-    # Each template orders by every variable it selects. SELECT DISTINCT
-    # leaves no two rows equal in all of them, so the order is total: every
-    # request sorts the rows the same way, and LIMIT/OFFSET pages neither
-    # repeat nor skip a row, whatever order an endpoint gives tied rows.
     templates = [
         # --- politicians with party affiliations ------------------------
-        _tpl(
-            "politicians",
-            "en-dbpedia",
-            _EN_PREFIXES
-            + """\
-SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
+        _tpl("politicians", "en-dbpedia", """\
   ?politician a dbo:Politician ;
               dbo:party ?party .
   ?party dbo:country dbr:Belgium .
@@ -85,30 +97,16 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician dbo:activeYearsEndDate ?end }
   OPTIONAL { ?politician dbo:deathDate ?death }
   OPTIONAL { ?politician dbo:office ?position }
-}
-ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
-        ),
-        _tpl(
-            "politicians",
-            "nl-dbpedia",
-            _NL_PREFIXES
-            + """\
-SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
+"""),
+        _tpl("politicians", "nl-dbpedia", """\
   ?politician nlprop:partij ?party .
   OPTIONAL { ?politician rdfs:label ?label . FILTER (lang(?label) = "nl") }
   OPTIONAL { ?politician nlprop:begin ?start }
   OPTIONAL { ?politician nlprop:einde ?end }
   OPTIONAL { ?politician dbo:deathDate ?death }
   OPTIONAL { ?politician nlprop:functie ?position }
-}
-ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
-        ),
-        _tpl(
-            "politicians",
-            "wikidata",
-            _WD_PREFIXES
-            + """\
-SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
+"""),
+        _tpl("politicians", "wikidata", """\
   ?politician wdt:P106 wd:Q82955 ;
               wdt:P27 wd:Q31 .
   ?politician p:P102 ?aff .
@@ -118,133 +116,61 @@ SELECT DISTINCT ?politician ?label ?party ?start ?end ?death ?position WHERE {
   OPTIONAL { ?politician wdt:P570 ?death }
   OPTIONAL { ?politician p:P39 ?held . ?held ps:P39 ?position }
   OPTIONAL { ?politician rdfs:label ?label . FILTER (lang(?label) = "nl") }
-}
-ORDER BY ?politician ?party ?label ?start ?end ?death ?position""",
-        ),
+"""),
         # --- parties -----------------------------------------------------
-        _tpl(
-            "parties",
-            "en-dbpedia",
-            _EN_PREFIXES
-            + """\
-SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
+        _tpl("parties", "en-dbpedia", """\
   ?party a dbo:PoliticalParty ;
          dbo:country ?country .
   FILTER (?country = dbr:Belgium)
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "en") }
   OPTIONAL { ?party dbo:ideology ?alignment }
-}
-ORDER BY ?party ?label ?country ?alignment""",
-        ),
-        _tpl(
-            "parties",
-            "nl-dbpedia",
-            _NL_PREFIXES
-            + """\
-SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
+"""),
+        _tpl("parties", "nl-dbpedia", """\
   ?party a dbo:PoliticalParty ;
          dbo:country ?country .
   FILTER (?country = nlres:België)
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
   OPTIONAL { ?party nlprop:ideologie ?alignment }
-}
-ORDER BY ?party ?label ?country ?alignment""",
-        ),
+"""),
         # The Dutch DBpedia's direct type+country query returns nothing for
         # its party entities, so fall back to entities used as the party
         # property of someone, restricted to Belgium.
-        _tpl(
-            "parties_via_usage",
-            "nl-dbpedia",
-            _NL_PREFIXES
-            + """\
-SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
+        _tpl("parties_via_usage", "nl-dbpedia", """\
   ?someone nlprop:partij ?party .
   ?party nlprop:land ?country .
   FILTER (?country = nlres:België)
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
   OPTIONAL { ?party nlprop:ideologie ?alignment }
-}
-ORDER BY ?party ?label ?country ?alignment""",
-        ),
-        _tpl(
-            "parties",
-            "wikidata",
-            _WD_PREFIXES
-            + """\
-SELECT DISTINCT ?party ?label ?country ?alignment WHERE {
+"""),
+        _tpl("parties", "wikidata", """\
   ?party wdt:P31 wd:Q7278 ;
          wdt:P17 ?country .
   FILTER (?country = wd:Q31)
   OPTIONAL { ?party wdt:P1142 ?alignment }
   OPTIONAL { ?party rdfs:label ?label . FILTER (lang(?label) = "nl") }
-}
-ORDER BY ?party ?label ?country ?alignment""",
-        ),
+"""),
         # --- coverage counts ----------------------------------------------
-        _tpl(
-            "belgian_chamber_members",
-            "en-dbpedia",
-            _EN_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+        _tpl("belgian_chamber_members", "en-dbpedia", """\
   ?member dct:subject <http://dbpedia.org/resource/Category:Members_of_the_Chamber_of_Representatives_(Belgium)> .
-}
-ORDER BY ?member""",
-        ),
-        _tpl(
-            "belgian_chamber_members",
-            "wikidata",
-            _WD_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+"""),
+        _tpl("belgian_chamber_members", "wikidata", """\
   ?member p:P39 ?held .
   ?held ps:P39 wd:Q15705021 .
-}
-ORDER BY ?member""",
-        ),
-        _tpl(
-            "flemish_parliament_members",
-            "en-dbpedia",
-            _EN_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+"""),
+        _tpl("flemish_parliament_members", "en-dbpedia", """\
   ?member dct:subject dbc:Members_of_the_Flemish_Parliament .
-}
-ORDER BY ?member""",
-        ),
-        _tpl(
-            "flemish_parliament_members",
-            "wikidata",
-            _WD_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+"""),
+        _tpl("flemish_parliament_members", "wikidata", """\
   ?member p:P39 ?held .
   ?held ps:P39 wd:Q19945604 .
-}
-ORDER BY ?member""",
-        ),
-        _tpl(
-            "us_house_members",
-            "en-dbpedia",
-            _EN_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+"""),
+        _tpl("us_house_members", "en-dbpedia", """\
   ?member dct:subject dbc:Members_of_the_United_States_House_of_Representatives .
-}
-ORDER BY ?member""",
-        ),
-        _tpl(
-            "us_house_members",
-            "wikidata",
-            _WD_PREFIXES
-            + """\
-SELECT DISTINCT ?member WHERE {
+"""),
+        _tpl("us_house_members", "wikidata", """\
   ?member p:P39 ?held .
   ?held ps:P39 wd:Q13218630 .
-}
-ORDER BY ?member""",
-        ),
+"""),
     ]
     return {(t.dialect, t.template_id): t for t in templates}
 

@@ -140,10 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                 if dest in options and options[dest] in (None, ""):
                     options[dest] = value
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (QueryError, OSError, ValueError) as exc:

@@ -57,7 +57,7 @@ class MatchRule(
     def regex(self) -> re.Pattern[str]:
         """The pattern as a literal surface regex, compiled once per rule.
 
-        `match_rules` builds it only for a case-insensitive rule, only once
+        `rule_counts` builds it only for a case-insensitive rule, only once
         the rule's folded pattern occurs in a document's folded text, and
         only where the text or the pattern is not ASCII.
         """
@@ -166,48 +166,24 @@ class CsvTripleSource:
         ]
 
 
-def match_rules(doc: TextDocument, rules: Sequence[MatchRule]) -> list[EntityMention]:
-    """All non-overlapping occurrences of each rule in the raw text.
+def rule_counts(doc: TextDocument, rules: Sequence[MatchRule]) -> dict[str, int]:
+    """Each rule's non-overlapping matches in the raw text, counted by the
+    rule's target or, for a rule without one, by the matched surface. The
+    keys come in rule order; `stirling_delta` does not depend on it.
 
     Matches of different rules may overlap; matches of one rule never do.
     One scan of the text finds every case-sensitive pattern, and one scan
     of the folded text every folded case-insensitive one; only the rules
-    found are visited. A case-sensitive rule's occurrences are its
-    matches, and so are a case-insensitive rule's in ASCII text when its
-    pattern is ASCII too: there `re.IGNORECASE` only equates ASCII case
-    pairs, and the fold is `lower()`. Otherwise the rule's
+    found are visited, in rule order. A case-sensitive rule's occurrences
+    are its matches, and so are a case-insensitive rule's in ASCII text
+    when its pattern is ASCII too: there `re.IGNORECASE` only equates
+    ASCII case pairs, and the fold is `lower()`. Otherwise the rule's
     `MatchRule.regex` decides each of its spans: where the text and the
     pattern fold in place, folded positions are text positions, so it is
     tried only where the folded pattern occurs; elsewhere it scans the
     whole text.
     """
-    mentions = [
-        EntityMention(doc.doc_id, start, end, surface, rule.target_entity or None, "rule")
-        for rule, spans in _rule_spans(doc.text, rules)
-        for start, end, surface in spans
-    ]
-    mentions.sort(key=lambda m: (m.char_start, m.char_end, m.resolved_id or ""))
-    return mentions
-
-
-def rule_counts(doc: TextDocument, rules: Sequence[MatchRule]) -> dict[str, int]:
-    """`aggregate_mentions(match_rules(doc, rules))`, counted from the
-    spans without building a mention. The keys come in rule order;
-    `stirling_delta` does not depend on it."""
-    counts: dict[str, int] = {}
-    for rule, spans in _rule_spans(doc.text, rules):
-        target = rule.target_entity
-        for _, _, surface in spans:
-            key = target or surface
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _rule_spans(
-    text: str, rules: Sequence[MatchRule]
-) -> Iterator[tuple[MatchRule, Iterator[tuple[int, int, str]]]]:
-    """Each rule that occurs in the text, in rule order, with its spans
-    left to right, as `match_rules` describes them."""
+    text = doc.text
     index = rules._index if isinstance(rules, _RuleList) else _RuleIndex(rules)
     ascii_text = text.isascii()
     found = index.scan_sensitive(text)
@@ -221,20 +197,26 @@ def _rule_spans(
             for folded in found
             for k in index.insensitive.get(folded, ())
         ]
+    counts: dict[str, int] = {}
     for k, starts in sorted(visits):  # in rule order: each rule is visited once
         rule = rules[k]
         if starts is None:
-            spans = ((m.start(), m.end(), m.group(0)) for m in rule.regex.finditer(text))
+            surfaces = (m.group(0) for m in rule.regex.finditer(text))
         else:
             exact = rule.case_sensitive or ascii_text and rule.pattern.isascii()
-            spans = _spans(text, starts, len(rule.pattern), None if exact else rule.regex.match)
-        yield rule, spans
+            match = None if exact else rule.regex.match
+            surfaces = _surfaces(text, starts, len(rule.pattern), match)
+        target = rule.target_entity
+        for surface in surfaces:
+            key = target or surface
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
-def _spans(text: str, starts: list[int], length: int, match) -> Iterator[tuple[int, int, str]]:
-    """A rule's non-overlapping spans, left to right as `finditer` finds
+def _surfaces(text: str, starts: list[int], length: int, match) -> Iterator[str]:
+    """A rule's non-overlapping matches, left to right as `finditer` finds
     them, from the sorted positions where its (folded) pattern occurs:
-    `match`, if given, decides each span, else each position starts one
+    `match`, if given, decides each match, else each position starts one
     of the pattern's `length`."""
     end = 0
     for start in starts:
@@ -242,10 +224,10 @@ def _spans(text: str, starts: list[int], length: int, match) -> Iterator[tuple[i
             continue
         if match is None:
             end = start + length
-            yield start, end, text[start:end]
+            yield text[start:end]
         elif m := match(text, start):
             end = m.end()
-            yield start, end, m.group(0)
+            yield m.group(0)
 
 
 class _RuleList(list):

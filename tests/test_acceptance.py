@@ -41,10 +41,9 @@ from kgdiv.pipeline import (
     CsvTripleSource,
     MatchRule,
     TextDocument,
-    aggregate_mentions,
     builtin_ontology,
     enrich_entity,
-    match_rules,
+    rule_counts,
 )
 from kgdiv.report import PANEL_HEIGHT
 from kgdiv.sparql import EndpointConfig, QueryTemplate, execute_query
@@ -274,8 +273,7 @@ def test_criterion_6_verdict_soundness(enumeration_cases):
 
 
 def _score_text(doc, rules, triples):
-    mentions = match_rules(doc, rules)
-    counts = aggregate_mentions(mentions)
+    counts = rule_counts(doc, rules)
     ontology = builtin_ontology()
     features = {i: enrich_entity(i, triples, ontology) for i in sorted(counts)}
     return stirling_delta(

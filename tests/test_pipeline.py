@@ -30,7 +30,6 @@ from kgdiv.pipeline import (
     builtin_ontology,
     enrich_entity,
     load_rules,
-    match_rules,
     parse_annotation_response,
     rule_counts,
 )
@@ -49,32 +48,38 @@ NVA_RULE = MatchRule(
 )
 
 
+def finditer_counts(text: str, rules: list[MatchRule]) -> dict[str, int]:
+    """Each rule's `re.finditer` matches in the text, counted by the rule's
+    target or else by the matched surface, one rule at a time."""
+    counts: dict[str, int] = {}
+    for rule in rules:
+        flags = 0 if rule.case_sensitive else re.IGNORECASE
+        for m in re.finditer(re.escape(rule.pattern), text, flags):
+            key = rule.target_entity or m.group(0)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 class TestMatchRules:
     def test_literal_substring(self):
         doc = TextDocument(doc_id="d", text="N-VA wint")
-        (mention,) = match_rules(doc, [NVA_RULE])
-        assert (mention.char_start, mention.char_end) == (0, 4)
-        assert mention.surface == "N-VA"
-        assert mention.provenance == "rule"
-        assert mention.resolved_id == "http://example.org/party/NVA"
+        assert rule_counts(doc, [NVA_RULE]) == {"http://example.org/party/NVA": 1}
+        # a rule without a target counts its surface
+        assert rule_counts(doc, [NVA_RULE._replace(target_entity="")]) == {"N-VA": 1}
 
     def test_case_sensitive_mismatch(self):
         doc = TextDocument(doc_id="d", text="n-va wint")
-        assert match_rules(doc, [NVA_RULE]) == []
+        assert rule_counts(doc, [NVA_RULE]) == {}
 
     def test_case_insensitive_match(self):
         doc = TextDocument(doc_id="d", text="n-va wint")
-        rule = MatchRule(
-            pattern="N-VA", case_sensitive=False, target_entity="unnamed:nva"
-        )
-        (mention,) = match_rules(doc, [rule])
-        assert mention.surface == "n-va"
+        rule = MatchRule(pattern="N-VA", case_sensitive=False)
+        assert rule_counts(doc, [rule]) == {"n-va": 1}
 
     def test_single_rule_matches_never_overlap(self):
         doc = TextDocument(doc_id="d", text="aaaa")
         rule = MatchRule(pattern="aa", target_entity="unnamed:a")
-        mentions = match_rules(doc, [rule])
-        assert [(m.char_start, m.char_end) for m in mentions] == [(0, 2), (2, 4)]
+        assert rule_counts(doc, [rule]) == {"unnamed:a": 2}
 
     def test_cross_rule_overlaps_are_kept(self):
         doc = TextDocument(doc_id="d", text="N-VA")
@@ -82,7 +87,7 @@ class TestMatchRules:
             NVA_RULE,
             MatchRule(pattern="VA", target_entity="unnamed:va"),
         ]
-        assert len(match_rules(doc, rules)) == 2
+        assert rule_counts(doc, rules) == {"http://example.org/party/NVA": 1, "unnamed:va": 1}
 
     def test_rules_beyond_re_cache_match_like_finditer(self):
         # more distinct rules than re's 512-pattern cache, and one pattern
@@ -105,42 +110,32 @@ class TestMatchRules:
             word = rng.choice(["Alpha", f"Name{rng.randrange(650):03d}", "filler"])
             words.append(word.upper() if rng.random() < 0.3 else word)
         doc = TextDocument(doc_id="d", text=" ".join(words) + " AlphaAlpha")
-        expected = sorted(
-            (m.start(), m.end(), rule.target_entity)
-            for rule in rules
-            for m in re.finditer(
-                re.escape(rule.pattern),
-                doc.text,
-                0 if rule.case_sensitive else re.IGNORECASE,
-            )
-        )
-        got = [
-            (m.char_start, m.char_end, m.resolved_id) for m in match_rules(doc, rules)
-        ]
-        assert got == expected
-        assert {"a-cs", "a-ci"} <= {target for _, _, target in got}
+        got = rule_counts(doc, rules)
+        assert got == finditer_counts(doc.text, rules)
+        assert {"a-cs", "a-ci"} <= set(got)
         assert rules[0].regex is rules[0].regex
 
     @given(st.text(min_size=1, max_size=60), st.text(min_size=1, max_size=5))
     @settings(max_examples=150)
     def test_property_spans_within_bounds(self, text, pattern):
+        # a case-sensitive rule's matches are its pattern's non-overlapping
+        # occurrences, which fit in the text side by side
         doc = TextDocument(doc_id="d", text=text)
         rule = MatchRule(pattern=pattern, target_entity="unnamed:p")
-        previous_end = 0
-        for m in match_rules(doc, [rule]):
-            assert 0 <= m.char_start < m.char_end <= len(text)
-            assert m.char_start >= previous_end
-            previous_end = m.char_end
+        count = rule_counts(doc, [rule]).get("unnamed:p", 0)
+        assert count == text.count(pattern)
+        assert count * len(pattern) <= len(text)
 
     @given(st.text(alphabet="aAbB -", min_size=1, max_size=40))
     @settings(max_examples=150)
     def test_property_insensitive_superset(self, text):
         doc = TextDocument(doc_id="d", text=text)
-        sensitive = MatchRule(pattern="aB", case_sensitive=True, target_entity="u:x")
-        insensitive = MatchRule(pattern="aB", case_sensitive=False, target_entity="u:x")
-        strict = {(m.char_start, m.char_end) for m in match_rules(doc, [sensitive])}
-        loose = {(m.char_start, m.char_end) for m in match_rules(doc, [insensitive])}
-        assert strict <= loose
+        # counted by surface: each "aB" the strict rule counts, the loose one does
+        sensitive = MatchRule(pattern="aB", case_sensitive=True)
+        insensitive = MatchRule(pattern="aB", case_sensitive=False)
+        strict = rule_counts(doc, [sensitive])
+        loose = rule_counts(doc, [insensitive])
+        assert all(count <= loose.get(surface, 0) for surface, count in strict.items())
 
     # case pairs that re.IGNORECASE equates although lower() or casefold()
     # tell them apart: long s, Kelvin sign, dotted and dotless i, sharp s,
@@ -157,36 +152,22 @@ class TestMatchRules:
     )
     @settings(max_examples=400)
     def test_property_equals_per_rule_finditer(self, text, specs):
+        # every other rule has no target, so its matches count by surface
         rules = [
-            MatchRule(pattern=pattern, case_sensitive=sensitive, target_entity=f"t{k}")
+            MatchRule(pattern, sensitive, f"t{k}" if k % 2 else "")
             for k, (pattern, sensitive) in enumerate(specs)
         ]
-        expected = sorted(
-            (
-                (m.start(), m.end(), m.group(0), rule.target_entity)
-                for rule in rules
-                for m in re.finditer(
-                    re.escape(rule.pattern),
-                    text,
-                    0 if rule.case_sensitive else re.IGNORECASE,
-                )
-            ),
-            key=lambda span: (span[0], span[1], span[3]),
-        )
-        got = [
-            (m.char_start, m.char_end, m.surface, m.resolved_id)
-            for m in match_rules(TextDocument(doc_id="d", text=text), rules)
-        ]
-        assert got == expected
+        doc = TextDocument(doc_id="d", text=text)
+        assert rule_counts(doc, rules) == finditer_counts(text, rules)
 
     def test_insensitive_match_behind_a_multi_character_fold(self):
         # ß, a, a combining dot and k fold to 'ssak', as long as the text,
         # but the folded a sits one place after the text's a
         text = "\u00dfa\u0307k"
         assert len(_fold(text)) == len(text) and not _folds_in_place(text)
-        rule = MatchRule(pattern="a", case_sensitive=False, target_entity="u:a")
-        got = [(m.char_start, m.char_end) for m in match_rules(TextDocument("d", text), [rule])]
-        assert got == [m.span() for m in re.finditer("a", text, re.IGNORECASE)] == [(1, 2)]
+        rule = MatchRule(pattern="a", case_sensitive=False)
+        got = rule_counts(TextDocument("d", text), [rule])
+        assert got == finditer_counts(text, [rule]) == {"a": 1}
 
     @given(
         st.text(
@@ -223,20 +204,13 @@ class TestMatchRules:
     def test_property_anchored_check_equals_finditer(self, text, patterns):
         # every example folds in place, so every rule takes the anchored path
         assert _folds_in_place(text + "".join(patterns))
+        # every other rule has no target, so its matches count by surface
         rules = [
-            MatchRule(pattern=pattern, case_sensitive=False, target_entity=f"t{k}")
+            MatchRule(pattern, False, f"t{k}" if k % 2 else "")
             for k, pattern in enumerate(patterns)
         ]
-        expected = sorted(
-            (m.start(), m.end(), m.group(0), rule.target_entity)
-            for rule in rules
-            for m in re.finditer(re.escape(rule.pattern), text, re.IGNORECASE)
-        )
-        got = [
-            (m.char_start, m.char_end, m.surface, m.resolved_id)
-            for m in match_rules(TextDocument(doc_id="d", text=text), rules)
-        ]
-        assert got == expected
+        doc = TextDocument(doc_id="d", text=text)
+        assert rule_counts(doc, rules) == finditer_counts(text, rules)
 
     def test_regex_built_only_for_insensitive_rules_that_can_match(self):
         doc = TextDocument(doc_id="d", text="De N-VA en Groen")
@@ -248,14 +222,13 @@ class TestMatchRules:
         insensitive_hit = MatchRule(pattern="GROEN", case_sensitive=False, target_entity="u:g")
         rules = [sensitive_hit, sensitive_miss, insensitive_miss, insensitive_hit]
         # in ASCII text an ASCII pattern's folded occurrences are its spans
-        assert len(match_rules(doc, rules)) == 2
         assert len(rule_counts(doc, rules)) == 2
         for rule in rules:
             assert "regex" not in rule.__dict__
         # a text that is not ASCII but folds in place tries the regex of the
         # rule it hits, and only that one
         doc = TextDocument(doc_id="d", text="De N-VA en Groen \u00e9n")
-        assert len(match_rules(doc, rules)) == 2
+        assert len(rule_counts(doc, rules)) == 2
         for rule in (sensitive_hit, sensitive_miss, insensitive_miss):
             assert "regex" not in rule.__dict__
         assert "regex" in insensitive_hit.__dict__
@@ -292,7 +265,7 @@ class TestMatchRules:
             for k, (pattern, sensitive) in enumerate(specs)
         ]
         doc = TextDocument(doc_id="d", text=text)
-        assert match_rules(doc, rules) == oracles.match_rules(doc, rules)
+        assert rule_counts(doc, rules) == finditer_counts(text, rules)
 
     @given(st.data(), st.sampled_from([SCAN_ALPHABET, "abAB kK"]))
     @settings(max_examples=300)
@@ -310,9 +283,8 @@ class TestMatchRules:
 
     def test_pattern_that_folds_to_nothing_occurs_everywhere(self):
         text = "a\u0307b\u0307"
-        rule = MatchRule(pattern="\u0307", case_sensitive=False, target_entity="u:dot")
-        got = [(m.char_start, m.char_end) for m in match_rules(TextDocument("d", text), [rule])]
-        assert got == [(1, 2), (3, 4)]
+        rule = MatchRule(pattern="\u0307", case_sensitive=False)
+        assert rule_counts(TextDocument("d", text), [rule]) == {"\u0307": 2}
 
     def test_thousands_of_patterns_in_one_scan(self):
         rng = random.Random(5)
@@ -328,19 +300,20 @@ class TestMatchRules:
         picks = [rng.choice(patterns) for _ in range(1500)]
         text = " ".join(p.swapcase() if rng.random() < 0.2 else p for p in picks)
         doc = TextDocument(doc_id="d", text=text)
-        assert match_rules(doc, rules) == oracles.match_rules(doc, rules)
-        assert len(match_rules(doc, rules)) > 1500
+        counts = rule_counts(doc, rules)
+        assert counts == aggregate_mentions(oracles.match_rules(doc, rules))
+        assert sum(counts.values()) > 1500
 
     def test_loaded_rules_keep_one_scan_index(self, tmp_path):
         path = tmp_path / "rules.csv"
         path.write_text("pattern,case_sensitive\ngroen,false\nN-VA,true\n", encoding="utf-8")
         rules = load_rules(path)
         docs = [TextDocument("a", "Groen en N-VA"), TextDocument("b", "GROEN, groen")]
-        assert [match_rules(doc, rules) for doc in docs] == [
-            oracles.match_rules(doc, rules) for doc in docs
+        assert [rule_counts(doc, rules) for doc in docs] == [
+            aggregate_mentions(oracles.match_rules(doc, rules)) for doc in docs
         ]
         index = vars(rules)["_index"]
-        match_rules(docs[0], rules)
+        rule_counts(docs[0], rules)
         assert vars(rules)["_index"] is index
 
 
