@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 runtime or data failure, 2 usage or
 configuration error. Commands never mutate their inputs and rerunning
-with identical inputs rewrites byte-identical outputs. A command runs
-with the cyclic garbage collector off.
+with identical inputs rewrites byte-identical outputs. Each command
+writes its outputs through `_outputs`, all or none of them. A command
+runs with the cyclic garbage collector off.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import gc
 import re
 import sys
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from datetime import date
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -136,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             # a config value is the default of the option it names: it fills
             # each one the command line left unset (None, or --nel-endpoint '')
             options = vars(args)
-            for dest, value in load_run_config(args.config).items():
+            for dest, value in load_run_config(_require_file(args.config, "config")).items():
                 if dest in options and options[dest] in (None, ""):
                     options[dest] = value
         return args.func(args)
@@ -151,39 +152,42 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _write_all(out: Path, writers: dict[str, Callable[[Path], object]]) -> dict[str, object]:
-    """Write each named output into the directory `out`, made if missing,
-    through a .tmp file, and rename them only once all are written, so a
-    failure leaves none of them behind, nor an empty directory it made.
-    Gives what each writer returned, by name."""
+@contextmanager
+def _outputs(out: Path) -> Iterator[Callable[[str], Path]]:
+    """Give `tmp(name)`, the .tmp file to write the output `name` of the
+    directory `out`, made if missing, into. The .tmp files are renamed into
+    place only when the block exits cleanly, so a failure leaves none of the
+    outputs behind, nor an empty directory made here. An output name taken
+    by a directory is an error, found when its .tmp file is named."""
     # the directories that mkdir makes, deepest first
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    tmps = {name: out / f"{name}.tmp" for name in writers}
+    tmps: dict[str, Path] = {}
+
+    def tmp(name: str) -> Path:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"output {out / name} is a directory")
+        return tmps.setdefault(name, out / f"{name}.tmp")
+
     try:
-        written = {}
-        for name, write in writers.items():
-            written[name] = write(tmps[name])
-        for name, tmp in tmps.items():
-            tmp.replace(out / name)
+        yield tmp
+        for name, path in tmps.items():
+            path.replace(out / name)
     except BaseException:
-        for tmp in tmps.values():
-            tmp.unlink(missing_ok=True)
+        for path in tmps.values():
+            path.unlink(missing_ok=True)
         for path in made:
             if not any(path.iterdir()):
                 path.rmdir()
         raise
-    return written
 
 
-def _findings_writer(findings) -> Callable[[Path], object]:
-    """The findings.csv writer of `audit` and `validate --out`."""
+def _write_findings(path: Path, findings) -> None:
+    """The findings.csv of `audit` and `validate --out`."""
     from .csvformat import write_csv
 
-    return partial(
-        write_csv,
-        header=["kind", "subject", "detail"],
-        rows=[[f.kind, f.subject, f.detail] for f in findings],
+    write_csv(
+        path, ["kind", "subject", "detail"], [[f.kind, f.subject, f.detail] for f in findings]
     )
 
 
@@ -193,6 +197,8 @@ def _require_file(raw: str | Path | None, what: str) -> Path | None:
     path = Path(raw)
     if not path.exists():
         raise ConfigError(f"{what} file {path} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"{what} file {path} is a directory")
     return path
 
 
@@ -228,17 +234,10 @@ def cmd_fetch(args) -> int:
     # politicians are all written
     politicians = catalog.fetch_politicians(endpoint, retrieved_at, transport=transport)
     parties = catalog.fetch_parties(endpoint, retrieved_at, transport=transport)
-    written = _write_all(
-        out,
-        {
-            "politicians.csv": partial(catalog.write_politicians_csv, rows=politicians),
-            "parties.csv": partial(catalog.write_parties_csv, rows=parties),
-        },
-    )
-    print(
-        f"wrote {written['politicians.csv']} politician rows and "
-        f"{written['parties.csv']} party rows to {out}"
-    )
+    with _outputs(out) as tmp:
+        politician_rows = catalog.write_politicians_csv(tmp("politicians.csv"), politicians)
+        party_rows = catalog.write_parties_csv(tmp("parties.csv"), parties)
+    print(f"wrote {politician_rows} politician rows and {party_rows} party rows to {out}")
     return 0
 
 
@@ -321,29 +320,13 @@ def cmd_audit(args) -> int:
         career_end_overrides=overrides,
     )
     distinct_refs = sorted({u.raw_ref for u in snapshot.unmapped})
-    writers = {
-        "unmapped_refs.csv": partial(
-            csvformat.write_csv,
-            header=["source", "politician_id", "raw_ref"],
-            rows=[
-                [u.source, u.politician_id, u.raw_ref]
-                for u in sorted(
-                    snapshot.unmapped, key=lambda u: (u.source, u.politician_id, u.raw_ref)
-                )
-            ],
-        )
+    # the one output of a failed audit is the refs its message points to
+    failed = len(distinct_refs) > args.max_unmapped
+    # every body is judged before any output is written
+    series = {} if failed else {
+        body: csvformat.emit_series_csv(audit.judge(result.rows, baselines[body], policy))
+        for body in bodies
     }
-    if len(distinct_refs) > args.max_unmapped:
-        # the one output of a failed audit: the refs its message points to
-        _write_all(out, writers)
-        print(
-            f"error: {len(distinct_refs)} unmapped party refs exceed "
-            f"--max-unmapped {args.max_unmapped}; see "
-            f"{out / 'unmapped_refs.csv'}",
-            file=sys.stderr,
-        )
-        return 1
-    writers["findings.csv"] = _findings_writer(snapshot.findings)
     coverage = [
         [
             c.source,
@@ -354,18 +337,29 @@ def cmd_audit(args) -> int:
         ]
         for c in result.coverage
     ]
-    # every body is judged before any output is written
-    for body in bodies:
-        rows = audit.judge(result.rows, baselines[body], policy)
-        writers[f"audit_{body.lower()}.csv"] = partial(
-            Path.write_bytes, data=csvformat.emit_series_csv(rows)
+    with _outputs(out) as tmp:
+        csvformat.write_csv(
+            tmp("unmapped_refs.csv"),
+            ["source", "politician_id", "raw_ref"],
+            sorted((u.source, u.politician_id, u.raw_ref) for u in snapshot.unmapped),
         )
-        writers[f"coverage_{body.lower()}.csv"] = partial(
-            csvformat.write_csv,
-            header=["source", "time_point", "active_total", "undated_total", "low_sample"],
-            rows=coverage,
+        if not failed:
+            _write_findings(tmp("findings.csv"), snapshot.findings)
+        for body, data in series.items():
+            tmp(f"audit_{body.lower()}.csv").write_bytes(data)
+            csvformat.write_csv(
+                tmp(f"coverage_{body.lower()}.csv"),
+                ["source", "time_point", "active_total", "undated_total", "low_sample"],
+                coverage,
+            )
+    if failed:
+        print(
+            f"error: {len(distinct_refs)} unmapped party refs exceed "
+            f"--max-unmapped {args.max_unmapped}; see "
+            f"{out / 'unmapped_refs.csv'}",
+            file=sys.stderr,
         )
-    _write_all(out, writers)
+        return 1
     print(f"audit written to {out} (bodies: {', '.join(bodies)}; findings: {len(snapshot.findings)})")
     return 0
 
@@ -515,20 +509,15 @@ def cmd_score(args) -> int:
             for entity_id in ids:
                 yield doc.doc_id, entity_id, str(counts[entity_id])
 
-    def write_both(counts_tmp: Path) -> None:
-        """Write entity_counts.csv.tmp and, beside it, scores.csv.tmp, a
-        row of each as each document is scored."""
-        with open(counts_tmp.with_name("scores.csv.tmp"), "w", newline="", encoding="utf-8") as fh:
+    try:
+        with _outputs(out) as tmp, open(tmp("scores.csv"), "w", newline="", encoding="utf-8") as fh:
             scores = csv.writer(fh, lineterminator="\n")
             scores.writerow(["doc_id", "n_entities", "delta"])
             write_csv(
-                counts_tmp, header=["doc_id", "entity_id", "count"], rows=count_rows(scores.writerow)
+                tmp("entity_counts.csv"),
+                ["doc_id", "entity_id", "count"],
+                count_rows(scores.writerow),
             )
-
-    try:
-        # scores.csv.tmp is written by entity_counts.csv's writer; _write_all
-        # renames both, or removes both on a failure
-        _write_all(out, {"entity_counts.csv": write_both, "scores.csv": lambda tmp: None})
     except AnnotationError as exc:  # only under --require-nel
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -560,10 +549,7 @@ def cmd_report(args) -> int:
     from . import report
     from .csvformat import read_series_csv
 
-    audit_path = _require_file(args.audit, "audit")
-    if audit_path.is_dir():
-        raise ConfigError(f"audit file {audit_path} is a directory")
-    rows = read_series_csv(audit_path)
+    rows = read_series_csv(_require_file(args.audit, "audit"))
     sources = sorted({r.source for r in rows})
     figure_sources: dict[str, list[str]] = {}
     for source in sources:
@@ -589,13 +575,10 @@ def cmd_report(args) -> int:
     }
     out = Path(args.out)
     # every figure is drawn before any is written
-    _write_all(
-        out,
-        {
-            name: partial(Path.write_bytes, data=report.emit_figure_svg(spec))
-            for name, spec in specs.items()
-        },
-    )
+    svgs = {name: report.emit_figure_svg(spec) for name, spec in specs.items()}
+    with _outputs(out) as tmp:
+        for name, svg in svgs.items():
+            tmp(name).write_bytes(svg)
     if sources:
         print(f"wrote {len(sources)} figure(s) to {out}")
     else:
@@ -623,7 +606,8 @@ def cmd_validate(args) -> int:
     if not findings:
         print("no findings")
     if args.out:
-        _write_all(Path(args.out), {"findings.csv": _findings_writer(findings)})
+        with _outputs(Path(args.out)) as tmp:
+            _write_findings(tmp("findings.csv"), findings)
     return 0
 
 

@@ -267,6 +267,24 @@ class TestFetch:
         assert [p.name for p in out.iterdir()] == ["politicians.csv"]
         assert (out / "politicians.csv").read_text(encoding="utf-8") == "earlier"
 
+    def test_an_output_name_taken_by_a_directory_leaves_the_earlier_snapshot(
+        self, tmp_path, kg_fixture_dir, capsys
+    ):
+        # politicians.csv.tmp is written before parties.csv is found taken
+        out = tmp_path / "snap"
+        (out / "parties.csv").mkdir(parents=True)
+        (out / "parties.csv" / "keep").write_text("kept", encoding="utf-8")
+        (out / "politicians.csv").write_text("earlier", encoding="utf-8")
+        assert run_cli(*fetch_args(out, kg_fixture_dir)) == 1
+        assert capsys.readouterr().err == f"error: output {out / 'parties.csv'} is a directory\n"
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "parties.csv",
+            "parties.csv/keep",
+            "politicians.csv",
+        ]
+        assert (out / "politicians.csv").read_text(encoding="utf-8") == "earlier"
+        assert (out / "parties.csv" / "keep").read_text(encoding="utf-8") == "kept"
+
     def test_peak_follows_the_distinct_keys(self, tmp_path, capsys):
         # fetch keeps one NUL-joined key per distinct row while the rows
         # stream to the file: its traced peak is about 1.6 times the keys'
@@ -1289,6 +1307,50 @@ def test_malformed_input_csv_fails_cleanly(tmp_path, fixture_dir, capsys, comman
     assert run_cli(*argv) == 1
     assert str(bad) in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("audit", "--baseline"),
+        ("audit", "--map"),
+        ("audit", "--parties"),
+        ("audit", "--overrides"),
+        ("score", "--rules"),
+        ("score", "--triples"),
+        ("score", "--config"),
+        ("validate", "--map"),
+        ("validate", "--parties"),
+    ],
+)
+def test_a_directory_given_as_an_input_file_is_a_config_error(
+    tmp_path, fixture_dir, capsys, command, flag
+):
+    given = tmp_path / "given"
+    given.mkdir()
+    out = tmp_path / "out"
+    nmap = ["--map", str(fixture_dir / "map.csv"), "--parties", str(fixture_dir / "parties.csv")]
+    argv = {
+        "audit": audit_args(GOLDEN / "snapshot_en", out, fixture_dir),
+        "score": score_args(
+            out,
+            fixture_dir,
+            "--rules",
+            str(fixture_dir / "rules.csv"),
+            "--triples",
+            str(fixture_dir / "triples.csv"),
+        ),
+        "validate": ["validate", "--snapshot", str(GOLDEN / "snapshot_en"), *nmap, "--out", str(out)],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(given)
+    else:
+        argv += [flag, str(given)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {flag.lstrip('-')} file {given} is a directory\n"
+    )
+    assert not out.exists()
 
 
 #: cell values that real input files hold by mistake: empty and blank
